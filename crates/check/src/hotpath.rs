@@ -10,7 +10,8 @@
 //! `SpanSampler` lifecycle-sampling path (on by default in the resident
 //! service's ingest loop). Cold
 //! companions on the same traits (`warm` — pre-allocation by design,
-//! `check_invariants`, `heap_bytes`) are excluded and documented.
+//! `check_invariants`, `heap_bytes`, `finish` — the once-per-run
+//! end-of-stream flush) are excluded and documented.
 //!
 //! Three rules, each with its own waiver channel:
 //!
@@ -47,9 +48,10 @@ const HOT_TRAITS: &[&str] = &[
 ];
 
 /// Methods on the hot traits that are deliberately cold: `warm`
-/// pre-allocates (that is its job), the other two are diagnostic
-/// surfaces never called per-slide.
-const COLD_METHODS: &[&str] = &["warm", "check_invariants", "heap_bytes"];
+/// pre-allocates (that is its job), `check_invariants` and `heap_bytes`
+/// are diagnostic surfaces never called per-slide, and `finish` runs once
+/// per run, after the last batch, to flush windows still open.
+const COLD_METHODS: &[&str] = &["warm", "check_invariants", "heap_bytes", "finish"];
 
 /// Free functions that are hot roots (the slice kernels in
 /// `crates/core`).

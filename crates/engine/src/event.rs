@@ -1,15 +1,20 @@
-//! The event-time execution path: out-of-order keyed streams, watermarks,
-//! and a router-side late-tuple policy.
+//! The event-time path: out-of-order keyed streams, watermarks, and a
+//! router-side late-tuple policy.
 //!
-//! [`ShardedEngine::run_events`] mirrors [`ShardedEngine::run`] for
-//! sources whose tuples carry an **event timestamp** and may arrive out
-//! of order. The differences, all at the router:
+//! Event time runs on the same data plane as arrival order — one router
+//! loop, one shard worker ([`crate::shard`]). What this module adds is the
+//! router's **admit rule** for sources whose tuples carry an event
+//! timestamp and may arrive out of order ([`ShardedEngine::run_events`]),
+//! and the per-key processor that turns watermarks into window answers
+//! ([`KeyedEventWindows`]):
 //!
 //! * Every routed batch carries the router's current **watermark** — a
 //!   promise that no tuple below it will follow. With an explicit
 //!   `lateness` bound the watermark is `max routed timestamp − lateness`;
 //!   without one the router trusts the source's own
 //!   [`low_watermark`](swag_data::event::KeyedEventSource::low_watermark).
+//!   (An arrival-order run is the degenerate case: the watermark is 0
+//!   forever and nothing is ever late.)
 //! * Tuples below the watermark are **dropped at the router** — counted
 //!   into [`EngineStats::late_tuples`], recorded as
 //!   [`EventKind::LateDrop`], and never sent. Dropping before the
@@ -17,82 +22,34 @@
 //!   drop decision depends only on the (single, ordered) source stream,
 //!   never on shard count or batch boundaries.
 //!
-//! Workers apply each batch through an [`EventProcessor`] and then
-//! advance every key to the batch's watermark, emitting the time windows
-//! it closed. Per-key answer sequences are therefore identical for any
-//! shard count: a key's accepted tuples and its window boundaries fully
-//! determine its `(query, window end, value)` stream.
+//! Workers apply each batch through [`ShardProcessor::process_run`] and
+//! then advance every key to the batch's watermark, emitting the time
+//! windows it closed. Per-key answer sequences are therefore identical
+//! for any shard count: a key's accepted tuples and its window boundaries
+//! fully determine its `(query, window end, value)` stream.
 //!
 //! The engine-level watermark is the **minimum across shards** of the
 //! per-shard watermarks ([`EngineStats::watermark`]) — the frontier every
 //! shard has durably passed.
+//!
+//! [`EngineStats::late_tuples`]: crate::EngineStats::late_tuples
+//! [`EngineStats::watermark`]: crate::EngineStats::watermark
 
 use std::collections::BTreeMap;
-use std::sync::atomic::AtomicBool;
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
-use std::sync::{Arc, Mutex};
 
 use swag_core::ops::AggregateOp;
 use swag_data::event::KeyedEventSource;
 use swag_data::keyed::Key;
-use swag_metrics::clock::Stopwatch;
-use swag_metrics::QueueDepthGauge;
+use swag_metrics::registry::Counter;
 use swag_stream::{TimeWindowExec, TimeWindowSpec};
 use swag_trace::{EventKind, FlightRecorder};
 
-use crate::obs::{sampler_loop, EngineSample, ShardObs, StopGuard};
-use crate::shard::{shard_of, EngineRun, ShardedEngine};
-use crate::stats::{EngineStats, ShardStats};
-
-/// One routed message on the event path: tuples plus the router's
-/// watermark at flush time.
-#[derive(Debug)]
-pub struct EventBatch {
-    /// No tuple in this batch — or any later batch to this shard — has a
-    /// timestamp below this.
-    pub watermark: u64,
-    /// The `(key, event timestamp, value)` tuples, in routing order.
-    pub tuples: Vec<(Key, u64, f64)>,
-}
-
-/// Per-key event-time processing logic run inside one shard — the
-/// event-time sibling of [`ShardProcessor`](crate::ShardProcessor).
-pub trait EventProcessor: Send {
-    /// The answer type delivered per key.
-    type Answer: Send;
-
-    /// Apply a run of timestamped tuples that all belong to `key`, in
-    /// routing order. Tuples are guaranteed to be at or above every
-    /// watermark previously passed to
-    /// [`advance_watermark`](Self::advance_watermark).
-    fn apply(&mut self, key: Key, tuples: &[(u64, f64)]);
-
-    /// Raise the watermark for **every** key, appending each window
-    /// answer the advance closes as a `(key, answer)` pair. Watermarks
-    /// arrive monotone non-decreasing.
-    fn advance_watermark(&mut self, watermark: u64, out: &mut Vec<(Key, Self::Answer)>);
-
-    /// End of stream: emit every remaining window holding data.
-    fn finish(&mut self, out: &mut Vec<(Key, Self::Answer)>);
-
-    /// Number of distinct keys this processor has seen.
-    fn keys(&self) -> usize;
-
-    /// Largest event timestamp accepted so far (for watermark-lag
-    /// reporting), or `None` before the first tuple.
-    fn max_ts(&self) -> Option<u64>;
-
-    /// Validate the structural invariants of every key's window state,
-    /// naming the offending key. Takes `&mut self` because the FiBA
-    /// checker repairs lazy aggregate caches as it folds. The default has
-    /// no state to check.
-    fn check_invariants(&mut self) -> Result<(), String> {
-        Ok(())
-    }
-}
+use crate::keyed::ShardProcessor;
+use crate::shard::{Admit, EngineRun, ShardedEngine};
 
 /// One [`TimeWindowExec`] (a FiBA finger B-tree plus window bookkeeping)
-/// per key. Answers are `(query index, window end, lowered value)`.
+/// per key. Tuples are `(event timestamp, value)`; answers are
+/// `(query index, window end, lowered value)`.
 ///
 /// Keys live in a `BTreeMap` so watermark advances visit them in key
 /// order — a shard's retained answer stream is deterministic, not
@@ -106,7 +63,7 @@ where
     specs: Vec<TimeWindowSpec>,
     states: BTreeMap<Key, TimeWindowExec<O>>,
     max_ts: Option<u64>,
-    /// Reusable lifted-batch buffer for [`EventProcessor::apply`].
+    /// Reusable lifted-batch buffer for [`ShardProcessor::process_run`].
     lift_scratch: Vec<(u64, O::Partial)>,
 }
 
@@ -116,14 +73,7 @@ where
 {
     /// The given time windows for every key, aggregated by `op`.
     pub fn new(op: O, specs: Vec<TimeWindowSpec>) -> Self {
-        assert!(!specs.is_empty(), "need at least one time window");
-        KeyedEventWindows {
-            op,
-            specs,
-            states: BTreeMap::new(),
-            max_ts: None,
-            lift_scratch: Vec::new(),
-        }
+        Self::from_states(op, specs, [])
     }
 
     /// The per-key executor, for inspection.
@@ -158,14 +108,17 @@ where
     }
 }
 
-impl<O> EventProcessor for KeyedEventWindows<O>
+impl<O> ShardProcessor for KeyedEventWindows<O>
 where
     O: AggregateOp<Input = f64, Output = f64> + Clone + Send,
     O::Partial: Send,
 {
+    type Value = (u64, f64);
     type Answer = (usize, u64, f64);
 
-    fn apply(&mut self, key: Key, tuples: &[(u64, f64)]) {
+    /// One executor look-up and one FiBA bulk insert for the whole run.
+    /// Inserts never answer: windows close on watermark advances only.
+    fn process_run(&mut self, key: Key, tuples: &[(u64, f64)], _: &mut Vec<(Key, Self::Answer)>) {
         let KeyedEventWindows {
             op,
             specs,
@@ -175,8 +128,10 @@ where
         } = self;
         let exec = states
             .entry(key)
+            // alloc:amortized per-key state warms up once then stabilizes
             .or_insert_with(|| TimeWindowExec::new(op.clone(), specs.clone()));
         lift_scratch.clear();
+        // alloc:amortized reused scratch; grows to the largest run once
         lift_scratch.extend(tuples.iter().map(|&(ts, v)| (ts, op.lift(&v))));
         exec.bulk_insert(lift_scratch);
         for &(ts, _) in tuples {
@@ -187,7 +142,7 @@ where
     fn advance_watermark(&mut self, watermark: u64, out: &mut Vec<(Key, Self::Answer)>) {
         for (&key, exec) in self.states.iter_mut() {
             for answer in exec.advance_watermark(watermark) {
-                out.push((key, answer));
+                out.push((key, answer)); // alloc:amortized the worker's reused answer scratch; grows to the largest advance once
             }
         }
     }
@@ -217,6 +172,68 @@ where
     }
 }
 
+/// The event-time admit rule. The watermark is derived from the stream
+/// routed *so far* and only ever rises; a tuple is judged against the
+/// watermark before it contributes to it, so a tuple can never be late
+/// relative to itself.
+struct AdmitOnTime<'a, S: ?Sized> {
+    source: &'a mut S,
+    lateness: Option<u64>,
+    max_ts: Option<u64>,
+    watermark: u64,
+    late: u64,
+    /// `swag_engine_late_tuples_total`, labelled `shard="router"` — drops
+    /// happen before partitioning.
+    late_counter: Option<Counter>,
+    /// The router's own flight recorder, narrating drops and watermark
+    /// advances.
+    recorder: Option<FlightRecorder>,
+}
+
+impl<S: KeyedEventSource + ?Sized> AdmitOnTime<'_, S> {
+    /// Raise the watermark to the frontier's current reading.
+    fn read_frontier(&mut self) {
+        self.watermark = self.watermark.max(match self.lateness {
+            Some(l) => self.max_ts.map_or(0, |m| m.saturating_sub(l)),
+            None => self.source.low_watermark(),
+        });
+    }
+}
+
+impl<S: KeyedEventSource + ?Sized> Admit for AdmitOnTime<'_, S> {
+    type Value = (u64, f64);
+    const TIMED: bool = true;
+
+    fn pull(&mut self) -> Option<Option<(Key, (u64, f64))>> {
+        let (key, ts, value) = self.source.next_event()?;
+        self.read_frontier();
+        if ts < self.watermark {
+            self.late += 1;
+            if let Some(c) = &self.late_counter {
+                c.inc();
+            }
+            if let Some(rec) = &self.recorder {
+                rec.record(EventKind::LateDrop, ts, self.watermark);
+            }
+            return Some(None);
+        }
+        self.max_ts = Some(self.max_ts.map_or(ts, |m| m.max(ts)));
+        Some(Some((key, (ts, value))))
+    }
+
+    fn flush_watermark(&mut self, tuples: usize) -> u64 {
+        if let Some(rec) = &self.recorder {
+            rec.record(EventKind::WatermarkAdvance, self.watermark, tuples as u64);
+        }
+        self.watermark
+    }
+
+    fn close(&mut self) -> u64 {
+        self.read_frontier();
+        self.watermark
+    }
+}
+
 impl ShardedEngine {
     /// Route up to `limit` timestamped tuples from `source` across the
     /// shards, running `make_processor(shard)` on each worker.
@@ -234,15 +251,15 @@ impl ShardedEngine {
     ) -> EngineRun<P::Answer>
     where
         S: KeyedEventSource + ?Sized,
-        P: EventProcessor,
+        P: ShardProcessor<Value = (u64, f64)>,
         F: Fn(usize) -> P + Send + Sync,
     {
-        self.run_events_inner(source, limit, lateness, true, make_processor)
+        self.route_on_time(source, limit, lateness, true, make_processor)
             .0
     }
 
     /// [`run_events`](Self::run_events), but for resident pipelines: open
-    /// windows are **not** flushed at drain (no [`EventProcessor::finish`]
+    /// windows are **not** flushed at drain (no [`ShardProcessor::finish`]
     /// — the stream pauses, it does not end), and each shard's drained
     /// processor is handed back in shard order for snapshotting or the
     /// next cycle. Answers still flow from watermark advances as usual.
@@ -255,13 +272,15 @@ impl ShardedEngine {
     ) -> (EngineRun<P::Answer>, Vec<P>)
     where
         S: KeyedEventSource + ?Sized,
-        P: EventProcessor,
+        P: ShardProcessor<Value = (u64, f64)>,
         F: Fn(usize) -> P + Send + Sync,
     {
-        self.run_events_inner(source, limit, lateness, false, make_processor)
+        self.route_on_time(source, limit, lateness, false, make_processor)
     }
 
-    fn run_events_inner<S, P, F>(
+    /// [`route`](Self::route) under the event-time admit rule, then
+    /// account for what the rule refused.
+    fn route_on_time<S, P, F>(
         &self,
         source: &mut S,
         limit: u64,
@@ -271,370 +290,47 @@ impl ShardedEngine {
     ) -> (EngineRun<P::Answer>, Vec<P>)
     where
         S: KeyedEventSource + ?Sized,
-        P: EventProcessor,
+        P: ShardProcessor<Value = (u64, f64)>,
         F: Fn(usize) -> P + Send + Sync,
     {
-        let config = self.config();
-        let shards = config.shards;
-        let retain = config.retain_answers;
-        let clock = Stopwatch::start();
-
-        let mut senders: Vec<SyncSender<EventBatch>> = Vec::with_capacity(shards);
-        let mut inboxes: Vec<Receiver<EventBatch>> = Vec::with_capacity(shards);
-        let mut gauges: Vec<QueueDepthGauge> = Vec::with_capacity(shards);
-        for _ in 0..shards {
-            let (tx, rx) = sync_channel(config.queue_capacity);
-            senders.push(tx);
-            inboxes.push(rx);
-            gauges.push(QueueDepthGauge::new());
+        let obs = &self.config().obs;
+        let mut admit = AdmitOnTime {
+            source,
+            lateness,
+            max_ts: None,
+            watermark: 0,
+            late: 0,
+            late_counter: obs.registry.as_ref().map(|reg| {
+                reg.counter(
+                    "swag_engine_late_tuples_total",
+                    "Tuples dropped at the router for arriving below the watermark",
+                    &obs.series_labels("router"),
+                )
+            }),
+            recorder: (obs.trace_capacity > 0).then(|| FlightRecorder::new(obs.trace_capacity)),
+        };
+        let (mut run, processors) = self.route(&mut admit, limit, finish, make_processor);
+        run.stats.late_tuples = admit.late;
+        if let (Some(rec), Some(dir)) = (&admit.recorder, &obs.trace_out) {
+            // The router is not a shard; its ring gets its own file.
+            if let Err(e) = std::fs::create_dir_all(dir).and_then(|_| {
+                std::fs::write(
+                    dir.join("flightrec-router.json"),
+                    rec.dump_json(usize::MAX).pretty(),
+                )
+            }) {
+                eprintln!("swag-engine: router flight-recorder dump failed: {e}");
+            }
         }
-        let mut shard_obs: Vec<Option<ShardObs>> = (0..shards)
-            .map(|shard| {
-                let mut obs = config.obs.shard_obs(shard, &gauges[shard]);
-                if let (Some(o), Some(reg)) = (obs.as_mut(), config.obs.registry.as_ref()) {
-                    let label = shard.to_string();
-                    o.watermark_lag = Some(reg.gauge(
-                        "swag_engine_watermark_lag",
-                        "Largest accepted event timestamp minus the shard's watermark",
-                        &config.obs.series_labels(&label),
-                    ));
-                }
-                obs
-            })
-            .collect();
-        // The router's own instruments: the late-drop counter (labelled
-        // shard="router" — drops happen before partitioning) and a flight
-        // recorder narrating drops and watermark advances.
-        let late_counter = config.obs.registry.as_ref().map(|reg| {
-            reg.counter(
-                "swag_engine_late_tuples_total",
-                "Tuples dropped at the router for arriving below the watermark",
-                &config.obs.series_labels("router"),
-            )
-        });
-        let router_rec =
-            (config.obs.trace_capacity > 0).then(|| FlightRecorder::new(config.obs.trace_capacity));
-
-        let samples: Mutex<Vec<EngineSample>> = Mutex::new(Vec::new());
-        let make_processor = &make_processor;
-        let (shard_stats, answers, processors, late_tuples) = std::thread::scope(|scope| {
-            let handles: Vec<_> = inboxes
-                .into_iter()
-                .enumerate()
-                .map(|(shard, inbox)| {
-                    let gauge = gauges[shard].clone();
-                    let check = config.check_invariants;
-                    let obs = shard_obs[shard].take();
-                    scope.spawn(move || {
-                        event_worker(
-                            shard,
-                            inbox,
-                            gauge,
-                            make_processor(shard),
-                            retain,
-                            check,
-                            finish,
-                            obs,
-                        )
-                    })
-                })
-                .collect();
-
-            let sampler_stop = Arc::new(AtomicBool::new(false));
-            let _sampler_guard = StopGuard(sampler_stop.clone());
-            if let (Some(interval), Some(registry)) =
-                (config.obs.sample_interval, config.obs.registry.as_ref())
-            {
-                let stop = sampler_stop.clone();
-                let registry = registry.clone();
-                let samples = &samples;
-                scope.spawn(move || sampler_loop(&stop, interval, clock, &registry, samples));
-            }
-
-            // The router. The watermark is derived from the stream routed
-            // *so far* and only ever rises; a tuple is judged against the
-            // watermark before it contributes to it, so a tuple can never
-            // be late relative to itself.
-            let mut batches: Vec<Vec<(Key, u64, f64)>> = (0..shards)
-                .map(|_| Vec::with_capacity(config.batch))
-                .collect();
-            let mut routed = 0u64;
-            let mut late = 0u64;
-            let mut max_ts: Option<u64> = None;
-            let mut watermark = 0u64;
-            while routed < limit {
-                let Some((key, ts, value)) = source.next_event() else {
-                    break;
-                };
-                watermark = watermark.max(match lateness {
-                    Some(l) => max_ts.map_or(0, |m| m.saturating_sub(l)),
-                    None => source.low_watermark(),
-                });
-                if ts < watermark {
-                    late += 1;
-                    if let Some(c) = &late_counter {
-                        c.inc();
-                    }
-                    if let Some(rec) = &router_rec {
-                        rec.record(EventKind::LateDrop, ts, watermark);
-                    }
-                    continue;
-                }
-                max_ts = Some(max_ts.map_or(ts, |m| m.max(ts)));
-                let shard = shard_of(key, shards);
-                batches[shard].push((key, ts, value));
-                routed += 1;
-                if batches[shard].len() == config.batch {
-                    let tuples =
-                        std::mem::replace(&mut batches[shard], Vec::with_capacity(config.batch));
-                    gauges[shard].enqueued_n(tuples.len() as u64);
-                    if let Some(rec) = &router_rec {
-                        rec.record(EventKind::WatermarkAdvance, watermark, tuples.len() as u64);
-                    }
-                    senders[shard]
-                        .send(EventBatch { watermark, tuples })
-                        // check:allow a dead worker already poisoned the run; surface it here
-                        .expect("event worker exited before drain");
-                }
-            }
-            // The stream is drained: take the frontier's final reading so
-            // the closing broadcast carries everything the source promised.
-            watermark = watermark.max(match lateness {
-                Some(l) => max_ts.map_or(0, |m| m.saturating_sub(l)),
-                None => source.low_watermark(),
-            });
-            for (shard, tuples) in batches.into_iter().enumerate() {
-                if !tuples.is_empty() {
-                    gauges[shard].enqueued_n(tuples.len() as u64);
-                    senders[shard]
-                        .send(EventBatch { watermark, tuples })
-                        // check:allow a dead worker already poisoned the run; surface it here
-                        .expect("event worker exited before drain");
-                }
-            }
-            // Broadcast the final watermark to every shard — including
-            // shards no key hashed to — so each one's reported watermark
-            // reflects the frontier it durably covers, not merely the
-            // tuples it happened to receive.
-            for sender in &senders {
-                sender
-                    .send(EventBatch {
-                        watermark,
-                        tuples: Vec::new(),
-                    })
-                    // check:allow a dead worker already poisoned the run; surface it here
-                    .expect("event worker exited before drain");
-            }
-            drop(senders);
-            if let (Some(rec), Some(dir)) = (&router_rec, &config.obs.trace_out) {
-                // The router is not a shard; its ring gets its own file.
-                if let Err(e) = std::fs::create_dir_all(dir).and_then(|_| {
-                    std::fs::write(
-                        dir.join("flightrec-router.json"),
-                        rec.dump_json(usize::MAX).pretty(),
-                    )
-                }) {
-                    eprintln!("swag-engine: router flight-recorder dump failed: {e}");
-                }
-            }
-
-            let mut shard_stats = Vec::with_capacity(shards);
-            let mut answers = Vec::with_capacity(shards);
-            let mut processors = Vec::with_capacity(shards);
-            for handle in handles {
-                // check:allow worker panics must propagate, not be swallowed
-                let (stats, shard_answers, processor) =
-                    handle.join().expect("event worker panicked");
-                shard_stats.push(stats);
-                answers.push(shard_answers);
-                processors.push(processor);
-            }
-            (shard_stats, answers, processors, late)
-        });
-
-        let mut stats = EngineStats::merge(shard_stats, clock.elapsed());
-        stats.late_tuples = late_tuples;
-        (
-            EngineRun {
-                stats,
-                answers,
-                samples: samples.into_inner().unwrap_or_else(|e| e.into_inner()),
-            },
-            processors,
-        )
+        (run, processors)
     }
-}
-
-/// One event worker's loop: apply each batch's tuples (grouped into
-/// per-key runs, routing order preserved within a key), then advance
-/// every key to the batch's watermark and collect the window answers it
-/// closed. After the channel closes, remaining windows are finished.
-#[allow(clippy::too_many_arguments)]
-fn event_worker<P: EventProcessor>(
-    shard: usize,
-    inbox: Receiver<EventBatch>,
-    gauge: QueueDepthGauge,
-    mut processor: P,
-    retain: bool,
-    check_invariants: bool,
-    finish: bool,
-    obs: Option<ShardObs>,
-) -> (ShardStats, Vec<(Key, P::Answer)>, P) {
-    let started = Stopwatch::start();
-    let _trace_guard = obs.as_ref().and_then(ShardObs::install_trace);
-    let mut tuples = 0u64;
-    let mut answers = 0u64;
-    let mut batches = 0u64;
-    let mut watermark = 0u64;
-    let mut retained = Vec::new();
-    let mut runs: Vec<(u64, f64)> = Vec::new();
-    let mut scratch: Vec<(Key, P::Answer)> = Vec::new();
-    // Phase occupancy: one clock read before and after each recv() splits
-    // the worker's wall time into blocked-on-channel vs. processing.
-    let mut phase = obs.as_ref().map(|_| Stopwatch::start());
-    loop {
-        let received = inbox.recv();
-        if let (Some(o), Some(p)) = (&obs, &mut phase) {
-            o.blocked_ns.add(p.elapsed_ns());
-            *p = Stopwatch::start();
-        }
-        let Ok(batch) = received else { break };
-        let EventBatch {
-            watermark: wm,
-            tuples: mut batch_tuples,
-        } = batch;
-        gauge.dequeued_n(batch_tuples.len() as u64);
-        batches += 1;
-        if let Some(o) = &obs {
-            o.batches.inc();
-            o.tuples.add(batch_tuples.len() as u64);
-            if let Some(rec) = &o.recorder {
-                rec.record(
-                    EventKind::BatchReceived,
-                    batch_tuples.len() as u64,
-                    gauge.depth(),
-                );
-            }
-        }
-        // Stable by key: a key's tuples stay in routing order while
-        // becoming contiguous.
-        batch_tuples.sort_by_key(|&(key, _, _)| key);
-        let mut i = 0;
-        while i < batch_tuples.len() {
-            let key = batch_tuples[i].0;
-            let mut j = i + 1;
-            while j < batch_tuples.len() && batch_tuples[j].0 == key {
-                j += 1;
-            }
-            runs.clear();
-            runs.extend(batch_tuples[i..j].iter().map(|&(_, ts, v)| (ts, v)));
-            let run_len = (j - i) as u64;
-            let timer = obs
-                .as_ref()
-                .and_then(|o| o.slide_latency.as_ref())
-                .map(|_| Stopwatch::start());
-            processor.apply(key, &runs);
-            if let Some(o) = &obs {
-                if let (Some(hist), Some(timer)) = (&o.slide_latency, timer) {
-                    hist.record(timer.elapsed_ns());
-                }
-                if let Some(rec) = &o.recorder {
-                    rec.record(EventKind::Slide, key, run_len);
-                }
-            }
-            tuples += run_len;
-            i = j;
-        }
-        // The watermark closes windows across every key on this shard,
-        // including keys untouched by this batch.
-        if wm > watermark {
-            watermark = wm;
-            processor.advance_watermark(wm, &mut scratch);
-            if let Some(o) = &obs {
-                if let Some(rec) = &o.recorder {
-                    rec.record(EventKind::WatermarkAdvance, wm, scratch.len() as u64);
-                }
-            }
-        }
-        if let Some(lag) = obs.as_ref().and_then(|o| o.watermark_lag.as_ref()) {
-            // Refreshed every batch — not only on watermark advance — so
-            // the gauge (and the sampler series built from it) tracks lag
-            // even while the watermark is stalled behind late data.
-            lag.set(
-                processor
-                    .max_ts()
-                    .map_or(0, |m| m.saturating_sub(watermark)),
-            );
-        }
-        answers += scratch.len() as u64;
-        if let Some(o) = &obs {
-            o.answers.add(scratch.len() as u64);
-        }
-        if retain {
-            retained.append(&mut scratch);
-        } else {
-            scratch.clear();
-        }
-        if let (Some(o), Some(p)) = (&obs, &mut phase) {
-            o.busy_ns.add(p.elapsed_ns());
-            *p = Stopwatch::start();
-        }
-    }
-    // End of stream: close out every window still holding data. The
-    // shard's final watermark durably covers everything it accepted. A
-    // resident run skips this — the stream is pausing, not ending — and
-    // reports the watermark it actually reached, so open windows survive
-    // into the next cycle.
-    if finish {
-        processor.finish(&mut scratch);
-        if let Some(max) = processor.max_ts() {
-            watermark = watermark.max(max.saturating_add(1));
-        }
-    }
-    answers += scratch.len() as u64;
-    if let Some(o) = &obs {
-        o.answers.add(scratch.len() as u64);
-        if let Some(lag) = &o.watermark_lag {
-            lag.set(0);
-        }
-    }
-    if retain {
-        retained.append(&mut scratch);
-    }
-    if check_invariants {
-        let result = processor.check_invariants();
-        if let Some(rec) = obs.as_ref().and_then(|o| o.recorder.as_ref()) {
-            rec.record(EventKind::InvariantCheck, result.is_ok() as u64, 0);
-        }
-        if let Err(violation) = result {
-            // check:allow a corrupted shard must fail the run loudly, not return bad stats
-            panic!("shard {shard}: post-drain invariant check failed: {violation}");
-        }
-    }
-    if let Some(o) = &obs {
-        o.keys.set(processor.keys() as u64);
-        if let Some(rec) = &o.recorder {
-            rec.record(EventKind::Drain, tuples, answers);
-        }
-        o.dump_on_drain();
-    }
-    let stats = ShardStats {
-        shard,
-        tuples,
-        answers,
-        batches,
-        keys: processor.keys(),
-        max_queue_depth: gauge.max_depth(),
-        watermark,
-        elapsed: started.elapsed(),
-    };
-    (stats, retained, processor)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::shard::EngineConfig;
+    use crate::stats::EngineStats;
     use std::collections::HashMap;
     use swag_core::ops::Sum;
     use swag_data::event::{DisorderedKeyedSource, KeyedVecEventSource};
@@ -676,31 +372,6 @@ mod tests {
         (0..n)
             .map(|i| ((i as u64 % keys), ((i * 37) % 101) as f64))
             .collect()
-    }
-
-    #[test]
-    fn disordered_answers_match_across_shard_counts() {
-        for disorder in [0u64, 16, 256] {
-            let make = || {
-                DisorderedKeyedSource::new(
-                    KeyedVecSource::new(keyed_tuples(4000, 13)),
-                    disorder,
-                    99,
-                )
-            };
-            let reference = per_key(&run_with(1, &mut make(), None).1);
-            assert!(!reference.is_empty());
-            for shards in [2, 8] {
-                let (stats, answers) = run_with(shards, &mut make(), None);
-                assert_eq!(
-                    per_key(&answers),
-                    reference,
-                    "disorder {disorder}, {shards} shards"
-                );
-                assert_eq!(stats.late_tuples, 0, "source watermark is trusted");
-                assert_eq!(stats.tuples, 4000);
-            }
-        }
     }
 
     #[test]
@@ -761,16 +432,5 @@ mod tests {
         let min = stats.shards.iter().map(|s| s.watermark).min().unwrap_or(0);
         assert_eq!(stats.watermark(), min);
         assert!(min >= 1000 - 16, "final watermark {min} never caught up");
-    }
-
-    #[test]
-    fn limit_caps_routed_tuples_on_the_event_path() {
-        let mut source =
-            DisorderedKeyedSource::new(KeyedVecSource::new(keyed_tuples(1000, 3)), 8, 1);
-        let engine = ShardedEngine::new(EngineConfig::with_shards(2));
-        let run = engine.run_events(&mut source, 300, None, |_| {
-            KeyedEventWindows::new(Sum::<f64>::new(), vec![TimeWindowSpec::tumbling(16)])
-        });
-        assert_eq!(run.stats.tuples, 300);
     }
 }

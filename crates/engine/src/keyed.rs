@@ -17,25 +17,49 @@ use swag_stream::{SharedPlanExecutor, Sink};
 
 /// Per-key stream processing logic run inside one shard.
 ///
-/// `process` receives the shard's tuples in arrival order (which, for any
-/// single key, is the key's stream order) and appends produced answers to
-/// `out`.
+/// The worker hands a processor each key's tuples in arrival order (which,
+/// for any single key, is the key's stream order), one run per key per
+/// batch, and the processor appends produced answers to `out`. A tuple's
+/// payload is [`Value`](Self::Value): the bare `f64` on the arrival-order
+/// path, `(event timestamp, value)` on the event-time path. Event-time
+/// processors additionally emit from
+/// [`advance_watermark`](Self::advance_watermark) and
+/// [`finish`](Self::finish); for arrival-order processors time is
+/// positional, the watermark never moves, and the defaults are no-ops.
 pub trait ShardProcessor: Send {
+    /// What one tuple carries besides its key.
+    type Value: Copy + Send;
+
     /// The answer type delivered per key.
     type Answer: Send;
 
-    /// Process one keyed tuple, appending `(key, answer)` pairs to `out`.
-    fn process(&mut self, key: Key, value: f64, out: &mut Vec<(Key, Self::Answer)>);
-
     /// Process a run of consecutive tuples that all belong to `key`, in
-    /// stream order. Answers are identical to calling
-    /// [`process`](Self::process) once per value; implementations override
-    /// this to pay the per-key state look-up once and take the
-    /// aggregator's bulk fast paths.
-    fn process_run(&mut self, key: Key, values: &[f64], out: &mut Vec<(Key, Self::Answer)>) {
-        for &v in values {
-            self.process(key, v, out);
-        }
+    /// stream order, appending `(key, answer)` pairs to `out`. Answers do
+    /// not depend on how a key's stream is cut into runs; a run pays the
+    /// per-key state look-up once and takes the aggregator's bulk fast
+    /// paths. On the event-time path every tuple is at or above each
+    /// watermark previously passed to
+    /// [`advance_watermark`](Self::advance_watermark).
+    fn process_run(&mut self, key: Key, values: &[Self::Value], out: &mut Vec<(Key, Self::Answer)>);
+
+    /// Process one keyed tuple: a run of one.
+    fn process(&mut self, key: Key, value: Self::Value, out: &mut Vec<(Key, Self::Answer)>) {
+        self.process_run(key, &[value], out);
+    }
+
+    /// Raise the watermark for **every** key, appending each window
+    /// answer the advance closes. Watermarks arrive monotone
+    /// non-decreasing.
+    fn advance_watermark(&mut self, _watermark: u64, _out: &mut Vec<(Key, Self::Answer)>) {}
+
+    /// End of stream: emit every remaining window holding data.
+    fn finish(&mut self, _out: &mut Vec<(Key, Self::Answer)>) {}
+
+    /// Largest event timestamp accepted so far (for watermark-lag
+    /// reporting), or `None` before the first tuple and on the
+    /// arrival-order path.
+    fn max_ts(&self) -> Option<u64> {
+        None
     }
 
     /// Number of distinct keys this processor has seen.
@@ -46,10 +70,11 @@ pub trait ShardProcessor: Send {
     /// [`FinalAggregator::check_invariants`]), naming the offending key in
     /// the error. Run by the engine after a graceful drain when
     /// [`EngineConfig::check_invariants`] is set; the default has no state
-    /// to check.
+    /// to check. Takes `&mut self` because the FiBA checker repairs lazy
+    /// aggregate caches as it folds.
     ///
     /// [`EngineConfig::check_invariants`]: crate::EngineConfig::check_invariants
-    fn check_invariants(&self) -> Result<(), String> {
+    fn check_invariants(&mut self) -> Result<(), String> {
         Ok(())
     }
 }
@@ -77,14 +102,7 @@ where
 {
     /// Windows of `window` tuples for every key, aggregated by `op`.
     pub fn new(op: O, window: usize) -> Self {
-        assert!(window >= 1, "window must be positive");
-        KeyedWindows {
-            op,
-            window,
-            states: HashMap::new(),
-            lift_scratch: Vec::new(),
-            answer_scratch: Vec::new(),
-        }
+        Self::from_states(op, window, [])
     }
 
     /// The per-key window state, for inspection.
@@ -118,16 +136,8 @@ where
     O::Partial: Send,
     A: FinalAggregator<O> + Send,
 {
+    type Value = f64;
     type Answer = f64;
-
-    fn process(&mut self, key: Key, value: f64, out: &mut Vec<(Key, f64)>) {
-        let agg = self
-            .states
-            .entry(key)
-            .or_insert_with(|| A::with_capacity(self.op.clone(), self.window));
-        let partial = agg.slide(self.op.lift(&value));
-        out.push((key, self.op.lower(&partial)));
-    }
 
     /// One state look-up for the whole run, then the aggregator's
     /// [`FinalAggregator::bulk_slide`] fast path — answers stay bitwise
@@ -152,7 +162,7 @@ where
         self.states.len()
     }
 
-    fn check_invariants(&self) -> Result<(), String> {
+    fn check_invariants(&mut self) -> Result<(), String> {
         for (key, agg) in &self.states {
             agg.check_invariants()
                 .map_err(|violation| format!("key {key}: {violation}"))?;
@@ -212,19 +222,8 @@ where
     O::Partial: Send,
     M: MultiFinalAggregator<O> + Send,
 {
+    type Value = f64;
     type Answer = (usize, f64);
-
-    fn process(&mut self, key: Key, value: f64, out: &mut Vec<(Key, (usize, f64))>) {
-        let exec = self
-            .states
-            .entry(key)
-            .or_insert_with(|| SharedPlanExecutor::new(self.op.clone(), self.plan.clone())); // alloc:amortized per-key state warms up once then stabilizes
-        let mut sink = VecSink(Vec::new());
-        exec.push(value, &mut sink); // alloc:amortized per-key state warms up once then stabilizes
-        for (qi, partial) in sink.0 {
-            out.push((key, (qi, self.op.lower(&partial)))); // alloc:amortized per-key state warms up once then stabilizes
-        }
-    }
 
     /// One executor look-up per run, feeding the whole run through
     /// [`SharedPlanExecutor::push_batch`] into a reused delivery buffer.
@@ -249,7 +248,7 @@ where
         self.states.len()
     }
 
-    fn check_invariants(&self) -> Result<(), String> {
+    fn check_invariants(&mut self) -> Result<(), String> {
         for (key, exec) in &self.states {
             exec.aggregator()
                 .check_invariants()

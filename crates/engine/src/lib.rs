@@ -3,9 +3,11 @@
 //! Scales the single-stream SlickDeque platform to keyed streams and
 //! multiple cores: a router hash-partitions `(key, value)` tuples across N
 //! worker threads over bounded channels ([`shard`]), each worker runs
-//! per-key window state — any [`FinalAggregator`] algorithm, or a full
-//! multi-ACQ shared plan per key ([`keyed`]) — and per-shard statistics
-//! merge into an [`EngineStats`] report ([`stats`]). Live observability —
+//! per-key window state — any [`FinalAggregator`] algorithm, a full
+//! multi-ACQ shared plan per key ([`keyed`]), or event-time windows closed
+//! by the router's watermark ([`event`]: the same router and worker under
+//! a late-drop admit rule) — and per-shard statistics merge into an
+//! [`EngineStats`] report ([`stats`]). Live observability —
 //! registry-backed metric series, per-shard flight recorders with
 //! panic-time dumps, and a dependency-free `/metrics` HTTP endpoint — is
 //! opt-in via [`obs`] and [`http`].
@@ -47,8 +49,8 @@ pub mod obs;
 pub mod shard;
 pub mod stats;
 
-pub use event::{EventBatch, EventProcessor, KeyedEventWindows};
-pub use http::MetricsServer;
+pub use event::KeyedEventWindows;
+pub use http::HttpServer;
 pub use keyed::{KeyedPlans, KeyedWindows, ShardProcessor};
 pub use obs::{EngineSample, ObservabilityConfig};
 pub use shard::{shard_of, EngineConfig, EngineRun, ShardedEngine};

@@ -56,7 +56,7 @@ use swag_trace::FlightRecorder;
 pub struct ObservabilityConfig {
     /// Registry to maintain the engine's metric series in. Share one
     /// registry between the engine and a
-    /// [`MetricsServer`](crate::MetricsServer) to expose a live run.
+    /// [`HttpServer::metrics`](crate::HttpServer::metrics) to expose a live run.
     pub registry: Option<Arc<MetricRegistry>>,
     /// Flight-recorder ring capacity per shard, in events; 0 disables
     /// tracing.
@@ -99,76 +99,64 @@ impl ObservabilityConfig {
 
     /// Build shard `shard`'s instrument bundle, or `None` when everything
     /// is off. Called by the engine once per worker at spawn time; also
-    /// registers the shard's queue-depth gauge facets.
-    pub(crate) fn shard_obs(&self, shard: usize, gauge: &QueueDepthGauge) -> Option<ShardObs> {
+    /// registers the shard's queue-depth gauge facets and, on a `timed`
+    /// (event-time) run, its watermark-lag gauge.
+    pub(crate) fn shard_obs(
+        &self,
+        shard: usize,
+        gauge: &QueueDepthGauge,
+        timed: bool,
+    ) -> Option<ShardObs> {
         if !self.enabled() {
             return None;
         }
         let label = shard.to_string();
         let labels = self.series_labels(&label);
         let labels = labels.as_slice();
-        let (tuples, answers, batches, keys, busy_ns, blocked_ns, slide_latency) =
-            match &self.registry {
-                Some(reg) => {
-                    reg.queue_depth(
-                        "swag_engine_queue_depth",
-                        "swag_engine_queue_depth_peak",
-                        "Inbound queue occupancy in tuples",
-                        labels,
-                        gauge,
-                    );
-                    (
-                        reg.counter("swag_engine_tuples_total", "Keyed tuples processed", labels),
-                        reg.counter(
-                            "swag_engine_answers_total",
-                            "Window answers produced",
-                            labels,
-                        ),
-                        reg.counter(
-                            "swag_engine_batches_total",
-                            "Channel batches received",
-                            labels,
-                        ),
-                        reg.gauge("swag_engine_keys", "Distinct keys resident", labels),
-                        reg.counter(
-                            "swag_engine_busy_ns_total",
-                            "Nanoseconds the worker spent processing batches",
-                            labels,
-                        ),
-                        reg.counter(
-                            "swag_engine_blocked_ns_total",
-                            "Nanoseconds the worker spent blocked on its channel",
-                            labels,
-                        ),
-                        Some(reg.histogram(
-                            "swag_slide_latency_ns",
-                            "Latency of one per-key slide (process_run call) in nanoseconds",
-                            labels,
-                        )),
-                    )
-                }
-                // Trace-only runs still tally into free-standing instruments;
-                // the atomics are the cheapest uniform representation.
-                None => (
-                    Counter::new(),
-                    Counter::new(),
-                    Counter::new(),
-                    Gauge::new(),
-                    Counter::new(),
-                    Counter::new(),
-                    None,
-                ),
-            };
+        let reg = self.registry.as_deref();
+        if let Some(reg) = reg {
+            reg.queue_depth(
+                "swag_engine_queue_depth",
+                "swag_engine_queue_depth_peak",
+                "Inbound queue occupancy in tuples",
+                labels,
+                gauge,
+            );
+        }
+        // Trace-only runs still tally into free-standing instruments; the
+        // atomics are the cheapest uniform representation.
+        let counter =
+            |name, help| reg.map_or_else(Counter::new, |reg| reg.counter(name, help, labels));
+        let level = |name, help| reg.map(|reg| reg.gauge(name, help, labels));
         Some(ShardObs {
             shard,
-            tuples,
-            answers,
-            batches,
-            keys,
-            busy_ns,
-            blocked_ns,
-            slide_latency,
-            watermark_lag: None,
+            tuples: counter("swag_engine_tuples_total", "Keyed tuples processed"),
+            answers: counter("swag_engine_answers_total", "Window answers produced"),
+            batches: counter("swag_engine_batches_total", "Channel batches received"),
+            keys: level("swag_engine_keys", "Distinct keys resident").unwrap_or_else(Gauge::new),
+            busy_ns: counter(
+                "swag_engine_busy_ns_total",
+                "Nanoseconds the worker spent processing batches",
+            ),
+            blocked_ns: counter(
+                "swag_engine_blocked_ns_total",
+                "Nanoseconds the worker spent blocked on its channel",
+            ),
+            slide_latency: reg.map(|reg| {
+                reg.histogram(
+                    "swag_slide_latency_ns",
+                    "Latency of one per-key slide (process_run call) in nanoseconds",
+                    labels,
+                )
+            }),
+            watermark_lag: timed
+                .then(|| {
+                    level(
+                        "swag_engine_watermark_lag",
+                        "Largest accepted event timestamp minus the shard's watermark",
+                    )
+                })
+                .flatten(),
             recorder: (self.trace_capacity > 0).then(|| FlightRecorder::new(self.trace_capacity)),
             dump_dir: self.trace_out.clone(),
         })
@@ -192,8 +180,8 @@ pub(crate) struct ShardObs {
     /// reads per `process_run`, so it is tied to someone scraping.
     pub(crate) slide_latency: Option<Histogram>,
     /// Event-time runs only: `swag_engine_watermark_lag` (largest
-    /// accepted timestamp minus the shard watermark). Attached by
-    /// `run_events` after construction; `None` on the arrival-order path.
+    /// accepted timestamp minus the shard watermark); `None` on the
+    /// arrival-order path.
     pub(crate) watermark_lag: Option<Gauge>,
     pub(crate) recorder: Option<FlightRecorder>,
     pub(crate) dump_dir: Option<PathBuf>,

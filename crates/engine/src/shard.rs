@@ -1,12 +1,14 @@
 //! The sharded engine: hash-partitioned, multi-threaded keyed execution.
 //!
-//! One router (the calling thread) pulls `(key, value)` tuples from a
-//! [`KeyedSource`] and hash-partitions them across `shards` worker threads
-//! over bounded channels. Tuples are batched to amortise channel overhead;
-//! a full channel blocks the router (backpressure), so a slow shard slows
-//! admission instead of growing memory without bound. Each worker owns one
-//! [`ShardProcessor`] holding the per-key window state for every key routed
-//! to it.
+//! One router (the calling thread) pulls tuples from a source, lets the
+//! path's [`Admit`] rule refuse some (arrival order refuses none; event
+//! time refuses the late — `crate::event`), and hash-partitions the rest
+//! across `shards` worker threads over bounded channels. Tuples are batched
+//! to amortise channel overhead; a full channel blocks the router
+//! (backpressure), so a slow shard slows admission instead of growing
+//! memory without bound. Each worker owns one [`ShardProcessor`] holding
+//! the per-key window state for every key routed to it. There is one
+//! router loop and one worker loop, whatever the path.
 //!
 //! Shutdown is graceful by construction: when the source runs dry (or the
 //! tuple limit is reached) the router flushes its partial batches and drops
@@ -79,23 +81,16 @@ impl EngineConfig {
 
     /// Check every knob is usable, with a message naming the bad field.
     pub fn validate(&self) -> Result<(), String> {
-        if self.shards < 1 {
-            return Err(format!(
-                "engine config: `shards` must be at least 1 (got {})",
-                self.shards
-            ));
-        }
-        if self.queue_capacity < 1 {
-            return Err(format!(
-                "engine config: `queue_capacity` must be at least 1 batch (got {})",
-                self.queue_capacity
-            ));
-        }
-        if self.batch < 1 {
-            return Err(format!(
-                "engine config: `batch` must be at least 1 tuple (got {})",
-                self.batch
-            ));
+        for (field, value, unit) in [
+            ("shards", self.shards, ""),
+            ("queue_capacity", self.queue_capacity, " batch"),
+            ("batch", self.batch, " tuple"),
+        ] {
+            if value < 1 {
+                return Err(format!(
+                    "engine config: `{field}` must be at least 1{unit} (got {value})"
+                ));
+            }
         }
         Ok(())
     }
@@ -167,10 +162,11 @@ impl ShardedEngine {
     ) -> EngineRun<P::Answer>
     where
         S: KeyedSource + ?Sized,
-        P: ShardProcessor,
+        P: ShardProcessor<Value = f64>,
         F: Fn(usize) -> P + Send + Sync,
     {
-        self.run_collecting(source, limit, make_processor).0
+        self.route(&mut AdmitAll(source), limit, true, make_processor)
+            .0
     }
 
     /// [`run`](Self::run), but additionally hands back each shard's
@@ -189,18 +185,38 @@ impl ShardedEngine {
     ) -> (EngineRun<P::Answer>, Vec<P>)
     where
         S: KeyedSource + ?Sized,
-        P: ShardProcessor,
+        P: ShardProcessor<Value = f64>,
         F: Fn(usize) -> P + Send + Sync,
     {
-        let shards = self.config.shards;
-        let retain = self.config.retain_answers;
+        self.route(&mut AdmitAll(source), limit, false, make_processor)
+    }
+
+    /// The one data plane behind every public entry point: spawn a
+    /// [`shard_worker`] per shard, route what `admit` lets through, drain,
+    /// join. `finish` ends the stream (workers flush open windows);
+    /// without it the stream only pauses and open windows survive in the
+    /// returned processors.
+    pub(crate) fn route<A, P, F>(
+        &self,
+        admit: &mut A,
+        limit: u64,
+        finish: bool,
+        make_processor: F,
+    ) -> (EngineRun<P::Answer>, Vec<P>)
+    where
+        A: Admit,
+        P: ShardProcessor<Value = A::Value>,
+        F: Fn(usize) -> P + Send + Sync,
+    {
+        let config = &self.config;
+        let shards = config.shards;
         let clock = Stopwatch::start();
 
-        let mut senders: Vec<SyncSender<Vec<(Key, f64)>>> = Vec::with_capacity(shards);
-        let mut inboxes: Vec<Receiver<Vec<(Key, f64)>>> = Vec::with_capacity(shards);
+        let mut senders: Vec<SyncSender<Batch<A::Value>>> = Vec::with_capacity(shards);
+        let mut inboxes: Vec<Receiver<Batch<A::Value>>> = Vec::with_capacity(shards);
         let mut gauges: Vec<QueueDepthGauge> = Vec::with_capacity(shards);
         for _ in 0..shards {
-            let (tx, rx) = sync_channel(self.config.queue_capacity);
+            let (tx, rx) = sync_channel(config.queue_capacity);
             senders.push(tx);
             inboxes.push(rx);
             gauges.push(QueueDepthGauge::new());
@@ -208,7 +224,7 @@ impl ShardedEngine {
         // Instrument bundles are built here (registry registration is
         // locked) and moved onto the workers; `None` when obs is off.
         let mut shard_obs: Vec<Option<ShardObs>> = (0..shards)
-            .map(|shard| self.config.obs.shard_obs(shard, &gauges[shard]))
+            .map(|shard| config.obs.shard_obs(shard, &gauges[shard], A::TIMED))
             .collect();
 
         let samples: Mutex<Vec<EngineSample>> = Mutex::new(Vec::new());
@@ -219,18 +235,10 @@ impl ShardedEngine {
                 .enumerate()
                 .map(|(shard, inbox)| {
                     let gauge = gauges[shard].clone();
-                    let check = self.config.check_invariants;
                     let obs = shard_obs[shard].take();
                     scope.spawn(move || {
-                        shard_worker(
-                            shard,
-                            inbox,
-                            gauge,
-                            make_processor(shard),
-                            retain,
-                            check,
-                            obs,
-                        )
+                        let processor = make_processor(shard);
+                        shard_worker(shard, inbox, gauge, processor, config, finish, obs)
                     })
                 })
                 .collect();
@@ -240,47 +248,55 @@ impl ShardedEngine {
             // the scope's implicit join can never deadlock on it.
             let sampler_stop = Arc::new(AtomicBool::new(false));
             let _sampler_guard = StopGuard(sampler_stop.clone());
-            if let (Some(interval), Some(registry)) = (
-                self.config.obs.sample_interval,
-                self.config.obs.registry.as_ref(),
-            ) {
+            if let (Some(interval), Some(registry)) =
+                (config.obs.sample_interval, config.obs.registry.as_ref())
+            {
                 let stop = sampler_stop.clone();
                 let registry = registry.clone();
                 let samples = &samples;
                 scope.spawn(move || sampler_loop(&stop, interval, clock, &registry, samples));
             }
 
-            // The router: batch tuples per shard, block on full queues.
-            let mut batches: Vec<Vec<(Key, f64)>> = (0..shards)
-                .map(|_| Vec::with_capacity(self.config.batch))
+            // The router: batch admitted tuples per shard, block on full
+            // queues. Every batch carries the watermark as of its flush.
+            let send = |shard: usize, watermark: u64, tuples: Vec<(Key, A::Value)>| {
+                gauges[shard].enqueued_n(tuples.len() as u64);
+                senders[shard]
+                    .send(Batch { watermark, tuples })
+                    // check:allow a dead worker already poisoned the run; surface it here
+                    .expect("shard worker exited before drain");
+            };
+            let mut batches: Vec<Vec<(Key, A::Value)>> = (0..shards)
+                .map(|_| Vec::with_capacity(config.batch))
                 .collect();
             let mut routed = 0u64;
             while routed < limit {
-                let Some((key, value)) = source.next_tuple() else {
-                    break;
-                };
+                let Some(pulled) = admit.pull() else { break };
+                let Some((key, value)) = pulled else { continue };
                 let shard = shard_of(key, shards);
                 batches[shard].push((key, value));
                 routed += 1;
-                if batches[shard].len() == self.config.batch {
-                    let batch = std::mem::replace(
-                        &mut batches[shard],
-                        Vec::with_capacity(self.config.batch),
-                    );
-                    gauges[shard].enqueued_n(batch.len() as u64);
-                    senders[shard]
-                        .send(batch)
-                        // check:allow a dead worker already poisoned the run; surface it here
-                        .expect("shard worker exited before drain");
+                if batches[shard].len() == config.batch {
+                    let full =
+                        std::mem::replace(&mut batches[shard], Vec::with_capacity(config.batch));
+                    send(shard, admit.flush_watermark(full.len()), full);
                 }
             }
-            for (shard, batch) in batches.into_iter().enumerate() {
-                if !batch.is_empty() {
-                    gauges[shard].enqueued_n(batch.len() as u64);
-                    senders[shard]
-                        .send(batch)
-                        // check:allow a dead worker already poisoned the run; surface it here
-                        .expect("shard worker exited before drain");
+            // The stream is drained: the partial batches carry the
+            // frontier's final reading.
+            let closing = admit.close();
+            for (shard, partial) in batches.into_iter().enumerate() {
+                if !partial.is_empty() {
+                    send(shard, admit.flush_watermark(partial.len()), partial);
+                }
+            }
+            if A::TIMED {
+                // Broadcast the final watermark to every shard — including
+                // shards no key hashed to — so each one's reported
+                // watermark reflects the frontier it durably covers, not
+                // merely the tuples it happened to receive.
+                for shard in 0..shards {
+                    send(shard, closing, Vec::new());
                 }
             }
             // Dropping the senders signals end-of-stream; workers drain
@@ -312,56 +328,129 @@ impl ShardedEngine {
     }
 }
 
+/// One routed message: tuples plus the router's watermark at flush time.
+/// No tuple in this batch — or any later batch to this shard — has a
+/// timestamp below the watermark; on the arrival-order path it is 0
+/// forever, so a count tuple stays 16 bytes and the worker pays one
+/// integer compare per batch for it.
+struct Batch<V> {
+    watermark: u64,
+    /// `(key, payload)` in routing order.
+    tuples: Vec<(Key, V)>,
+}
+
+/// The router's only per-path part: where tuples come from and which of
+/// them are admitted. The arrival-order path admits everything
+/// ([`AdmitAll`]); the event-time path applies the late-drop/watermark
+/// rule (`event::AdmitOnTime`).
+pub(crate) trait Admit {
+    /// The tuple payload this path routes.
+    type Value: Copy + Send;
+
+    /// Whether time is carried by the tuples (a moving watermark, shard
+    /// lag gauges, a closing watermark broadcast) rather than positional.
+    const TIMED: bool;
+
+    /// Pull the next tuple: `None` once the source is dry, `Some(None)`
+    /// for a tuple pulled but refused.
+    fn pull(&mut self) -> Option<Option<(Key, Self::Value)>>;
+
+    /// The watermark to stamp on a batch of `tuples` tuples being flushed.
+    fn flush_watermark(&mut self, _tuples: usize) -> u64 {
+        0
+    }
+
+    /// The source is drained: take the watermark's final reading.
+    fn close(&mut self) -> u64 {
+        0
+    }
+}
+
+/// Arrival order: time is positional, every tuple is admitted.
+struct AdmitAll<'a, S: ?Sized>(&'a mut S);
+
+impl<S: KeyedSource + ?Sized> Admit for AdmitAll<'_, S> {
+    type Value = f64;
+    const TIMED: bool = false;
+
+    fn pull(&mut self) -> Option<Option<(Key, f64)>> {
+        self.0.next_tuple().map(Some)
+    }
+}
+
 /// One worker's loop: drain batches until the channel closes.
 ///
 /// Each received batch is grouped into per-key runs with a stable sort
 /// (tuples of one key keep their stream order while becoming contiguous),
 /// so a key pays one [`ShardProcessor::process_run`] call — one state
 /// look-up plus the aggregator's bulk path — per batch instead of one
-/// `process` call per tuple. Per-key answer sequences are unchanged;
-/// only the interleaving of different keys inside a batch may differ.
+/// `process` call per tuple. Then every key is advanced to the batch's
+/// watermark if it rose, collecting the windows that closes. Per-key
+/// answer sequences are unchanged; only the interleaving of different
+/// keys inside a batch may differ.
 ///
 /// With an instrument bundle, the worker additionally maintains its
 /// registry series, times each slide into the latency histogram, and
 /// narrates its life into the flight recorder — batch received, per-key
-/// slide (plus a bulk-path marker for multi-tuple runs), the post-drain
-/// invariant check, and the final drain event. A panic anywhere in the
-/// loop dumps the ring via `swag-trace`'s hook (the registration guard
-/// lives for the whole function).
+/// slide (plus a bulk-path marker for multi-tuple runs), watermark
+/// advance, the post-drain invariant check, and the final drain event. A
+/// panic anywhere in the loop dumps the ring via `swag-trace`'s hook (the
+/// registration guard lives for the whole function).
 fn shard_worker<P: ShardProcessor>(
     shard: usize,
-    inbox: Receiver<Vec<(Key, f64)>>,
+    inbox: Receiver<Batch<P::Value>>,
     gauge: QueueDepthGauge,
     mut processor: P,
-    retain: bool,
-    check_invariants: bool,
+    config: &EngineConfig,
+    finish: bool,
     obs: Option<ShardObs>,
 ) -> (ShardStats, Vec<(Key, P::Answer)>, P) {
     let started = Stopwatch::start();
     let _trace_guard = obs.as_ref().and_then(ShardObs::install_trace);
+    let recorder = obs.as_ref().and_then(|o| o.recorder.as_ref());
     let mut tuples = 0u64;
     let mut answers = 0u64;
     let mut batches = 0u64;
+    let mut watermark = 0u64;
     let mut retained = Vec::new();
     // Reused across recv iterations: per-run values and per-batch answers.
-    let mut values: Vec<f64> = Vec::new();
+    let mut values: Vec<P::Value> = Vec::new();
     let mut scratch = Vec::new();
+    // Count answers as produced, before the retain decision — the tally
+    // is the same whether or not answers are kept.
+    let mut deliver = |scratch: &mut Vec<(Key, P::Answer)>| {
+        answers += scratch.len() as u64;
+        if let Some(o) = &obs {
+            o.answers.add(scratch.len() as u64);
+        }
+        if config.retain_answers {
+            retained.append(scratch);
+        } else {
+            scratch.clear();
+        }
+    };
     // Phase occupancy: one clock read before and after each recv() splits
     // the worker's wall time into blocked-on-channel vs. processing.
     let mut phase = obs.as_ref().map(|_| Stopwatch::start());
     loop {
-        let batch = inbox.recv();
+        let received = inbox.recv();
         if let (Some(o), Some(p)) = (&obs, &mut phase) {
             o.blocked_ns.add(p.elapsed_ns());
             *p = Stopwatch::start();
         }
-        let Ok(mut batch) = batch else { break };
+        let Ok(Batch {
+            watermark: wm,
+            tuples: mut batch,
+        }) = received
+        else {
+            break;
+        };
         gauge.dequeued_n(batch.len() as u64);
         batches += 1;
         if let Some(o) = &obs {
             o.batches.inc();
             o.tuples.add(batch.len() as u64);
-            if let Some(rec) = &o.recorder {
+            if let Some(rec) = recorder {
                 rec.record(EventKind::BatchReceived, batch.len() as u64, gauge.depth());
             }
         }
@@ -387,7 +476,7 @@ fn shard_worker<P: ShardProcessor>(
                 if let (Some(hist), Some(timer)) = (&o.slide_latency, timer) {
                     hist.record(timer.elapsed_ns());
                 }
-                if let Some(rec) = &o.recorder {
+                if let Some(rec) = recorder {
                     rec.record(EventKind::Slide, key, run_len);
                     if run_len > 1 {
                         // The run took the aggregator's bulk
@@ -399,25 +488,49 @@ fn shard_worker<P: ShardProcessor>(
             tuples += run_len;
             i = j;
         }
-        // Count answers as produced, before the retain decision — the
-        // tally is the same whether or not answers are kept.
-        answers += scratch.len() as u64;
-        if let Some(o) = &obs {
-            o.answers.add(scratch.len() as u64);
+        // The watermark closes windows across every key on this shard,
+        // including keys untouched by this batch.
+        if wm > watermark {
+            watermark = wm;
+            processor.advance_watermark(wm, &mut scratch);
+            if let Some(rec) = recorder {
+                rec.record(EventKind::WatermarkAdvance, wm, scratch.len() as u64);
+            }
         }
-        if retain {
-            retained.append(&mut scratch);
-        } else {
-            scratch.clear();
+        if let Some(lag) = obs.as_ref().and_then(|o| o.watermark_lag.as_ref()) {
+            // Refreshed every batch — not only on watermark advance — so
+            // the gauge (and the sampler series built from it) tracks lag
+            // even while the watermark is stalled behind late data.
+            lag.set(
+                processor
+                    .max_ts()
+                    .map_or(0, |m| m.saturating_sub(watermark)),
+            );
         }
+        deliver(&mut scratch);
         if let (Some(o), Some(p)) = (&obs, &mut phase) {
             o.busy_ns.add(p.elapsed_ns());
             *p = Stopwatch::start();
         }
     }
-    if check_invariants {
+    // End of stream: close out every window still holding data. The
+    // shard's final watermark durably covers everything it accepted. A
+    // resident run skips this — the stream is pausing, not ending — and
+    // reports the watermark it actually reached, so open windows survive
+    // into the next cycle.
+    if finish {
+        processor.finish(&mut scratch);
+        if let Some(max) = processor.max_ts() {
+            watermark = watermark.max(max.saturating_add(1));
+        }
+        deliver(&mut scratch);
+    }
+    if let Some(lag) = obs.as_ref().and_then(|o| o.watermark_lag.as_ref()) {
+        lag.set(0);
+    }
+    if config.check_invariants {
         let result = processor.check_invariants();
-        if let Some(rec) = obs.as_ref().and_then(|o| o.recorder.as_ref()) {
+        if let Some(rec) = recorder {
             rec.record(EventKind::InvariantCheck, result.is_ok() as u64, 0);
         }
         if let Err(violation) = result {
@@ -427,7 +540,7 @@ fn shard_worker<P: ShardProcessor>(
     }
     if let Some(o) = &obs {
         o.keys.set(processor.keys() as u64);
-        if let Some(rec) = &o.recorder {
+        if let Some(rec) = recorder {
             rec.record(EventKind::Drain, tuples, answers);
         }
         o.dump_on_drain();
@@ -439,7 +552,7 @@ fn shard_worker<P: ShardProcessor>(
         batches,
         keys: processor.keys(),
         max_queue_depth: gauge.max_depth(),
-        watermark: 0,
+        watermark,
         elapsed: started.elapsed(),
     };
     (stats, retained, processor)
@@ -448,53 +561,16 @@ fn shard_worker<P: ShardProcessor>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::KeyedEventWindows;
     use crate::keyed::KeyedWindows;
-    use std::collections::HashMap;
     use swag_core::algorithms::SlickDequeInv;
     use swag_core::ops::Sum;
+    use swag_data::event::DisorderedKeyedSource;
     use swag_data::keyed::KeyedVecSource;
+    use swag_stream::TimeWindowSpec;
 
     fn tuples(n: u64, keys: u64) -> Vec<(Key, f64)> {
         (0..n).map(|i| (i % keys, (i % 13) as f64)).collect()
-    }
-
-    fn run_with(shards: usize, input: &[(Key, f64)]) -> Vec<(Key, f64)> {
-        let engine = ShardedEngine::new(EngineConfig {
-            shards,
-            queue_capacity: 4,
-            batch: 8,
-            retain_answers: true,
-            check_invariants: true,
-            ..EngineConfig::default()
-        });
-        let mut source = KeyedVecSource::new(input.to_vec());
-        let run = engine.run(&mut source, u64::MAX, |_| {
-            KeyedWindows::<_, SlickDequeInv<_>>::new(Sum::<f64>::new(), 16)
-        });
-        assert_eq!(run.stats.tuples, input.len() as u64);
-        assert_eq!(run.stats.answers, input.len() as u64);
-        run.answers.into_iter().flatten().collect()
-    }
-
-    fn per_key(answers: &[(Key, f64)]) -> HashMap<Key, Vec<f64>> {
-        let mut by_key: HashMap<Key, Vec<f64>> = HashMap::new();
-        for &(k, a) in answers {
-            by_key.entry(k).or_default().push(a);
-        }
-        by_key
-    }
-
-    #[test]
-    fn sharded_answers_match_single_shard_per_key() {
-        let input = tuples(5000, 37);
-        let reference = per_key(&run_with(1, &input));
-        for shards in [2, 3, 8] {
-            assert_eq!(
-                per_key(&run_with(shards, &input)),
-                reference,
-                "{shards} shards"
-            );
-        }
     }
 
     #[test]
@@ -522,27 +598,14 @@ mod tests {
 
     #[test]
     fn invalid_configs_are_rejected_with_field_names() {
-        let bad_shards = EngineConfig {
-            shards: 0,
-            ..EngineConfig::default()
-        };
-        let err = ShardedEngine::try_new(bad_shards).unwrap_err();
-        assert!(err.contains("`shards`"), "{err}");
-
-        let bad_queue = EngineConfig {
-            queue_capacity: 0,
-            ..EngineConfig::default()
-        };
-        let err = ShardedEngine::try_new(bad_queue).unwrap_err();
-        assert!(err.contains("`queue_capacity`"), "{err}");
-
-        let bad_batch = EngineConfig {
-            batch: 0,
-            ..EngineConfig::default()
-        };
-        let err = ShardedEngine::try_new(bad_batch).unwrap_err();
-        assert!(err.contains("`batch`"), "{err}");
-
+        let mut bad = [(); 3].map(|()| EngineConfig::default());
+        bad[0].shards = 0;
+        bad[1].queue_capacity = 0;
+        bad[2].batch = 0;
+        for (field, bad) in ["`shards`", "`queue_capacity`", "`batch`"].iter().zip(bad) {
+            let err = ShardedEngine::try_new(bad).unwrap_err();
+            assert!(err.contains(field), "{err}");
+        }
         assert!(EngineConfig::default().validate().is_ok());
     }
 
@@ -574,19 +637,22 @@ mod tests {
         assert!(per_batch > 40.0 && per_batch <= 50.0, "{per_batch}");
     }
 
+    /// The limit counts admitted tuples, whichever path admits them.
     #[test]
     fn limit_caps_routed_tuples() {
-        let input = tuples(1000, 5);
         let engine = ShardedEngine::new(EngineConfig::with_shards(2));
-        let mut source = KeyedVecSource::new(input);
-        let run = engine.run(&mut source, 300, |_| {
+        let count = engine.run(&mut KeyedVecSource::new(tuples(1000, 5)), 300, |_| {
             KeyedWindows::<_, SlickDequeInv<_>>::new(Sum::<f64>::new(), 8)
         });
-        assert_eq!(run.stats.tuples, 300);
         assert!(
-            run.answers.iter().all(|a| a.is_empty()),
+            count.answers.iter().all(|a| a.is_empty()),
             "answers not retained"
         );
+        let mut events = DisorderedKeyedSource::new(KeyedVecSource::new(tuples(1000, 3)), 8, 1);
+        let event = engine.run_events(&mut events, 300, None, |_| {
+            KeyedEventWindows::new(Sum::<f64>::new(), vec![TimeWindowSpec::tumbling(16)])
+        });
+        assert_eq!((count.stats.tuples, event.stats.tuples), (300, 300));
     }
 
     #[test]

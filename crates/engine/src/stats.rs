@@ -125,22 +125,16 @@ impl EngineStats {
     /// Tuple imbalance: the busiest shard's share relative to a perfectly
     /// even split (1.0 = perfectly balanced).
     pub fn skew(&self) -> f64 {
-        if self.tuples == 0 || self.shards.is_empty() {
-            return 1.0;
-        }
         let busiest = self.shards.iter().map(|s| s.tuples).max().unwrap_or(0);
-        busiest as f64 * self.shards.len() as f64 / self.tuples as f64
+        Self::ratio(busiest, self.tuples, self.shards.len())
     }
 
     /// Answer imbalance, same normalisation as [`skew`](Self::skew): the
     /// shard producing the most answers relative to an even split. Can
     /// diverge from tuple skew when window sizes or plans differ per key.
     pub fn answers_skew(&self) -> f64 {
-        if self.answers == 0 || self.shards.is_empty() {
-            return 1.0;
-        }
         let busiest = self.shards.iter().map(|s| s.answers).max().unwrap_or(0);
-        busiest as f64 * self.shards.len() as f64 / self.answers as f64
+        Self::ratio(busiest, self.answers, self.shards.len())
     }
 
     /// One shard's share of the run relative to an even split: `count ×

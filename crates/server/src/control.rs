@@ -1,8 +1,7 @@
 //! The HTTP control plane: pipeline CRUD, snapshots, answers, metrics.
 //!
-//! The same dependency-free `TcpListener` loop as the engine's
-//! `/metrics` endpoint, extended with request routing, `POST`/`DELETE`
-//! methods, and `Content-Length` body reads:
+//! A route function over the same dependency-free HTTP server as the
+//! engine's `/metrics` endpoint:
 //!
 //! | method + path                     | action                          |
 //! |-----------------------------------|---------------------------------|
@@ -17,193 +16,22 @@
 //! | `GET /metrics`, `/metrics.json`   | shared registry                 |
 //! | `GET /healthz`                    | liveness                        |
 //!
-//! Requests are served sequentially by one thread: control traffic is
-//! rare and tiny, and the data path never goes through HTTP.
+//! Served by the engine's [`HttpServer`] — sequentially, on one thread:
+//! control traffic is rare and tiny, and the data path never goes
+//! through HTTP.
 
-use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::io;
 use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::Duration;
 
+use swag_engine::http::{metrics_route, HttpServer, Request, Response};
 use swag_metrics::json::Json;
-use swag_metrics::ToJson;
 
 use crate::server::ServerState;
 use crate::spec::PipelineSpec;
 
-/// Largest accepted request (head + body).
-const MAX_REQUEST_BYTES: usize = 64 * 1024;
-
-/// The control-plane HTTP server.
-pub(crate) struct ControlServer {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    join: Option<JoinHandle<()>>,
-}
-
-impl ControlServer {
-    /// Bind `addr` and serve until [`shutdown`](Self::shutdown).
-    pub fn start(addr: &str, state: Arc<ServerState>) -> io::Result<Self> {
-        let listener = TcpListener::bind(addr)?;
-        let addr = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let thread_stop = Arc::clone(&stop);
-        let join = std::thread::Builder::new()
-            .name("swag-control-http".into())
-            .spawn(move || serve(listener, &state, &thread_stop))?;
-        Ok(ControlServer {
-            addr,
-            stop,
-            join: Some(join),
-        })
-    }
-
-    /// The bound address.
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// Stop accepting and join the server thread.
-    pub fn shutdown(mut self) {
-        self.stop_and_join();
-    }
-
-    fn stop_and_join(&mut self) {
-        if let Some(join) = self.join.take() {
-            self.stop.store(true, Ordering::Release);
-            // Self-connect so the blocking accept wakes and sees the flag.
-            let _ = TcpStream::connect(self.addr);
-            let _ = join.join();
-        }
-    }
-}
-
-impl Drop for ControlServer {
-    fn drop(&mut self) {
-        self.stop_and_join();
-    }
-}
-
-fn serve(listener: TcpListener, state: &ServerState, stop: &AtomicBool) {
-    for conn in listener.incoming() {
-        if stop.load(Ordering::Acquire) {
-            break;
-        }
-        let Ok(stream) = conn else { continue };
-        let _ = stream.set_read_timeout(Some(Duration::from_secs(2)));
-        let _ = stream.set_write_timeout(Some(Duration::from_secs(2)));
-        let _ = handle_request(stream, state);
-    }
-}
-
-/// One parsed request.
-struct Request {
-    method: String,
-    path: String,
-    body: String,
-}
-
-/// Read the head plus `Content-Length` body bytes.
-fn read_request(stream: &mut TcpStream) -> io::Result<Request> {
-    let mut buf = Vec::with_capacity(2048);
-    let mut chunk = [0u8; 2048];
-    let head_end = loop {
-        if let Some(pos) = buf.windows(4).position(|w| w == b"\r\n\r\n") {
-            break pos + 4;
-        }
-        if buf.len() >= MAX_REQUEST_BYTES {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "request too large",
-            ));
-        }
-        let n = stream.read(&mut chunk)?;
-        if n == 0 {
-            return Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "truncated request",
-            ));
-        }
-        buf.extend_from_slice(&chunk[..n]);
-    };
-    let head = String::from_utf8_lossy(&buf[..head_end]).into_owned();
-    let mut lines = head.lines();
-    let mut request_line = lines.next().unwrap_or("").split_whitespace();
-    let method = request_line.next().unwrap_or("").to_string();
-    let path = request_line.next().unwrap_or("").to_string();
-    let content_length = lines
-        .filter_map(|l| l.split_once(':'))
-        .find(|(k, _)| k.eq_ignore_ascii_case("content-length"))
-        .and_then(|(_, v)| v.trim().parse::<usize>().ok())
-        .unwrap_or(0);
-    if content_length > MAX_REQUEST_BYTES {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "body too large"));
-    }
-    let mut body = buf[head_end..].to_vec();
-    while body.len() < content_length {
-        let n = stream.read(&mut chunk)?;
-        if n == 0 {
-            return Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "truncated body",
-            ));
-        }
-        body.extend_from_slice(&chunk[..n]);
-    }
-    body.truncate(content_length);
-    Ok(Request {
-        method,
-        path,
-        body: String::from_utf8_lossy(&body).into_owned(),
-    })
-}
-
-struct Response {
-    status: &'static str,
-    content_type: &'static str,
-    body: String,
-}
-
-impl Response {
-    fn json(status: &'static str, json: &Json) -> Response {
-        let mut body = json.pretty();
-        body.push('\n');
-        Response {
-            status,
-            content_type: "application/json; charset=utf-8",
-            body,
-        }
-    }
-
-    fn ok_json(json: &Json) -> Response {
-        Response::json("200 OK", json)
-    }
-
-    fn error(status: &'static str, msg: &str) -> Response {
-        Response::json(status, &Json::obj(vec![("error", Json::Str(msg.into()))]))
-    }
-
-    fn not_found(msg: &str) -> Response {
-        Response::error("404 Not Found", msg)
-    }
-}
-
-fn handle_request(mut stream: TcpStream, state: &ServerState) -> io::Result<()> {
-    let response = match read_request(&mut stream) {
-        Ok(req) => route(&req, state),
-        Err(e) => Response::error("400 Bad Request", &format!("unreadable request: {e}")),
-    };
-    let wire = format!(
-        "HTTP/1.1 {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{}",
-        response.status,
-        response.content_type,
-        response.body.len(),
-        response.body
-    );
-    stream.write_all(wire.as_bytes())?;
-    stream.flush()
+/// Bind `addr` and serve the control plane over `state` until shutdown.
+pub(crate) fn start(addr: &str, state: Arc<ServerState>) -> io::Result<HttpServer> {
+    HttpServer::start(addr, "swag-control-http", move |req| route(req, &state))
 }
 
 fn route(req: &Request, state: &ServerState) -> Response {
@@ -212,23 +40,14 @@ fn route(req: &Request, state: &ServerState) -> Response {
         None => (req.path.as_str(), ""),
     };
     match (req.method.as_str(), path) {
-        ("GET", "/healthz") => Response {
-            status: "200 OK",
-            content_type: "text/plain; charset=utf-8",
-            body: "ok\n".into(),
-        },
-        ("GET", "/metrics") => Response {
-            status: "200 OK",
-            content_type: "text/plain; version=0.0.4; charset=utf-8",
-            body: state.registry.snapshot().to_prometheus_text(),
-        },
-        ("GET", "/metrics.json") => Response::ok_json(&state.registry.snapshot().to_json()),
+        ("GET", "/healthz") => Response::text("200 OK", "ok\n"),
         ("GET", "/slo") => Response::ok_json(&state.slo_json()),
         ("GET", "/pipelines") => Response::ok_json(&state.list_json()),
         ("POST", "/pipelines") => create_or_restore(&req.body, state),
         (method, p) => match p.strip_prefix("/pipelines/") {
             Some(rest) => pipeline_route(method, rest, query, state),
-            None => Response::not_found("no such route"),
+            None => metrics_route(&state.registry, method, p)
+                .unwrap_or_else(|| Response::not_found("no such route")),
         },
     }
 }

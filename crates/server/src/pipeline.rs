@@ -16,6 +16,7 @@
 //! engine's bounded-channel discipline propagated to the wire.
 
 use std::collections::HashMap;
+use std::marker::PhantomData;
 use std::path::PathBuf;
 use std::sync::mpsc::{Receiver, SyncSender, TryRecvError};
 use std::sync::{Arc, Mutex};
@@ -27,11 +28,12 @@ use swag_core::algorithms::{
 };
 use swag_core::ops::AggregateOp;
 use swag_core::ops::{MaxF64, Mean, MinF64, StdDev, Sum, Variance};
-use swag_core::state::{PartialCodec, StateReader, StateWriter, StatefulAggregator};
+use swag_core::state::{PartialCodec, StateError, StateReader, StateWriter, StatefulAggregator};
 use swag_data::keyed::KeyedVecSource;
 use swag_data::{Key, KeyedEventSource};
 use swag_engine::{
-    shard_of, EngineConfig, KeyedEventWindows, KeyedWindows, ObservabilityConfig, ShardedEngine,
+    shard_of, EngineConfig, EngineRun, KeyedEventWindows, KeyedWindows, ObservabilityConfig,
+    ShardProcessor, ShardedEngine,
 };
 use swag_metrics::clock::Stopwatch;
 use swag_metrics::json::Json;
@@ -104,13 +106,7 @@ impl PipelineStatus {
             ("keys", Json::UInt(self.keys as u64)),
             ("watermark", Json::UInt(self.watermark)),
             ("stopped", Json::Bool(self.stopped)),
-            (
-                "error",
-                match &self.error {
-                    Some(e) => Json::Str(e.clone()),
-                    None => Json::Null,
-                },
-            ),
+            ("error", self.error.clone().map_or(Json::Null, Json::Str)),
         ])
     }
 }
@@ -255,16 +251,33 @@ impl PipelineCtx {
 /// A running pipeline as the server sees it.
 pub(crate) struct PipelineHandle {
     pub spec: PipelineSpec,
-    pub tx: SyncSender<Msg>,
     pub join: Option<JoinHandle<()>>,
     pub status: Arc<Mutex<PipelineStatus>>,
     pub answers: Arc<Mutex<AnswerTable>>,
-    /// Clone of the worker's sampler, handed to ingest readers and read
-    /// by the control plane's trace export.
+    /// The way in; cloned per ingest connection.
+    pub ingest: IngestTarget,
+}
+
+/// Everything an ingest reader needs about its target pipeline.
+#[derive(Clone)]
+pub(crate) struct IngestTarget {
+    pub tx: SyncSender<Msg>,
+    /// Clone of the worker's sampler, also read by the control plane's
+    /// trace export.
     pub trace: Option<SpanSampler>,
     /// Clone of the worker's ingest-queue gauge, incremented by ingest
     /// readers as they enqueue tuple messages.
     pub queue: QueueDepthGauge,
+}
+
+impl PipelineHandle {
+    /// The pipeline's spec and live status, as control-plane JSON.
+    pub fn describe(&self) -> Json {
+        Json::obj(vec![
+            ("spec", self.spec.to_json()),
+            ("status", self.status.lock().unwrap().to_json()),
+        ])
+    }
 }
 
 /// One gathered cycle: tuples to run, snapshot requests to answer at the
@@ -322,83 +335,6 @@ fn collect_cycle(ctx: &PipelineCtx) -> Cycle {
     cycle
 }
 
-/// Capture every shard's per-key state into a snapshot (count plan).
-fn snapshot_count<O, A>(
-    ctx: &PipelineCtx,
-    op: &O,
-    slots: &[Option<KeyedWindows<O, A>>],
-) -> Result<PathBuf, String>
-where
-    O: AggregateOp<Input = f64, Output = f64> + PartialCodec + Clone + Send,
-    O::Partial: Send,
-    A: FinalAggregator<O> + StatefulAggregator<O> + Send,
-{
-    let mut keys = Vec::new();
-    for slot in slots {
-        let p = slot.as_ref().expect("processor parked between cycles");
-        let mut shard_keys: Vec<KeyState> = p
-            .states()
-            .map(|(k, agg)| {
-                let mut w = StateWriter::new();
-                agg.save_state(&mut w);
-                let (words, partials) = w.into_parts();
-                KeyState::encode(k, words, &partials, op)
-            })
-            .collect();
-        // Canonical bytes: key order within the shard (the per-key map
-        // iterates in hash order).
-        shard_keys.sort_by_key(|k| k.key);
-        keys.extend(shard_keys);
-    }
-    let snap = Snapshot {
-        spec: ctx.spec.clone(),
-        watermark: 0,
-        keys,
-    };
-    write_snapshot(&ctx.snapshot_dir, &snap)
-}
-
-/// Capture every shard's per-key executor into a snapshot (event plan).
-fn snapshot_event<O>(
-    ctx: &PipelineCtx,
-    op: &O,
-    slots: &[Option<KeyedEventWindows<O>>],
-    watermark: u64,
-) -> Result<PathBuf, String>
-where
-    O: AggregateOp<Input = f64, Output = f64> + PartialCodec + Clone + Send,
-    O::Partial: Send,
-{
-    let mut keys = Vec::new();
-    for slot in slots {
-        let p = slot.as_ref().expect("processor parked between cycles");
-        for (k, exec) in p.states() {
-            let mut w = StateWriter::new();
-            exec.save_state(&mut w);
-            let (words, partials) = w.into_parts();
-            keys.push(KeyState::encode(k, words, &partials, op));
-        }
-    }
-    let snap = Snapshot {
-        spec: ctx.spec.clone(),
-        watermark,
-        keys,
-    };
-    write_snapshot(&ctx.snapshot_dir, &snap)
-}
-
-/// The engine observability config for a pipeline's cycles: the shared
-/// server registry with a `pipeline=<name>` label (so engine series —
-/// slide latency, shard phase occupancy, queue depth — stay separable
-/// per pipeline), no per-cycle rings or samplers.
-fn engine_obs(ctx: &PipelineCtx) -> ObservabilityConfig {
-    ObservabilityConfig {
-        registry: Some(Arc::clone(&ctx.registry)),
-        labels: vec![("pipeline".to_string(), ctx.spec.name.clone())],
-        ..ObservabilityConfig::default()
-    }
-}
-
 /// Update shared status + metrics after a cycle's engine run.
 fn record_run(ctx: &PipelineCtx, stats: &swag_engine::EngineStats, cycle_tuples: &[IngestTuple]) {
     let end_ns = ctx.epoch.elapsed_ns();
@@ -428,101 +364,153 @@ fn mark_stopped(ctx: &PipelineCtx, error: Option<String>) {
     }
 }
 
-/// The worker loop for an arrival-order (count-window) pipeline.
-pub(crate) fn count_worker<O, A>(ctx: PipelineCtx, op: O, initial: Vec<(Key, A)>)
-where
-    O: AggregateOp<Input = f64, Output = f64> + PartialCodec + Clone + Send,
-    O::Partial: Send,
-    A: FinalAggregator<O> + StatefulAggregator<O> + Send,
-{
-    let window = match ctx.spec.plan {
-        PlanKind::Count { window } => window,
-        PlanKind::Event { .. } => unreachable!("count worker on event plan"),
-    };
-    let shards = ctx.spec.shards;
-    let mut groups: Vec<Vec<(Key, A)>> = (0..shards).map(|_| Vec::new()).collect();
-    for (k, a) in initial {
-        groups[shard_of(k, shards)].push((k, a));
-    }
-    let mut slots: Vec<Option<KeyedWindows<O, A>>> = groups
-        .into_iter()
-        .map(|g| Some(KeyedWindows::from_states(op.clone(), window, g)))
-        .collect();
-    let engine = ShardedEngine::new(EngineConfig {
-        shards,
-        batch: ctx.spec.batch,
-        retain_answers: true,
-        obs: engine_obs(&ctx),
-        ..EngineConfig::default()
-    });
+/// What a plan kind brings to the one pipeline loop: how a shard's
+/// processor is rebuilt from and saved into snapshot key blocks, how a
+/// cycle's tuples enter the engine, and where its answers land.
+trait Plan: Send + 'static {
+    /// The per-shard processor the engine runs.
+    type Proc: ShardProcessor + 'static;
 
-    let mut phase = Stopwatch::start();
-    loop {
-        let cycle = collect_cycle(&ctx);
-        ctx.obs.blocked_ns.add(phase.elapsed_ns());
-        phase = Stopwatch::start();
-        if !cycle.tuples.is_empty() {
-            ctx.record_stage(&cycle.tuples, Stage::AggStart, cycle.tuples.len() as u64);
-            let mut source =
-                KeyedVecSource::new(cycle.tuples.iter().map(|t| (t.key, t.value)).collect());
-            let cell = Mutex::new(slots);
-            let (run, procs) = engine.run_collecting(&mut source, u64::MAX, |shard| {
-                cell.lock().unwrap()[shard]
-                    .take()
-                    .expect("one parked processor per shard")
-            });
-            slots = procs.into_iter().map(Some).collect();
-            ctx.record_stage(&cycle.tuples, Stage::AggEnd, run.stats.answers);
-            record_run(&ctx, &run.stats, &cycle.tuples);
-            {
-                let mut table = ctx.answers.lock().unwrap();
-                if let AnswerTable::Count(map) = &mut *table {
-                    for shard_answers in &run.answers {
-                        for &(k, v) in shard_answers {
-                            map.insert(k, v);
-                        }
-                    }
-                }
+    /// Rebuild one shard's processor from its share of a snapshot's key
+    /// blocks (none for a fresh pipeline).
+    fn rebuild(&self, keys: &[&KeyState]) -> Result<Self::Proc, String>;
+
+    /// Capture every key of one shard's processor.
+    fn save(&self, processor: &Self::Proc) -> Vec<KeyState>;
+
+    /// Run one cycle's tuples through `engine` to a drain that leaves
+    /// windows open; `parked(shard)` hands each worker its processor.
+    fn run(
+        &mut self,
+        engine: &ShardedEngine,
+        tuples: &[IngestTuple],
+        parked: Parked<'_, Self::Proc>,
+    ) -> (EngineRun<Answer<Self>>, Vec<Self::Proc>);
+
+    /// The event-time frontier (largest timestamp seen); 0 where time is
+    /// positional.
+    fn frontier(&self) -> u64 {
+        0
+    }
+
+    /// Fold a cycle's retained answers into the answer table.
+    fn publish(table: &mut AnswerTable, answers: &[Vec<(Key, Answer<Self>)>]);
+}
+
+type Answer<Pl> = <<Pl as Plan>::Proc as ShardProcessor>::Answer;
+type Parked<'a, P> = &'a (dyn Fn(usize) -> P + Sync);
+
+/// Encode what `save` writes about one key with `op`'s codec.
+fn encode_key<O: AggregateOp + PartialCodec>(
+    op: &O,
+    key: Key,
+    save: impl FnOnce(&mut StateWriter<O::Partial>),
+) -> KeyState {
+    let mut w = StateWriter::new();
+    save(&mut w);
+    let (words, partials) = w.into_parts();
+    KeyState::encode(key, words, &partials, op)
+}
+
+/// Decode one key block and `load` live state from all of it.
+fn decode_key<O: AggregateOp + PartialCodec, T>(
+    op: &O,
+    ks: &KeyState,
+    load: impl FnOnce(&mut StateReader<'_, O::Partial>) -> Result<T, StateError>,
+) -> Result<(Key, T), String> {
+    let labelled = |e: StateError| format!("key {}: {e}", ks.key);
+    let partials = ks.decode_partials(op).map_err(labelled)?;
+    let mut r = StateReader::new(&ks.words, &partials);
+    let state = load(&mut r)
+        .and_then(|state| r.finish().map(|()| state))
+        .map_err(labelled)?;
+    Ok((ks.key, state))
+}
+
+/// An arrival-order (count-window) plan: one `A` aggregator per key.
+struct CountPlan<O, A> {
+    op: O,
+    window: usize,
+    algo: PhantomData<fn() -> A>,
+}
+
+impl<O, A> Plan for CountPlan<O, A>
+where
+    O: AggregateOp<Input = f64, Output = f64> + PartialCodec + Clone + Send + 'static,
+    O::Partial: Send,
+    A: FinalAggregator<O> + StatefulAggregator<O> + Send + 'static,
+{
+    type Proc = KeyedWindows<O, A>;
+
+    fn rebuild(&self, keys: &[&KeyState]) -> Result<Self::Proc, String> {
+        let states = keys
+            .iter()
+            .map(|ks| {
+                decode_key(&self.op, ks, |r| {
+                    A::load_state(self.op.clone(), self.window, r)
+                })
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        Ok(KeyedWindows::from_states(
+            self.op.clone(),
+            self.window,
+            states,
+        ))
+    }
+
+    fn save(&self, processor: &Self::Proc) -> Vec<KeyState> {
+        let mut keys: Vec<KeyState> = processor
+            .states()
+            .map(|(k, agg)| encode_key(&self.op, k, |w| agg.save_state(w)))
+            .collect();
+        // Canonical bytes: key order within the shard (the per-key map
+        // iterates in hash order).
+        keys.sort_by_key(|k| k.key);
+        keys
+    }
+
+    fn run(
+        &mut self,
+        engine: &ShardedEngine,
+        tuples: &[IngestTuple],
+        parked: Parked<'_, Self::Proc>,
+    ) -> (EngineRun<f64>, Vec<Self::Proc>) {
+        let mut source = KeyedVecSource::new(tuples.iter().map(|t| (t.key, t.value)).collect());
+        engine.run_collecting(&mut source, u64::MAX, parked)
+    }
+
+    fn publish(table: &mut AnswerTable, answers: &[Vec<(Key, f64)>]) {
+        if let AnswerTable::Count(map) = table {
+            for &(k, v) in answers.iter().flatten() {
+                map.insert(k, v);
             }
-            // The answer table is published: sampled answers exist now.
-            ctx.record_stage(&cycle.tuples, Stage::Emit, 0);
-        }
-        for reply in cycle.snap_reqs {
-            let _ = reply.send(snapshot_count(&ctx, &op, &slots));
-        }
-        ctx.obs.busy_ns.add(phase.elapsed_ns());
-        phase = Stopwatch::start();
-        match cycle.stop {
-            Some(true) => {
-                let err = snapshot_count(&ctx, &op, &slots).err();
-                mark_stopped(&ctx, err);
-                return;
-            }
-            Some(false) => {
-                mark_stopped(&ctx, None);
-                return;
-            }
-            None => {}
         }
     }
 }
 
-/// The cycle's view of its tuple batch as a watermarked event source.
-///
-/// The frontier (largest timestamp seen) persists across cycles in the
-/// worker, so the watermark never regresses when the stream pauses; the
-/// low watermark trails it by the spec's allowed lateness and the engine
-/// router drops (and counts) anything below it.
-struct CycleEventSource<'a> {
-    tuples: std::slice::Iter<'a, IngestTuple>,
+/// An event-time plan: one FiBA-backed [`TimeWindowExec`] per key. The
+/// plan is also the cycle's watermarked event source: the frontier
+/// persists across cycles, so the watermark never regresses when the
+/// stream pauses; the low watermark trails it by the spec's allowed
+/// lateness and the engine router drops (and counts) anything below it.
+struct EventPlan<O> {
+    op: O,
+    specs: Vec<TimeWindowSpec>,
+    lateness: u64,
     frontier: u64,
+}
+
+/// One cycle of an [`EventPlan`] as the engine's event source.
+struct CycleEvents<'a> {
+    tuples: std::slice::Iter<'a, IngestTuple>,
+    frontier: &'a mut u64,
     lateness: u64,
 }
 
-impl KeyedEventSource for CycleEventSource<'_> {
+impl KeyedEventSource for CycleEvents<'_> {
     fn next_event(&mut self) -> Option<(Key, u64, f64)> {
         let t = self.tuples.next()?;
-        self.frontier = self.frontier.max(t.ts);
+        *self.frontier = (*self.frontier).max(t.ts);
         Some((t.key, t.ts, t.value))
     }
 
@@ -531,50 +519,107 @@ impl KeyedEventSource for CycleEventSource<'_> {
     }
 }
 
-/// The worker loop for an event-time (FiBA) pipeline.
-pub(crate) fn event_worker<O>(
-    ctx: PipelineCtx,
-    op: O,
-    initial: Vec<(Key, TimeWindowExec<O>)>,
-    restored_watermark: u64,
-) where
-    O: AggregateOp<Input = f64, Output = f64> + PartialCodec + Clone + Send,
+impl<O> Plan for EventPlan<O>
+where
+    O: AggregateOp<Input = f64, Output = f64> + PartialCodec + Clone + Send + 'static,
     O::Partial: Send + Clone,
 {
-    let (range, slide, lateness) = match ctx.spec.plan {
-        PlanKind::Event {
-            range,
-            slide,
-            lateness,
-        } => (range, slide, lateness),
-        PlanKind::Count { .. } => unreachable!("event worker on count plan"),
-    };
-    let specs = vec![TimeWindowSpec::new(range, slide)];
-    let shards = ctx.spec.shards;
-    let mut groups: Vec<Vec<(Key, TimeWindowExec<O>)>> = (0..shards).map(|_| Vec::new()).collect();
-    for (k, exec) in initial {
-        groups[shard_of(k, shards)].push((k, exec));
+    type Proc = KeyedEventWindows<O>;
+
+    fn rebuild(&self, keys: &[&KeyState]) -> Result<Self::Proc, String> {
+        let states = keys
+            .iter()
+            .map(|ks| {
+                decode_key(&self.op, ks, |r| {
+                    TimeWindowExec::load_state(self.op.clone(), r)
+                })
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        Ok(KeyedEventWindows::from_states(
+            self.op.clone(),
+            self.specs.clone(),
+            states,
+        ))
     }
-    let mut slots: Vec<Option<KeyedEventWindows<O>>> = groups
-        .into_iter()
-        .map(|g| Some(KeyedEventWindows::from_states(op.clone(), specs.clone(), g)))
-        .collect();
+
+    fn save(&self, processor: &Self::Proc) -> Vec<KeyState> {
+        processor
+            .states()
+            .map(|(k, exec)| encode_key(&self.op, k, |w| exec.save_state(w)))
+            .collect()
+    }
+
+    fn run(
+        &mut self,
+        engine: &ShardedEngine,
+        tuples: &[IngestTuple],
+        parked: Parked<'_, Self::Proc>,
+    ) -> (EngineRun<(usize, u64, f64)>, Vec<Self::Proc>) {
+        let mut source = CycleEvents {
+            tuples: tuples.iter(),
+            frontier: &mut self.frontier,
+            lateness: self.lateness,
+        };
+        engine.run_events_collecting(&mut source, u64::MAX, None, parked)
+    }
+
+    fn frontier(&self) -> u64 {
+        self.frontier
+    }
+
+    fn publish(table: &mut AnswerTable, answers: &[Vec<(Key, (usize, u64, f64))>]) {
+        if let AnswerTable::Event(map) = table {
+            for &(k, (q, end, v)) in answers.iter().flatten() {
+                map.insert((k, q), (end, v));
+            }
+        }
+    }
+}
+
+/// The pipeline worker loop, for every plan: gather a cycle, run it
+/// through the engine, publish, answer snapshot requests at the cycle
+/// boundary, stop when told.
+fn pipeline_worker<Pl: Plan>(
+    ctx: PipelineCtx,
+    mut plan: Pl,
+    processors: Vec<Pl::Proc>,
+    mut watermark: u64,
+) {
+    // Parked between cycles, taken by the engine's workers during one.
+    let slots: Mutex<Vec<Option<Pl::Proc>>> =
+        Mutex::new(processors.into_iter().map(Some).collect());
     let engine = ShardedEngine::new(EngineConfig {
-        shards,
+        shards: ctx.spec.shards,
         batch: ctx.spec.batch,
         retain_answers: true,
-        obs: engine_obs(&ctx),
+        // The shared server registry with a `pipeline=<name>` label (so
+        // engine series — slide latency, shard phase occupancy, queue
+        // depth — stay separable per pipeline), no per-cycle rings or
+        // samplers.
+        obs: ObservabilityConfig {
+            registry: Some(Arc::clone(&ctx.registry)),
+            labels: vec![("pipeline".to_string(), ctx.spec.name.clone())],
+            ..ObservabilityConfig::default()
+        },
         ..EngineConfig::default()
     });
-    // Resume the watermark where the snapshot cut it: the frontier is
-    // placed so the first cycle's low watermark starts at exactly the
-    // restored value, and every executor already sits at or above it.
-    let mut frontier = restored_watermark.saturating_add(lateness);
-    let mut watermark = restored_watermark;
-    {
-        let mut st = ctx.status.lock().unwrap();
-        st.watermark = st.watermark.max(watermark);
-    }
+    // Resume the watermark where the snapshot cut it (0 for a fresh or an
+    // arrival-order pipeline, whose watermark never moves).
+    ctx.status.lock().unwrap().watermark = watermark;
+    let snapshot = |plan: &Pl, watermark: u64| {
+        let keys = slots
+            .lock()
+            .unwrap()
+            .iter()
+            .flat_map(|slot| plan.save(slot.as_ref().expect("processor parked between cycles")))
+            .collect();
+        let snap = Snapshot {
+            spec: ctx.spec.clone(),
+            watermark,
+            keys,
+        };
+        write_snapshot(&ctx.snapshot_dir, &snap)
+    };
 
     let mut phase = Stopwatch::start();
     loop {
@@ -583,102 +628,62 @@ pub(crate) fn event_worker<O>(
         phase = Stopwatch::start();
         if !cycle.tuples.is_empty() {
             ctx.record_stage(&cycle.tuples, Stage::AggStart, cycle.tuples.len() as u64);
-            let mut source = CycleEventSource {
-                tuples: cycle.tuples.iter(),
-                frontier,
-                lateness,
-            };
-            let cell = Mutex::new(slots);
-            let (run, procs) = engine.run_events_collecting(&mut source, u64::MAX, None, |shard| {
-                cell.lock().unwrap()[shard]
+            let (run, drained) = plan.run(&engine, &cycle.tuples, &|shard| {
+                slots.lock().unwrap()[shard]
                     .take()
                     .expect("one parked processor per shard")
             });
-            frontier = source.frontier;
-            slots = procs.into_iter().map(Some).collect();
+            *slots.lock().unwrap() = drained.into_iter().map(Some).collect();
             watermark = watermark.max(run.stats.watermark());
             ctx.record_stage(&cycle.tuples, Stage::AggEnd, run.stats.answers);
             record_run(&ctx, &run.stats, &cycle.tuples);
-            ctx.obs.lag.set(frontier.saturating_sub(watermark));
-            {
-                let mut table = ctx.answers.lock().unwrap();
-                if let AnswerTable::Event(map) = &mut *table {
-                    for shard_answers in &run.answers {
-                        for &(k, (q, end, v)) in shard_answers {
-                            map.insert((k, q), (end, v));
-                        }
-                    }
-                }
-            }
+            ctx.obs.lag.set(plan.frontier().saturating_sub(watermark));
+            Pl::publish(&mut ctx.answers.lock().unwrap(), &run.answers);
             // The answer table is published: sampled answers exist now.
             ctx.record_stage(&cycle.tuples, Stage::Emit, 0);
         }
         for reply in cycle.snap_reqs {
-            let _ = reply.send(snapshot_event(&ctx, &op, &slots, watermark));
+            let _ = reply.send(snapshot(&plan, watermark));
         }
         ctx.obs.busy_ns.add(phase.elapsed_ns());
         phase = Stopwatch::start();
-        match cycle.stop {
-            Some(true) => {
-                let err = snapshot_event(&ctx, &op, &slots, watermark).err();
-                mark_stopped(&ctx, err);
-                return;
-            }
-            Some(false) => {
-                mark_stopped(&ctx, None);
-                return;
-            }
-            None => {}
+        if let Some(snapshot_first) = cycle.stop {
+            let err = snapshot_first
+                .then(|| snapshot(&plan, watermark).err())
+                .flatten();
+            mark_stopped(&ctx, err);
+            return;
         }
     }
 }
 
-/// Decode a snapshot's key blocks into live count-window aggregators.
-fn decode_count_states<O, A>(
-    op: &O,
-    window: usize,
-    snap: &Snapshot,
-) -> Result<Vec<(Key, A)>, String>
-where
-    O: AggregateOp<Input = f64, Output = f64> + PartialCodec + Clone,
-    A: FinalAggregator<O> + StatefulAggregator<O>,
-{
-    let mut out = Vec::with_capacity(snap.keys.len());
-    for ks in &snap.keys {
-        let partials = ks
-            .decode_partials(op)
-            .map_err(|e| format!("key {}: {e}", ks.key))?;
-        let mut r = StateReader::new(&ks.words, &partials);
-        let agg = A::load_state(op.clone(), window, &mut r)
-            .and_then(|a| r.finish().map(|()| a))
-            .map_err(|e| format!("key {}: {e}", ks.key))?;
-        out.push((ks.key, agg));
+/// Rebuild `plan`'s per-shard processors from `restore` (re-partitioning
+/// its keys by [`shard_of`]) and start the pipeline's worker thread.
+fn launch<Pl: Plan>(
+    plan: Pl,
+    ctx: PipelineCtx,
+    restore: Option<&Snapshot>,
+) -> Result<JoinHandle<()>, String> {
+    let shards = ctx.spec.shards;
+    let mut groups: Vec<Vec<&KeyState>> = vec![Vec::new(); shards];
+    for ks in restore.iter().flat_map(|snap| &snap.keys) {
+        groups[shard_of(ks.key, shards)].push(ks);
     }
-    Ok(out)
-}
-
-/// Decode a snapshot's key blocks into live event-time executors.
-fn decode_event_states<O>(op: &O, snap: &Snapshot) -> Result<Vec<(Key, TimeWindowExec<O>)>, String>
-where
-    O: AggregateOp<Input = f64, Output = f64> + PartialCodec + Clone,
-{
-    let mut out = Vec::with_capacity(snap.keys.len());
-    for ks in &snap.keys {
-        let partials = ks
-            .decode_partials(op)
-            .map_err(|e| format!("key {}: {e}", ks.key))?;
-        let mut r = StateReader::new(&ks.words, &partials);
-        let exec = TimeWindowExec::load_state(op.clone(), &mut r)
-            .and_then(|a| r.finish().map(|()| a))
-            .map_err(|e| format!("key {}: {e}", ks.key))?;
-        out.push((ks.key, exec));
-    }
-    Ok(out)
+    let processors = groups
+        .iter()
+        .map(|group| plan.rebuild(group))
+        .collect::<Result<Vec<_>, _>>()?;
+    let restored_watermark = restore.map_or(0, |snap| snap.watermark);
+    std::thread::Builder::new()
+        .name(format!("swag-pipe-{}", ctx.spec.name))
+        .spawn(move || pipeline_worker(ctx, plan, processors, restored_watermark))
+        .map_err(|e| format!("spawn pipeline thread: {e}"))
 }
 
 /// Spawn a pipeline worker for `spec`, optionally seeding it from a
-/// decoded snapshot. Dispatches the op × algorithm matrix to a concrete
-/// monomorphised worker, exactly as the CLI dispatches its run matrix.
+/// decoded snapshot. Dispatches the plan × op × algorithm matrix to a
+/// concrete monomorphised worker, exactly as the CLI dispatches its run
+/// matrix.
 pub(crate) fn spawn_pipeline(
     spec: PipelineSpec,
     restore: Option<&Snapshot>,
@@ -715,93 +720,64 @@ pub(crate) fn spawn_pipeline(
         registry: Arc::clone(registry),
         trace: trace.clone(),
     };
-    let window = match spec.plan {
-        PlanKind::Count { window } => window,
-        PlanKind::Event { .. } => 0,
-    };
-    let restored_watermark = restore.map_or(0, |s| s.watermark);
-    let thread_name = format!("swag-pipe-{}", spec.name);
 
-    macro_rules! count_pipe {
-        ($op:expr, $A:ident) => {{
-            let op = $op;
-            let initial: Vec<(Key, $A<_>)> = match restore {
-                Some(snap) => decode_count_states(&op, window, snap)?,
-                None => Vec::new(),
-            };
-            std::thread::Builder::new()
-                .name(thread_name.clone())
-                .spawn(move || count_worker(ctx, op, initial))
-                .map_err(|e| format!("spawn pipeline thread: {e}"))?
-        }};
-    }
-    macro_rules! event_pipe {
-        ($op:expr) => {{
-            let op = $op;
-            let initial = match restore {
-                Some(snap) => decode_event_states(&op, snap)?,
-                None => Vec::new(),
-            };
-            std::thread::Builder::new()
-                .name(thread_name.clone())
-                .spawn(move || event_worker(ctx, op, initial, restored_watermark))
-                .map_err(|e| format!("spawn pipeline thread: {e}"))?
-        }};
-    }
-    macro_rules! inv_algos {
-        ($op:expr) => {
-            match spec.algo {
-                AlgoKind::SlickDeque => count_pipe!($op, SlickDequeInv),
-                AlgoKind::Naive => count_pipe!($op, Naive),
-                AlgoKind::FlatFat => count_pipe!($op, FlatFat),
-                AlgoKind::BInt => count_pipe!($op, BInt),
-                AlgoKind::FlatFit => count_pipe!($op, FlatFit),
-                AlgoKind::TwoStacks => count_pipe!($op, TwoStacks),
-                AlgoKind::Daba => count_pipe!($op, Daba),
-                AlgoKind::Fiba => unreachable!("validated: fiba is event-time only"),
+    // One monomorphised worker per plan × op × algorithm. `$slick` is the
+    // SlickDeque flavour matching the op class: Inv for invertible ops,
+    // Non-Inv for selective ones.
+    macro_rules! pipe {
+        ($op:expr, $slick:ident) => {
+            match spec.plan {
+                PlanKind::Count { window } => {
+                    macro_rules! with {
+                        ($A:ident) => {{
+                            let algo = PhantomData::<fn() -> $A<_>>;
+                            let op = $op;
+                            launch(CountPlan { op, window, algo }, ctx, restore)?
+                        }};
+                    }
+                    match spec.algo {
+                        AlgoKind::SlickDeque => with!($slick),
+                        AlgoKind::Naive => with!(Naive),
+                        AlgoKind::FlatFat => with!(FlatFat),
+                        AlgoKind::BInt => with!(BInt),
+                        AlgoKind::FlatFit => with!(FlatFit),
+                        AlgoKind::TwoStacks => with!(TwoStacks),
+                        AlgoKind::Daba => with!(Daba),
+                        AlgoKind::Fiba => unreachable!("validated: fiba is event-time only"),
+                    }
+                }
+                PlanKind::Event {
+                    range,
+                    slide,
+                    lateness,
+                } => {
+                    let plan = EventPlan {
+                        op: $op,
+                        specs: vec![TimeWindowSpec::new(range, slide)],
+                        lateness,
+                        // Placed so the first cycle's low watermark
+                        // starts at exactly the restored value; every
+                        // restored executor already sits at or above it.
+                        frontier: restore.map_or(0, |s| s.watermark).saturating_add(lateness),
+                    };
+                    launch(plan, ctx, restore)?
+                }
             }
         };
     }
-    macro_rules! sel_algos {
-        ($op:expr) => {
-            match spec.algo {
-                AlgoKind::SlickDeque => count_pipe!($op, SlickDequeNonInv),
-                AlgoKind::Naive => count_pipe!($op, Naive),
-                AlgoKind::FlatFat => count_pipe!($op, FlatFat),
-                AlgoKind::BInt => count_pipe!($op, BInt),
-                AlgoKind::FlatFit => count_pipe!($op, FlatFit),
-                AlgoKind::TwoStacks => count_pipe!($op, TwoStacks),
-                AlgoKind::Daba => count_pipe!($op, Daba),
-                AlgoKind::Fiba => unreachable!("validated: fiba is event-time only"),
-            }
-        };
-    }
-
-    let join = match spec.plan {
-        PlanKind::Count { .. } => match spec.op {
-            OpKind::Sum => inv_algos!(Sum::<f64>::new()),
-            OpKind::Mean => inv_algos!(Mean::new()),
-            OpKind::Variance => inv_algos!(Variance::new()),
-            OpKind::StdDev => inv_algos!(StdDev::new()),
-            OpKind::Max => sel_algos!(MaxF64::new()),
-            OpKind::Min => sel_algos!(MinF64::new()),
-        },
-        PlanKind::Event { .. } => match spec.op {
-            OpKind::Sum => event_pipe!(Sum::<f64>::new()),
-            OpKind::Mean => event_pipe!(Mean::new()),
-            OpKind::Variance => event_pipe!(Variance::new()),
-            OpKind::StdDev => event_pipe!(StdDev::new()),
-            OpKind::Max => event_pipe!(MaxF64::new()),
-            OpKind::Min => event_pipe!(MinF64::new()),
-        },
+    let join = match spec.op {
+        OpKind::Sum => pipe!(Sum::<f64>::new(), SlickDequeInv),
+        OpKind::Mean => pipe!(Mean::new(), SlickDequeInv),
+        OpKind::Variance => pipe!(Variance::new(), SlickDequeInv),
+        OpKind::StdDev => pipe!(StdDev::new(), SlickDequeInv),
+        OpKind::Max => pipe!(MaxF64::new(), SlickDequeNonInv),
+        OpKind::Min => pipe!(MinF64::new(), SlickDequeNonInv),
     };
     Ok(PipelineHandle {
         spec,
-        tx,
         join: Some(join),
         status,
         answers,
-        trace,
-        queue,
+        ingest: IngestTarget { tx, trace, queue },
     })
 }

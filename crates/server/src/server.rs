@@ -5,20 +5,19 @@ use std::io::{self, BufRead, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::SyncSender;
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+use swag_engine::HttpServer;
 use swag_metrics::clock::Stopwatch;
 use swag_metrics::json::Json;
 use swag_metrics::registry::{Counter, MetricRegistry};
-use swag_metrics::QueueDepthGauge;
 use swag_trace::chrome::write_chrome_trace;
 use swag_trace::{FlightRecorder, SpanSampler, Stage};
 
-use crate::control::ControlServer;
-use crate::pipeline::{spawn_pipeline, IngestTuple, Msg, PipelineHandle};
+use crate::control;
+use crate::pipeline::{spawn_pipeline, IngestTarget, IngestTuple, Msg, PipelineHandle};
 use crate::proto;
 use crate::slo;
 use crate::snapshot::{read_snapshot, Snapshot};
@@ -96,13 +95,6 @@ pub(crate) struct ServerState {
     connections: Counter,
 }
 
-/// Everything an ingest reader needs about its target pipeline.
-pub(crate) struct IngestTarget {
-    pub tx: SyncSender<Msg>,
-    pub trace: Option<SpanSampler>,
-    pub queue: QueueDepthGauge,
-}
-
 impl ServerState {
     /// Create a fresh pipeline (fails if the name is taken).
     pub fn create(&self, spec: PipelineSpec) -> Result<(), String> {
@@ -148,7 +140,7 @@ impl ServerState {
 
     /// Snapshot a running pipeline at its next cycle boundary.
     pub fn snapshot(&self, name: &str) -> Result<PathBuf, String> {
-        let tx = self.sender(name)?;
+        let tx = self.ingest_target(name)?.tx;
         let (reply_tx, reply_rx) = std::sync::mpsc::sync_channel(1);
         tx.send(Msg::Snapshot(reply_tx))
             .map_err(|_| format!("pipeline {name:?} is stopped"))?;
@@ -164,14 +156,14 @@ impl ServerState {
             map.remove(name)
                 .ok_or_else(|| format!("no pipeline named {name:?}"))?
         };
-        let _ = handle.tx.send(Msg::Stop { snapshot: !discard });
+        let _ = handle.ingest.tx.send(Msg::Stop { snapshot: !discard });
         if let Some(join) = handle.join.take() {
             join.join()
                 .map_err(|_| format!("pipeline {name:?} worker panicked"))?;
         }
         // Export the lifecycle trace after the worker has drained, so
         // the file holds every stage event the pipeline will ever emit.
-        if let (Some(trace), Some(dir)) = (&handle.trace, &self.trace_dir) {
+        if let (Some(trace), Some(dir)) = (&handle.ingest.trace, &self.trace_dir) {
             if let Err(e) = write_chrome_trace(dir, name, &trace.ring().snapshot()) {
                 eprintln!("swag-server: trace export for {name:?} failed: {e}");
             }
@@ -184,28 +176,14 @@ impl ServerState {
         }
     }
 
-    /// The ingest sender for a pipeline (control-plane paths that only
-    /// need the queue, e.g. snapshot requests).
-    pub fn sender(&self, name: &str) -> Result<SyncSender<Msg>, String> {
-        // check:allow lock poisoning means a worker panicked; failing this connection thread is correct
-        let map = self.pipelines.lock().unwrap();
-        map.get(name)
-            .map(|h| h.tx.clone())
-            // alloc:amortized error path only — unknown pipeline name, once per connection
-            .ok_or_else(|| format!("no pipeline named {name:?}"))
-    }
-
     /// Everything an ingest reader needs: the queue sender, the trace
-    /// sampler, and the queue-depth gauge. One lookup per connection.
+    /// sampler, and the queue-depth gauge. One lookup per connection (and
+    /// per control-plane snapshot request, which only needs the sender).
     pub(crate) fn ingest_target(&self, name: &str) -> Result<IngestTarget, String> {
         // check:allow lock poisoning means a worker panicked; failing this connection thread is correct
         let map = self.pipelines.lock().unwrap();
         map.get(name)
-            .map(|h| IngestTarget {
-                tx: h.tx.clone(),
-                trace: h.trace.clone(),
-                queue: h.queue.clone(),
-            })
+            .map(|h| h.ingest.clone())
             // alloc:amortized error path only — unknown pipeline name, once per connection
             .ok_or_else(|| format!("no pipeline named {name:?}"))
     }
@@ -215,7 +193,7 @@ impl ServerState {
     /// disabled).
     pub fn trace_json(&self, name: &str) -> Option<Json> {
         let map = self.pipelines.lock().unwrap();
-        map.get(name).map(|h| match &h.trace {
+        map.get(name).map(|h| match &h.ingest.trace {
             Some(trace) => swag_trace::chrome::chrome_trace(name, &trace.ring().snapshot()),
             None => Json::Null,
         })
@@ -240,25 +218,14 @@ impl ServerState {
         names.sort();
         Json::obj(vec![(
             "pipelines",
-            Json::arr(names, |name| {
-                let h = &map[name];
-                Json::obj(vec![
-                    ("spec", h.spec.to_json()),
-                    ("status", h.status.lock().unwrap().to_json()),
-                ])
-            }),
+            Json::arr(names, |name| map[name].describe()),
         )])
     }
 
     /// One pipeline's spec + status, or `None` if unknown.
     pub fn status_json(&self, name: &str) -> Option<Json> {
         let map = self.pipelines.lock().unwrap();
-        map.get(name).map(|h| {
-            Json::obj(vec![
-                ("spec", h.spec.to_json()),
-                ("status", h.status.lock().unwrap().to_json()),
-            ])
-        })
+        map.get(name).map(PipelineHandle::describe)
     }
 
     /// One pipeline's answer table, or `None` if unknown.
@@ -275,7 +242,7 @@ pub struct SwagServer {
     ingest_addr: SocketAddr,
     ingest_join: Option<JoinHandle<()>>,
     slo_join: Option<JoinHandle<()>>,
-    control: Option<ControlServer>,
+    control: Option<HttpServer>,
 }
 
 impl SwagServer {
@@ -310,7 +277,7 @@ impl SwagServer {
         let slo_join = std::thread::Builder::new()
             .name("swag-slo".into())
             .spawn(move || slo::evaluator_loop(&slo_state, slo_interval))?;
-        let control = ControlServer::start(&config.http_addr, Arc::clone(&state))?;
+        let control = control::start(&config.http_addr, Arc::clone(&state))?;
         Ok(SwagServer {
             state,
             ingest_addr,
@@ -330,7 +297,7 @@ impl SwagServer {
         self.control
             .as_ref()
             .expect("control runs until shutdown")
-            .addr()
+            .local_addr()
     }
 
     /// Create a fresh pipeline.

@@ -203,7 +203,11 @@ fn tick(state: &ServerState, tracks: &mut HashMap<String, Track>) {
     let targets: Vec<(String, SloSpec, Option<SpanSampler>)> = {
         let map = state.pipelines.lock().unwrap();
         map.iter()
-            .filter_map(|(name, h)| h.spec.slo.map(|slo| (name.clone(), slo, h.trace.clone())))
+            .filter_map(|(name, h)| {
+                h.spec
+                    .slo
+                    .map(|slo| (name.clone(), slo, h.ingest.trace.clone()))
+            })
             .collect()
     };
     tracks.retain(|name, _| targets.iter().any(|(t, _, _)| t == name));

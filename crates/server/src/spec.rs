@@ -490,15 +490,8 @@ mod tests {
     }
 
     #[test]
-    fn json_round_trip_count() {
-        let spec = count_spec();
-        let back = PipelineSpec::from_json(&spec.to_json().pretty()).unwrap();
-        assert_eq!(spec, back);
-    }
-
-    #[test]
-    fn json_round_trip_event() {
-        let spec = PipelineSpec {
+    fn json_round_trips_for_both_plan_kinds() {
+        let event_spec = PipelineSpec {
             name: "high-bid".into(),
             op: OpKind::Max,
             algo: AlgoKind::Fiba,
@@ -517,8 +510,10 @@ mod tests {
                 error_budget: 0.05,
             }),
         };
-        let back = PipelineSpec::from_json(&spec.to_json().pretty()).unwrap();
-        assert_eq!(spec, back);
+        for spec in [count_spec(), event_spec] {
+            let back = PipelineSpec::from_json(&spec.to_json().pretty()).unwrap();
+            assert_eq!(spec, back);
+        }
     }
 
     #[test]

@@ -78,125 +78,106 @@ fn workload(n: usize) -> Vec<(u64, u64, f64)> {
         .collect()
 }
 
-#[test]
-fn binary_ingest_snapshot_restart_restore_is_bitwise() {
-    let tuples = workload(5000);
-    let (first, second) = tuples.split_at(2500);
+/// Tuples over one of the two ingest protocols; returns the ack.
+type Stream = fn(&SwagServer, &str, &[(u64, u64, f64)]) -> String;
 
-    // Reference: the full stream through one uninterrupted server.
-    let ref_dir = temp_dir("ref");
+/// Snapshot → restart → restore → continue through the pipeline loop,
+/// against an uninterrupted run: stream the first half, shut down
+/// gracefully (which snapshots), let `edit` at the snapshot directory,
+/// restore into a fresh server, stream the second half, and require the
+/// answer table to equal — bitwise — the one a server that saw the whole
+/// stream in one go serves. Returns the spec the restore reported.
+fn assert_restore_is_bitwise(
+    tag: &str,
+    spec: &PipelineSpec,
+    tuples: &[(u64, u64, f64)],
+    stream: Stream,
+    edit: impl FnOnce(&Path),
+) -> PipelineSpec {
+    let name = spec.name.as_str();
+    let (first, second) = tuples.split_at(tuples.len() / 2);
+
+    let ref_dir = temp_dir(&format!("{tag}-ref"));
     let reference = start(&ref_dir);
-    reference.create_pipeline(count_spec("bids")).unwrap();
-    let ack = stream_binary(&reference, "bids", &tuples);
-    assert_eq!(ack.trim(), "OK 5000");
-    wait_tuples(&reference, "bids", 5000);
-    let want = reference.answers_json("bids").unwrap();
+    reference.create_pipeline(spec.clone()).unwrap();
+    let ack = stream(&reference, name, tuples);
+    assert_eq!(ack.trim(), format!("OK {}", tuples.len()), "{tag}");
+    wait_tuples(&reference, name, tuples.len() as u64);
+    let want = reference.answers_json(name).unwrap();
     reference.shutdown().unwrap();
     let _ = std::fs::remove_dir_all(&ref_dir);
 
-    // Interrupted: half the stream, graceful shutdown (snapshots), a
-    // fresh server restores from disk, then the second half.
-    let dir = temp_dir("restore");
+    let dir = temp_dir(tag);
     let server = start(&dir);
-    server.create_pipeline(count_spec("bids")).unwrap();
-    stream_binary(&server, "bids", first);
-    wait_tuples(&server, "bids", 2500);
+    server.create_pipeline(spec.clone()).unwrap();
+    stream(&server, name, first);
+    wait_tuples(&server, name, first.len() as u64);
     server.shutdown().unwrap();
-    assert!(dir.join("bids.swag").exists(), "shutdown snapshotted");
+    assert!(
+        dir.join(format!("{name}.swag")).exists(),
+        "{tag}: shutdown snapshotted"
+    );
+    edit(&dir);
 
     let server = start(&dir);
-    let spec = server.restore_pipeline("bids").expect("restore");
-    assert_eq!(spec, count_spec("bids"));
-    stream_binary(&server, "bids", second);
-    wait_tuples(&server, "bids", 2500);
-    let got = server.answers_json("bids").unwrap();
+    let restored = server.restore_pipeline(name).expect("restore");
+    stream(&server, name, second);
+    wait_tuples(&server, name, second.len() as u64);
+    let got = server.answers_json(name).unwrap();
     server.shutdown().unwrap();
     let _ = std::fs::remove_dir_all(&dir);
 
     // Json holds f64s; equality here is exact — bitwise answers.
     assert_eq!(
         want, got,
-        "restored pipeline diverged from uninterrupted run"
+        "{tag}: restored pipeline diverged from uninterrupted run"
     );
+    restored
 }
 
+/// One pipeline loop, both plans — a count pipeline over binary frames…
 #[test]
-fn restore_across_shard_counts_is_bitwise() {
-    let tuples = workload(3000);
-    let (first, second) = tuples.split_at(1500);
-
-    let ref_dir = temp_dir("shards-ref");
-    let reference = start(&ref_dir);
-    reference.create_pipeline(count_spec("w")).unwrap();
-    stream_binary(&reference, "w", &tuples);
-    wait_tuples(&reference, "w", 3000);
-    let want = reference.answers_json("w").unwrap();
-    reference.shutdown().unwrap();
-    let _ = std::fs::remove_dir_all(&ref_dir);
-
-    let dir = temp_dir("shards");
-    let server = start(&dir);
-    server.create_pipeline(count_spec("w")).unwrap();
-    stream_binary(&server, "w", first);
-    wait_tuples(&server, "w", 1500);
-    server.shutdown().unwrap();
-
-    // Rewrite the snapshot's spec to 3 shards: keys must re-partition
-    // without touching answers (a key's state is shard-independent).
-    let mut snap = swag_server::snapshot::read_snapshot(&dir, "w").unwrap();
-    snap.spec.shards = 3;
-    swag_server::snapshot::write_snapshot(&dir, &snap).unwrap();
-
-    let server = start(&dir);
-    let spec = server.restore_pipeline("w").unwrap();
-    assert_eq!(spec.shards, 3);
-    stream_binary(&server, "w", second);
-    wait_tuples(&server, "w", 1500);
-    let got = server.answers_json("w").unwrap();
-    server.shutdown().unwrap();
-    let _ = std::fs::remove_dir_all(&dir);
-    assert_eq!(want, got, "re-sharded restore diverged");
+fn count_snapshot_restart_restore_is_bitwise() {
+    let spec = count_spec("bids");
+    let restored =
+        assert_restore_is_bitwise("count", &spec, &workload(5000), stream_binary, |_| {});
+    assert_eq!(restored, spec);
 }
 
+/// …and an event-time pipeline over the text fallback survive a restart.
 #[test]
-fn event_pipeline_over_text_protocol_restores() {
-    let spec_json = r#"{"name":"high","op":"max","algorithm":"fiba","kind":"event",
-                        "range":100,"slide":50,"lateness":10,"shards":2}"#;
+fn event_snapshot_restart_restore_is_bitwise() {
+    let spec = PipelineSpec::from_json(
+        r#"{"name":"high","op":"max","algorithm":"fiba","kind":"event",
+            "range":100,"slide":50,"lateness":10,"shards":2}"#,
+    )
+    .unwrap();
     // Exact values (integers): the FiBA tree is rebuilt from entries at
     // restore, so bitwise equality is the exact-stream guarantee.
     let events: Vec<(u64, u64, f64)> = (0..2000u64)
         .map(|i| (i % 5, i * 3, ((i * 37) % 1000) as f64))
         .collect();
-    let (first, second) = events.split_at(1000);
+    let restored = assert_restore_is_bitwise("event", &spec, &events, stream_text, |_| {});
+    assert_eq!(restored, spec);
+}
 
-    let ref_dir = temp_dir("event-ref");
-    let reference = start(&ref_dir);
-    reference
-        .create_pipeline(PipelineSpec::from_json(spec_json).unwrap())
-        .unwrap();
-    stream_text(&reference, "high", &events);
-    wait_tuples(&reference, "high", 2000);
-    let want = reference.answers_json("high").unwrap();
-    reference.shutdown().unwrap();
-    let _ = std::fs::remove_dir_all(&ref_dir);
-
-    let dir = temp_dir("event");
-    let server = start(&dir);
-    server
-        .create_pipeline(PipelineSpec::from_json(spec_json).unwrap())
-        .unwrap();
-    stream_text(&server, "high", first);
-    wait_tuples(&server, "high", 1000);
-    server.shutdown().unwrap();
-
-    let server = start(&dir);
-    server.restore_pipeline("high").unwrap();
-    stream_text(&server, "high", second);
-    wait_tuples(&server, "high", 1000);
-    let got = server.answers_json("high").unwrap();
-    server.shutdown().unwrap();
-    let _ = std::fs::remove_dir_all(&dir);
-    assert_eq!(want, got, "event restore diverged");
+#[test]
+fn restore_across_shard_counts_is_bitwise() {
+    // Rewrite the snapshot's spec to 3 shards: keys must re-partition
+    // without touching answers (a key's state is shard-independent).
+    let reshard = |dir: &Path| {
+        let mut snap = swag_server::snapshot::read_snapshot(dir, "w").unwrap();
+        snap.spec.shards = 3;
+        swag_server::snapshot::write_snapshot(dir, &snap).unwrap();
+    };
+    let restored = assert_restore_is_bitwise(
+        "shards",
+        &count_spec("w"),
+        &workload(3000),
+        stream_binary,
+        reshard,
+    );
+    assert_eq!(restored.shards, 3);
 }
 
 /// Stream tuples over the line-delimited text fallback.

@@ -272,6 +272,18 @@ impl CliConfig {
         let mut pipelines = Vec::new();
         let mut restores = Vec::new();
         let mut serve_hold_ms = 0u64;
+        // A flag's numeric value; `what` names it in the error. Flags that
+        // count something reject 0.
+        fn num<T: FromStr>(raw: String, what: &str) -> Result<T, String>
+        where
+            T::Err: std::fmt::Display,
+        {
+            raw.parse().map_err(|e| format!("bad {what}: {e}"))
+        }
+        let positive = |n: usize, flag: &str, unit: &str| match n {
+            0 => Err(format!("{flag} must be at least 1{unit}")),
+            n => Ok(n),
+        };
         let mut args = args.into_iter();
         while let Some(arg) = args.next() {
             let mut value = |name: &str| args.next().ok_or_else(|| format!("{name} needs a value"));
@@ -300,69 +312,35 @@ impl CliConfig {
                 }
                 "--engine" => engine = value("--engine")?.parse()?,
                 "--source" => source = value("--source")?.parse()?,
-                "--tuples" => {
-                    tuples = Some(
-                        value("--tuples")?
-                            .parse()
-                            .map_err(|e| format!("bad tuple count: {e}"))?,
-                    )
-                }
+                "--tuples" => tuples = Some(num(value("--tuples")?, "tuple count")?),
                 "--emit" => emit = true,
                 "--keyed" => keyed = true,
                 "--shards" => {
-                    shards = value("--shards")?
-                        .parse()
-                        .map_err(|e| format!("bad shard count: {e}"))?;
-                    if shards == 0 {
-                        return Err("--shards must be at least 1".into());
-                    }
+                    shards = positive(num(value("--shards")?, "shard count")?, "--shards", "")?
                 }
-                "--keys" => {
-                    keys = value("--keys")?
-                        .parse()
-                        .map_err(|e| format!("bad key count: {e}"))?;
-                    if keys == 0 {
-                        return Err("--keys must be at least 1".into());
-                    }
-                }
+                "--keys" => keys = positive(num(value("--keys")?, "key count")?, "--keys", "")?,
                 "--batch" => {
-                    let b: usize = value("--batch")?
-                        .parse()
-                        .map_err(|e| format!("bad batch size: {e}"))?;
-                    if b == 0 {
-                        return Err("--batch must be at least 1".into());
-                    }
-                    batch = Some(b);
+                    batch = Some(positive(
+                        num(value("--batch")?, "batch size")?,
+                        "--batch",
+                        "",
+                    )?)
                 }
                 "--metrics-addr" => metrics_addr = Some(value("--metrics-addr")?),
                 "--trace-capacity" => {
-                    let c: usize = value("--trace-capacity")?
-                        .parse()
-                        .map_err(|e| format!("bad trace capacity: {e}"))?;
-                    if c == 0 {
-                        return Err("--trace-capacity must be at least 1 event".into());
-                    }
-                    trace_capacity = Some(c);
+                    trace_capacity = Some(positive(
+                        num(value("--trace-capacity")?, "trace capacity")?,
+                        "--trace-capacity",
+                        " event",
+                    )?)
                 }
                 "--trace-out" => trace_out = Some(std::path::PathBuf::from(value("--trace-out")?)),
                 "--metrics-hold-ms" => {
-                    metrics_hold_ms = value("--metrics-hold-ms")?
-                        .parse()
-                        .map_err(|e| format!("bad hold duration: {e}"))?;
+                    metrics_hold_ms = num(value("--metrics-hold-ms")?, "hold duration")?
                 }
                 "--ooo" => ooo = true,
-                "--disorder" => {
-                    disorder = value("--disorder")?
-                        .parse()
-                        .map_err(|e| format!("bad disorder bound: {e}"))?;
-                }
-                "--lateness" => {
-                    lateness = Some(
-                        value("--lateness")?
-                            .parse()
-                            .map_err(|e| format!("bad lateness: {e}"))?,
-                    );
-                }
+                "--disorder" => disorder = num(value("--disorder")?, "disorder bound")?,
+                "--lateness" => lateness = Some(num(value("--lateness")?, "lateness")?),
                 "--serve" => serve = true,
                 "--ingest-addr" => ingest_addr = Some(value("--ingest-addr")?),
                 "--snapshot-dir" => {
@@ -371,9 +349,7 @@ impl CliConfig {
                 "--pipeline" => pipelines.push(value("--pipeline")?),
                 "--restore" => restores.push(value("--restore")?),
                 "--serve-hold-ms" => {
-                    serve_hold_ms = value("--serve-hold-ms")?
-                        .parse()
-                        .map_err(|e| format!("bad hold duration: {e}"))?;
+                    serve_hold_ms = num(value("--serve-hold-ms")?, "hold duration")?
                 }
                 other => return Err(format!("unknown flag {other:?}")),
             }
@@ -589,6 +565,18 @@ pub struct QuerySummary {
     pub last_answer: String,
 }
 
+/// Every registered query, before its first answer.
+fn blank_summaries(cfg: &CliConfig) -> Vec<QuerySummary> {
+    cfg.queries
+        .iter()
+        .map(|q| QuerySummary {
+            query: *q,
+            answers: 0,
+            last_answer: "—".to_string(),
+        })
+        .collect()
+}
+
 /// Run the platform; returns per-query summaries. Answers are written to
 /// `out` when `emit` is on, one `query_index<TAB>answer` line each.
 pub fn run(
@@ -630,6 +618,16 @@ pub fn run(
     // ops, Non-Inv for selective ones.
     macro_rules! run_engine {
         ($op:expr, $sink:ident, $slick:ident) => {{
+            macro_rules! shared {
+                ($multi:ident) => {
+                    drive_shared(
+                        &mut SharedPlanExecutor::<_, $multi<_>>::new($op, plan.clone()),
+                        &mut source,
+                        batch,
+                        &mut $sink,
+                    )
+                };
+            }
             match cfg.engine {
                 EngineChoice::General => {
                     GeneralPlanExecutor::new($op, plan.clone()).run(
@@ -638,36 +636,11 @@ pub fn run(
                         &mut $sink,
                     );
                 }
-                EngineChoice::SlickDeque => drive_shared(
-                    &mut SharedPlanExecutor::<_, $slick<_>>::new($op, plan.clone()),
-                    &mut source,
-                    batch,
-                    &mut $sink,
-                ),
-                EngineChoice::Naive => drive_shared(
-                    &mut SharedPlanExecutor::<_, MultiNaive<_>>::new($op, plan.clone()),
-                    &mut source,
-                    batch,
-                    &mut $sink,
-                ),
-                EngineChoice::FlatFat => drive_shared(
-                    &mut SharedPlanExecutor::<_, MultiFlatFat<_>>::new($op, plan.clone()),
-                    &mut source,
-                    batch,
-                    &mut $sink,
-                ),
-                EngineChoice::BInt => drive_shared(
-                    &mut SharedPlanExecutor::<_, MultiBInt<_>>::new($op, plan.clone()),
-                    &mut source,
-                    batch,
-                    &mut $sink,
-                ),
-                EngineChoice::FlatFit => drive_shared(
-                    &mut SharedPlanExecutor::<_, MultiFlatFit<_>>::new($op, plan.clone()),
-                    &mut source,
-                    batch,
-                    &mut $sink,
-                ),
+                EngineChoice::SlickDeque => shared!($slick),
+                EngineChoice::Naive => shared!(MultiNaive),
+                EngineChoice::FlatFat => shared!(MultiFlatFat),
+                EngineChoice::BInt => shared!(MultiBInt),
+                EngineChoice::FlatFit => shared!(MultiFlatFit),
             }
         }};
     }
@@ -677,15 +650,7 @@ pub fn run(
             let op = $op;
             let mut sink = CollectSink::new();
             run_engine!(op, sink, $class);
-            let mut summaries: Vec<QuerySummary> = cfg
-                .queries
-                .iter()
-                .map(|q| QuerySummary {
-                    query: *q,
-                    answers: 0,
-                    last_answer: "—".to_string(),
-                })
-                .collect();
+            let mut summaries = blank_summaries(cfg);
             #[allow(clippy::redundant_closure_call)]
             for (qi, answer) in &sink.answers {
                 let rendered: String = $render(&op, answer);
@@ -736,7 +701,7 @@ fn build_observability(
     cfg: &CliConfig,
 ) -> Result<
     (
-        Option<swag_engine::MetricsServer>,
+        Option<swag_engine::HttpServer>,
         swag_engine::ObservabilityConfig,
     ),
     String,
@@ -747,7 +712,7 @@ fn build_observability(
         .map(|_| std::sync::Arc::new(swag_metrics::MetricRegistry::new()));
     let server = match (&cfg.metrics_addr, &registry) {
         (Some(addr), Some(registry)) => {
-            let server = swag_engine::MetricsServer::start(addr.as_str(), registry.clone())
+            let server = swag_engine::HttpServer::metrics(addr.as_str(), registry.clone())
                 .map_err(|e| format!("--metrics-addr {addr}: {e}"))?;
             eprintln!("metrics: serving http://{}/metrics", server.local_addr());
             Some(server)
@@ -771,89 +736,138 @@ fn build_observability(
 }
 
 /// Run the platform in keyed mode on the sharded engine: the stream is
-/// hash-partitioned across `--shards` workers and the shared plan runs
+/// hash-partitioned across `--shards` workers and the queries run
 /// independently per key. Returns per-query summaries (aggregated over all
-/// keys) plus the engine's run statistics. With `--emit`, answers are
-/// written as `key<TAB>query_index<TAB>answer` lines, grouped by shard.
+/// keys) plus the engine's run statistics.
+///
+/// Without `--ooo` the shared plan runs per key over arrival order; with
+/// `--emit`, answers are written as `key<TAB>query_index<TAB>answer`
+/// lines, grouped by shard. With `--ooo` each tuple carries its stream
+/// position as the event timestamp, `--disorder` shuffles the stream with
+/// a provable displacement bound, and every key's `--queries` time windows
+/// run on a FiBA finger B-tree and close when the watermark passes their
+/// end; `--emit` lines are then
+/// `key<TAB>query_index<TAB>window_end<TAB>answer`.
 pub fn run_keyed(
     cfg: &CliConfig,
     out: &mut dyn Write,
 ) -> Result<(Vec<QuerySummary>, EngineStats), String> {
-    if cfg.ooo {
-        return run_keyed_events(cfg, out);
-    }
-    let plan = SharedPlan::build(&cfg.queries, cfg.pat);
-    if !(plan.all_edges_cut() && plan.uniform_query_ranges().is_some()) {
-        return Err("keyed mode runs shared plans per key and needs a uniform, \
-             punctuation-free plan (this one has Cutty punctuations or \
-             non-uniform partial counts)"
-            .into());
-    }
-    if cfg.engine == EngineChoice::General {
-        return Err("--engine general is not available with --keyed".into());
-    }
     let tuples = cfg.tuples.ok_or("--tuples is required with --keyed")?;
-    let mut source = build_keyed_source(cfg)?;
-    let (server, obs) = build_observability(cfg)?;
-
-    let engine = ShardedEngine::try_new(EngineConfig {
-        shards: cfg.shards,
-        batch: cfg.batch.unwrap_or(EngineConfig::default().batch),
-        retain_answers: true,
-        obs,
-        ..EngineConfig::default()
-    })?;
-
-    // Per-key answers are lowered inside the shard workers, so every op
-    // produces the same `(key, (query, f64))` shape here.
-    macro_rules! keyed_with {
-        ($op:expr, $multi:ident) => {{
-            let op = $op;
-            engine.run(source.as_mut(), tuples, |_shard| {
-                KeyedPlans::<_, $multi<_>>::new(op, plan.clone())
-            })
-        }};
-    }
-    macro_rules! keyed_op {
-        ($op:expr, $slick:ident) => {{
-            match cfg.engine {
-                EngineChoice::SlickDeque => keyed_with!($op, $slick),
-                EngineChoice::Naive => keyed_with!($op, MultiNaive),
-                EngineChoice::FlatFat => keyed_with!($op, MultiFlatFat),
-                EngineChoice::BInt => keyed_with!($op, MultiBInt),
-                EngineChoice::FlatFit => keyed_with!($op, MultiFlatFit),
-                EngineChoice::General => unreachable!("rejected above"),
-            }
-        }};
-    }
-
-    let run = match cfg.op {
-        OpChoice::Sum => keyed_op!(Sum::<f64>::new(), MultiSlickDequeInv),
-        OpChoice::Mean => keyed_op!(Mean::new(), MultiSlickDequeInv),
-        OpChoice::StdDev => keyed_op!(StdDev::new(), MultiSlickDequeInv),
-        OpChoice::Max => keyed_op!(MaxF64::new(), MultiSlickDequeNonInv),
-        OpChoice::Min => keyed_op!(MinF64::new(), MultiSlickDequeNonInv),
+    // Called by each path once it has refused what it cannot run, so a
+    // bad command line starts nothing.
+    let set_up = || -> Result<_, String> {
+        let source = build_keyed_source(cfg)?;
+        let (server, obs) = build_observability(cfg)?;
+        let engine = ShardedEngine::try_new(EngineConfig {
+            shards: cfg.shards,
+            batch: cfg.batch.unwrap_or(EngineConfig::default().batch),
+            retain_answers: true,
+            obs,
+            ..EngineConfig::default()
+        })?;
+        Ok((source, server, engine))
     };
 
-    let mut summaries: Vec<QuerySummary> = cfg
-        .queries
-        .iter()
-        .map(|q| QuerySummary {
-            query: *q,
-            answers: 0,
-            last_answer: "—".to_string(),
-        })
-        .collect();
-    for shard_answers in &run.answers {
-        for &(key, (qi, answer)) in shard_answers {
-            let rendered = format!("{answer:.6}");
-            if cfg.emit {
-                writeln!(out, "{key}\t{qi}\t{rendered}").map_err(|e| e.to_string())?;
+    let mut summaries = blank_summaries(cfg);
+    // Per-key answers are lowered inside the shard workers, so every op
+    // and either path tallies the same way; `end` is the closed window's
+    // end on the event-time path.
+    let mut tally = |key: u64, qi: usize, end: Option<u64>, answer: f64| {
+        let rendered = format!("{answer:.6}");
+        if cfg.emit {
+            match end {
+                Some(end) => writeln!(out, "{key}\t{qi}\t{end}\t{rendered}"),
+                None => writeln!(out, "{key}\t{qi}\t{rendered}"),
             }
-            summaries[qi].answers += 1;
-            summaries[qi].last_answer = rendered;
+            .map_err(|e| e.to_string())?;
         }
-    }
+        summaries[qi].answers += 1;
+        summaries[qi].last_answer = rendered;
+        Ok::<(), String>(())
+    };
+
+    let (server, stats) = if cfg.ooo {
+        if cfg.engine != EngineChoice::SlickDeque {
+            return Err("--ooo always runs time windows on the FiBA finger B-tree; \
+                 --engine selects count-based multi-query engines and does not apply"
+                .into());
+        }
+        let (source, server, engine) = set_up()?;
+        let specs: Vec<TimeWindowSpec> = cfg
+            .queries
+            .iter()
+            .map(|q| TimeWindowSpec::new(q.range, q.slide))
+            .collect();
+        // The disorder shuffle is seeded from the source seed so a run
+        // line is reproducible end to end.
+        let seed = match &cfg.source {
+            SourceChoice::Stdin => unreachable!("validated: --keyed rejects stdin"),
+            SourceChoice::Debs { seed, .. } | SourceChoice::Synthetic { seed, .. } => *seed,
+        };
+        let mut source = DisorderedKeyedSource::new(source, cfg.disorder, seed);
+        macro_rules! events_op {
+            ($op:expr) => {{
+                let op = $op;
+                engine.run_events(&mut source, tuples, cfg.lateness, |_shard| {
+                    KeyedEventWindows::new(op, specs.clone())
+                })
+            }};
+        }
+        let run = match cfg.op {
+            OpChoice::Sum => events_op!(Sum::<f64>::new()),
+            OpChoice::Mean => events_op!(Mean::new()),
+            OpChoice::StdDev => events_op!(StdDev::new()),
+            OpChoice::Max => events_op!(MaxF64::new()),
+            OpChoice::Min => events_op!(MinF64::new()),
+        };
+        for &(key, (qi, end, answer)) in run.answers.iter().flatten() {
+            tally(key, qi, Some(end), answer)?;
+        }
+        (server, run.stats)
+    } else {
+        let plan = SharedPlan::build(&cfg.queries, cfg.pat);
+        if !(plan.all_edges_cut() && plan.uniform_query_ranges().is_some()) {
+            return Err("keyed mode runs shared plans per key and needs a uniform, \
+                 punctuation-free plan (this one has Cutty punctuations or \
+                 non-uniform partial counts)"
+                .into());
+        }
+        if cfg.engine == EngineChoice::General {
+            return Err("--engine general is not available with --keyed".into());
+        }
+        let (mut source, server, engine) = set_up()?;
+        macro_rules! keyed_with {
+            ($op:expr, $multi:ident) => {{
+                let op = $op;
+                engine.run(source.as_mut(), tuples, |_shard| {
+                    KeyedPlans::<_, $multi<_>>::new(op, plan.clone())
+                })
+            }};
+        }
+        macro_rules! keyed_op {
+            ($op:expr, $slick:ident) => {{
+                match cfg.engine {
+                    EngineChoice::SlickDeque => keyed_with!($op, $slick),
+                    EngineChoice::Naive => keyed_with!($op, MultiNaive),
+                    EngineChoice::FlatFat => keyed_with!($op, MultiFlatFat),
+                    EngineChoice::BInt => keyed_with!($op, MultiBInt),
+                    EngineChoice::FlatFit => keyed_with!($op, MultiFlatFit),
+                    EngineChoice::General => unreachable!("rejected above"),
+                }
+            }};
+        }
+        let run = match cfg.op {
+            OpChoice::Sum => keyed_op!(Sum::<f64>::new(), MultiSlickDequeInv),
+            OpChoice::Mean => keyed_op!(Mean::new(), MultiSlickDequeInv),
+            OpChoice::StdDev => keyed_op!(StdDev::new(), MultiSlickDequeInv),
+            OpChoice::Max => keyed_op!(MaxF64::new(), MultiSlickDequeNonInv),
+            OpChoice::Min => keyed_op!(MinF64::new(), MultiSlickDequeNonInv),
+        };
+        for &(key, (qi, answer)) in run.answers.iter().flatten() {
+            tally(key, qi, None, answer)?;
+        }
+        (server, run.stats)
+    };
 
     // Keep the endpoint alive for scrapers (CI smoke) before tearing it
     // down; shutdown is also what Drop would do, but doing it explicitly
@@ -864,90 +878,7 @@ pub fn run_keyed(
         }
         server.shutdown();
     }
-    Ok((summaries, run.stats))
-}
-
-/// Run a `--ooo` event-time keyed run. Each tuple carries its stream
-/// position as the event timestamp; `--disorder` shuffles the stream with
-/// a provable displacement bound; every key's `--queries` time windows
-/// run on a FiBA finger B-tree and close when the watermark passes their
-/// end. With `--emit`, answers are written as
-/// `key<TAB>query_index<TAB>window_end<TAB>answer` lines, grouped by
-/// shard.
-fn run_keyed_events(
-    cfg: &CliConfig,
-    out: &mut dyn Write,
-) -> Result<(Vec<QuerySummary>, EngineStats), String> {
-    if cfg.engine != EngineChoice::SlickDeque {
-        return Err("--ooo always runs time windows on the FiBA finger B-tree; \
-             --engine selects count-based multi-query engines and does not apply"
-            .into());
-    }
-    let tuples = cfg.tuples.ok_or("--tuples is required with --keyed")?;
-    let specs: Vec<TimeWindowSpec> = cfg
-        .queries
-        .iter()
-        .map(|q| TimeWindowSpec::new(q.range, q.slide))
-        .collect();
-    // The disorder shuffle is seeded from the source seed so a run line
-    // is reproducible end to end.
-    let seed = match &cfg.source {
-        SourceChoice::Stdin => unreachable!("validated: --keyed rejects stdin"),
-        SourceChoice::Debs { seed, .. } | SourceChoice::Synthetic { seed, .. } => *seed,
-    };
-    let mut source = DisorderedKeyedSource::new(build_keyed_source(cfg)?, cfg.disorder, seed);
-    let (server, obs) = build_observability(cfg)?;
-    let engine = ShardedEngine::try_new(EngineConfig {
-        shards: cfg.shards,
-        batch: cfg.batch.unwrap_or(EngineConfig::default().batch),
-        retain_answers: true,
-        obs,
-        ..EngineConfig::default()
-    })?;
-
-    macro_rules! events_op {
-        ($op:expr) => {{
-            let op = $op;
-            engine.run_events(&mut source, tuples, cfg.lateness, |_shard| {
-                KeyedEventWindows::new(op, specs.clone())
-            })
-        }};
-    }
-    let run = match cfg.op {
-        OpChoice::Sum => events_op!(Sum::<f64>::new()),
-        OpChoice::Mean => events_op!(Mean::new()),
-        OpChoice::StdDev => events_op!(StdDev::new()),
-        OpChoice::Max => events_op!(MaxF64::new()),
-        OpChoice::Min => events_op!(MinF64::new()),
-    };
-
-    let mut summaries: Vec<QuerySummary> = cfg
-        .queries
-        .iter()
-        .map(|q| QuerySummary {
-            query: *q,
-            answers: 0,
-            last_answer: "—".to_string(),
-        })
-        .collect();
-    for shard_answers in &run.answers {
-        for &(key, (qi, end, answer)) in shard_answers {
-            let rendered = format!("{answer:.6}");
-            if cfg.emit {
-                writeln!(out, "{key}\t{qi}\t{end}\t{rendered}").map_err(|e| e.to_string())?;
-            }
-            summaries[qi].answers += 1;
-            summaries[qi].last_answer = rendered;
-        }
-    }
-
-    if let Some(server) = server {
-        if cfg.metrics_hold_ms > 0 {
-            std::thread::sleep(std::time::Duration::from_millis(cfg.metrics_hold_ms));
-        }
-        server.shutdown();
-    }
-    Ok((summaries, run.stats))
+    Ok((summaries, stats))
 }
 
 /// Read one `f64` per non-empty line.
@@ -1264,28 +1195,37 @@ mod tests {
         assert!(stats.tuples_per_batch() <= 16.0);
     }
 
+    /// Per-key answers do not depend on the shard count, in arrival order
+    /// or in (disordered) event time: the emitted lines are the same set.
     #[test]
     fn keyed_answers_are_shard_count_invariant() {
-        let mut reference: Option<Vec<QuerySummary>> = None;
-        for shards in [1usize, 3] {
-            let cfg = CliConfig::parse(args(&format!(
-                "--op max --queries 16:4,8:2 --source debs:9 --tuples 4000 \
-                 --keyed --shards {shards} --keys 7"
-            )))
-            .unwrap();
-            let mut out = Vec::new();
-            let (summaries, stats) = run_keyed(&cfg, &mut out).unwrap();
-            assert_eq!(stats.tuples, 4000);
-            assert_eq!(stats.shards.len(), shards);
-            assert_eq!(stats.keys(), 7);
-            // Answer *counts* per query are shard-invariant (the last
-            // rendered answer depends on shard iteration order, so compare
-            // counts only).
-            let counts: Vec<u64> = summaries.iter().map(|s| s.answers).collect();
-            match &reference {
-                None => reference = Some(summaries),
-                Some(r) => {
-                    assert_eq!(counts, r.iter().map(|s| s.answers).collect::<Vec<_>>());
+        for path in [
+            "--queries 16:4,8:2 --keys 7",
+            "--queries 32:8 --keys 7 --ooo --disorder 64",
+        ] {
+            let mut reference: Option<Vec<String>> = None;
+            for shards in [1usize, 3] {
+                let cfg = CliConfig::parse(args(&format!(
+                    "--op max {path} --source debs:9 --tuples 4000 --keyed --shards {shards} --emit"
+                )))
+                .unwrap();
+                let mut out = Vec::new();
+                let (summaries, stats) = run_keyed(&cfg, &mut out).unwrap();
+                assert_eq!(stats.tuples, 4000, "{path}");
+                assert_eq!(stats.shards.len(), shards, "{path}");
+                assert_eq!(stats.keys(), 7, "{path}");
+                assert_eq!(stats.late_tuples, 0, "the source's promise drops nothing");
+                assert!(summaries.iter().all(|s| s.answers > 0), "{path}");
+                // Shards interleave differently; compare as a set.
+                let mut lines: Vec<String> = String::from_utf8(out)
+                    .unwrap()
+                    .lines()
+                    .map(str::to_string)
+                    .collect();
+                lines.sort();
+                match &reference {
+                    None => reference = Some(lines),
+                    Some(r) => assert_eq!(&lines, r, "{path} @ {shards} shards"),
                 }
             }
         }
@@ -1378,33 +1318,6 @@ mod tests {
                 "0\t0\t32\t8.000000",
             ]
         );
-    }
-
-    #[test]
-    fn ooo_answers_are_disorder_and_shard_invariant() {
-        let mut reference: Option<Vec<String>> = None;
-        for shards in [1usize, 3] {
-            let cfg = CliConfig::parse(args(&format!(
-                "--op max --queries 32:8 --source debs:9 --tuples 2000 \
-                 --keyed --keys 5 --shards {shards} --ooo --disorder 64 --emit"
-            )))
-            .unwrap();
-            let mut out = Vec::new();
-            let (summaries, stats) = run_keyed(&cfg, &mut out).unwrap();
-            assert_eq!(stats.tuples, 2000);
-            assert_eq!(stats.late_tuples, 0, "the source's promise drops nothing");
-            assert!(summaries[0].answers > 0);
-            let mut lines: Vec<String> = String::from_utf8(out)
-                .unwrap()
-                .lines()
-                .map(str::to_string)
-                .collect();
-            lines.sort();
-            match &reference {
-                None => reference = Some(lines),
-                Some(r) => assert_eq!(&lines, r, "{shards} shards"),
-            }
-        }
     }
 
     #[test]

@@ -77,8 +77,8 @@ pub mod prelude {
         Workload,
     };
     pub use swag_engine::{
-        shard_of, EngineConfig, EngineStats, EventBatch, EventProcessor, KeyedEventWindows,
-        KeyedPlans, KeyedWindows, ShardProcessor, ShardStats, ShardedEngine,
+        shard_of, EngineConfig, EngineStats, KeyedEventWindows, KeyedPlans, KeyedWindows,
+        ShardProcessor, ShardStats, ShardedEngine,
     };
     pub use swag_metrics::{
         LatencyRecorder, LatencySummary, QueueDepthGauge, Throughput, ThroughputMeter,

@@ -205,10 +205,10 @@ impl<O: AggregateOp> TimeWindowExec<O> {
                 .filter(|&(end, q)| end <= bound(q))
                 .min();
             let Some((end, q)) = due else { break };
-            let spec = self.specs[q];
+            let spec = self.specs[q]; // check:allow q enumerates next_end, which holds one cursor per spec
             let part = self.tree.query_range(end - spec.range, end);
-            out.push((q, end, self.tree.op().lower(&part)));
-            self.next_end[q] = Some(end + spec.slide);
+            out.push((q, end, self.tree.op().lower(&part))); // alloc:amortized one entry per window this advance closes: the answers are the product
+            self.next_end[q] = Some(end + spec.slide); // check:allow q enumerates next_end itself
         }
         out
     }
