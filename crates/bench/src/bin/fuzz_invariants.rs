@@ -190,7 +190,9 @@ fn fuzz_multi_inv(label: &str, ranges: &[usize], steps: u64, rng: &mut Xoshiro25
 }
 
 /// Fuzz the multi-query non-invertible SlickDeque (Algorithm 2) against a
-/// per-range max-refolding oracle.
+/// per-range max-refolding oracle, through both the per-slide path and the
+/// frame-wise bulk path (batches up to twice the window, so short runs,
+/// whole frames and multi-frame batches all occur).
 fn fuzz_multi_noninv(
     label: &str,
     ranges: &[usize],
@@ -205,17 +207,34 @@ fn fuzz_multi_noninv(
     let mut out = Vec::new();
     let mut mutations = 0u64;
     for step in 0..steps {
-        let v = rng.gen_below(1000) as i64 - 500;
-        agg.slide_multi(op.lift(&v), &mut out);
-        oracle.push_back(v);
-        if oracle.len() > wsize {
-            oracle.pop_front();
+        let b = if rng.gen_below(100) < 70 {
+            1
+        } else {
+            rng.gen_below(2 * wsize as u64 + 1) as usize
+        };
+        let vals: Vec<i64> = (0..b).map(|_| rng.gen_below(1000) as i64 - 500).collect();
+        if b == 1 {
+            agg.slide_multi(op.lift(&vals[0]), &mut out);
+        } else {
+            let lifted: Vec<_> = vals.iter().map(|v| op.lift(v)).collect();
+            agg.bulk_slide_multi(&lifted, &mut out);
         }
-        for (i, &r) in rs.iter().enumerate() {
-            let expect = oracle.iter().rev().take(r).max().copied();
-            assert_eq!(out[i], expect, "{label}: range {r} diverged at step {step}");
+        assert_eq!(out.len(), b * rs.len(), "{label}: answer count");
+        for (k, v) in vals.into_iter().enumerate() {
+            oracle.push_back(v);
+            if oracle.len() > wsize {
+                oracle.pop_front();
+            }
+            for (i, &r) in rs.iter().enumerate() {
+                let expect = oracle.iter().rev().take(r).max().copied();
+                assert_eq!(
+                    out[k * rs.len() + i],
+                    expect,
+                    "{label}: range {r}, element {k} diverged at step {step}"
+                );
+            }
         }
-        mutations += 1;
+        mutations += b as u64;
         if let Err(violation) = agg.check_invariants() {
             panic!("{label}: step {step}: {violation}");
         }

@@ -4,7 +4,8 @@
 //! `fold_slice`, `prefix_scan_into`, `suffix_scan_into` — against the
 //! scalar per-element loops the trait defaults describe, then measures
 //! the `bulk_insert` hot paths those kernels feed against a per-tuple
-//! `slide` loop. Two row groups:
+//! `slide` loop, and SlickDeque (Non-Inv)'s frame-wise `bulk_slide`
+//! against the same loop keeping its answers. Three row groups:
 //!
 //! - **kernel rows** (`fold_slice`, `prefix_scan`, `suffix_scan`): raw
 //!   kernel throughput on a contiguous slice of lifted partials. The
@@ -18,6 +19,12 @@
 //!   `SlickDequeInv` (Sum/Mean/StdDev) and `SlickDequeNonInv` (Max) vs
 //!   a `slide`-per-tuple loop on the same aggregator, window
 //!   [`KERNEL_WINDOW`].
+//! - **`bulk_slide` rows**: `SlickDequeNonInv::bulk_slide` (Max) vs the
+//!   trait default it overrides — a `slide` loop pushing each answer — at
+//!   [`FRAME_BATCHES`]. Batch 8 is under the frame kernel's cut-over, so
+//!   both sides run the per-slide loop; from 16 up the override answers
+//!   frame-wise. An override against its own default, so these rows are
+//!   gated like the kernel rows.
 //!
 //! Rates are elements/sec (`ops_per_sec`) and input bytes/sec
 //! (`bytes_per_sec` = elements/sec × partial size). Each (scalar,
@@ -37,7 +44,11 @@ use swag_metrics::{Json, ToJson};
 /// first size where lane kernels engage fully.
 pub const KERNEL_BATCHES: &[usize] = &[1, 64, 512, 4096];
 
-/// Window for the `bulk_insert` rows: larger than every batch, so the
+/// Batch sizes of the `bulk_slide` rows: either side of the frame
+/// kernel's cut-over (16), then the sizes the gate reads.
+pub const FRAME_BATCHES: &[usize] = &[8, 16, 64, 512];
+
+/// Window for the `bulk_insert` and `bulk_slide` rows: larger than every batch, so the
 /// non-invertible deque keeps live survivors across batches.
 pub const KERNEL_WINDOW: usize = 2048;
 
@@ -48,7 +59,8 @@ pub const ROUNDS: usize = 3;
 /// One (group, op, batch) measurement.
 #[derive(Debug, Clone)]
 pub struct KernelRow {
-    /// `fold_slice`, `prefix_scan`, `suffix_scan`, or `bulk_insert`.
+    /// `fold_slice`, `prefix_scan`, `suffix_scan`, `bulk_insert`, or
+    /// `bulk_slide`.
     pub group: String,
     /// Operation name (`sum`, `max`, `mean`, `stddev`).
     pub op: String,
@@ -317,8 +329,52 @@ where
     }
 }
 
-/// Run the sweep: kernel rows for Sum/Max/Mean/StdDev, then
-/// `bulk_insert` rows for the two SlickDeque variants.
+/// `bulk_slide` rows: SlickDeque (Non-Inv)'s frame-wise override vs the
+/// `slide`-and-push loop of the trait default, on identically warmed
+/// windows.
+fn frame_rows(values: &[f64], budget: Duration, rows: &mut Vec<KernelRow>) {
+    let op = MaxF64::new();
+    let warm = || {
+        let mut agg = SlickDequeNonInv::with_capacity(op, KERNEL_WINDOW);
+        for v in values.iter().cycle().take(2 * KERNEL_WINDOW) {
+            agg.slide(*v);
+        }
+        agg
+    };
+    let mut scalar_out = Vec::new();
+    let mut kernel_out = Vec::new();
+    for &batch in FRAME_BATCHES {
+        let mut scalar_agg = warm();
+        let mut kernel_agg = warm();
+        let slice = &values[..batch];
+        let pair = measure_pair(
+            budget,
+            batch,
+            &mut || {
+                scalar_out.clear();
+                for p in slice {
+                    scalar_out.push(scalar_agg.slide(*p));
+                }
+                black_box(&scalar_out);
+            },
+            &mut || {
+                kernel_agg.bulk_slide(slice, &mut kernel_out);
+                black_box(&kernel_out);
+            },
+        );
+        push_row(
+            rows,
+            "bulk_slide",
+            "max",
+            batch,
+            core::mem::size_of::<f64>(),
+            pair,
+        );
+    }
+}
+
+/// Run the sweep: kernel rows for Sum/Max/Mean/StdDev, `bulk_insert`
+/// rows for the two SlickDeque variants, then the `bulk_slide` rows.
 pub fn run(cfg: &Config) -> KernelTable {
     let max_batch = *KERNEL_BATCHES.last().expect("non-empty batches");
     let stream = crate::registry::CyclicStream::debs(1 << 14, cfg.seed);
@@ -335,6 +391,8 @@ pub fn run(cfg: &Config) -> KernelTable {
     bulk_rows::<_, SlickDequeNonInv<_>>("max", MaxF64::new(), &values, budget, &mut rows);
     bulk_rows::<_, SlickDequeInv<_>>("mean", Mean::new(), &values, budget, &mut rows);
     bulk_rows::<_, SlickDequeInv<_>>("stddev", StdDev::new(), &values, budget, &mut rows);
+
+    frame_rows(&values, budget, &mut rows);
 
     KernelTable {
         id: "kernels".to_string(),
@@ -356,8 +414,9 @@ mod tests {
     #[test]
     fn sweep_covers_every_group_op_and_batch() {
         let t = run(&tiny_cfg());
-        // 4 ops × 3 kernels × 4 batches, plus 4 bulk combos × 4 batches.
-        assert_eq!(t.rows.len(), 4 * 3 * 4 + 4 * 4);
+        // 4 ops × 3 kernels × 4 batches, plus 4 bulk combos × 4 batches,
+        // plus the bulk_slide rows.
+        assert_eq!(t.rows.len(), 4 * 3 * 4 + 4 * 4 + FRAME_BATCHES.len());
         for r in &t.rows {
             assert!(
                 r.ops_per_sec > 0.0,
@@ -371,6 +430,7 @@ mod tests {
         }
         assert!(t.get("fold_slice", "sum", 512).is_some());
         assert!(t.get("bulk_insert", "max", 4096).is_some());
+        assert!(t.get("bulk_slide", "max", 16).is_some());
     }
 
     #[test]
@@ -378,7 +438,11 @@ mod tests {
         let mut t = run(&tiny_cfg());
         // No row can beat an impossible floor …
         let all = t.gate_violations(f64::INFINITY);
-        assert_eq!(all.len(), 4 * 3 * 3, "batch ≥ 64 kernel rows only");
+        assert_eq!(
+            all.len(),
+            4 * 3 * 3 + 2,
+            "batch ≥ 64 kernel and bulk_slide rows only"
+        );
         // … and bulk_insert rows are never gated even when slow.
         for r in &mut t.rows {
             if r.group == "bulk_insert" {

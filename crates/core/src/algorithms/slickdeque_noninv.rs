@@ -17,15 +17,12 @@
 
 use crate::aggregator::{FinalAggregator, MemoryFootprint};
 use crate::chunked::ChunkedDeque;
+use crate::frame::{self, MIN_FRAME};
 use crate::invariants::{ensure, strict_check, InvariantViolation};
 use crate::ops::SelectiveOp;
 
-#[derive(Debug, Clone)]
-struct Node<P> {
-    /// Absolute arrival index of this partial.
-    pos: u64,
-    val: P,
-}
+/// A deque node; `pos` is the partial's absolute arrival index.
+type Node<P> = frame::Node<u64, P>;
 
 /// Monotone-deque sliding window for selective (non-invertible) operations.
 ///
@@ -49,10 +46,10 @@ pub struct SlickDequeNonInv<O: SelectiveOp> {
     next_pos: u64,
     window: usize,
     len: usize,
-    /// Reusable survivor buffer for `bulk_insert` (batch offset, value),
-    /// newest→oldest; kept across calls so bulk ingestion allocates only
-    /// at its high-water mark.
-    survivors: Vec<(usize, O::Partial)>,
+    /// Survivor bitset of the frame kernel, one bit per frame slot; kept
+    /// across calls so bulk ingestion allocates only at its high-water
+    /// mark. Scratch, not state: never serialized.
+    marks: Vec<u64>,
 }
 
 impl<O: SelectiveOp> SlickDequeNonInv<O> {
@@ -66,7 +63,7 @@ impl<O: SelectiveOp> SlickDequeNonInv<O> {
             next_pos: 0,
             window,
             len: 0,
-            survivors: Vec::new(),
+            marks: Vec::new(),
         }
     }
 
@@ -99,6 +96,15 @@ impl<O: SelectiveOp> SlickDequeNonInv<O> {
         }
     }
 
+    /// Remove every head that has fallen out of the window — one head scan
+    /// for a whole range of expired positions.
+    fn expire_heads(&mut self) {
+        let oldest_live = self.next_pos - self.len as u64;
+        while self.deque.front().is_some_and(|n| n.pos < oldest_live) {
+            self.deque.pop_front();
+        }
+    }
+
     /// Dynamically resize the window (paper §3.1: all compared approaches
     /// "handle such cases by performing dynamic resize operations").
     ///
@@ -110,10 +116,7 @@ impl<O: SelectiveOp> SlickDequeNonInv<O> {
         self.window = window;
         if self.len > window {
             self.len = window;
-            let oldest_live = self.next_pos - self.len as u64;
-            while self.deque.front().is_some_and(|n| n.pos < oldest_live) {
-                self.deque.pop_front();
-            }
+            self.expire_heads();
         }
     }
 }
@@ -169,89 +172,64 @@ impl<O: SelectiveOp> FinalAggregator<O> for SlickDequeNonInv<O> {
     fn bulk_evict(&mut self, n: usize) {
         assert!(n <= self.len, "evicting {n} of {} partials", self.len); // check:allow precondition assert documenting the caller contract
         self.len -= n;
-        let oldest_live = self.next_pos - self.len as u64;
-        while self
-            .deque
-            .front()
-            .is_some_and(|node| node.pos < oldest_live)
-        {
-            self.deque.pop_front();
-        }
+        self.expire_heads();
         strict_check!(self);
     }
 
-    /// Algorithm 2's dominance popping, batched: scan the batch
-    /// right-to-left once to find its surviving (dominance-decreasing)
-    /// suffix, pop the existing tail nodes the batch winner dominates, and
-    /// append the survivors in one reserved run — each batch partial costs
-    /// one comparison instead of a full push/pop cycle.
+    /// Algorithm 2's dominance popping, batched: one call into the frame
+    /// kernel's dominated-suffix scan ([`frame::append_frame`]) — each batch
+    /// partial costs one comparison instead of a full push/pop cycle.
     fn bulk_insert(&mut self, batch: &[O::Partial]) {
         let b = batch.len();
-        if b == 0 {
-            return;
-        }
         // Only the last `window` arrivals can be live once the batch is in.
         let skip = b.saturating_sub(self.window);
         if skip > 0 {
             self.deque.clear();
         }
-        let tail = &batch[skip..];
-        // Right-to-left: a partial survives iff the fold of everything
-        // after it does not defeat it — the same outcome as sequential
-        // tail-popping, where later arrivals cascade through the deque.
-        // Seeding the winner from the newest element keeps the scan to one
-        // dominance test per element, no per-element `Option` state.
-        self.survivors.clear();
-        let mut iter = tail.iter().enumerate().rev();
-        let mut winner = match iter.next() {
-            Some((i, p)) => {
-                self.survivors.push((skip + i, p.clone())); // alloc:amortized window buffer growth is amortized O(1) doubling
-                p.clone()
-            }
-            None => return, // unreachable: skip < b, so the tail is non-empty
-        };
-        for (i, p) in iter {
-            if !self.op.defeats(&winner, p) {
-                self.survivors.push((skip + i, p.clone())); // alloc:amortized window buffer growth is amortized O(1) doubling
-                winner = self.op.combine(p, &winner);
-            }
-        }
-        // The oldest survivor is the batch winner: count the existing tail
-        // suffix it defeats (defeated nodes form a contiguous tail) by
-        // walking the contiguous chunk runs newest-to-oldest — no chunk
-        // boundary branch per node — then drop it with one truncate.
-        // check:allow the batch was just checked non-empty, so a survivor exists
-        let strongest = &self.survivors.last().expect("batch is non-empty").1;
-        let mut defeated = 0;
-        'runs: for run in self.deque.slices().rev() {
-            for node in run.iter().rev() {
-                if self.op.defeats(strongest, &node.val) {
-                    defeated += 1;
-                } else {
-                    break 'runs;
-                }
-            }
-        }
-        self.deque.truncate_back(defeated);
-        // Survivors were collected newest-first: append them oldest-first
-        // in one chunk-filling run.
-        let next_pos = self.next_pos;
-        self.deque
-            .extend_back(self.survivors.drain(..).rev().map(|(offset, val)| Node {
-                pos: next_pos + offset as u64,
-                val,
-            }));
+        let first_pos = self.next_pos + skip as u64;
         self.next_pos += b as u64;
         self.len = (self.len + b).min(self.window);
-        let oldest_live = self.next_pos - self.len as u64;
-        while self
-            .deque
-            .front()
-            .is_some_and(|node| node.pos < oldest_live)
-        {
-            self.deque.pop_front();
-        }
+        // Heads the batch pushes out go first, so the tail count below
+        // never tests a node that is leaving anyway.
+        self.expire_heads();
+        frame::append_frame(
+            &self.op,
+            &mut self.deque,
+            &mut self.marks,
+            &batch[skip..],
+            |offset| first_pos + offset as u64,
+        );
         strict_check!(self);
+    }
+
+    /// Frame-wise answers ([`frame::answer_frame`]): per frame of at most
+    /// `window` partials, every answer is the pre-frame deque node still
+    /// in the window ⊕ the frame's prefix scan, and the deque is updated
+    /// once by `bulk_insert`. Bitwise the answers of `slide` — selection
+    /// returns one of the window's own partials — without its
+    /// data-dependent pop branch; frames under [`MIN_FRAME`] partials keep
+    /// the per-slide loop.
+    fn bulk_slide(&mut self, batch: &[O::Partial], out: &mut Vec<O::Partial>) {
+        out.clear();
+        out.reserve(batch.len());
+        for run in batch.chunks(self.window) {
+            if run.len() < MIN_FRAME {
+                for p in run {
+                    out.push(self.slide(p.clone()));
+                }
+                continue;
+            }
+            let next_pos = self.next_pos;
+            frame::answer_frame(
+                &self.op,
+                &self.deque,
+                |pos| (next_pos - pos) as usize,
+                &[self.window],
+                run,
+                out,
+            );
+            self.bulk_insert(run);
+        }
     }
 
     /// SlickDeque (Non-Inv) invariants (paper §3.2, Algorithm 2): the deque
@@ -318,8 +296,7 @@ impl<O: SelectiveOp> FinalAggregator<O> for SlickDequeNonInv<O> {
 
 impl<O: SelectiveOp> MemoryFootprint for SlickDequeNonInv<O> {
     fn heap_bytes(&self) -> usize {
-        self.deque.heap_bytes()
-            + self.survivors.capacity() * core::mem::size_of::<(usize, O::Partial)>()
+        self.deque.heap_bytes() + self.marks.capacity() * core::mem::size_of::<u64>()
     }
 }
 
@@ -409,7 +386,7 @@ impl<O: SelectiveOp> crate::state::StatefulAggregator<O> for SlickDequeNonInv<O>
             next_pos,
             window,
             len,
-            survivors: Vec::new(),
+            marks: Vec::new(),
         };
         // The checker is structural and comparison-based (no arithmetic
         // refolds), so it is exact for any partial type.

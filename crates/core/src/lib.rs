@@ -41,6 +41,7 @@
 pub mod aggregator;
 pub mod algorithms;
 pub mod chunked;
+mod frame;
 pub mod invariants;
 pub mod multi;
 pub mod ops;

@@ -15,6 +15,7 @@
 
 use crate::aggregator::{normalize_ranges, MemoryFootprint, MultiFinalAggregator};
 use crate::chunked::ChunkedDeque;
+use crate::frame::{self, MIN_FRAME};
 use crate::invariants::{ensure, partials_agree, strict_check, InvariantViolation};
 use crate::ops::{InvertibleOp, SelectiveOp};
 
@@ -144,11 +145,13 @@ impl<O: InvertibleOp> MultiFinalAggregator<O> for MultiSlickDequeInv<O> {
 
     /// Range-major batching: each answers-map entry is loaded once, run
     /// over the whole batch in a register, and stored once — one answers
-    /// touch per range instead of one per range per slide. The expiring
-    /// value for batch element `k` under range `r` is `batch[k − r]` once
-    /// the window has slid past the batch start, so most ⊖ reads never
-    /// touch the ring. Per-range combine order matches `slide_multi`
-    /// exactly, keeping answers bitwise identical.
+    /// touch per range instead of one per range per slide. The values
+    /// leaving range `r` during the batch are its last `r` history slots,
+    /// oldest first — at most two contiguous ring runs — followed by the
+    /// batch's own head, so the inner loop reads slices and the ring is
+    /// stored with at most two slice copies afterwards: one `%` per range
+    /// per batch, none per partial. Per-range combine order matches
+    /// `slide_multi` exactly, keeping answers bitwise identical.
     fn bulk_slide_multi(&mut self, batch: &[O::Partial], out: &mut Vec<O::Partial>) {
         out.clear();
         let b = batch.len();
@@ -158,32 +161,41 @@ impl<O: InvertibleOp> MultiFinalAggregator<O> for MultiSlickDequeInv<O> {
         }
         out.resize(b * q, self.op.identity());
         for (slot, (r, ans)) in self.answers.iter_mut().enumerate() {
-            let r = *r;
+            let from_ring = b.min(*r);
+            let start = (self.curr + self.wsize - *r) % self.wsize;
+            let (wrapped, straight) = self.partials.split_at(start);
+            let straight = &straight[..from_ring.min(straight.len())];
+            let wrapped = &wrapped[..from_ring - straight.len()];
             let mut a = ans.clone();
-            for (k, p) in batch.iter().enumerate() {
-                let with_new = self.op.combine(&a, p);
-                let expiring = if k >= r {
-                    &batch[k - r]
-                } else {
-                    // Pre-batch history: the slot `r − k` positions behind
-                    // the initial cursor (writes cannot have reached it:
-                    // that would need a batch index ≥ k + wsize − r ≥ k).
-                    &self.partials[(self.curr + self.wsize + k - r) % self.wsize]
-                };
-                a = self.op.inverse_combine(&with_new, expiring);
-                out[k * q + slot] = a.clone();
+            let mut arrivals = batch.iter();
+            let mut rows = out.chunks_exact_mut(q);
+            for expiring in [straight, wrapped, &batch[..b - from_ring]] {
+                for ((old, p), row) in expiring.iter().zip(arrivals.by_ref()).zip(rows.by_ref()) {
+                    let with_new = self.op.combine(&a, p);
+                    a = self.op.inverse_combine(&with_new, old);
+                    row[slot] = a.clone();
+                }
             }
             *ans = a;
         }
-        for p in batch {
-            self.partials[self.curr] = p.clone();
-            self.curr = (self.curr + 1) % self.wsize;
-        }
+        // Only the last `wsize` arrivals are still history afterwards.
+        let tail = &batch[b.saturating_sub(self.wsize)..];
+        let at = (self.curr + b - tail.len()) % self.wsize;
+        let straight = tail.len().min(self.wsize - at);
+        self.partials[at..at + straight].clone_from_slice(&tail[..straight]);
+        self.partials[..tail.len() - straight].clone_from_slice(&tail[straight..]);
+        self.curr = (self.curr + b) % self.wsize;
         strict_check!(self);
     }
 
     fn ranges(&self) -> &[usize] {
         &self.ranges
+    }
+
+    /// The ring size: the largest range ever registered, which
+    /// `remove_query` leaves at its high-water mark.
+    fn window(&self) -> usize {
+        self.wsize
     }
 
     /// Multi-query SlickDeque (Inv) invariants (paper Algorithm 1): the
@@ -209,7 +221,7 @@ impl<O: InvertibleOp> MultiFinalAggregator<O> for MultiSlickDequeInv<O> {
             Self::NAME,
             "ranges-normalized",
             !self.ranges.is_empty()
-                && self.ranges[0] == self.wsize
+                && self.ranges[0] <= self.wsize
                 && self.ranges.windows(2).all(|w| w[0] > w[1])
                 && self.answers.len() == self.ranges.len()
                 && self
@@ -247,12 +259,8 @@ impl<O: InvertibleOp> MemoryFootprint for MultiSlickDequeInv<O> {
     }
 }
 
-#[derive(Debug, Clone)]
-struct Node<P> {
-    /// Position wrapped into `[0, wSize)` as in Algorithm 2.
-    pos: usize,
-    val: P,
-}
+/// A deque node; `pos` is wrapped into `[0, wSize)` as in Algorithm 2.
+type Node<P> = frame::Node<usize, P>;
 
 /// Algorithm 2: multi-ACQ processing of non-invertible (selective)
 /// aggregates on one shared monotone deque.
@@ -277,6 +285,9 @@ pub struct MultiSlickDequeNonInv<O: SelectiveOp> {
     ranges: Vec<usize>,
     wsize: usize,
     curr: usize,
+    /// Survivor bitset of the frame kernel, one bit per frame slot.
+    /// Scratch, not state: never serialized.
+    marks: Vec<u64>,
 }
 
 impl<O: SelectiveOp> MultiSlickDequeNonInv<O> {
@@ -290,6 +301,7 @@ impl<O: SelectiveOp> MultiSlickDequeNonInv<O> {
             ranges,
             wsize,
             curr: 0,
+            marks: Vec::new(),
         }
     }
 
@@ -336,7 +348,8 @@ impl<O: SelectiveOp> MultiSlickDequeNonInv<O> {
     }
 
     /// Deregister an ACQ range at runtime. Returns `true` if it was
-    /// present. Panics when removing the last registered range.
+    /// present. The window capacity stays at its high-water mark. Panics
+    /// when removing the last registered range.
     pub fn remove_query(&mut self, range: usize) -> bool {
         match self.ranges.iter().position(|&x| x == range) {
             Some(at) => {
@@ -347,17 +360,9 @@ impl<O: SelectiveOp> MultiSlickDequeNonInv<O> {
             None => false,
         }
     }
-}
 
-impl<O: SelectiveOp> MultiFinalAggregator<O> for MultiSlickDequeNonInv<O> {
-    const NAME: &'static str = "slickdeque_noninv";
-
-    fn with_ranges(op: O, ranges: &[usize]) -> Self {
-        MultiSlickDequeNonInv::new(op, ranges)
-    }
-
-    fn slide_multi(&mut self, partial: O::Partial, out: &mut Vec<O::Partial>) {
-        out.clear();
+    /// One slide of Algorithm 2, its answers appended to `out`.
+    fn slide_into(&mut self, partial: O::Partial, out: &mut Vec<O::Partial>) {
         // Algorithm 2 line 13: the head expires when the new arrival wraps
         // onto its position.
         if let Some(front) = self.deque.front() {
@@ -412,9 +417,80 @@ impl<O: SelectiveOp> MultiFinalAggregator<O> for MultiSlickDequeNonInv<O> {
         self.curr = (self.curr + 1) % self.wsize;
         strict_check!(self);
     }
+}
+
+impl<O: SelectiveOp> MultiFinalAggregator<O> for MultiSlickDequeNonInv<O> {
+    const NAME: &'static str = "slickdeque_noninv";
+
+    fn with_ranges(op: O, ranges: &[usize]) -> Self {
+        MultiSlickDequeNonInv::new(op, ranges)
+    }
+
+    fn slide_multi(&mut self, partial: O::Partial, out: &mut Vec<O::Partial>) {
+        out.clear();
+        self.slide_into(partial, out);
+    }
+
+    /// Frame-wise answers (the frame kernel's recurrence): the batch
+    /// is cut into frames no longer than the smallest range; per frame,
+    /// every answer is the pre-frame deque node still inside that range's
+    /// window ⊕ the frame's prefix scan, and the shared deque is updated
+    /// once. Bitwise the answers of `slide_multi` — selection returns one of
+    /// the window's own partials — without its data-dependent pop branch;
+    /// frames under [`MIN_FRAME`] partials keep the per-slide loop. All
+    /// position arithmetic is modulo `wsize`, which can exceed `ranges[0]`
+    /// after `remove_query`.
+    fn bulk_slide_multi(&mut self, batch: &[O::Partial], out: &mut Vec<O::Partial>) {
+        out.clear();
+        let Some(&shortest) = self.ranges.last() else {
+            return;
+        };
+        out.reserve(batch.len() * self.ranges.len());
+        for run in batch.chunks(shortest) {
+            if run.len() < MIN_FRAME {
+                for p in run {
+                    self.slide_into(p.clone(), out);
+                }
+                continue;
+            }
+            let (curr, wsize) = (self.curr, self.wsize);
+            // Arrivals since the node at `pos`, itself included: 1..=wsize.
+            let age = |pos: &usize| {
+                if *pos < curr {
+                    curr - pos
+                } else {
+                    curr + wsize - pos
+                }
+            };
+            frame::answer_frame(&self.op, &self.deque, age, &self.ranges, run, out);
+            // Heads the frame pushes out of the window, read before the
+            // frame's own nodes reuse their wrapped positions.
+            while self
+                .deque
+                .front()
+                .is_some_and(|n| age(&n.pos) + run.len() > wsize)
+            {
+                self.deque.pop_front();
+            }
+            // `k ≤ run.len() ≤ wsize`, so one conditional subtraction wraps.
+            let wrap = |pos: usize| if pos >= wsize { pos - wsize } else { pos };
+            frame::append_frame(&self.op, &mut self.deque, &mut self.marks, run, |k| {
+                wrap(curr + k)
+            });
+            self.curr = wrap(curr + run.len());
+            strict_check!(self);
+        }
+    }
 
     fn ranges(&self) -> &[usize] {
         &self.ranges
+    }
+
+    /// The window size all position arithmetic is modulo: the largest
+    /// range ever registered, which `remove_query` leaves at its
+    /// high-water mark.
+    fn window(&self) -> usize {
+        self.wsize
     }
 
     /// Multi-query SlickDeque (Non-Inv) invariants (paper Algorithm 2): the
@@ -430,7 +506,7 @@ impl<O: SelectiveOp> MultiFinalAggregator<O> for MultiSlickDequeNonInv<O> {
             Self::NAME,
             "ranges-normalized",
             !self.ranges.is_empty()
-                && self.ranges[0] == self.wsize
+                && self.ranges[0] <= self.wsize
                 && self.ranges.windows(2).all(|w| w[0] > w[1])
                 && self.curr < self.wsize,
             "ranges {:?} / curr {} for wsize {}",
@@ -481,7 +557,9 @@ impl<O: SelectiveOp> MultiFinalAggregator<O> for MultiSlickDequeNonInv<O> {
 
 impl<O: SelectiveOp> MemoryFootprint for MultiSlickDequeNonInv<O> {
     fn heap_bytes(&self) -> usize {
-        self.deque.heap_bytes() + self.ranges.capacity() * core::mem::size_of::<usize>()
+        self.deque.heap_bytes()
+            + self.ranges.capacity() * core::mem::size_of::<usize>()
+            + self.marks.capacity() * core::mem::size_of::<u64>()
     }
 }
 
@@ -547,6 +625,82 @@ mod tests {
         }
     }
 
+    /// The frame path's exact cost in aggregate operations, pinned.
+    ///
+    /// `bulk_slide_multi` trades the per-slide path's data-dependent pop
+    /// branch for about one extra ⊕ per partial: per frame of `b` partials
+    /// it spends `b − 1` on the prefix scan, one per answer that still has
+    /// a live pre-frame node, `b − 1` `defeats` in the survivor scan (a
+    /// survivor becomes the running winner by `clone`, not by a further
+    /// `combine`) and one `defeats` per deque tail node examined. On this
+    /// stream that is 3.01 per partial against 1.96 for `slide_multi` —
+    /// whose count, like `slide`'s, is untouched: the paper's "< 2
+    /// operations per slide" (Table 1, `amortized_under_two_ops`,
+    /// `baselines/tails.json`) is a statement about the per-slide path.
+    /// The ledger's traced pass therefore reads
+    /// `core.ops.combines_per_tuple.max_single` ≈ 3.02, and
+    /// `stream.executor.self_ns_per_tuple`, a difference of two probes
+    /// (executor minus a bare `bulk_slide`), can read ≈ 0 or slightly
+    /// negative.
+    // Exact operation counts are meaningless when the strict-invariants
+    // self-checks run their own combines inside every mutation.
+    #[cfg(not(feature = "strict-invariants"))]
+    #[test]
+    fn frame_path_operation_count_is_pinned() {
+        use crate::aggregator::FinalAggregator;
+        use crate::algorithms::SlickDequeNonInv;
+        use crate::ops::{CountingOp, MaxF64, OpCounter};
+
+        const RANGE: usize = 1024;
+        const FRAME: usize = 512;
+        const FRAMES: usize = 64;
+        const PINNED_PER_SLIDE: u64 = 64_386;
+        const PINNED_FRAMED: u64 = 98_682;
+        // A bounded random walk on a 1/64 grid: short monotone runs and
+        // ties, the shape of a sensor channel.
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        let mut level = 0i64;
+        let stream: Vec<f64> = (0..FRAME * FRAMES)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                level = (level + (x % 33) as i64 - 16).clamp(-4096, 4096);
+                level as f64 / 64.0
+            })
+            .collect();
+        let counter = OpCounter::new();
+        let op = CountingOp::new(MaxF64::new(), counter.clone());
+        let mut out = Vec::new();
+
+        let mut scalar = MultiSlickDequeNonInv::with_ranges(op.clone(), &[RANGE]);
+        let mut expected = Vec::with_capacity(stream.len());
+        for v in &stream {
+            scalar.slide_multi(*v, &mut out);
+            expected.push(out[0].to_bits());
+        }
+        let per_slide = counter.take();
+
+        let mut bulk = MultiSlickDequeNonInv::with_ranges(op.clone(), &[RANGE]);
+        let mut got = Vec::with_capacity(stream.len());
+        for frame in stream.chunks(FRAME) {
+            bulk.bulk_slide_multi(frame, &mut out);
+            got.extend(out.iter().map(|p| p.to_bits()));
+        }
+        let framed = counter.take();
+        assert_eq!(got, expected);
+
+        let mut single = SlickDequeNonInv::with_capacity(op, RANGE);
+        for frame in stream.chunks(FRAME) {
+            single.bulk_slide(frame, &mut out);
+        }
+        let framed_single = counter.take();
+
+        assert_eq!(per_slide, PINNED_PER_SLIDE, "slide_multi's count moved");
+        assert_eq!(framed, PINNED_FRAMED, "the frame path's count moved");
+        assert_eq!(framed_single, framed, "one kernel, one count");
+        assert!(per_slide < 2 * stream.len() as u64);
+    }
     #[test]
     fn noninv_deque_stays_small_on_ascending_input() {
         let op = Max::<i64>::new();
@@ -675,6 +829,42 @@ mod dynamic_tests {
         }
     }
 
+    /// `remove_query` keeps the window at its high-water mark, so after
+    /// the largest range goes `ranges[0] < wsize`: the checkers must accept
+    /// it, `window()` must keep reporting the modulus every position is
+    /// wrapped by, and both bulk paths must keep taking it from `wsize`.
+    #[test]
+    fn removing_the_largest_range_keeps_window_and_invariants() {
+        let sum = Sum::<i64>::new();
+        let mut inv = MultiSlickDequeInv::with_ranges(sum, &[8, 4]);
+        let max = Max::<i64>::new();
+        let mut noninv = MultiSlickDequeNonInv::with_ranges(max, &[8, 4]);
+        let (mut iout, mut nout) = (Vec::new(), Vec::new());
+        for v in 0..20 {
+            inv.slide_multi(v, &mut iout);
+            noninv.slide_multi(max.lift(&(v % 7)), &mut nout);
+        }
+        assert!(inv.remove_query(8));
+        assert!(noninv.remove_query(8));
+        inv.slide_multi(20, &mut iout);
+        noninv.slide_multi(max.lift(&6), &mut nout);
+        assert_eq!(iout, vec![17 + 18 + 19 + 20]);
+        assert_eq!(nout, vec![Some(6)]); // 17 % 7, 18 % 7, 19 % 7, 6
+        inv.check_invariants().unwrap();
+        noninv.check_invariants().unwrap();
+        assert_eq!((inv.ranges(), inv.window()), (&[4][..], 8));
+        assert_eq!((noninv.ranges(), noninv.window()), (&[4][..], 8));
+        // A batch long enough for the frame path and for a ring wrap.
+        let batch: Vec<i64> = (21..50).collect();
+        inv.bulk_slide_multi(&batch, &mut iout);
+        assert_eq!(iout.last(), Some(&(46 + 47 + 48 + 49)));
+        inv.check_invariants().unwrap();
+        let lifted: Vec<_> = batch.iter().map(|v| max.lift(&(v % 7))).collect();
+        noninv.bulk_slide_multi(&lifted, &mut nout);
+        assert_eq!(nout.last(), Some(&Some(6))); // 46 % 7 .. 49 % 7 = 4, 5, 6, 0
+        noninv.check_invariants().unwrap();
+    }
+
     #[test]
     #[should_panic(expected = "last query")]
     fn removing_last_query_panics() {
@@ -779,6 +969,7 @@ impl<O: SelectiveOp> crate::state::StatefulMultiAggregator<O> for MultiSlickDequ
             ranges,
             wsize,
             curr,
+            marks: Vec::new(),
         };
         // Safe at load: the checker is structural (wrapped positions,
         // age order) plus `defeats` comparisons on the stored values —

@@ -299,7 +299,11 @@ fn bulk_slide_multi_matches_scalar_on_multi_slickdeque_inv() {
         expected.extend(out.iter().map(|p| p.to_bits()));
     }
 
-    for &chunk in &[1usize, 7, 32, 513] {
+    // 7 and 20 wrap the 32-slot ring in the middle of a batch; 20 also sits
+    // between ranges (17 < b < wsize: range 17 reads its own batch head
+    // back while range 32 is still on the ring); 45 and 513 overrun the
+    // ring, so only a batch's tail is stored.
+    for &chunk in &[1usize, 7, 20, 32, 45, 513] {
         let mut bulk = MultiSlickDequeInv::with_ranges(op, &ranges);
         let mut got = Vec::with_capacity(expected.len());
         let mut lifted = Vec::new();
@@ -313,6 +317,174 @@ fn bulk_slide_multi_matches_scalar_on_multi_slickdeque_inv() {
             got, expected,
             "chunk {chunk}: bulk_slide_multi diverged from slide_multi"
         );
+    }
+}
+
+/// Stream shapes for the selective frame kernel, as integers on a grid:
+/// random, strictly descending (nothing dominates: a full deque, the
+/// paper's worst case), ascending (a singleton deque), and four-valued
+/// plateaus (runs of ties).
+fn selective_shapes(n: usize) -> Vec<(&'static str, Vec<i64>)> {
+    let mut rng = Xoshiro256StarStar::new(0x5E1EC7);
+    vec![
+        (
+            "random",
+            (0..n).map(|_| rng.gen_below(4096) as i64 - 2048).collect(),
+        ),
+        ("descending", (0..n as i64).rev().collect()),
+        ("ascending", (0..n as i64).collect()),
+        (
+            "plateaus",
+            (0..n).map(|i| ((i / 5) * 7 % 4) as i64).collect(),
+        ),
+    ]
+}
+
+/// Feed `partials` through per-tuple `slide_multi` and through chunked
+/// `bulk_slide_multi` (and, for the largest range, through `slide` and
+/// `SlickDequeNonInv::bulk_slide`), requiring identical answers under
+/// `bits` and clean invariants after every call.
+fn check_selective_frames<O, K>(
+    label: &str,
+    op: O,
+    ranges: &[usize],
+    partials: &[O::Partial],
+    bits: impl Fn(&O::Partial) -> K,
+) where
+    O: SelectiveOp + Clone,
+    K: PartialEq + std::fmt::Debug,
+{
+    let window = *ranges.iter().max().expect("ranges"); // check:allow test helper aborts the run on malformed input
+    let mut out = Vec::new();
+    let mut scalar = MultiSlickDequeNonInv::with_ranges(op.clone(), ranges);
+    let mut expected = Vec::with_capacity(partials.len() * ranges.len());
+    let mut single = SlickDequeNonInv::with_capacity(op.clone(), window);
+    let mut expected_single = Vec::with_capacity(partials.len());
+    for p in partials {
+        scalar.slide_multi(p.clone(), &mut out);
+        expected.extend(out.iter().map(&bits));
+        expected_single.push(bits(&single.slide(p.clone())));
+    }
+    // Below, at, and above the frame kernel's cut-over; 513 straddles most
+    // windows; the last is longer than the window. Per-tuple chunks walk
+    // the whole deque per slide, so the 4096 window skips them.
+    let mut chunkings = vec![7usize, 32, 513, window + 37];
+    if window < 4096 {
+        chunkings.push(1);
+    }
+    for chunk in chunkings {
+        let ctx = format!("{label} ranges {ranges:?} chunk {chunk}");
+        let mut bulk = MultiSlickDequeNonInv::with_ranges(op.clone(), ranges);
+        let mut got = Vec::with_capacity(expected.len());
+        let mut single = SlickDequeNonInv::with_capacity(op.clone(), window);
+        let mut got_single = Vec::with_capacity(expected_single.len());
+        for ch in partials.chunks(chunk) {
+            bulk.bulk_slide_multi(ch, &mut out);
+            assert_eq!(out.len(), ch.len() * bulk.ranges().len(), "{ctx}");
+            got.extend(out.iter().map(&bits));
+            bulk.check_invariants().expect(&ctx); // check:allow test assertion
+            single.bulk_slide(ch, &mut out);
+            got_single.extend(out.iter().map(&bits));
+            single.check_invariants().expect(&ctx); // check:allow test assertion
+        }
+        assert!(got == expected, "{ctx}: bulk_slide_multi diverged");
+        assert!(got_single == expected_single, "{ctx}: bulk_slide diverged");
+    }
+}
+
+/// `MultiSlickDequeNonInv::bulk_slide_multi` and
+/// `SlickDequeNonInv::bulk_slide` (the frame kernel) must be **bitwise**
+/// identical to per-tuple `slide_multi` / `slide`: for single and shared
+/// ranges on both sides of the frame cut-over, any chunking, every stream
+/// shape, NaNs, and ties that only a payload can tell apart.
+#[test]
+fn bulk_slide_multi_matches_scalar_on_multi_slickdeque_noninv() {
+    let range_sets: [&[usize]; 7] = [
+        &[1024],
+        &[4096, 1024, 256, 64],
+        &[64, 32, 17],
+        &[100, 16],
+        &[20, 3],
+        &[33],
+        &[1],
+    ];
+    for ranges in range_sets {
+        let n = 2 * ranges[0] + 600;
+        for (shape, grid) in selective_shapes(n) {
+            let floats: Vec<f64> = grid.iter().map(|&v| v as f64 / 64.0).collect();
+            let f64_bits = |p: &f64| p.to_bits();
+            check_selective_frames(shape, MaxF64::new(), ranges, &floats, f64_bits);
+            check_selective_frames(shape, MinF64::new(), ranges, &floats, f64_bits);
+            let op = Max::<i64>::new();
+            let ints: Vec<_> = grid.iter().map(|v| op.lift(v)).collect();
+            check_selective_frames(shape, op, ranges, &ints, |p| *p);
+            // Keys collide eight to a bucket; the payload is the arrival
+            // index, so an equal key must resolve to the newer arrival.
+            let op = ArgMax::<i64, u32>::new();
+            let pairs: Vec<_> = grid
+                .iter()
+                .enumerate()
+                .map(|(i, &v)| op.lift(&(v.div_euclid(8), i as u32)))
+                .collect();
+            check_selective_frames(shape, op, ranges, &pairs, |p| *p);
+        }
+        // A NaN run entering, dominating (Max) or not (Min is mirrored),
+        // and expiring, inside and across frames.
+        let mut rng = Xoshiro256StarStar::new(0x0A4);
+        let nan_run: Vec<f64> = (0..n)
+            .map(|i| {
+                if i % 700 >= 640 {
+                    f64::NAN
+                } else {
+                    rng.gen_range_f64(-50.0, 50.0)
+                }
+            })
+            .collect();
+        let max = MaxF64::new();
+        let lifted: Vec<f64> = nan_run.iter().map(|v| max.lift(v)).collect();
+        check_selective_frames("nan", max, ranges, &lifted, |p| p.to_bits());
+        let min = MinF64::new();
+        let lifted: Vec<f64> = nan_run.iter().map(|v| min.lift(v)).collect();
+        check_selective_frames("nan", min, ranges, &lifted, |p| p.to_bits());
+    }
+}
+
+/// Ranges registered and deregistered between batches — growing the window,
+/// then removing the largest range so that `ranges[0] < wsize` — must leave
+/// the frame path in step with a per-tuple twin given the same calls.
+#[test]
+fn bulk_slide_multi_noninv_follows_add_and_remove_query() {
+    let op = MaxF64::new();
+    let values = stream(3000, 0xD1A1);
+    let mut scalar = MultiSlickDequeNonInv::with_ranges(op, &[64, 16]);
+    let mut bulk = MultiSlickDequeNonInv::with_ranges(op, &[64, 16]);
+    let (mut sout, mut bout) = (Vec::new(), Vec::new());
+    type Edit = fn(&mut MultiSlickDequeNonInv<MaxF64>);
+    let edits: [Edit; 6] = [
+        |a| a.add_query(32),
+        |a| a.add_query(128),
+        |a| assert!(a.remove_query(128)),
+        |a| assert!(a.remove_query(16)),
+        |a| a.add_query(200),
+        |a| assert!(a.remove_query(200)),
+    ];
+    let mut batches = values.chunks(417);
+    for edit in edits {
+        let batch = batches.next().expect("enough batches"); // check:allow test helper aborts the run on malformed input
+        let mut expected = Vec::new();
+        for v in batch {
+            scalar.slide_multi(op.lift(v), &mut sout);
+            expected.extend(sout.iter().map(|p| p.to_bits()));
+        }
+        bulk.bulk_slide_multi(batch, &mut bout);
+        let got: Vec<u64> = bout.iter().map(|p| p.to_bits()).collect();
+        assert_eq!(got, expected, "ranges {:?}", bulk.ranges());
+        bulk.check_invariants().unwrap(); // check:allow test assertion
+        edit(&mut scalar);
+        edit(&mut bulk);
+        assert_eq!(scalar.ranges(), bulk.ranges());
+        assert_eq!(scalar.window(), bulk.window());
+        bulk.check_invariants().unwrap(); // check:allow test assertion
     }
 }
 
