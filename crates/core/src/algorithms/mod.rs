@@ -23,7 +23,7 @@ mod naive;
 mod resize_tests;
 mod slickdeque_inv;
 mod slickdeque_noninv;
-mod time_windows;
+pub(crate) mod time_windows;
 mod twostacks;
 
 pub use bint::BInt;

@@ -75,8 +75,8 @@ impl<O: InvertibleOp> SlickDequeInv<O> {
     /// re-layout.
     pub fn resize(&mut self, window: usize) {
         assert!(window >= 1, "window must hold at least one partial"); // check:allow precondition assert documenting the caller contract
-                                                                       // Collect live partials oldest→newest.
         let start = (self.curr + self.window - self.len) % self.window;
+        // Live partials oldest→newest.
         let live: Vec<O::Partial> = (0..self.len)
             .map(|i| self.partials[(start + i) % self.window].clone())
             .collect(); // alloc:amortized window buffer growth is amortized O(1) doubling

@@ -16,13 +16,9 @@
 //! `2n + 4√n` on `√n`-sized chunks, input-dependent.
 
 use crate::aggregator::{FinalAggregator, MemoryFootprint};
-use crate::chunked::ChunkedDeque;
-use crate::frame::{self, MIN_FRAME};
 use crate::invariants::{ensure, strict_check, InvariantViolation};
+use crate::monodeque::{MonoDeque, MIN_FRAME};
 use crate::ops::SelectiveOp;
-
-/// A deque node; `pos` is the partial's absolute arrival index.
-type Node<P> = frame::Node<u64, P>;
 
 /// Monotone-deque sliding window for selective (non-invertible) operations.
 ///
@@ -40,16 +36,12 @@ type Node<P> = frame::Node<u64, P>;
 /// ```
 #[derive(Debug, Clone)]
 pub struct SlickDequeNonInv<O: SelectiveOp> {
-    op: O,
-    deque: ChunkedDeque<Node<O::Partial>>,
+    /// Nodes are stamped with their absolute arrival index.
+    deque: MonoDeque<O>,
     /// Absolute index the next arrival will receive.
     next_pos: u64,
     window: usize,
     len: usize,
-    /// Survivor bitset of the frame kernel, one bit per frame slot; kept
-    /// across calls so bulk ingestion allocates only at its high-water
-    /// mark. Scratch, not state: never serialized.
-    marks: Vec<u64>,
 }
 
 impl<O: SelectiveOp> SlickDequeNonInv<O> {
@@ -58,26 +50,21 @@ impl<O: SelectiveOp> SlickDequeNonInv<O> {
     pub fn new(op: O, window: usize) -> Self {
         assert!(window >= 1, "window must hold at least one partial");
         SlickDequeNonInv {
-            op,
-            deque: ChunkedDeque::for_window(window),
+            deque: MonoDeque::new(op, Some(window)),
             next_pos: 0,
             window,
             len: 0,
-            marks: Vec::new(),
         }
     }
 
     /// The operation driving this aggregator.
     pub fn op(&self) -> &O {
-        &self.op
+        self.deque.op()
     }
 
     /// The current window aggregate: the head node's value.
     pub fn query(&self) -> O::Partial {
-        match self.deque.front() {
-            Some(node) => node.val.clone(),
-            None => self.op.identity(),
-        }
+        self.deque.head()
     }
 
     /// Number of nodes currently on the deque (≤ window; this is the
@@ -86,23 +73,10 @@ impl<O: SelectiveOp> SlickDequeNonInv<O> {
         self.deque.len()
     }
 
-    /// Remove the head if it has fallen out of the window.
-    fn expire_head(&mut self) {
-        let oldest_live = self.next_pos - self.len as u64;
-        if let Some(front) = self.deque.front() {
-            if front.pos < oldest_live {
-                self.deque.pop_front();
-            }
-        }
-    }
-
     /// Remove every head that has fallen out of the window — one head scan
     /// for a whole range of expired positions.
     fn expire_heads(&mut self) {
-        let oldest_live = self.next_pos - self.len as u64;
-        while self.deque.front().is_some_and(|n| n.pos < oldest_live) {
-            self.deque.pop_front();
-        }
+        self.deque.expire(self.next_pos - self.len as u64);
     }
 
     /// Dynamically resize the window (paper §3.1: all compared approaches
@@ -130,22 +104,9 @@ impl<O: SelectiveOp> FinalAggregator<O> for SlickDequeNonInv<O> {
 
     fn slide(&mut self, partial: O::Partial) -> O::Partial {
         self.len = (self.len + 1).min(self.window);
-        // Pop every tail node the new partial dominates: a defeated tail
-        // can never be a query answer again (paper Algorithm 2, line 16).
-        while let Some(back) = self.deque.back() {
-            if self.op.defeats(&partial, &back.val) {
-                self.deque.pop_back();
-            } else {
-                break;
-            }
-        }
-        // alloc:amortized window buffer growth is amortized O(1) doubling
-        self.deque.push_back(Node {
-            pos: self.next_pos,
-            val: partial,
-        });
+        self.deque.arrive(self.next_pos, partial);
         self.next_pos += 1;
-        self.expire_head();
+        self.expire_heads();
         strict_check!(self);
         self.query()
     }
@@ -163,7 +124,7 @@ impl<O: SelectiveOp> FinalAggregator<O> for SlickDequeNonInv<O> {
     fn evict(&mut self) {
         assert!(self.len > 0, "evict from an empty SlickDeque window"); // check:allow precondition assert documenting the caller contract
         self.len -= 1;
-        self.expire_head();
+        self.expire_heads();
         strict_check!(self);
     }
 
@@ -176,37 +137,29 @@ impl<O: SelectiveOp> FinalAggregator<O> for SlickDequeNonInv<O> {
         strict_check!(self);
     }
 
-    /// Algorithm 2's dominance popping, batched: one call into the frame
-    /// kernel's dominated-suffix scan ([`frame::append_frame`]) — each batch
+    /// Algorithm 2's dominance popping, batched: one call into the
+    /// dominated-suffix scan ([`MonoDeque::append_frame`]) — each batch
     /// partial costs one comparison instead of a full push/pop cycle.
     fn bulk_insert(&mut self, batch: &[O::Partial]) {
         let b = batch.len();
         // Only the last `window` arrivals can be live once the batch is in.
         let skip = b.saturating_sub(self.window);
-        if skip > 0 {
-            self.deque.clear();
-        }
         let first_pos = self.next_pos + skip as u64;
         self.next_pos += b as u64;
         self.len = (self.len + b).min(self.window);
-        // Heads the batch pushes out go first, so the tail count below
-        // never tests a node that is leaving anyway.
+        // Heads the batch pushes out — every node, if it covers the window
+        // — go first, so the tail count below never tests a node that is
+        // leaving anyway.
         self.expire_heads();
-        frame::append_frame(
-            &self.op,
-            &mut self.deque,
-            &mut self.marks,
-            &batch[skip..],
-            |offset| first_pos + offset as u64,
-        );
+        self.deque.append_frame(first_pos, &batch[skip..]);
         strict_check!(self);
     }
 
-    /// Frame-wise answers ([`frame::answer_frame`]): per frame of at most
-    /// `window` partials, every answer is the pre-frame deque node still
-    /// in the window ⊕ the frame's prefix scan, and the deque is updated
-    /// once by `bulk_insert`. Bitwise the answers of `slide` — selection
-    /// returns one of the window's own partials — without its
+    /// Frame-wise answers ([`MonoDeque::answer_frame`]): per frame of at
+    /// most `window` partials, every answer is the pre-frame deque node
+    /// still in the window ⊕ the frame's prefix scan, and the deque is
+    /// updated once by `bulk_insert`. Bitwise the answers of `slide` —
+    /// selection returns one of the window's own partials — without its
     /// data-dependent pop branch; frames under [`MIN_FRAME`] partials keep
     /// the per-slide loop.
     fn bulk_slide(&mut self, batch: &[O::Partial], out: &mut Vec<O::Partial>) {
@@ -219,84 +172,43 @@ impl<O: SelectiveOp> FinalAggregator<O> for SlickDequeNonInv<O> {
                 }
                 continue;
             }
-            let next_pos = self.next_pos;
-            frame::answer_frame(
-                &self.op,
-                &self.deque,
-                |pos| (next_pos - pos) as usize,
-                &[self.window],
-                run,
-                out,
-            );
+            self.deque
+                .answer_frame(self.next_pos, &[self.window], run, out);
             self.bulk_insert(run);
         }
     }
 
-    /// SlickDeque (Non-Inv) invariants (paper §3.2, Algorithm 2): the deque
-    /// is monotone in the operation's dominance order — no node is defeated
-    /// by its successor, or the successor's arrival would have popped it —
-    /// positions strictly increase head→tail and every node's position is
-    /// live (within `[next_pos − len, next_pos)`), and the deque never holds
-    /// more nodes than live window slots. The head being the current answer
-    /// then follows by construction. Delegates the storage-level checks to
-    /// [`ChunkedDeque::check_invariants`]. `O(deque_len)` combines.
+    /// SlickDeque (Non-Inv) invariants (paper §3.2, Algorithm 2): the
+    /// shared [`MonoDeque::check_invariants`] with strictly increasing
+    /// positions inside `[next_pos − len, next_pos)` — so the deque never
+    /// holds more nodes than live window slots — and a non-empty window has
+    /// a head to answer from. `O(deque_len)` combines.
     fn check_invariants(&self) -> Result<(), InvariantViolation> {
-        self.deque.check_invariants()?;
         ensure!(
             Self::NAME,
             "len-bounded",
-            self.len <= self.window && self.deque.len() <= self.len,
-            "len {} / deque {} for window {}",
+            self.len <= self.window && self.len as u64 <= self.next_pos,
+            "len {} at position {} for window {}",
             self.len,
-            self.deque.len(),
+            self.next_pos,
             self.window
         );
         ensure!(
             Self::NAME,
             "head-answers",
-            (self.len > 0) != self.deque.is_empty(),
+            (self.len == 0) == (self.deque.len() == 0),
             "len {} but deque holds {} nodes",
             self.len,
             self.deque.len()
         );
-        let oldest_live = self.next_pos - self.len as u64;
-        let mut prev: Option<&Node<O::Partial>> = None;
-        for (k, node) in self.deque.iter().enumerate() {
-            ensure!(
-                Self::NAME,
-                "position-live",
-                (oldest_live..self.next_pos).contains(&node.pos),
-                "node {k} holds position {} outside live range [{oldest_live}, {})",
-                node.pos,
-                self.next_pos
-            );
-            if let Some(older) = prev {
-                ensure!(
-                    Self::NAME,
-                    "position-order",
-                    older.pos < node.pos,
-                    "node {k} position {} does not exceed predecessor {}",
-                    node.pos,
-                    older.pos
-                );
-                ensure!(
-                    Self::NAME,
-                    "dominance-order",
-                    !self.op.defeats(&node.val, &older.val),
-                    "node {k} value {:?} defeats its older neighbour {:?}",
-                    node.val,
-                    older.val
-                );
-            }
-            prev = Some(node);
-        }
-        Ok(())
+        let live = self.next_pos - self.len as u64..self.next_pos;
+        self.deque.check_invariants(Self::NAME, live, true)
     }
 }
 
 impl<O: SelectiveOp> MemoryFootprint for SlickDequeNonInv<O> {
     fn heap_bytes(&self) -> usize {
-        self.deque.heap_bytes() + self.marks.capacity() * core::mem::size_of::<u64>()
+        self.deque.heap_bytes()
     }
 }
 
@@ -337,21 +249,14 @@ impl MemoryFootprint for SlickDequeRange {
 }
 
 impl<O: SelectiveOp> crate::state::StatefulAggregator<O> for SlickDequeNonInv<O> {
-    /// Capture `[len, next_pos, node count]`, each node's absolute
-    /// position, and each node's value head→tail. The monotone deque is
-    /// the whole derived state — rebuilding it verbatim (the chunk layout
-    /// itself carries no answer-visible information) restores every
-    /// future answer bitwise.
+    /// Capture `[len, next_pos]`, then the deque
+    /// ([`MonoDeque::save_nodes`]: node count, each node's absolute
+    /// position, each node's value head→tail). The monotone deque is the
+    /// whole derived state.
     fn save_state(&self, w: &mut crate::state::StateWriter<O::Partial>) {
         w.usize_word(self.len);
         w.word(self.next_pos);
-        w.usize_word(self.deque.len());
-        for node in self.deque.iter() {
-            w.word(node.pos);
-        }
-        for node in self.deque.iter() {
-            w.partial(node.val.clone());
-        }
+        self.deque.save_nodes(w);
     }
 
     fn load_state(
@@ -364,29 +269,11 @@ impl<O: SelectiveOp> crate::state::StatefulAggregator<O> for SlickDequeNonInv<O>
         }
         let len = r.usize_word("slickdeque_noninv len")?;
         let next_pos = r.word("slickdeque_noninv next_pos")?;
-        let nodes = r.usize_word("slickdeque_noninv node count")?;
-        if nodes > window || (len as u64) > next_pos {
-            return Err(crate::state::corrupt(format!(
-                "slickdeque_noninv: {nodes} nodes / len {len} / next_pos {next_pos} \
-                 impossible for window {window}"
-            )));
-        }
-        let mut positions = Vec::with_capacity(nodes);
-        for _ in 0..nodes {
-            positions.push(r.word("slickdeque_noninv node position")?);
-        }
-        let mut deque = ChunkedDeque::for_window(window);
-        for pos in positions {
-            let val = r.partial("slickdeque_noninv node value")?;
-            deque.push_back(Node { pos, val });
-        }
         let agg = SlickDequeNonInv {
-            op,
-            deque,
+            deque: MonoDeque::load_nodes(op, window, r)?,
             next_pos,
             window,
             len,
-            marks: Vec::new(),
         };
         // The checker is structural and comparison-based (no arithmetic
         // refolds), so it is exact for any partial type.

@@ -251,13 +251,9 @@ impl<T> ChunkedDeque<T> {
     /// The back (newest) element.
     #[inline]
     pub fn back(&self) -> Option<&T> {
-        let last = self.chunks.back()?;
-        match last.last() {
-            // The only live-empty case is a lone chunk fully consumed by
-            // its dead prefix, which pop_front/pop_back reset eagerly.
-            Some(v) => Some(v),
-            None => None,
-        }
+        // The only live-empty case is a lone chunk fully consumed by its
+        // dead prefix, which pop_front/pop_back reset eagerly.
+        self.chunks.back()?.last()
     }
 
     /// Mutable access to the back element.

@@ -41,14 +41,12 @@
 pub mod aggregator;
 pub mod algorithms;
 pub mod chunked;
-mod frame;
 pub mod invariants;
+mod monodeque;
 pub mod multi;
 pub mod ops;
 pub mod state;
 
 pub use aggregator::{FinalAggregator, MemoryFootprint, MultiFinalAggregator};
 pub use invariants::InvariantViolation;
-pub use state::{
-    PartialCodec, StateError, StateReader, StateWriter, StatefulAggregator, StatefulMultiAggregator,
-};
+pub use state::{PartialCodec, StateError, StateReader, StateWriter, StatefulAggregator};

@@ -57,39 +57,6 @@ impl<O: AggregateOp> MemoryFootprint for MultiBInt<O> {
     }
 }
 
-impl<O: AggregateOp> crate::state::StatefulMultiAggregator<O> for MultiBInt<O> {
-    /// The wrapper adds only the range list and cursor; the dyadic
-    /// interval levels are delegated verbatim to [`BInt`]'s
-    /// [`StatefulAggregator`](crate::state::StatefulAggregator) capture.
-    fn save_state(&self, w: &mut crate::state::StateWriter<O::Partial>) {
-        crate::state::save_ranges(w, &self.ranges);
-        w.usize_word(self.curr);
-        crate::state::StatefulAggregator::save_state(&self.intervals, w);
-    }
-
-    fn load_state(
-        op: O,
-        _ranges: &[usize],
-        r: &mut crate::state::StateReader<'_, O::Partial>,
-    ) -> Result<Self, crate::state::StateError> {
-        let ranges = crate::state::load_ranges(r)?;
-        let wsize = ranges[0];
-        let curr = r.usize_word("multi-bint curr")?;
-        if curr >= wsize {
-            return Err(crate::state::corrupt(format!(
-                "multi-bint: curr {curr} outside ring of {wsize}"
-            )));
-        }
-        let intervals = <BInt<O> as crate::state::StatefulAggregator<O>>::load_state(op, wsize, r)?;
-        Ok(MultiBInt {
-            intervals,
-            ranges,
-            wsize,
-            curr,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -59,39 +59,6 @@ impl<O: AggregateOp> MemoryFootprint for MultiFlatFat<O> {
     }
 }
 
-impl<O: AggregateOp> crate::state::StatefulMultiAggregator<O> for MultiFlatFat<O> {
-    /// The wrapper adds only the range list and cursor; the circular
-    /// binary tree is delegated verbatim to [`FlatFat`]'s
-    /// [`StatefulAggregator`](crate::state::StatefulAggregator) capture.
-    fn save_state(&self, w: &mut crate::state::StateWriter<O::Partial>) {
-        crate::state::save_ranges(w, &self.ranges);
-        w.usize_word(self.curr);
-        crate::state::StatefulAggregator::save_state(&self.tree, w);
-    }
-
-    fn load_state(
-        op: O,
-        _ranges: &[usize],
-        r: &mut crate::state::StateReader<'_, O::Partial>,
-    ) -> Result<Self, crate::state::StateError> {
-        let ranges = crate::state::load_ranges(r)?;
-        let wsize = ranges[0];
-        let curr = r.usize_word("multi-flatfat curr")?;
-        if curr >= wsize {
-            return Err(crate::state::corrupt(format!(
-                "multi-flatfat: curr {curr} outside ring of {wsize}"
-            )));
-        }
-        let tree = <FlatFat<O> as crate::state::StatefulAggregator<O>>::load_state(op, wsize, r)?;
-        Ok(MultiFlatFat {
-            tree,
-            ranges,
-            wsize,
-            curr,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

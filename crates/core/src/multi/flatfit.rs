@@ -93,58 +93,6 @@ impl<O: AggregateOp> MemoryFootprint for MultiFlatFit<O> {
     }
 }
 
-impl<O: AggregateOp> crate::state::StatefulMultiAggregator<O> for MultiFlatFit<O> {
-    /// Verbatim capture: ranges, cursor, fill, the skip pointers (words),
-    /// and every suffix partial in storage order.
-    fn save_state(&self, w: &mut crate::state::StateWriter<O::Partial>) {
-        crate::state::save_ranges(w, &self.ranges);
-        w.usize_word(self.curr);
-        w.usize_word(self.len);
-        for &p in &self.pointers {
-            w.usize_word(p);
-        }
-        for p in &self.partials {
-            w.partial(p.clone());
-        }
-    }
-
-    fn load_state(
-        op: O,
-        _ranges: &[usize],
-        r: &mut crate::state::StateReader<'_, O::Partial>,
-    ) -> Result<Self, crate::state::StateError> {
-        let ranges = crate::state::load_ranges(r)?;
-        let wsize = ranges[0];
-        let curr = r.usize_word("multi-flatfit curr")?;
-        let len = r.usize_word("multi-flatfit len")?;
-        if curr >= wsize || len > wsize {
-            return Err(crate::state::corrupt(format!(
-                "multi-flatfit: curr {curr} / len {len} outside ring of {wsize}"
-            )));
-        }
-        let mut pointers = Vec::with_capacity(wsize);
-        for _ in 0..wsize {
-            let p = r.usize_word("multi-flatfit pointer")?;
-            if p >= wsize {
-                return Err(crate::state::corrupt(format!(
-                    "multi-flatfit: pointer {p} outside ring of {wsize}"
-                )));
-            }
-            pointers.push(p);
-        }
-        let partials = r.partial_vec(wsize, "multi-flatfit ring")?;
-        Ok(MultiFlatFit {
-            op,
-            partials,
-            pointers,
-            ranges,
-            wsize,
-            curr,
-            len,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

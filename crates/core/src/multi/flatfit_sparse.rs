@@ -129,62 +129,6 @@ impl<O: AggregateOp> MemoryFootprint for MultiFlatFitSparse<O> {
     }
 }
 
-impl<O: AggregateOp> crate::state::StatefulMultiAggregator<O> for MultiFlatFitSparse<O> {
-    /// Verbatim capture: ranges, cursor, fill, the lazy skip pointers
-    /// (words), and every segment partial in storage order. The
-    /// `positions` stack is pure intra-slide scratch (empty between
-    /// slides) and is recreated empty.
-    fn save_state(&self, w: &mut crate::state::StateWriter<O::Partial>) {
-        debug_assert!(self.positions.is_empty());
-        crate::state::save_ranges(w, &self.ranges);
-        w.usize_word(self.curr);
-        w.usize_word(self.len);
-        for &p in &self.pointers {
-            w.usize_word(p);
-        }
-        for p in &self.partials {
-            w.partial(p.clone());
-        }
-    }
-
-    fn load_state(
-        op: O,
-        _ranges: &[usize],
-        r: &mut crate::state::StateReader<'_, O::Partial>,
-    ) -> Result<Self, crate::state::StateError> {
-        let ranges = crate::state::load_ranges(r)?;
-        let wsize = ranges[0];
-        let curr = r.usize_word("multi-flatfit-sparse curr")?;
-        let len = r.usize_word("multi-flatfit-sparse len")?;
-        if curr >= wsize || len > wsize {
-            return Err(crate::state::corrupt(format!(
-                "multi-flatfit-sparse: curr {curr} / len {len} outside ring of {wsize}"
-            )));
-        }
-        let mut pointers = Vec::with_capacity(wsize);
-        for _ in 0..wsize {
-            let p = r.usize_word("multi-flatfit-sparse pointer")?;
-            if p >= wsize {
-                return Err(crate::state::corrupt(format!(
-                    "multi-flatfit-sparse: pointer {p} outside ring of {wsize}"
-                )));
-            }
-            pointers.push(p);
-        }
-        let partials = r.partial_vec(wsize, "multi-flatfit-sparse ring")?;
-        Ok(MultiFlatFitSparse {
-            op,
-            partials,
-            pointers,
-            positions: Vec::new(),
-            ranges,
-            wsize,
-            curr,
-            len,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

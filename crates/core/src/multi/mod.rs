@@ -24,15 +24,16 @@ mod flatfit;
 mod flatfit_sparse;
 mod naive;
 mod slickdeque;
+#[cfg(test)]
 mod time_multi;
 
+pub use crate::algorithms::time_windows::{MultiTimeSlickDequeInv, MultiTimeSlickDequeNonInv};
 pub use bint::MultiBInt;
 pub use flatfat::MultiFlatFat;
 pub use flatfit::MultiFlatFit;
 pub use flatfit_sparse::MultiFlatFitSparse;
 pub use naive::MultiNaive;
 pub use slickdeque::{MultiSlickDequeInv, MultiSlickDequeNonInv};
-pub use time_multi::{MultiTimeSlickDequeInv, MultiTimeSlickDequeNonInv};
 
 #[cfg(test)]
 mod tests {

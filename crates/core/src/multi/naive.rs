@@ -70,41 +70,6 @@ impl<O: AggregateOp> MemoryFootprint for MultiNaive<O> {
     }
 }
 
-impl<O: AggregateOp> crate::state::StatefulMultiAggregator<O> for MultiNaive<O> {
-    /// Verbatim capture: the (normalized) range list, the cursor, and
-    /// every ring slot in storage order.
-    fn save_state(&self, w: &mut crate::state::StateWriter<O::Partial>) {
-        crate::state::save_ranges(w, &self.ranges);
-        w.usize_word(self.curr);
-        for p in &self.partials {
-            w.partial(p.clone());
-        }
-    }
-
-    fn load_state(
-        op: O,
-        _ranges: &[usize],
-        r: &mut crate::state::StateReader<'_, O::Partial>,
-    ) -> Result<Self, crate::state::StateError> {
-        let ranges = crate::state::load_ranges(r)?;
-        let wsize = ranges[0];
-        let curr = r.usize_word("multi-naive curr")?;
-        if curr >= wsize {
-            return Err(crate::state::corrupt(format!(
-                "multi-naive: curr {curr} outside ring of {wsize}"
-            )));
-        }
-        let partials = r.partial_vec(wsize, "multi-naive ring")?;
-        Ok(MultiNaive {
-            op,
-            partials,
-            ranges,
-            wsize,
-            curr,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -5,18 +5,15 @@
 //! partial expiring from that range) — `2q` operations per slide for `q`
 //! distinct ranges.
 //!
-//! [`MultiSlickDequeNonInv`] keeps one monotone deque of `(pos, val)` nodes
-//! with positions wrapped into `[0, wSize)` and answers all ranges in a
-//! single head-to-tail pass, largest range first, using the two Answer
-//! Loops of Algorithm 2 (with the off-by-one in the transcribed loop
-//! conditions corrected: the expiring boundary position `startPos` itself
-//! is *outside* the range, so the skip conditions compare with `<=`; the
-//! paper's own Example 3 trace confirms this reading).
+//! [`MultiSlickDequeNonInv`] keeps one monotone deque of nodes stamped with
+//! their arrival index and answers all ranges in a single head-to-tail
+//! pass, largest range first: range `r` resolves at the first node fewer
+//! than `r` arrivals old (Algorithm 2's answer loop; DESIGN.md §2 on why
+//! its wrapped positions are not reproduced).
 
 use crate::aggregator::{normalize_ranges, MemoryFootprint, MultiFinalAggregator};
-use crate::chunked::ChunkedDeque;
-use crate::frame::{self, MIN_FRAME};
 use crate::invariants::{ensure, partials_agree, strict_check, InvariantViolation};
+use crate::monodeque::{MonoDeque, MIN_FRAME};
 use crate::ops::{InvertibleOp, SelectiveOp};
 
 /// Algorithm 1: multi-ACQ processing of invertible aggregates.
@@ -259,9 +256,6 @@ impl<O: InvertibleOp> MemoryFootprint for MultiSlickDequeInv<O> {
     }
 }
 
-/// A deque node; `pos` is wrapped into `[0, wSize)` as in Algorithm 2.
-type Node<P> = frame::Node<usize, P>;
-
 /// Algorithm 2: multi-ACQ processing of non-invertible (selective)
 /// aggregates on one shared monotone deque.
 ///
@@ -280,14 +274,12 @@ type Node<P> = frame::Node<usize, P>;
 /// ```
 #[derive(Debug, Clone)]
 pub struct MultiSlickDequeNonInv<O: SelectiveOp> {
-    op: O,
-    deque: ChunkedDeque<Node<O::Partial>>,
+    /// Nodes are stamped with their absolute arrival index.
+    deque: MonoDeque<O>,
     ranges: Vec<usize>,
     wsize: usize,
-    curr: usize,
-    /// Survivor bitset of the frame kernel, one bit per frame slot.
-    /// Scratch, not state: never serialized.
-    marks: Vec<u64>,
+    /// Absolute index the next arrival will receive.
+    next_pos: u64,
 }
 
 impl<O: SelectiveOp> MultiSlickDequeNonInv<O> {
@@ -296,12 +288,10 @@ impl<O: SelectiveOp> MultiSlickDequeNonInv<O> {
         let ranges = normalize_ranges(ranges);
         let wsize = ranges[0];
         MultiSlickDequeNonInv {
-            op,
-            deque: ChunkedDeque::for_window(wsize),
+            deque: MonoDeque::new(op, Some(wsize)),
             ranges,
             wsize,
-            curr: 0,
-            marks: Vec::new(),
+            next_pos: 0,
         }
     }
 
@@ -315,34 +305,14 @@ impl<O: SelectiveOp> MultiSlickDequeNonInv<O> {
     ///
     /// Ranges within the current window are answerable immediately — the
     /// monotone deque already retains every candidate for every sub-range.
-    /// A larger range grows the window: surviving nodes are re-mapped into
-    /// the new position space and the query warms up going forward
-    /// (expired history cannot be resurrected). O(deque length).
+    /// A larger range grows the window and the query warms up going forward
+    /// (expired history cannot be resurrected).
     pub fn add_query(&mut self, range: usize) {
         assert!(range >= 1, "query ranges must be positive");
         if self.ranges.contains(&range) {
             return;
         }
-        if range > self.wsize {
-            // Re-map wrapped positions: recover each node's age (slides
-            // since insertion) under the old modulus, then re-wrap under
-            // the new one. Ages are strictly decreasing head→tail.
-            let old_wsize = self.wsize;
-            let nodes: Vec<(usize, O::Partial)> = self
-                .deque
-                .iter()
-                .map(|n| {
-                    let age = (self.curr + old_wsize - 1 - n.pos) % old_wsize;
-                    (age, n.val.clone())
-                })
-                .collect();
-            self.wsize = range;
-            self.deque.clear();
-            for (age, val) in nodes {
-                let pos = (self.curr + self.wsize - 1 - age) % self.wsize;
-                self.deque.push_back(Node { pos, val });
-            }
-        }
+        self.wsize = self.wsize.max(range);
         let at = self.ranges.partition_point(|&x| x > range);
         self.ranges.insert(at, range);
     }
@@ -361,60 +331,22 @@ impl<O: SelectiveOp> MultiSlickDequeNonInv<O> {
         }
     }
 
-    /// One slide of Algorithm 2, its answers appended to `out`.
+    /// The oldest arrival index still inside the window.
+    fn oldest_live(&self) -> u64 {
+        self.next_pos.saturating_sub(self.wsize as u64)
+    }
+
+    /// One slide of Algorithm 2, its answers appended to `out`: the head
+    /// leaves when the arrival pushes it out of the window (line 13), the
+    /// arrival pops the tails it defeats (lines 15-18), and every range is
+    /// answered in one pass from the head (lines 20-40).
     fn slide_into(&mut self, partial: O::Partial, out: &mut Vec<O::Partial>) {
-        // Algorithm 2 line 13: the head expires when the new arrival wraps
-        // onto its position.
-        if let Some(front) = self.deque.front() {
-            if front.pos == self.curr {
-                self.deque.pop_front();
-            }
-        }
-        // Lines 15-18: pop every defeated tail.
-        while let Some(back) = self.deque.back() {
-            if self.op.defeats(&partial, &back.val) {
-                self.deque.pop_back();
-            } else {
-                break;
-            }
-        }
-        // alloc:amortized window buffer growth is amortized O(1) doubling
-        self.deque.push_back(Node {
-            pos: self.curr,
-            val: partial,
-        });
-        // Lines 20-40: answer all ranges, largest first, in one pass from
-        // the head; larger ranges always resolve at nodes closer to the
-        // head, so a single forward cursor over the deque suffices.
-        let mut nodes = self.deque.iter();
-        // check:allow the arrival was pushed above, so the deque is non-empty
-        let mut node = nodes.next().expect("deque holds the new arrival");
-        for &r in &self.ranges {
-            if r < self.wsize {
-                let start = self.curr as isize - r as isize;
-                if start < 0 {
-                    // Boundary crossed: in-range positions are
-                    // pos > startPos OR pos <= curr.
-                    let start = (start + self.wsize as isize) as usize;
-                    while node.pos <= start && node.pos > self.curr {
-                        // check:allow the newest node satisfies every range, so the cursor stops
-                        node = nodes.next().expect("newest node is always in range");
-                    }
-                } else {
-                    // No boundary: in-range positions are
-                    // startPos < pos <= curr.
-                    let start = start as usize;
-                    while node.pos <= start || node.pos > self.curr {
-                        // check:allow the newest node satisfies every range, so the cursor stops
-                        node = nodes.next().expect("newest node is always in range");
-                    }
-                }
-            }
-            // For r == wSize every live node is in range (the cursor is
-            // still at the head for the largest range).
-            out.push(node.val.clone()); // alloc:amortized window buffer growth is amortized O(1) doubling
-        }
-        self.curr = (self.curr + 1) % self.wsize;
+        let now = self.next_pos;
+        self.next_pos += 1;
+        self.deque.expire(self.oldest_live());
+        self.deque.arrive(now, partial);
+        let ranges = self.ranges.iter().map(|&r| r as u64);
+        self.deque.answers_into(now, ranges, out);
         strict_check!(self);
     }
 }
@@ -431,15 +363,14 @@ impl<O: SelectiveOp> MultiFinalAggregator<O> for MultiSlickDequeNonInv<O> {
         self.slide_into(partial, out);
     }
 
-    /// Frame-wise answers (the frame kernel's recurrence): the batch
-    /// is cut into frames no longer than the smallest range; per frame,
-    /// every answer is the pre-frame deque node still inside that range's
-    /// window ⊕ the frame's prefix scan, and the shared deque is updated
-    /// once. Bitwise the answers of `slide_multi` — selection returns one of
-    /// the window's own partials — without its data-dependent pop branch;
-    /// frames under [`MIN_FRAME`] partials keep the per-slide loop. All
-    /// position arithmetic is modulo `wsize`, which can exceed `ranges[0]`
-    /// after `remove_query`.
+    /// Frame-wise answers ([`MonoDeque::answer_frame`]): the batch is cut
+    /// into frames no longer than the smallest range; per frame, every
+    /// answer is the pre-frame deque node still inside that range's window
+    /// ⊕ the frame's prefix scan, and the shared deque is updated once.
+    /// Bitwise the answers of `slide_multi` — selection returns one of the
+    /// window's own partials — without its data-dependent pop branch;
+    /// frames under [`MIN_FRAME`] partials keep the per-slide loop. Expiry
+    /// is by `wsize`, which can exceed `ranges[0]` after `remove_query`.
     fn bulk_slide_multi(&mut self, batch: &[O::Partial], out: &mut Vec<O::Partial>) {
         out.clear();
         let Some(&shortest) = self.ranges.last() else {
@@ -453,31 +384,13 @@ impl<O: SelectiveOp> MultiFinalAggregator<O> for MultiSlickDequeNonInv<O> {
                 }
                 continue;
             }
-            let (curr, wsize) = (self.curr, self.wsize);
-            // Arrivals since the node at `pos`, itself included: 1..=wsize.
-            let age = |pos: &usize| {
-                if *pos < curr {
-                    curr - pos
-                } else {
-                    curr + wsize - pos
-                }
-            };
-            frame::answer_frame(&self.op, &self.deque, age, &self.ranges, run, out);
-            // Heads the frame pushes out of the window, read before the
-            // frame's own nodes reuse their wrapped positions.
-            while self
-                .deque
-                .front()
-                .is_some_and(|n| age(&n.pos) + run.len() > wsize)
-            {
-                self.deque.pop_front();
-            }
-            // `k ≤ run.len() ≤ wsize`, so one conditional subtraction wraps.
-            let wrap = |pos: usize| if pos >= wsize { pos - wsize } else { pos };
-            frame::append_frame(&self.op, &mut self.deque, &mut self.marks, run, |k| {
-                wrap(curr + k)
-            });
-            self.curr = wrap(curr + run.len());
+            let first = self.next_pos;
+            self.deque.answer_frame(first, &self.ranges, run, out);
+            self.next_pos += run.len() as u64;
+            // Heads the frame pushes out go first, so the tail count never
+            // tests a node that is leaving anyway.
+            self.deque.expire(self.oldest_live());
+            self.deque.append_frame(first, run);
             strict_check!(self);
         }
     }
@@ -486,80 +399,36 @@ impl<O: SelectiveOp> MultiFinalAggregator<O> for MultiSlickDequeNonInv<O> {
         &self.ranges
     }
 
-    /// The window size all position arithmetic is modulo: the largest
-    /// range ever registered, which `remove_query` leaves at its
-    /// high-water mark.
+    /// The window size nodes expire by: the largest range ever registered,
+    /// which `remove_query` leaves at its high-water mark.
     fn window(&self) -> usize {
         self.wsize
     }
 
     /// Multi-query SlickDeque (Non-Inv) invariants (paper Algorithm 2): the
-    /// ranges list is descending with the largest range sizing the window,
-    /// the shared deque never holds more nodes than window slots, node ages
-    /// (slides since insertion, recovered from the wrapped positions as in
-    /// `add_query`) strictly decrease head→tail, and no node is defeated by
-    /// its successor. Storage-level checks are delegated to
-    /// [`ChunkedDeque::check_invariants`]. `O(deque_len)` combines.
+    /// ranges list is descending with the largest range inside the window,
+    /// and the shared [`MonoDeque::check_invariants`] with strictly
+    /// increasing positions among the last `wsize` arrivals — so the deque
+    /// never holds more nodes than window slots. `O(deque_len)` combines.
     fn check_invariants(&self) -> Result<(), InvariantViolation> {
-        self.deque.check_invariants()?;
         ensure!(
             Self::NAME,
             "ranges-normalized",
             !self.ranges.is_empty()
                 && self.ranges[0] <= self.wsize
-                && self.ranges.windows(2).all(|w| w[0] > w[1])
-                && self.curr < self.wsize,
-            "ranges {:?} / curr {} for wsize {}",
+                && self.ranges.windows(2).all(|w| w[0] > w[1]),
+            "ranges {:?} for wsize {}",
             self.ranges,
-            self.curr,
             self.wsize
         );
-        ensure!(
-            Self::NAME,
-            "deque-bounded",
-            self.deque.len() <= self.wsize,
-            "deque holds {} nodes for window {}",
-            self.deque.len(),
-            self.wsize
-        );
-        let mut prev: Option<(usize, &Node<O::Partial>)> = None;
-        for (k, node) in self.deque.iter().enumerate() {
-            ensure!(
-                Self::NAME,
-                "position-wrapped",
-                node.pos < self.wsize,
-                "node {k} position {} outside [0, {})",
-                node.pos,
-                self.wsize
-            );
-            let age = (self.curr + self.wsize - 1 - node.pos) % self.wsize;
-            if let Some((older_age, older)) = prev {
-                ensure!(
-                    Self::NAME,
-                    "age-order",
-                    age < older_age,
-                    "node {k} age {age} does not precede its older neighbour's {older_age}"
-                );
-                ensure!(
-                    Self::NAME,
-                    "dominance-order",
-                    !self.op.defeats(&node.val, &older.val),
-                    "node {k} value {:?} defeats its older neighbour {:?}",
-                    node.val,
-                    older.val
-                );
-            }
-            prev = Some((age, node));
-        }
-        Ok(())
+        let live = self.oldest_live()..self.next_pos;
+        self.deque.check_invariants(Self::NAME, live, true)
     }
 }
 
 impl<O: SelectiveOp> MemoryFootprint for MultiSlickDequeNonInv<O> {
     fn heap_bytes(&self) -> usize {
-        self.deque.heap_bytes()
-            + self.ranges.capacity() * core::mem::size_of::<usize>()
-            + self.marks.capacity() * core::mem::size_of::<u64>()
+        self.deque.heap_bytes() + self.ranges.capacity() * core::mem::size_of::<usize>()
     }
 }
 
@@ -701,6 +570,7 @@ mod tests {
         assert_eq!(framed_single, framed, "one kernel, one count");
         assert!(per_slide < 2 * stream.len() as u64);
     }
+
     #[test]
     fn noninv_deque_stays_small_on_ascending_input() {
         let op = Max::<i64>::new();
@@ -831,8 +701,9 @@ mod dynamic_tests {
 
     /// `remove_query` keeps the window at its high-water mark, so after
     /// the largest range goes `ranges[0] < wsize`: the checkers must accept
-    /// it, `window()` must keep reporting the modulus every position is
-    /// wrapped by, and both bulk paths must keep taking it from `wsize`.
+    /// it, `window()` must keep reporting the size the ring wraps and the
+    /// deque expires by, and both bulk paths must keep taking it from
+    /// `wsize`.
     #[test]
     fn removing_the_largest_range_keeps_window_and_invariants() {
         let sum = Sum::<i64>::new();
@@ -877,104 +748,5 @@ mod dynamic_tests {
         let mut agg = MultiSlickDequeInv::new(Sum::<i64>::new(), &[4, 2]);
         agg.add_query(4);
         assert_eq!(agg.ranges(), &[4, 2]);
-    }
-}
-
-impl<O: InvertibleOp> crate::state::StatefulMultiAggregator<O> for MultiSlickDequeInv<O> {
-    /// Verbatim capture: ranges, cursor, the full history ring, and each
-    /// range's **running answer** (answers map keys are exactly the
-    /// ranges list, so only the aggregates are stored). The answers carry
-    /// the accumulated ⊕/⊖ rounding of the whole stream history — a
-    /// refold of the ring cannot reproduce them bitwise on
-    /// floating-point streams, which is why they are serialized rather
-    /// than recomputed.
-    fn save_state(&self, w: &mut crate::state::StateWriter<O::Partial>) {
-        crate::state::save_ranges(w, &self.ranges);
-        w.usize_word(self.curr);
-        for p in &self.partials {
-            w.partial(p.clone());
-        }
-        for (_, ans) in &self.answers {
-            w.partial(ans.clone());
-        }
-    }
-
-    fn load_state(
-        op: O,
-        _ranges: &[usize],
-        r: &mut crate::state::StateReader<'_, O::Partial>,
-    ) -> Result<Self, crate::state::StateError> {
-        let ranges = crate::state::load_ranges(r)?;
-        let wsize = ranges[0];
-        let curr = r.usize_word("multi-slickdeque-inv curr")?;
-        // Structural validation only: the full `check_invariants` refolds
-        // each answer from the ring and compares bitwise
-        // (`partials_agree` is exact equality), which legitimate
-        // floating-point states fail.
-        if curr >= wsize {
-            return Err(crate::state::corrupt(format!(
-                "multi-slickdeque-inv: curr {curr} outside ring of {wsize}"
-            )));
-        }
-        let partials = r.partial_vec(wsize, "multi-slickdeque-inv ring")?;
-        let answer_vals = r.partial_vec(ranges.len(), "multi-slickdeque-inv answers")?;
-        let answers = ranges.iter().copied().zip(answer_vals).collect();
-        Ok(MultiSlickDequeInv {
-            op,
-            partials,
-            answers,
-            ranges,
-            wsize,
-            curr,
-        })
-    }
-}
-
-impl<O: SelectiveOp> crate::state::StatefulMultiAggregator<O> for MultiSlickDequeNonInv<O> {
-    /// Verbatim capture: ranges, cursor, then the shared monotone deque
-    /// head→tail as (wrapped position, value) pairs.
-    fn save_state(&self, w: &mut crate::state::StateWriter<O::Partial>) {
-        crate::state::save_ranges(w, &self.ranges);
-        w.usize_word(self.curr);
-        w.usize_word(self.deque.len());
-        for node in self.deque.iter() {
-            w.usize_word(node.pos);
-            w.partial(node.val.clone());
-        }
-    }
-
-    fn load_state(
-        op: O,
-        _ranges: &[usize],
-        r: &mut crate::state::StateReader<'_, O::Partial>,
-    ) -> Result<Self, crate::state::StateError> {
-        let ranges = crate::state::load_ranges(r)?;
-        let wsize = ranges[0];
-        let curr = r.usize_word("multi-slickdeque-noninv curr")?;
-        let nodes = r.usize_word("multi-slickdeque-noninv node count")?;
-        if curr >= wsize || nodes > wsize {
-            return Err(crate::state::corrupt(format!(
-                "multi-slickdeque-noninv: curr {curr} / {nodes} nodes for window {wsize}"
-            )));
-        }
-        let mut deque = ChunkedDeque::for_window(wsize);
-        for _ in 0..nodes {
-            let pos = r.usize_word("multi-slickdeque-noninv node position")?;
-            let val = r.partial("multi-slickdeque-noninv node value")?;
-            deque.push_back(Node { pos, val });
-        }
-        let agg = MultiSlickDequeNonInv {
-            op,
-            deque,
-            ranges,
-            wsize,
-            curr,
-            marks: Vec::new(),
-        };
-        // Safe at load: the checker is structural (wrapped positions,
-        // age order) plus `defeats` comparisons on the stored values —
-        // bitwise-true for any legitimate state, floats included.
-        agg.check_invariants()?;
-        Ok(agg)
     }
 }

@@ -1,382 +1,16 @@
-//! Multi-ACQ time-based windows: the paper's Algorithms 1 and 2 carried
-//! into the time domain, serving several wall-clock ranges over one
-//! irregularly-timestamped stream.
-//!
-//! [`MultiTimeSlickDequeInv`] keeps one running answer per registered
-//! range; each range owns a cursor into the shared FIFO of timestamped
-//! partials and subtracts tuples as they age past *its* horizon — still
-//! one ⊕ per arrival plus one ⊖ per expiry per range.
-//!
-//! [`MultiTimeSlickDequeNonInv`] keeps one monotone deque; every range is
-//! answered in a single head-to-tail pass, largest range first, exactly
-//! like Algorithm 2's answer loops with timestamps in place of wrapped
-//! positions.
-
-use crate::aggregator::MemoryFootprint;
-use crate::algorithms::Timestamp;
-use crate::chunked::ChunkedDeque;
-use crate::ops::{InvertibleOp, SelectiveOp};
-
-fn normalize_ranges_ms(ranges_ms: &[u64]) -> Vec<u64> {
-    assert!(!ranges_ms.is_empty(), "at least one range is required");
-    assert!(
-        ranges_ms.iter().all(|&r| r > 0),
-        "ranges must be positive milliseconds"
-    );
-    let mut out = ranges_ms.to_vec();
-    out.sort_unstable_by(|a, b| b.cmp(a));
-    out.dedup();
-    out
-}
-
-/// Time-domain Algorithm 1: running answers with per-range expiry cursors.
-#[derive(Debug, Clone)]
-pub struct MultiTimeSlickDequeInv<O: InvertibleOp> {
-    op: O,
-    /// Distinct ranges in milliseconds, descending.
-    ranges_ms: Vec<u64>,
-    /// Timestamped partials young enough for the largest range.
-    window: ChunkedDeque<(Timestamp, O::Partial)>,
-    /// Absolute index of `window`'s front (count of pop_fronts ever).
-    popped: u64,
-    /// Per range: (first absolute index still included, running answer).
-    cursors: Vec<(u64, O::Partial)>,
-    last_ts: Timestamp,
-}
-
-impl<O: InvertibleOp> MultiTimeSlickDequeInv<O> {
-    /// Create an aggregator answering each of `ranges_ms` (milliseconds).
-    pub fn new(op: O, ranges_ms: &[u64]) -> Self {
-        let ranges_ms = normalize_ranges_ms(ranges_ms);
-        let cursors = ranges_ms.iter().map(|_| (0, op.identity())).collect();
-        MultiTimeSlickDequeInv {
-            op,
-            ranges_ms,
-            window: ChunkedDeque::new(),
-            popped: 0,
-            cursors,
-            last_ts: 0,
-        }
-    }
-
-    /// The registered ranges in milliseconds, descending.
-    pub fn ranges_ms(&self) -> &[u64] {
-        &self.ranges_ms
-    }
-
-    /// Insert a tuple at `ts` (non-decreasing); push one answer per range
-    /// (descending) into `out`.
-    pub fn insert(&mut self, ts: Timestamp, value: O::Partial, out: &mut Vec<O::Partial>) {
-        assert!(ts >= self.last_ts, "timestamps must be non-decreasing"); // check:allow precondition assert documenting the caller contract
-        self.last_ts = ts;
-        self.window.push_back((ts, value.clone())); // alloc:amortized window buffer growth is amortized O(1) doubling
-        for (ri, (cursor, answer)) in self.cursors.iter_mut().enumerate() {
-            *answer = self.op.combine(answer, &value);
-            if let Some(cutoff) = ts.checked_sub(self.ranges_ms[ri]) {
-                loop {
-                    let rel = (*cursor - self.popped) as usize;
-                    match self.window.get(rel) {
-                        Some((t, p)) if *t <= cutoff => {
-                            *answer = self.op.inverse_combine(answer, p);
-                            *cursor += 1;
-                        }
-                        _ => break,
-                    }
-                }
-            }
-        }
-        // Tuples older than every range (the largest, cursors[0]) leave
-        // the shared FIFO.
-        while self.popped < self.cursors[0].0 {
-            self.window.pop_front();
-            self.popped += 1;
-        }
-        out.clear();
-        for (_, answer) in &self.cursors {
-            out.push(answer.clone()); // alloc:amortized window buffer growth is amortized O(1) doubling
-        }
-    }
-
-    /// Tuples currently retained for the largest range.
-    pub fn len(&self) -> usize {
-        self.window.len()
-    }
-
-    /// True if no tuples are retained.
-    pub fn is_empty(&self) -> bool {
-        self.window.is_empty()
-    }
-}
-
-impl<O: InvertibleOp> MemoryFootprint for MultiTimeSlickDequeInv<O> {
-    fn heap_bytes(&self) -> usize {
-        self.window.heap_bytes()
-            + self.cursors.capacity() * core::mem::size_of::<(u64, O::Partial)>()
-            + self.ranges_ms.capacity() * core::mem::size_of::<u64>()
-    }
-}
-
-#[derive(Debug, Clone)]
-struct TimeNode<P> {
-    ts: Timestamp,
-    val: P,
-}
-
-/// Time-domain Algorithm 2: one monotone deque, all ranges answered in a
-/// single pass.
-#[derive(Debug, Clone)]
-pub struct MultiTimeSlickDequeNonInv<O: SelectiveOp> {
-    op: O,
-    ranges_ms: Vec<u64>,
-    deque: ChunkedDeque<TimeNode<O::Partial>>,
-    last_ts: Timestamp,
-}
-
-impl<O: SelectiveOp> MultiTimeSlickDequeNonInv<O> {
-    /// Create an aggregator answering each of `ranges_ms` (milliseconds).
-    pub fn new(op: O, ranges_ms: &[u64]) -> Self {
-        let ranges_ms = normalize_ranges_ms(ranges_ms);
-        MultiTimeSlickDequeNonInv {
-            op,
-            ranges_ms,
-            deque: ChunkedDeque::new(),
-            last_ts: 0,
-        }
-    }
-
-    /// The registered ranges in milliseconds, descending.
-    pub fn ranges_ms(&self) -> &[u64] {
-        &self.ranges_ms
-    }
-
-    /// Nodes currently on the deque.
-    pub fn deque_len(&self) -> usize {
-        self.deque.len()
-    }
-
-    /// Insert a tuple at `ts` (non-decreasing); push one answer per range
-    /// (descending) into `out`. Answers cover `(ts − range, ts]`.
-    pub fn insert(&mut self, ts: Timestamp, value: O::Partial, out: &mut Vec<O::Partial>) {
-        assert!(ts >= self.last_ts, "timestamps must be non-decreasing"); // check:allow precondition assert documenting the caller contract
-        self.last_ts = ts;
-        // Expire nodes outside the largest range.
-        if let Some(cutoff) = ts.checked_sub(self.ranges_ms[0]) {
-            while self.deque.front().is_some_and(|n| n.ts <= cutoff) {
-                self.deque.pop_front();
-            }
-        }
-        while let Some(back) = self.deque.back() {
-            if self.op.combine(&back.val, &value) == value {
-                self.deque.pop_back();
-            } else {
-                break;
-            }
-        }
-        self.deque.push_back(TimeNode { ts, val: value }); // alloc:amortized window buffer growth is amortized O(1) doubling
-                                                           // Single pass, largest range first: skip nodes too old for the
-                                                           // current range; the new arrival always qualifies.
-        out.clear();
-        let mut nodes = self.deque.iter();
-        // check:allow the arrival was pushed above, so the deque is non-empty
-        let mut node = nodes.next().expect("deque holds the new arrival");
-        for &r in &self.ranges_ms {
-            let cutoff = ts.checked_sub(r);
-            while cutoff.is_some_and(|c| node.ts <= c) {
-                // check:allow the newest node satisfies every range, so the cursor stops
-                node = nodes.next().expect("newest node is always in range");
-            }
-            out.push(node.val.clone()); // alloc:amortized window buffer growth is amortized O(1) doubling
-        }
-    }
-}
-
-impl<O: SelectiveOp> MemoryFootprint for MultiTimeSlickDequeNonInv<O> {
-    fn heap_bytes(&self) -> usize {
-        self.deque.heap_bytes() + self.ranges_ms.capacity() * core::mem::size_of::<u64>()
-    }
-}
-
-impl<O: InvertibleOp> MultiTimeSlickDequeInv<O> {
-    /// Capture the full state: ranges, pop count, last timestamp, the
-    /// timestamped FIFO, and each range's (cursor, running answer).
-    pub fn save_state(&self, w: &mut crate::state::StateWriter<O::Partial>) {
-        w.usize_word(self.ranges_ms.len());
-        for &r in &self.ranges_ms {
-            w.word(r);
-        }
-        w.word(self.popped);
-        w.word(self.last_ts);
-        w.usize_word(self.window.len());
-        for (ts, p) in self.window.iter() {
-            w.word(*ts);
-            w.partial(p.clone());
-        }
-        for (cursor, ans) in &self.cursors {
-            w.word(*cursor);
-            w.partial(ans.clone());
-        }
-    }
-
-    /// Rebuild from a capture, re-validating cursor and timestamp order.
-    /// The running answers are restored verbatim (they carry accumulated
-    /// ⊕/⊖ rounding a refold cannot reproduce).
-    pub fn load_state(
-        op: O,
-        r: &mut crate::state::StateReader<'_, O::Partial>,
-    ) -> Result<Self, crate::state::StateError> {
-        use crate::state::corrupt;
-        let n = r.usize_word("time-multi-inv range count")?;
-        if n == 0 {
-            return Err(corrupt("time-multi-inv: empty range list"));
-        }
-        let mut ranges_ms = Vec::with_capacity(n);
-        for _ in 0..n {
-            ranges_ms.push(r.word("time-multi-inv range")?);
-        }
-        if !(ranges_ms.iter().all(|&x| x >= 1) && ranges_ms.windows(2).all(|w| w[0] > w[1])) {
-            return Err(corrupt(format!(
-                "time-multi-inv: range list {ranges_ms:?} is not normalized"
-            )));
-        }
-        let popped = r.word("time-multi-inv popped")?;
-        let last_ts = r.word("time-multi-inv last_ts")?;
-        let wlen = r.usize_word("time-multi-inv window len")?;
-        let mut window = ChunkedDeque::new();
-        let mut prev_ts = None;
-        for _ in 0..wlen {
-            let ts = r.word("time-multi-inv entry ts")?;
-            let p = r.partial("time-multi-inv entry value")?;
-            if prev_ts.is_some_and(|t| ts < t) || ts > last_ts {
-                return Err(corrupt(format!(
-                    "time-multi-inv: timestamp {ts} out of order (last_ts {last_ts})"
-                )));
-            }
-            prev_ts = Some(ts);
-            window.push_back((ts, p));
-        }
-        let mut cursors = Vec::with_capacity(n);
-        for _ in 0..n {
-            let cursor = r.word("time-multi-inv cursor")?;
-            let ans = r.partial("time-multi-inv answer")?;
-            cursors.push((cursor, ans));
-        }
-        let in_window = |c: u64| c >= popped && c - popped <= wlen as u64;
-        if cursors[0].0 != popped
-            || !cursors.iter().all(|&(c, _)| in_window(c))
-            || cursors.windows(2).any(|w| w[0].0 > w[1].0)
-        {
-            return Err(corrupt(format!(
-                "time-multi-inv: cursors {:?} inconsistent with popped {popped} / len {wlen}",
-                cursors.iter().map(|(c, _)| *c).collect::<Vec<_>>()
-            )));
-        }
-        Ok(MultiTimeSlickDequeInv {
-            op,
-            ranges_ms,
-            window,
-            popped,
-            cursors,
-            last_ts,
-        })
-    }
-}
-
-impl<O: SelectiveOp> MultiTimeSlickDequeNonInv<O> {
-    /// Capture the full state: ranges, last timestamp, and the monotone
-    /// deque head→tail as (timestamp, value) pairs.
-    pub fn save_state(&self, w: &mut crate::state::StateWriter<O::Partial>) {
-        w.usize_word(self.ranges_ms.len());
-        for &r in &self.ranges_ms {
-            w.word(r);
-        }
-        w.word(self.last_ts);
-        w.usize_word(self.deque.len());
-        for node in self.deque.iter() {
-            w.word(node.ts);
-            w.partial(node.val.clone());
-        }
-    }
-
-    /// Rebuild from a capture, re-validating timestamp order and the
-    /// monotone-dominance invariant on the stored values.
-    pub fn load_state(
-        op: O,
-        r: &mut crate::state::StateReader<'_, O::Partial>,
-    ) -> Result<Self, crate::state::StateError> {
-        use crate::state::corrupt;
-        let n = r.usize_word("time-multi-noninv range count")?;
-        if n == 0 {
-            return Err(corrupt("time-multi-noninv: empty range list"));
-        }
-        let mut ranges_ms = Vec::with_capacity(n);
-        for _ in 0..n {
-            ranges_ms.push(r.word("time-multi-noninv range")?);
-        }
-        if !(ranges_ms.iter().all(|&x| x >= 1) && ranges_ms.windows(2).all(|w| w[0] > w[1])) {
-            return Err(corrupt(format!(
-                "time-multi-noninv: range list {ranges_ms:?} is not normalized"
-            )));
-        }
-        let last_ts = r.word("time-multi-noninv last_ts")?;
-        let dlen = r.usize_word("time-multi-noninv deque len")?;
-        let mut deque = ChunkedDeque::new();
-        let mut prev: Option<(Timestamp, O::Partial)> = None;
-        for _ in 0..dlen {
-            let ts = r.word("time-multi-noninv node ts")?;
-            let val = r.partial("time-multi-noninv node value")?;
-            if prev.as_ref().is_some_and(|(t, _)| ts < *t) || ts > last_ts {
-                return Err(corrupt(format!(
-                    "time-multi-noninv: timestamp {ts} out of order (last_ts {last_ts})"
-                )));
-            }
-            if prev
-                .as_ref()
-                .is_some_and(|(_, older)| op.combine(older, &val) == val)
-            {
-                return Err(corrupt(
-                    "time-multi-noninv: node defeats its older neighbour",
-                ));
-            }
-            prev = Some((ts, val.clone()));
-            deque.push_back(TimeNode { ts, val });
-        }
-        Ok(MultiTimeSlickDequeNonInv {
-            op,
-            ranges_ms,
-            deque,
-            last_ts,
-        })
-    }
-}
+//! Tests of the multi-ACQ time-based windows
+//! ([`algorithms::time_windows`](crate::algorithms) holds the types).
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::algorithms::time_windows::tests::irregular_stream;
+    use crate::multi::{MultiTimeSlickDequeInv, MultiTimeSlickDequeNonInv};
     use crate::ops::{AggregateOp, Max, Sum};
-
-    fn irregular_stream(n: usize) -> Vec<(u64, i64)> {
-        let mut ts = 0u64;
-        let mut x = 11u64;
-        (0..n)
-            .map(|i| {
-                x = x
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                let gap = match (x >> 33) % 8 {
-                    0..=4 => 1,
-                    5..=6 => 23,
-                    _ => 211,
-                };
-                ts += if i == 0 { 0 } else { gap };
-                (ts, ((x >> 40) % 500) as i64)
-            })
-            .collect()
-    }
 
     #[test]
     fn inv_matches_brute_force_per_range() {
         let ranges = [500u64, 100, 10];
-        let stream = irregular_stream(500);
+        let stream = irregular_stream();
         let op = Sum::<i64>::new();
         let mut agg = MultiTimeSlickDequeInv::new(op, &ranges);
         let mut out = Vec::new();
@@ -396,7 +30,7 @@ mod tests {
     #[test]
     fn noninv_matches_brute_force_per_range() {
         let ranges = [500u64, 100, 10];
-        let stream = irregular_stream(500);
+        let stream = irregular_stream();
         let op = Max::<i64>::new();
         let mut agg = MultiTimeSlickDequeNonInv::new(op, &ranges);
         let mut out = Vec::new();

@@ -118,7 +118,17 @@ impl<O: InvertibleOp> InvertibleOp for CountingOp<O> {
     }
 }
 
-impl<O: SelectiveOp> SelectiveOp for CountingOp<O> {}
+impl<O: SelectiveOp> SelectiveOp for CountingOp<O> {
+    /// One dominance test is one aggregate operation — what the default
+    /// (`combine` + `PartialEq`) counted — decided by the wrapped
+    /// operation's own `defeats`, so its order (the `total_cmp` NaN policy
+    /// of `MaxF64`/`MinF64`) survives the wrapper.
+    #[inline]
+    fn defeats(&self, new: &Self::Partial, old: &Self::Partial) -> bool {
+        self.counter.bump();
+        self.inner.defeats(new, old)
+    }
+}
 impl<O: CommutativeOp> CommutativeOp for CountingOp<O> {}
 
 #[cfg(test)]
@@ -144,6 +154,19 @@ mod tests {
         let p = op.lift(&42);
         let _ = op.lower(&p);
         assert_eq!(counter.get(), 0);
+    }
+
+    #[test]
+    fn defeats_keeps_the_wrapped_order_and_counts_once() {
+        use crate::ops::MaxF64;
+        let counter = OpCounter::new();
+        let op = CountingOp::new(MaxF64::new(), counter.clone());
+        // `NaN != NaN`, so `combine` + `PartialEq` would never let one NaN
+        // retire another; `MaxF64::defeats` compares by `total_cmp`.
+        assert!(op.defeats(&f64::NAN, &f64::NAN));
+        assert!(op.defeats(&f64::NAN, &5.0));
+        assert!(!op.defeats(&5.0, &f64::NAN));
+        assert_eq!(counter.get(), 3);
     }
 
     #[test]

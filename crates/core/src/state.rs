@@ -26,7 +26,7 @@
 //! a truncated or bit-flipped snapshot is rejected instead of resurrected
 //! into a corrupt window.
 
-use crate::aggregator::{FinalAggregator, MultiFinalAggregator};
+use crate::aggregator::FinalAggregator;
 use crate::invariants::InvariantViolation;
 use crate::ops::AggregateOp;
 
@@ -197,34 +197,6 @@ impl<'a, P: Clone> StateReader<'a, P> {
     }
 }
 
-/// Append a multi-query range list (count, then entries) to the word
-/// stream. Counterpart of [`load_ranges`].
-pub fn save_ranges<P>(w: &mut StateWriter<P>, ranges: &[usize]) {
-    w.usize_word(ranges.len());
-    for &r in ranges {
-        w.usize_word(r);
-    }
-}
-
-/// Read back a range list and re-validate the `normalize_ranges`
-/// postcondition (non-empty, strictly descending, all positive) so a
-/// corrupt capture cannot smuggle in a malformed query set.
-pub fn load_ranges<P: Clone>(r: &mut StateReader<'_, P>) -> Result<Vec<usize>, StateError> {
-    let n = r.usize_word("range count")?;
-    if n == 0 {
-        return Err(corrupt("empty range list"));
-    }
-    let mut ranges = Vec::with_capacity(n);
-    for _ in 0..n {
-        ranges.push(r.usize_word("range entry")?);
-    }
-    let normalized = ranges.iter().all(|&x| x >= 1) && ranges.windows(2).all(|w| w[0] > w[1]);
-    if !normalized {
-        return Err(corrupt(format!("range list {ranges:?} is not normalized")));
-    }
-    Ok(ranges)
-}
-
 /// A [`FinalAggregator`] whose complete window state can be captured and
 /// restored bitwise.
 ///
@@ -242,26 +214,6 @@ pub trait StatefulAggregator<O: AggregateOp>: FinalAggregator<O> {
     fn load_state(
         op: O,
         window: usize,
-        r: &mut StateReader<'_, O::Partial>,
-    ) -> Result<Self, StateError>
-    where
-        Self: Sized;
-}
-
-/// A [`MultiFinalAggregator`] whose state round-trips bitwise — the
-/// multi-query sibling of [`StatefulAggregator`], keyed by the ranges the
-/// aggregator was created with.
-pub trait StatefulMultiAggregator<O: AggregateOp>: MultiFinalAggregator<O> {
-    /// Capture the full internal state (the ranges themselves are part of
-    /// the capture, so runtime-registered queries survive the round trip).
-    fn save_state(&self, w: &mut StateWriter<O::Partial>);
-
-    /// Rebuild from a capture. `ranges` is the creation-time range list
-    /// used for cross-checking; the capture's own (possibly
-    /// runtime-extended) range list wins.
-    fn load_state(
-        op: O,
-        ranges: &[usize],
         r: &mut StateReader<'_, O::Partial>,
     ) -> Result<Self, StateError>
     where

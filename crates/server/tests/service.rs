@@ -23,6 +23,9 @@ fn temp_dir(tag: &str) -> PathBuf {
 fn start(dir: &Path) -> SwagServer {
     SwagServer::start(ServerConfig {
         snapshot_dir: dir.to_path_buf(),
+        // The default exports Chrome traces into `results/` under the
+        // crate directory on every pipeline teardown.
+        trace_dir: None,
         ..ServerConfig::default()
     })
     .expect("server starts")

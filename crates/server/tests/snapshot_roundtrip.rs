@@ -221,3 +221,41 @@ fn corrupted_words_are_rejected() {
     let mut r = StateReader::new(&words, &partials[..partials.len() - 1]);
     assert!(Naive::load_state(op, window, &mut r).is_err());
 }
+
+/// Snapshots written by earlier builds must keep restoring: the capture
+/// layout of the two SlickDeque forms, pinned for a fixed stream — words
+/// `[len, next_pos, node count, node positions…]` + node values for
+/// Non-Inv, `[curr, len]` + the ring and the running answer for Inv. The
+/// pinned capture, not the one just written, is what gets restored.
+#[test]
+fn slickdeque_snapshot_layout_is_pinned() {
+    const WINDOW: usize = 4;
+    const STREAM: [f64; 10] = [3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0, 6.0, 5.0, 3.0];
+
+    fn pinned<O, A>(op: O, words: &[u64], partials: &[f64])
+    where
+        O: AggregateOp<Input = f64, Partial = f64, Output = f64> + Clone,
+        A: FinalAggregator<O> + StatefulAggregator<O>,
+    {
+        let bits = |ps: &[f64]| ps.iter().map(|p| p.to_bits()).collect::<Vec<_>>();
+        let mut live = A::with_capacity(op.clone(), WINDOW);
+        for v in &STREAM {
+            live.slide(op.lift(v));
+        }
+        let mut w = StateWriter::new();
+        live.save_state(&mut w);
+        assert_eq!(w.words(), words, "{} words", A::NAME);
+        assert_eq!(bits(w.partials()), bits(partials), "{} partials", A::NAME);
+
+        let mut r = StateReader::new(words, partials);
+        let mut restored = A::load_state(op.clone(), WINDOW, &mut r).expect("pinned capture loads");
+        r.finish().expect("no trailing state");
+        for v in [7.0, 0.5, 8.0, 2.0, 2.0] {
+            let (a, b) = (live.slide(op.lift(&v)), restored.slide(op.lift(&v)));
+            assert_eq!(a.to_bits(), b.to_bits(), "{} after restore", A::NAME);
+        }
+    }
+
+    pinned::<_, SlickDequeNonInv<_>>(MaxF64::new(), &[4, 10, 3, 7, 8, 9], &[6.0, 5.0, 3.0]);
+    pinned::<_, SlickDequeInv<_>>(Sum::<f64>::new(), &[2, 4], &[5.0, 3.0, 2.0, 6.0, 16.0]);
+}

@@ -37,7 +37,7 @@ fn main() {
                  [--metrics-addr host:port] [--metrics-hold-ms N] \
                  [--trace-capacity N] [--trace-out DIR]\n\
                  service:   slickdeque-platform --serve [--ingest-addr host:port] \
-                 [--metrics-addr host:port] [--snapshot-dir DIR] \
+                 [--metrics-addr host:port] [--snapshot-dir DIR] [--trace-out DIR] \
                  [--pipeline JSON]... [--restore NAME]... [--serve-hold-ms N]"
             );
             std::process::exit(2);

@@ -202,7 +202,8 @@ pub struct CliConfig {
     /// to 4096 when `--trace-out` is given, otherwise tracing is off.
     pub trace_capacity: Option<usize>,
     /// Directory for `flightrec-<shard>.json` dumps (written on graceful
-    /// drain and on worker panic).
+    /// drain and on worker panic) and, with `--serve`, for the service's
+    /// `trace-<pipeline>.json` exports (`results` when absent).
     pub trace_out: Option<std::path::PathBuf>,
     /// Keep the metrics endpoint up this long after the run finishes, so
     /// a scraper can read the final counters (CI smoke uses this).
@@ -446,6 +447,9 @@ pub fn run_serve(cfg: &CliConfig) -> Result<(), String> {
     }
     if let Some(dir) = &cfg.snapshot_dir {
         server_cfg.snapshot_dir = dir.clone();
+    }
+    if let Some(dir) = &cfg.trace_out {
+        server_cfg.trace_dir = Some(dir.clone());
     }
     let server = SwagServer::start(server_cfg).map_err(|e| format!("start service: {e}"))?;
     eprintln!(
@@ -965,6 +969,8 @@ mod tests {
             "10".to_string(),
             "--snapshot-dir".to_string(),
             dir.display().to_string(),
+            "--trace-out".to_string(),
+            dir.display().to_string(),
             "--pipeline".to_string(),
             r#"{"name":"p","op":"sum","algorithm":"slickdeque","kind":"count","window":8}"#
                 .to_string(),
@@ -973,6 +979,7 @@ mod tests {
         run_serve(&cfg).unwrap();
         // The hold expired and shutdown snapshotted the (empty) pipeline.
         assert!(dir.join("p.swag").exists());
+        assert!(dir.join("trace-p.json").exists());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

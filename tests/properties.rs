@@ -522,6 +522,93 @@ fn random_time_stream(rng: &mut Rng) -> (Vec<(u64, i64)>, Vec<u64>) {
     (stream, ranges)
 }
 
+/// Stream shapes for the count-vs-time differential: random, strictly
+/// descending (no arrival defeats another: the deque fills), plateaus
+/// (ties, which the newer partial wins) and random with NaNs.
+fn differential_streams(rng: &mut Rng, n: usize) -> [Vec<f64>; 4] {
+    let random: Vec<f64> = (0..n)
+        .map(|_| rng.gen_range_i64(-4000, 4000) as f64 / 7.0)
+        .collect();
+    let descending = (0..n).map(|k| (n - k) as f64 * 0.1).collect();
+    let plateaus = random.iter().map(|v| (v / 100.0).round()).collect();
+    let mut with_nans = random.clone();
+    for v in with_nans.iter_mut().step_by(5) {
+        *v = f64::NAN;
+    }
+    [random, descending, plateaus, with_nans]
+}
+
+/// The ranges the differential serves for a window of `w`: `[w]` alone and
+/// `[w, w/3, 1]` (positive ones; the aggregators deduplicate).
+fn differential_ranges(w: usize) -> [Vec<usize>; 2] {
+    [vec![w], vec![w, (w / 3).max(1), 1]]
+}
+
+fn bits(answers: &[f64]) -> Vec<u64> {
+    answers.iter().map(|a| a.to_bits()).collect()
+}
+
+/// A count window is the time window whose timestamps are arrival indices:
+/// the time-based Inv pair must answer bitwise like the count-based pair.
+fn inv_count_vs_time(stream: &[f64], ranges: &[usize], case: u64) {
+    let op = Sum::<f64>::new();
+    let ranges_ms: Vec<u64> = ranges.iter().map(|&r| r as u64).collect();
+    let mut count_multi = MultiSlickDequeInv::with_ranges(op, ranges);
+    let mut time_multi = MultiTimeSlickDequeInv::new(op, &ranges_ms);
+    let mut count_single = SlickDequeInv::new(op, ranges[0]);
+    let mut time_single = TimeSlickDequeInv::new(op, ranges_ms[0]);
+    let (mut o1, mut o2) = (Vec::new(), Vec::new());
+    for (i, v) in stream.iter().enumerate() {
+        count_multi.slide_multi(*v, &mut o1);
+        time_multi.insert(i as u64, *v, &mut o2);
+        assert_eq!(bits(&o1), bits(&o2), "case {case} tuple {i} {ranges:?}");
+        let single = [count_single.slide(*v), time_single.insert(i as u64, *v)];
+        assert_eq!(bits(&single), [o1[0].to_bits(); 2], "case {case} tuple {i}");
+    }
+}
+
+/// The same for the four SlickDeque (Non-Inv) shells over the one monotone
+/// deque, every structure checking its invariants at every step.
+fn noninv_count_vs_time<O>(op: O, stream: &[f64], ranges: &[usize], case: u64)
+where
+    O: SelectiveOp<Input = f64, Partial = f64> + Copy,
+{
+    let ranges_ms: Vec<u64> = ranges.iter().map(|&r| r as u64).collect();
+    let mut count_multi = MultiSlickDequeNonInv::with_ranges(op, ranges);
+    let mut time_multi = MultiTimeSlickDequeNonInv::new(op, &ranges_ms);
+    let mut count_single = SlickDequeNonInv::new(op, ranges[0]);
+    let mut time_single = TimeSlickDequeNonInv::new(op, ranges_ms[0]);
+    let (mut o1, mut o2) = (Vec::new(), Vec::new());
+    for (i, v) in stream.iter().enumerate() {
+        let p = op.lift(v);
+        count_multi.slide_multi(p, &mut o1);
+        time_multi.insert(i as u64, p, &mut o2);
+        assert_eq!(bits(&o1), bits(&o2), "case {case} tuple {i} {ranges:?}");
+        let single = [count_single.slide(p), time_single.insert(i as u64, p)];
+        assert_eq!(bits(&single), [o1[0].to_bits(); 2], "case {case} tuple {i}");
+        assert_eq!(
+            count_multi.check_invariants(),
+            Ok(()),
+            "case {case} tuple {i}"
+        );
+        assert_eq!(
+            time_multi.check_invariants(),
+            Ok(()),
+            "case {case} tuple {i}"
+        );
+        assert_eq!(
+            count_single.check_invariants(),
+            Ok(()),
+            "case {case} tuple {i}"
+        );
+        assert_eq!(
+            time_single.check_invariants(),
+            Ok(()),
+            "case {case} tuple {i}"
+        );
+    }
+}
+
 #[test]
 fn time_multi_inv_matches_brute_force() {
     check(64, |rng, case| {
@@ -538,6 +625,13 @@ fn time_multi_inv_matches_brute_force() {
                     .map(|(_, v)| v)
                     .sum();
                 assert_eq!(out[k], expect, "case {case} tuple {i} range {r}");
+            }
+        }
+
+        let w = rng.gen_range_usize(1, 40);
+        for stream in differential_streams(rng, 3 * w + 5) {
+            for ranges in differential_ranges(w) {
+                inv_count_vs_time(&stream, &ranges, case);
             }
         }
     });
@@ -559,6 +653,45 @@ fn time_multi_noninv_matches_brute_force() {
                     .map(|(_, v)| *v)
                     .max();
                 assert_eq!(out[k], expect, "case {case} tuple {i} range {r}");
+            }
+            agg.check_invariants().unwrap();
+        }
+
+        // The same stream with NaNs in it, through the `total_cmp` order of
+        // `MaxF64`: a live NaN is the maximum until it expires.
+        let fop = MaxF64::new();
+        let mut fagg = MultiTimeSlickDequeNonInv::new(fop, &ranges);
+        let mut fout = Vec::new();
+        let fstream: Vec<(u64, f64)> = [(0, 5.0), (0, f64::NAN), (0, 1.0)]
+            .into_iter()
+            .chain(stream.iter().map(|&(ts, v)| {
+                let v = if v % 5 == 0 { f64::NAN } else { v as f64 };
+                (ts, v)
+            }))
+            .collect();
+        for (i, &(ts, v)) in fstream.iter().enumerate() {
+            fagg.insert(ts, fop.lift(&v), &mut fout);
+            for (k, &r) in fagg.ranges_ms().iter().enumerate() {
+                let expect = fstream[..=i]
+                    .iter()
+                    .filter(|(t, _)| (*t as i128) > ts as i128 - r as i128)
+                    .fold(fop.identity(), |acc, (_, v)| {
+                        fop.combine(&acc, &fop.lift(v))
+                    });
+                assert_eq!(
+                    fout[k].to_bits(),
+                    expect.to_bits(),
+                    "case {case} tuple {i} range {r}"
+                );
+            }
+            fagg.check_invariants().unwrap();
+        }
+
+        let w = rng.gen_range_usize(1, 40);
+        for stream in differential_streams(rng, 3 * w + 5) {
+            for ranges in differential_ranges(w) {
+                noninv_count_vs_time(MaxF64::new(), &stream, &ranges, case);
+                noninv_count_vs_time(MinF64::new(), &stream, &ranges, case);
             }
         }
     });
