@@ -243,57 +243,6 @@ impl<O: AggregateOp> MemoryFootprint for BInt<O> {
     }
 }
 
-impl<O: AggregateOp> crate::state::StatefulAggregator<O> for BInt<O> {
-    /// Capture every level verbatim — `[m, curr, len]` words plus the
-    /// levels base-first. Upper levels travel with the capture instead of
-    /// being rebuilt, so no combine runs at load.
-    fn save_state(&self, w: &mut crate::state::StateWriter<O::Partial>) {
-        w.usize_word(self.m);
-        w.usize_word(self.curr);
-        w.usize_word(self.len);
-        for level in &self.levels {
-            for p in level {
-                w.partial(p.clone());
-            }
-        }
-    }
-
-    fn load_state(
-        op: O,
-        window: usize,
-        r: &mut crate::state::StateReader<'_, O::Partial>,
-    ) -> Result<Self, crate::state::StateError> {
-        if window == 0 {
-            return Err(crate::state::corrupt("bint: zero window"));
-        }
-        let m = r.usize_word("bint m")?;
-        let curr = r.usize_word("bint curr")?;
-        let len = r.usize_word("bint len")?;
-        if m != window.next_power_of_two() {
-            return Err(crate::state::corrupt(format!(
-                "bint: slot count {m} does not match window {window}"
-            )));
-        }
-        let level_count = m.trailing_zeros() as usize + 1;
-        let mut levels = Vec::with_capacity(level_count);
-        for l in 0..level_count {
-            levels.push(r.partial_vec(m >> l, "bint level")?);
-        }
-        let agg = BInt {
-            op,
-            levels,
-            m,
-            window,
-            curr,
-            len,
-        };
-        // Interval slots are compared against a single combine of their
-        // current halves — bitwise-true for any live state.
-        agg.check_invariants()?;
-        Ok(agg)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

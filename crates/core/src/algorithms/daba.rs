@@ -377,75 +377,6 @@ impl<O: AggregateOp> MemoryFootprint for Daba<O> {
     }
 }
 
-impl<O: AggregateOp> crate::state::StatefulAggregator<O> for Daba<O> {
-    /// Capture the deque verbatim — `[slot count, popped, l, r, a, b]`
-    /// words, then every slot's `(val, agg)` front→back. The cached
-    /// region aggregates must travel with the values: DABA builds them
-    /// right-associated one combine at a time, which a refold cannot
-    /// reproduce bitwise on floating-point streams.
-    fn save_state(&self, w: &mut crate::state::StateWriter<O::Partial>) {
-        w.usize_word(self.q.len());
-        w.word(self.popped);
-        w.word(self.l);
-        w.word(self.r);
-        w.word(self.a);
-        w.word(self.b);
-        for slot in self.q.iter() {
-            w.partial(slot.val.clone());
-            w.partial(slot.agg.clone());
-        }
-    }
-
-    fn load_state(
-        op: O,
-        window: usize,
-        r: &mut crate::state::StateReader<'_, O::Partial>,
-    ) -> Result<Self, crate::state::StateError> {
-        if window == 0 {
-            return Err(crate::state::corrupt("daba: zero window"));
-        }
-        let slots = r.usize_word("daba slot count")?;
-        let popped = r.word("daba popped")?;
-        let (pl, pr, pa, pb) = (
-            r.word("daba l")?,
-            r.word("daba r")?,
-            r.word("daba a")?,
-            r.word("daba b")?,
-        );
-        // Structural validation (the full checker refolds whole regions,
-        // which is exact only for streams where ⊕ reassociates cleanly):
-        // pointer order within the live range and the banker's balance
-        // |L| == |R|.
-        let front = popped;
-        let end = popped + slots as u64;
-        if slots > window
-            || !(front <= pl && pl <= pr && pr <= pa && pa <= pb && pb <= end)
-            || pr - pl != pa - pr
-        {
-            return Err(crate::state::corrupt(format!(
-                "daba: pointers f {front} l {pl} r {pr} a {pa} b {pb} e {end} \
-                 impossible for window {window}"
-            )));
-        }
-        let mut q = ChunkedDeque::for_window(window);
-        for _ in 0..slots {
-            let val = r.partial("daba slot val")?;
-            let agg = r.partial("daba slot agg")?;
-            q.push_back(Slot { val, agg });
-        }
-        Ok(Daba {
-            op,
-            q,
-            popped,
-            l: pl,
-            r: pr,
-            a: pa,
-            b: pb,
-            window,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -308,52 +308,6 @@ impl<O: AggregateOp> MemoryFootprint for FlatFat<O> {
     }
 }
 
-impl<O: AggregateOp> crate::state::StatefulAggregator<O> for FlatFat<O> {
-    /// Capture the whole heap-layout tree verbatim — `[m, curr, len]`
-    /// words plus all `2m` tree slots (internal nodes included, so no
-    /// rebuild combines run at load and the restored tree is
-    /// bit-for-bit the original).
-    fn save_state(&self, w: &mut crate::state::StateWriter<O::Partial>) {
-        w.usize_word(self.m);
-        w.usize_word(self.curr);
-        w.usize_word(self.len);
-        for p in &self.tree {
-            w.partial(p.clone());
-        }
-    }
-
-    fn load_state(
-        op: O,
-        window: usize,
-        r: &mut crate::state::StateReader<'_, O::Partial>,
-    ) -> Result<Self, crate::state::StateError> {
-        if window == 0 {
-            return Err(crate::state::corrupt("flatfat: zero window"));
-        }
-        let m = r.usize_word("flatfat m")?;
-        let curr = r.usize_word("flatfat curr")?;
-        let len = r.usize_word("flatfat len")?;
-        if m != window.next_power_of_two() {
-            return Err(crate::state::corrupt(format!(
-                "flatfat: leaf count {m} does not match window {window}"
-            )));
-        }
-        let tree = r.partial_vec(2 * m, "flatfat tree")?;
-        let agg = FlatFat {
-            op,
-            tree,
-            m,
-            window,
-            curr,
-            len,
-        };
-        // Parent slots are compared against a single combine of their
-        // current children — bitwise-true for any live state.
-        agg.check_invariants()?;
-        Ok(agg)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

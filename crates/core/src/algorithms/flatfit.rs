@@ -221,53 +221,6 @@ impl<O: AggregateOp> MemoryFootprint for FlatFit<O> {
     }
 }
 
-impl<O: AggregateOp> crate::state::StatefulAggregator<O> for FlatFit<O> {
-    /// Capture the partial ring and the skip-pointer ring verbatim:
-    /// `[curr, len]` plus one pointer word per slot, then every partial in
-    /// storage order. The `positions` stack is transient (always unwound
-    /// between operations) and is recreated empty.
-    fn save_state(&self, w: &mut crate::state::StateWriter<O::Partial>) {
-        w.usize_word(self.curr);
-        w.usize_word(self.len);
-        for &p in &self.pointers {
-            w.usize_word(p);
-        }
-        for p in &self.partials {
-            w.partial(p.clone());
-        }
-    }
-
-    fn load_state(
-        op: O,
-        window: usize,
-        r: &mut crate::state::StateReader<'_, O::Partial>,
-    ) -> Result<Self, crate::state::StateError> {
-        if window == 0 {
-            return Err(crate::state::corrupt("flatfit: zero window"));
-        }
-        let curr = r.usize_word("flatfit curr")?;
-        let len = r.usize_word("flatfit len")?;
-        let mut pointers = Vec::with_capacity(window);
-        for _ in 0..window {
-            pointers.push(r.usize_word("flatfit pointer")?);
-        }
-        let partials = r.partial_vec(window, "flatfit ring")?;
-        let agg = FlatFit {
-            op,
-            partials,
-            pointers,
-            positions: Vec::new(),
-            window,
-            curr,
-            len,
-        };
-        // The checker is purely structural (pointer-chain reachability),
-        // so it is exact for any partial type.
-        agg.check_invariants()?;
-        Ok(agg)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -154,41 +154,6 @@ impl<O: AggregateOp> MemoryFootprint for Naive<O> {
     }
 }
 
-impl<O: AggregateOp> crate::state::StatefulAggregator<O> for Naive<O> {
-    /// Verbatim ring capture: `[curr, len]` plus every slot in storage
-    /// order — identity padding included, so the restored ring is
-    /// bit-for-bit the original.
-    fn save_state(&self, w: &mut crate::state::StateWriter<O::Partial>) {
-        w.usize_word(self.curr);
-        w.usize_word(self.len);
-        for p in &self.partials {
-            w.partial(p.clone());
-        }
-    }
-
-    fn load_state(
-        op: O,
-        window: usize,
-        r: &mut crate::state::StateReader<'_, O::Partial>,
-    ) -> Result<Self, crate::state::StateError> {
-        if window == 0 {
-            return Err(crate::state::corrupt("naive: zero window"));
-        }
-        let curr = r.usize_word("naive curr")?;
-        let len = r.usize_word("naive len")?;
-        let partials = r.partial_vec(window, "naive ring")?;
-        let agg = Naive {
-            op,
-            partials,
-            window,
-            curr,
-            len,
-        };
-        agg.check_invariants()?;
-        Ok(agg)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -267,62 +267,6 @@ impl<O: AggregateOp> MemoryFootprint for TwoStacks<O> {
     }
 }
 
-impl<O: AggregateOp> crate::state::StatefulAggregator<O> for TwoStacks<O> {
-    /// Capture both stacks verbatim, bottom→top: `[front len, back len]`
-    /// words, then every node's `(val, agg)` pair. The cached aggregates
-    /// are saved rather than recomputed at load so the restored stacks
-    /// carry exactly the combines the live aggregator performed.
-    fn save_state(&self, w: &mut crate::state::StateWriter<O::Partial>) {
-        w.usize_word(self.front.len());
-        w.usize_word(self.back.len());
-        for node in self.front.iter().chain(self.back.iter()) {
-            w.partial(node.val.clone());
-            w.partial(node.agg.clone());
-        }
-    }
-
-    fn load_state(
-        op: O,
-        window: usize,
-        r: &mut crate::state::StateReader<'_, O::Partial>,
-    ) -> Result<Self, crate::state::StateError> {
-        if window == 0 {
-            return Err(crate::state::corrupt("twostacks: zero window"));
-        }
-        let front_len = r.usize_word("twostacks front len")?;
-        let back_len = r.usize_word("twostacks back len")?;
-        if front_len + back_len > window {
-            return Err(crate::state::corrupt(format!(
-                "twostacks: {front_len} + {back_len} nodes exceed window {window}"
-            )));
-        }
-        let mut read_stack = |n: usize| -> Result<Vec<Node<O::Partial>>, crate::state::StateError> {
-            let mut stack = Vec::with_capacity(n);
-            for _ in 0..n {
-                let val = r.partial("twostacks node val")?;
-                let agg = r.partial("twostacks node agg")?;
-                stack.push(Node { val, agg });
-            }
-            Ok(stack)
-        };
-        let front = read_stack(front_len)?;
-        let back = read_stack(back_len)?;
-        let agg = TwoStacks {
-            op,
-            front,
-            back,
-            window,
-            scan_vals: Vec::new(),
-            scan_aggs: Vec::new(),
-        };
-        // The checker chains each cached aggregate against its cached
-        // neighbour with a single combine — bitwise-true for any stream a
-        // live aggregator produced, so it is safe to enforce here.
-        agg.check_invariants()?;
-        Ok(agg)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -9,8 +9,11 @@
 //! running-aggregate algorithms (SlickDeque Inv's answer accumulates
 //! floating-point rounding from the whole history, not just the live
 //! window), so [`StatefulAggregator`] serializes each algorithm's internal
-//! state **verbatim** — every ring slot, stack node, tree level, and
-//! derived aggregate — rather than reconstructing any of it.
+//! state **verbatim** — every ring slot, deque node and running answer —
+//! rather than reconstructing any of it. Only the two aggregators the
+//! service runs per count-window key implement it, `SlickDequeInv` and
+//! `SlickDequeNonInv`; the paper's baselines are measured in-process and
+//! never snapshotted.
 //!
 //! State is captured into two typed streams:
 //!
@@ -281,15 +284,6 @@ impl PartialCodec for crate::ops::MinF64 {
     }
     fn decode_partial(&self, bytes: &[u8], pos: &mut usize) -> Result<f64, StateError> {
         decode_f64(bytes, pos, "MinF64 partial")
-    }
-}
-
-impl<T: Clone> PartialCodec for crate::ops::Count<T> {
-    fn encode_partial(&self, p: &u64, out: &mut Vec<u8>) {
-        out.extend_from_slice(&p.to_le_bytes());
-    }
-    fn decode_partial(&self, bytes: &[u8], pos: &mut usize) -> Result<u64, StateError> {
-        decode_u64(bytes, pos, "Count partial")
     }
 }
 

@@ -36,4 +36,4 @@ mod spec;
 
 pub use pipeline::{AnswerTable, PipelineStatus};
 pub use server::{ServerConfig, SwagServer};
-pub use spec::{AlgoKind, OpKind, PipelineSpec, PlanKind, SloSpec};
+pub use spec::{OpKind, PipelineSpec, PlanKind, SloSpec};

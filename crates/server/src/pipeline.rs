@@ -23,9 +23,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
 use swag_core::aggregator::FinalAggregator;
-use swag_core::algorithms::{
-    BInt, Daba, FlatFat, FlatFit, Naive, SlickDequeInv, SlickDequeNonInv, TwoStacks,
-};
+use swag_core::algorithms::{SlickDequeInv, SlickDequeNonInv};
 use swag_core::ops::AggregateOp;
 use swag_core::ops::{MaxF64, Mean, MinF64, StdDev, Sum, Variance};
 use swag_core::state::{PartialCodec, StateError, StateReader, StateWriter, StatefulAggregator};
@@ -43,7 +41,7 @@ use swag_stream::{TimeWindowExec, TimeWindowSpec};
 use swag_trace::{SpanSampler, Stage};
 
 use crate::snapshot::{write_snapshot, KeyState, Snapshot};
-use crate::spec::{AlgoKind, OpKind, PipelineSpec, PlanKind};
+use crate::spec::{OpKind, PipelineSpec, PlanKind};
 
 /// Bounded depth of a pipeline's message queue, in messages.
 pub(crate) const MSG_QUEUE_CAP: usize = 16;
@@ -427,7 +425,8 @@ fn decode_key<O: AggregateOp + PartialCodec, T>(
     Ok((ks.key, state))
 }
 
-/// An arrival-order (count-window) plan: one `A` aggregator per key.
+/// An arrival-order (count-window) plan: one `A` aggregator per key, the
+/// SlickDeque flavour for `O`.
 struct CountPlan<O, A> {
     op: O,
     window: usize,
@@ -681,9 +680,8 @@ fn launch<Pl: Plan>(
 }
 
 /// Spawn a pipeline worker for `spec`, optionally seeding it from a
-/// decoded snapshot. Dispatches the plan × op × algorithm matrix to a
-/// concrete monomorphised worker, exactly as the CLI dispatches its run
-/// matrix.
+/// snapshot captured under it. Dispatches the plan × op pair to a
+/// concrete monomorphised worker.
 pub(crate) fn spawn_pipeline(
     spec: PipelineSpec,
     restore: Option<&Snapshot>,
@@ -693,14 +691,6 @@ pub(crate) fn spawn_pipeline(
     trace: Option<SpanSampler>,
 ) -> Result<PipelineHandle, String> {
     spec.validate()?;
-    if let Some(snap) = restore {
-        if snap.spec.op != spec.op || snap.spec.algo != spec.algo || snap.spec.plan != spec.plan {
-            return Err(format!(
-                "snapshot for {:?} was captured under a different spec",
-                spec.name
-            ));
-        }
-    }
     let (tx, rx) = std::sync::mpsc::sync_channel::<Msg>(MSG_QUEUE_CAP);
     let status = Arc::new(Mutex::new(PipelineStatus::default()));
     let answers = Arc::new(Mutex::new(match spec.plan {
@@ -721,30 +711,16 @@ pub(crate) fn spawn_pipeline(
         trace: trace.clone(),
     };
 
-    // One monomorphised worker per plan × op × algorithm. `$slick` is the
-    // SlickDeque flavour matching the op class: Inv for invertible ops,
-    // Non-Inv for selective ones.
+    // One monomorphised worker per plan × op. Count plans run `$slick`,
+    // the SlickDeque flavour matching the op class: Inv for invertible
+    // ops, Non-Inv for selective ones. Event plans run FiBA.
     macro_rules! pipe {
         ($op:expr, $slick:ident) => {
             match spec.plan {
                 PlanKind::Count { window } => {
-                    macro_rules! with {
-                        ($A:ident) => {{
-                            let algo = PhantomData::<fn() -> $A<_>>;
-                            let op = $op;
-                            launch(CountPlan { op, window, algo }, ctx, restore)?
-                        }};
-                    }
-                    match spec.algo {
-                        AlgoKind::SlickDeque => with!($slick),
-                        AlgoKind::Naive => with!(Naive),
-                        AlgoKind::FlatFat => with!(FlatFat),
-                        AlgoKind::BInt => with!(BInt),
-                        AlgoKind::FlatFit => with!(FlatFit),
-                        AlgoKind::TwoStacks => with!(TwoStacks),
-                        AlgoKind::Daba => with!(Daba),
-                        AlgoKind::Fiba => unreachable!("validated: fiba is event-time only"),
-                    }
+                    let algo = PhantomData::<fn() -> $slick<_>>;
+                    let op = $op;
+                    launch(CountPlan { op, window, algo }, ctx, restore)?
                 }
                 PlanKind::Event {
                     range,

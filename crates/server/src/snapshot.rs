@@ -8,7 +8,7 @@
 //! u8   version     (= 1)
 //! u8   kind        (0 = count plan, 1 = event plan)
 //! u8   op tag      (OpKind::tag)
-//! u8   algo tag    (AlgoKind::tag)
+//! u8   algo tag    (0 = slickdeque, count; 7 = fiba, event; 1–6 reserved)
 //! u16  name_len    + name bytes
 //! [kind 0] u64 window
 //! [kind 1] u64 range, u64 slide, u64 lateness
@@ -18,7 +18,7 @@
 //! per key:
 //!   u64 key
 //!   u64 word count,    word count × u64     (typed state words)
-//!   u64 partial count, partials via PartialCodec
+//!   u64 partial count, u64 byte length, partials via PartialCodec
 //! u64  FNV-1a 64 of everything above
 //! ```
 //!
@@ -37,7 +37,7 @@ use std::path::{Path, PathBuf};
 
 use swag_core::state::{PartialCodec, StateError};
 
-use crate::spec::{AlgoKind, OpKind, PipelineSpec, PlanKind};
+use crate::spec::{OpKind, PipelineSpec, PlanKind, ALGORITHMS};
 
 /// Snapshot file magic.
 pub const SNAP_MAGIC: &[u8; 4] = b"SWAG";
@@ -132,7 +132,7 @@ impl Snapshot {
             PlanKind::Event { .. } => out.push(1),
         }
         out.push(self.spec.op.tag());
-        out.push(self.spec.algo.tag());
+        out.push(self.spec.plan.algo_tag());
         let name = self.spec.name.as_bytes();
         out.extend_from_slice(&(name.len() as u16).to_le_bytes());
         out.extend_from_slice(name);
@@ -205,7 +205,7 @@ impl Snapshot {
         }
         let kind = take(&mut pos, 1, "kind")?[0];
         let op = OpKind::from_tag(take(&mut pos, 1, "op tag")?[0])?;
-        let algo = AlgoKind::from_tag(take(&mut pos, 1, "algo tag")?[0])?;
+        let algo_tag = take(&mut pos, 1, "algo tag")?[0];
         let name_len = u16::from_le_bytes(take(&mut pos, 2, "name length")?.try_into().unwrap());
         let name = String::from_utf8(take(&mut pos, name_len as usize, "name")?.to_vec())
             .map_err(|_| "snapshot pipeline name is not UTF-8".to_string())?;
@@ -220,6 +220,10 @@ impl Snapshot {
             },
             other => return Err(format!("unknown snapshot kind {other}")),
         };
+        match ALGORITHMS.get(algo_tag as usize) {
+            Some(algo) => plan.check_algorithm(algo)?,
+            None => return Err(format!("unknown algorithm tag {algo_tag}")),
+        }
         let shards = take_u64(&mut pos, "shards")? as usize;
         let watermark = take_u64(&mut pos, "watermark")?;
         let nkeys = take_u64(&mut pos, "key count")?;
@@ -261,7 +265,6 @@ impl Snapshot {
         let spec = PipelineSpec {
             name,
             op,
-            algo,
             plan,
             shards: shards.max(1),
             batch: 256,
@@ -309,7 +312,25 @@ pub fn read_snapshot(dir: &Path, name: &str) -> Result<Snapshot, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use swag_core::ops::Sum;
+    use swag_core::ops::{MaxF64, Sum};
+
+    /// Full `encode` bytes of a small count and a small event snapshot as
+    /// written by earlier builds, where the algorithm was a spec field.
+    const COUNT_GOLDEN: &str = "\
+        53574147010000000400626964730400000000000000020000000000000000000000000000000100\
+        00000000000007000000000000000200000000000000010000000000000002000000000000000100\
+        0000000000000800000000000000000000000000f83f53c54d9ccdc18dd0";
+    const EVENT_GOLDEN: &str = "\
+        5357414701010407040068696768640000000000000032000000000000000a000000000000000200\
+        000000000000d2040000000000000100000000000000030000000000000001000000000000000500\
+        0000000000000100000000000000080000000000000000000000000000c0570382a76c1a989b";
+
+    fn unhex(s: &str) -> Vec<u8> {
+        (0..s.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&s[i..i + 2], 16).unwrap())
+            .collect()
+    }
 
     fn sample() -> Snapshot {
         let op = Sum::<f64>::new();
@@ -317,7 +338,6 @@ mod tests {
             spec: PipelineSpec {
                 name: "bids".into(),
                 op: OpKind::Sum,
-                algo: AlgoKind::SlickDeque,
                 plan: PlanKind::Count { window: 4 },
                 shards: 2,
                 batch: 256,
@@ -367,6 +387,43 @@ mod tests {
                 "flipping byte {i} must fail the checksum"
             );
         }
+    }
+
+    /// Snapshots written by earlier builds must keep restoring: with the
+    /// algorithm byte derived from the plan kind, the same snapshots still
+    /// encode and decode byte for byte.
+    #[test]
+    fn header_goldens_encode_and_decode() {
+        let mut count = sample();
+        count.keys = vec![KeyState::encode(7, vec![1, 2], &[1.5], &Sum::<f64>::new())];
+        let mut event = sample();
+        event.spec.name = "high".into();
+        event.spec.op = OpKind::Max;
+        event.spec.plan = PlanKind::Event {
+            range: 100,
+            slide: 50,
+            lateness: 10,
+        };
+        event.watermark = 1234;
+        event.keys = vec![KeyState::encode(3, vec![5], &[-2.0], &MaxF64::new())];
+        for (snap, golden) in [(count, COUNT_GOLDEN), (event, EVENT_GOLDEN)] {
+            assert_eq!(snap.encode(), unhex(golden), "{} encodes", snap.spec.name);
+            let back = Snapshot::decode(&unhex(golden)).unwrap();
+            assert_eq!(back.spec, snap.spec);
+            assert_eq!((back.watermark, back.keys), (snap.watermark, snap.keys));
+        }
+    }
+
+    #[test]
+    fn reserved_algorithm_tags_are_refused() {
+        let mut bytes = sample().encode();
+        bytes.truncate(bytes.len() - 8);
+        bytes[7] = 3; // the algo byte, after magic, version, kind and op
+        let sum = fnv1a(&bytes);
+        bytes.extend_from_slice(&sum.to_le_bytes());
+        let err = Snapshot::decode(&bytes).unwrap_err();
+        assert!(err.contains("\"bint\""), "{err}");
+        assert!(err.contains("serves only slickdeque"), "{err}");
     }
 
     #[test]

@@ -5,6 +5,11 @@
 //! a snapshot records — restore re-creates the pipeline from the spec
 //! stored *inside* the snapshot file, so a restored pipeline cannot
 //! silently diverge from the state it is loading.
+//!
+//! The window algorithm is not a setting: the plan kind fixes it. Count
+//! plans run SlickDeque (Inv for invertible ops, Non-Inv for selective
+//! ones) and event plans run FiBA. The paper's baselines are measured
+//! in-process only.
 
 use swag_metrics::json::Json;
 
@@ -61,14 +66,6 @@ impl OpKind {
         })
     }
 
-    /// Whether the op has a subtract (picks the SlickDeque flavor).
-    pub fn invertible(self) -> bool {
-        matches!(
-            self,
-            OpKind::Sum | OpKind::Mean | OpKind::Variance | OpKind::StdDev
-        )
-    }
-
     /// Stable tag byte for the snapshot header.
     pub fn tag(self) -> u8 {
         match self {
@@ -95,97 +92,6 @@ impl OpKind {
     }
 }
 
-/// The window algorithm an arrival-order pipeline runs per key.
-///
-/// `SlickDeque` resolves to [`SlickDequeInv`] for invertible ops and
-/// [`SlickDequeNonInv`] for selective ops, mirroring the CLI.
-///
-/// [`SlickDequeInv`]: swag_core::algorithms::SlickDequeInv
-/// [`SlickDequeNonInv`]: swag_core::algorithms::SlickDequeNonInv
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AlgoKind {
-    /// O(1) recompute-free deque (flavor by op class).
-    SlickDeque,
-    /// O(n) recompute-from-scratch baseline.
-    Naive,
-    /// Balanced aggregate tree.
-    FlatFat,
-    /// B-ary interval tree.
-    BInt,
-    /// Pointer-chasing FlatFIT.
-    FlatFit,
-    /// Two-stacks amortised O(1).
-    TwoStacks,
-    /// De-amortised banker's aggregator.
-    Daba,
-    /// Out-of-order finger B-tree (event-time pipelines only).
-    Fiba,
-}
-
-impl AlgoKind {
-    /// Wire/JSON name.
-    pub fn name(self) -> &'static str {
-        match self {
-            AlgoKind::SlickDeque => "slickdeque",
-            AlgoKind::Naive => "naive",
-            AlgoKind::FlatFat => "flatfat",
-            AlgoKind::BInt => "bint",
-            AlgoKind::FlatFit => "flatfit",
-            AlgoKind::TwoStacks => "twostacks",
-            AlgoKind::Daba => "daba",
-            AlgoKind::Fiba => "fiba",
-        }
-    }
-
-    /// Parse a wire/JSON name.
-    pub fn parse(s: &str) -> Result<Self, String> {
-        Ok(match s {
-            "slickdeque" => AlgoKind::SlickDeque,
-            "naive" => AlgoKind::Naive,
-            "flatfat" => AlgoKind::FlatFat,
-            "bint" => AlgoKind::BInt,
-            "flatfit" => AlgoKind::FlatFit,
-            "twostacks" => AlgoKind::TwoStacks,
-            "daba" => AlgoKind::Daba,
-            "fiba" => AlgoKind::Fiba,
-            other => {
-                return Err(format!(
-                    "unknown algorithm {other:?} (want slickdeque/naive/flatfat/bint/flatfit/twostacks/daba/fiba)"
-                ))
-            }
-        })
-    }
-
-    /// Stable tag byte for the snapshot header.
-    pub fn tag(self) -> u8 {
-        match self {
-            AlgoKind::SlickDeque => 0,
-            AlgoKind::Naive => 1,
-            AlgoKind::FlatFat => 2,
-            AlgoKind::BInt => 3,
-            AlgoKind::FlatFit => 4,
-            AlgoKind::TwoStacks => 5,
-            AlgoKind::Daba => 6,
-            AlgoKind::Fiba => 7,
-        }
-    }
-
-    /// Inverse of [`tag`](Self::tag).
-    pub fn from_tag(t: u8) -> Result<Self, String> {
-        Ok(match t {
-            0 => AlgoKind::SlickDeque,
-            1 => AlgoKind::Naive,
-            2 => AlgoKind::FlatFat,
-            3 => AlgoKind::BInt,
-            4 => AlgoKind::FlatFit,
-            5 => AlgoKind::TwoStacks,
-            6 => AlgoKind::Daba,
-            7 => AlgoKind::Fiba,
-            other => return Err(format!("unknown algorithm tag {other}")),
-        })
-    }
-}
-
 /// The window plan: arrival-order count window or event-time window.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlanKind {
@@ -204,6 +110,50 @@ pub enum PlanKind {
         /// Allowed out-of-orderness behind the observed frontier.
         lateness: u64,
     },
+}
+
+/// Window algorithm names, indexed by snapshot header tag. The plan kind
+/// fixes the algorithm: count plans run SlickDeque (Inv or Non-Inv by op
+/// class), event plans FiBA. Tags 1–6 are the paper's baselines, measured
+/// in-process only; they stay reserved so that a spec or snapshot naming
+/// one is refused with the reason.
+pub(crate) const ALGORITHMS: [&str; 8] = [
+    "slickdeque",
+    "naive",
+    "flatfat",
+    "bint",
+    "flatfit",
+    "twostacks",
+    "daba",
+    "fiba",
+];
+
+impl PlanKind {
+    /// Snapshot tag of the algorithm the plan runs.
+    pub(crate) fn algo_tag(&self) -> u8 {
+        match self {
+            PlanKind::Count { .. } => 0,
+            PlanKind::Event { .. } => 7,
+        }
+    }
+
+    /// Wire/JSON name of the algorithm the plan runs.
+    pub(crate) fn algorithm(&self) -> &'static str {
+        ALGORITHMS[self.algo_tag() as usize]
+    }
+
+    /// Accept a spec's or snapshot's algorithm name only if it is the
+    /// plan's own.
+    pub(crate) fn check_algorithm(&self, name: &str) -> Result<(), String> {
+        if name == self.algorithm() {
+            return Ok(());
+        }
+        Err(format!(
+            "this plan runs {}, not {name:?}: this build serves only \
+             slickdeque (count) and fiba (event)",
+            self.algorithm()
+        ))
+    }
 }
 
 /// Service-level objectives for one pipeline.
@@ -313,10 +263,7 @@ pub struct PipelineSpec {
     pub name: String,
     /// Aggregate operation.
     pub op: OpKind,
-    /// Window algorithm (must be [`AlgoKind::Fiba`] iff the plan is
-    /// event-time).
-    pub algo: AlgoKind,
-    /// Count or event-time plan.
+    /// Count or event-time plan; it also fixes the window algorithm.
     pub plan: PlanKind,
     /// Engine worker threads.
     pub shards: usize,
@@ -354,19 +301,10 @@ impl PipelineSpec {
                 if window < 1 {
                     return Err("window must be at least 1".into());
                 }
-                if self.algo == AlgoKind::Fiba {
-                    return Err("fiba is event-time only; count pipelines want slickdeque/naive/flatfat/bint/flatfit/twostacks/daba".into());
-                }
             }
             PlanKind::Event { range, slide, .. } => {
                 if range == 0 || slide == 0 {
                     return Err("range and slide must be at least 1".into());
-                }
-                if self.algo != AlgoKind::Fiba {
-                    return Err(format!(
-                        "event-time pipelines run on the fiba algorithm (got {})",
-                        self.algo.name()
-                    ));
                 }
             }
         }
@@ -385,8 +323,10 @@ impl PipelineSpec {
     ///  "range":1000,"slide":100,"lateness":50,"shards":2}
     /// ```
     ///
-    /// `shards` defaults to 2, `batch` to 256, `lateness` to 0. An
-    /// optional `"slo"` object attaches objectives:
+    /// `"algorithm"` is required and must name the one the kind runs:
+    /// `slickdeque` for count, `fiba` for event. `shards` defaults to 2,
+    /// `batch` to 256, `lateness` to 0. An optional `"slo"` object
+    /// attaches objectives:
     ///
     /// ```json
     /// {"name":"bids","op":"sum","algorithm":"slickdeque","kind":"count",
@@ -410,7 +350,7 @@ impl PipelineSpec {
         };
         let name = str_field("name")?;
         let op = OpKind::parse(&str_field("op")?)?;
-        let algo = AlgoKind::parse(&str_field("algorithm")?)?;
+        let algo = str_field("algorithm")?;
         let kind = str_field("kind")?;
         let plan = match kind.as_str() {
             "count" => PlanKind::Count {
@@ -423,6 +363,7 @@ impl PipelineSpec {
             },
             other => return Err(format!("unknown kind {other:?} (want count or event)")),
         };
+        plan.check_algorithm(&algo)?;
         let slo = match json.get("slo") {
             Some(obj) => Some(SloSpec::from_json(obj)?),
             None => None,
@@ -430,7 +371,6 @@ impl PipelineSpec {
         let spec = PipelineSpec {
             name,
             op,
-            algo,
             plan,
             shards: uint_field("shards", Some(2))? as usize,
             batch: uint_field("batch", Some(256))? as usize,
@@ -446,7 +386,7 @@ impl PipelineSpec {
         let mut fields = vec![
             ("name", Json::Str(self.name.clone())),
             ("op", Json::Str(self.op.name().into())),
-            ("algorithm", Json::Str(self.algo.name().into())),
+            ("algorithm", Json::Str(self.plan.algorithm().into())),
         ];
         match self.plan {
             PlanKind::Count { window } => {
@@ -481,7 +421,6 @@ mod tests {
         PipelineSpec {
             name: "bids".into(),
             op: OpKind::Sum,
-            algo: AlgoKind::SlickDeque,
             plan: PlanKind::Count { window: 1000 },
             shards: 2,
             batch: 256,
@@ -494,7 +433,6 @@ mod tests {
         let event_spec = PipelineSpec {
             name: "high-bid".into(),
             op: OpKind::Max,
-            algo: AlgoKind::Fiba,
             plan: PlanKind::Event {
                 range: 1000,
                 slide: 100,
@@ -550,7 +488,7 @@ mod tests {
     #[test]
     fn defaults_apply() {
         let spec = PipelineSpec::from_json(
-            r#"{"name":"w","op":"mean","algorithm":"naive","kind":"count","window":10}"#,
+            r#"{"name":"w","op":"mean","algorithm":"slickdeque","kind":"count","window":10}"#,
         )
         .unwrap();
         assert_eq!(spec.shards, 2);
@@ -559,22 +497,19 @@ mod tests {
 
     #[test]
     fn rejects_cross_field_mismatches() {
-        assert!(PipelineSpec::from_json(
+        let naive = r#"{"name":"w","op":"sum","algorithm":"naive","kind":"count","window":10}"#;
+        for body in [
             r#"{"name":"w","op":"sum","algorithm":"fiba","kind":"count","window":10}"#,
-        )
-        .is_err());
-        assert!(PipelineSpec::from_json(
+            naive,
+            r#"{"name":"w","op":"sum","algorithm":"slickdeque","kind":"event","range":10,"slide":5}"#,
             r#"{"name":"w","op":"sum","algorithm":"naive","kind":"event","range":10,"slide":5}"#,
-        )
-        .is_err());
-        assert!(PipelineSpec::from_json(
-            r#"{"name":"bad name!","op":"sum","algorithm":"naive","kind":"count","window":10}"#,
-        )
-        .is_err());
-        assert!(PipelineSpec::from_json(
-            r#"{"name":"w","op":"sum","algorithm":"naive","kind":"count","window":0}"#,
-        )
-        .is_err());
+            r#"{"name":"bad name!","op":"sum","algorithm":"slickdeque","kind":"count","window":10}"#,
+            r#"{"name":"w","op":"sum","algorithm":"slickdeque","kind":"count","window":0}"#,
+        ] {
+            assert!(PipelineSpec::from_json(body).is_err(), "{body}");
+        }
+        let err = PipelineSpec::from_json(naive).unwrap_err();
+        assert!(err.contains("serves only slickdeque"), "{err}");
     }
 
     #[test]
@@ -589,19 +524,6 @@ mod tests {
         ] {
             assert_eq!(OpKind::from_tag(op.tag()).unwrap(), op);
             assert_eq!(OpKind::parse(op.name()).unwrap(), op);
-        }
-        for algo in [
-            AlgoKind::SlickDeque,
-            AlgoKind::Naive,
-            AlgoKind::FlatFat,
-            AlgoKind::BInt,
-            AlgoKind::FlatFit,
-            AlgoKind::TwoStacks,
-            AlgoKind::Daba,
-            AlgoKind::Fiba,
-        ] {
-            assert_eq!(AlgoKind::from_tag(algo.tag()).unwrap(), algo);
-            assert_eq!(AlgoKind::parse(algo.name()).unwrap(), algo);
         }
     }
 }
