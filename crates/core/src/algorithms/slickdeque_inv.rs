@@ -5,13 +5,18 @@
 //! with ⊕ and the expiring partial (read from a circular history array) is
 //! removed with the inverse operation ⊖ — exactly 2 operations per slide,
 //! the best possible for exact answers over arbitrary invertible
-//! aggregates. The multi-query form (Algorithm 1 in full) lives in
-//! [`crate::multi::MultiSlickDequeInv`].
+//! aggregates. The ring and both slide paths are shared with the
+//! multi-query form, [`crate::multi::MultiSlickDequeInv`]; this shell adds
+//! what only a single window has: eviction, `bulk_insert`'s fold, resizing
+//! and a snapshot codec.
 //!
 //! Complexity (Table 1): exactly 2 operations per slide; space `n + 1`.
 
+use core::slice;
+
 use crate::aggregator::{FinalAggregator, MemoryFootprint};
-use crate::invariants::{ensure, partials_agree, strict_check, InvariantViolation};
+use crate::answer_ring::AnswerRing;
+use crate::invariants::{ensure, strict_check, InvariantViolation};
 use crate::ops::InvertibleOp;
 
 /// Running-aggregate sliding window for invertible operations.
@@ -29,36 +34,29 @@ use crate::ops::InvertibleOp;
 /// ```
 #[derive(Debug, Clone)]
 pub struct SlickDequeInv<O: InvertibleOp> {
-    op: O,
     /// Circular history of the window's partials (the expiring value is
     /// read from here before being overwritten).
-    partials: Vec<O::Partial>,
+    ring: AnswerRing<O>,
     /// The running window aggregate (the paper's `answers` entry).
     answer: O::Partial,
+    /// The one range, always the ring's size.
     window: usize,
-    curr: usize,
-    len: usize,
 }
 
 impl<O: InvertibleOp> SlickDequeInv<O> {
     /// Create a SlickDeque (Inv) over a window of `window` partials.
     pub fn new(op: O, window: usize) -> Self {
-        assert!(window >= 1, "window must hold at least one partial");
-        let partials = (0..window).map(|_| op.identity()).collect();
         let answer = op.identity();
         SlickDequeInv {
-            op,
-            partials,
+            ring: AnswerRing::new(op, window),
             answer,
             window,
-            curr: 0,
-            len: 0,
         }
     }
 
     /// The operation driving this aggregator.
     pub fn op(&self) -> &O {
-        &self.op
+        self.ring.op()
     }
 
     /// The current window aggregate, free of charge.
@@ -75,24 +73,11 @@ impl<O: InvertibleOp> SlickDequeInv<O> {
     /// re-layout.
     pub fn resize(&mut self, window: usize) {
         assert!(window >= 1, "window must hold at least one partial"); // check:allow precondition assert documenting the caller contract
-        let start = (self.curr + self.window - self.len) % self.window;
-        // Live partials oldest→newest.
-        let live: Vec<O::Partial> = (0..self.len)
-            .map(|i| self.partials[(start + i) % self.window].clone())
-            .collect(); // alloc:amortized window buffer growth is amortized O(1) doubling
-        let keep = self.len.min(window);
-        // Remove the partials that no longer fit, oldest first.
-        for expired in &live[..self.len - keep] {
-            self.answer = self.op.inverse_combine(&self.answer, expired);
+        while self.len() > window {
+            self.evict();
         }
-        let mut ring: Vec<O::Partial> = (0..window).map(|_| self.op.identity()).collect(); // alloc:amortized window buffer growth is amortized O(1) doubling
-        for (i, p) in live[self.len - keep..].iter().enumerate() {
-            ring[i] = p.clone();
-        }
-        self.partials = ring;
+        self.ring.relayout(window);
         self.window = window;
-        self.len = keep;
-        self.curr = keep % window;
     }
 }
 
@@ -105,11 +90,9 @@ impl<O: InvertibleOp> FinalAggregator<O> for SlickDequeInv<O> {
 
     /// `answer ← (answer ⊕ new) ⊖ expiring` — exactly two operations.
     fn slide(&mut self, partial: O::Partial) -> O::Partial {
-        let expiring = std::mem::replace(&mut self.partials[self.curr], partial.clone()); // check:allow index kept in-bounds by the ring/stack invariant
-        let with_new = self.op.combine(&self.answer, &partial);
-        self.answer = self.op.inverse_combine(&with_new, &expiring);
-        self.curr = (self.curr + 1) % self.window;
-        self.len = (self.len + 1).min(self.window);
+        let answer = slice::from_mut(&mut self.answer);
+        self.ring
+            .advance_answers(slice::from_ref(&self.window), answer, partial);
         strict_check!(self);
         self.answer.clone()
     }
@@ -119,19 +102,16 @@ impl<O: InvertibleOp> FinalAggregator<O> for SlickDequeInv<O> {
     }
 
     fn len(&self) -> usize {
-        self.len
+        self.ring.live_len()
     }
 
     /// One ⊖: remove the oldest partial from the running answer and reset
     /// its ring slot to the identity (so a later `slide` over the
     /// not-yet-full window expires a no-op value).
     fn evict(&mut self) {
-        assert!(self.len > 0, "evict from an empty SlickDeque window"); // check:allow precondition assert documenting the caller contract
-        let oldest = (self.curr + self.window - self.len) % self.window;
-        let identity = self.op.identity();
-        let expired = std::mem::replace(&mut self.partials[oldest], identity);
-        self.answer = self.op.inverse_combine(&self.answer, &expired);
-        self.len -= 1;
+        assert!(self.len() > 0, "evict from an empty SlickDeque window"); // check:allow precondition assert documenting the caller contract
+        let expired = self.ring.take_oldest();
+        self.answer = self.ring.op().inverse_combine(&self.answer, &expired);
         strict_check!(self);
     }
 
@@ -144,129 +124,63 @@ impl<O: InvertibleOp> FinalAggregator<O> for SlickDequeInv<O> {
         if b == 0 {
             return;
         }
+        let op = self.ring.op();
         if b >= self.window {
             // The batch replaces the whole window: one slice copy into the
             // ring and one slice-kernel fold for the answer — no ⊖ at all.
             // `fold_slice` may reassociate here; `bulk_insert`'s contract
             // permits it (unlike `bulk_slide`'s bitwise contract).
             let tail = &batch[b - self.window..];
-            self.partials.clone_from_slice(tail);
-            self.answer = self.op.fold_slice(&tail[0], &tail[1..]);
-            self.curr = 0;
-            self.len = self.window;
+            self.answer = op.fold_slice(&tail[0], &tail[1..]);
+            self.ring.replace_history(tail);
             strict_check!(self);
             return;
         }
         // answer ← (answer ⊕ fold(batch)) ⊖ fold(expiring history), with
-        // each fold a slice kernel over the ≤ 2 contiguous ring runs and
-        // the ring store ≤ 2 slice copies.
-        let added = self.op.fold_slice(&batch[0], &batch[1..]);
-        let expirations = (self.len + b).saturating_sub(self.window);
-        let mut answer = self.op.combine(&self.answer, &added);
+        // each fold a slice kernel over the ≤ 2 contiguous ring runs.
+        let added = op.fold_slice(&batch[0], &batch[1..]);
+        let mut answer = op.combine(&self.answer, &added);
+        let expirations = (self.len() + b).saturating_sub(self.window);
         if expirations > 0 {
-            let start = (self.curr + self.window - self.len) % self.window;
-            let first = expirations.min(self.window - start);
-            let run = &self.partials[start..start + first];
-            let mut expired = self.op.fold_slice(&run[0], &run[1..]);
-            expired = self
-                .op
-                .fold_slice(&expired, &self.partials[..expirations - first]);
-            answer = self.op.inverse_combine(&answer, &expired);
+            let (run, wrapped) = self.ring.oldest_runs(expirations);
+            let expired = op.fold_slice(&run[0], &run[1..]);
+            let expired = op.fold_slice(&expired, wrapped);
+            answer = op.inverse_combine(&answer, &expired);
         }
         self.answer = answer;
-        let first = b.min(self.window - self.curr);
-        self.partials[self.curr..self.curr + first].clone_from_slice(&batch[..first]);
-        self.partials[..b - first].clone_from_slice(&batch[first..]);
-        self.curr = (self.curr + b) % self.window;
-        self.len = (self.len + b).min(self.window);
+        self.ring.store_tail(batch);
         strict_check!(self);
     }
 
-    /// The 2-ops-per-slide loop with the ring cursor and running answer
-    /// hoisted into locals — identical combine order to `slide`, so the
-    /// answer stream is bitwise equal to per-partial ingestion.
+    /// The ring's batched path: `slide`'s combine order over ring runs, so
+    /// bitwise its answers.
     fn bulk_slide(&mut self, batch: &[O::Partial], out: &mut Vec<O::Partial>) {
-        out.clear();
-        out.reserve(batch.len());
-        let mut curr = self.curr;
-        let mut answer = self.answer.clone();
-        for p in batch {
-            let expiring = std::mem::replace(&mut self.partials[curr], p.clone());
-            let with_new = self.op.combine(&answer, p);
-            answer = self.op.inverse_combine(&with_new, &expiring);
-            curr += 1;
-            if curr == self.window {
-                curr = 0;
-            }
-            out.push(answer.clone());
-        }
-        self.curr = curr;
-        self.answer = answer;
-        self.len = (self.len + batch.len()).min(self.window);
+        let answer = slice::from_mut(&mut self.answer);
+        self.ring
+            .advance_answers_bulk(slice::from_ref(&self.window), answer, batch, out);
         strict_check!(self);
     }
 
-    /// SlickDeque (Inv) invariants (paper §3.2, Algorithm 1): the ring
-    /// stays window-sized with every non-live slot at the identity, and the
-    /// running `answer` equals the fold of the live history oldest→newest —
-    /// ⊕ and ⊖ must cancel exactly or answers drift forever.
-    ///
-    /// The refold is order-sensitive: the running answer was built
-    /// incrementally (`(answer ⊕ new) ⊖ expiring`), so the comparison is
-    /// exact for integer partials (and integer-valued floats) but can
-    /// differ in low bits for general floating-point streams where ⊖ is
-    /// not a perfect inverse. `O(window)` combines.
+    /// The ring is window-sized and passes its Algorithm 1 checks with the
+    /// window as its one range. `O(window)` combines.
     fn check_invariants(&self) -> Result<(), InvariantViolation> {
         ensure!(
             Self::NAME,
             "ring-shape",
-            self.partials.len() == self.window,
+            self.ring.wsize() == self.window,
             "ring holds {} slots for window {}",
-            self.partials.len(),
+            self.ring.wsize(),
             self.window
         );
-        ensure!(
-            Self::NAME,
-            "cursor-in-window",
-            self.curr < self.window && self.len <= self.window,
-            "curr {} / len {} for window {}",
-            self.curr,
-            self.len,
-            self.window
-        );
-        let identity = self.op.identity();
-        for j in 0..self.window - self.len {
-            let slot = (self.curr + j) % self.window;
-            ensure!(
-                Self::NAME,
-                "dead-slot-identity",
-                self.partials[slot] == identity,
-                "non-live slot {slot} holds {:?}",
-                self.partials[slot]
-            );
-        }
-        let start = (self.curr + self.window - self.len) % self.window;
-        let mut expect = identity;
-        for k in 0..self.len {
-            expect = self
-                .op
-                .combine(&expect, &self.partials[(start + k) % self.window]);
-        }
-        ensure!(
-            Self::NAME,
-            "answer-refold",
-            partials_agree(&self.answer, &expect),
-            "running answer {:?}, live history folds to {:?}",
-            self.answer,
-            expect
-        );
-        Ok(())
+        let answer = slice::from_ref(&self.answer);
+        self.ring
+            .check_ring(Self::NAME, slice::from_ref(&self.window), answer)
     }
 }
 
 impl<O: InvertibleOp> MemoryFootprint for SlickDequeInv<O> {
     fn heap_bytes(&self) -> usize {
-        self.partials.capacity() * core::mem::size_of::<O::Partial>()
+        self.ring.heap_bytes()
     }
 }
 
@@ -277,11 +191,7 @@ impl<O: InvertibleOp> crate::state::StatefulAggregator<O> for SlickDequeInv<O> {
     /// whole stream history, which a fresh fold over the live window
     /// cannot reproduce bitwise.
     fn save_state(&self, w: &mut crate::state::StateWriter<O::Partial>) {
-        w.usize_word(self.curr);
-        w.usize_word(self.len);
-        for p in &self.partials {
-            w.partial(p.clone());
-        }
+        self.ring.save_ring(w);
         w.partial(self.answer.clone());
     }
 
@@ -293,26 +203,12 @@ impl<O: InvertibleOp> crate::state::StatefulAggregator<O> for SlickDequeInv<O> {
         if window == 0 {
             return Err(crate::state::corrupt("slickdeque_inv: zero window"));
         }
-        let curr = r.usize_word("slickdeque_inv curr")?;
-        let len = r.usize_word("slickdeque_inv len")?;
-        let partials = r.partial_vec(window, "slickdeque_inv ring")?;
+        let ring = AnswerRing::load_ring(op, window, r)?;
         let answer = r.partial("slickdeque_inv answer")?;
-        // Structural validation only: the full `check_invariants` refolds
-        // the ring and compares bitwise with the running answer, which is
-        // exact only for streams where ⊖ is a perfect inverse — a
-        // legitimate floating-point state would be wrongly rejected.
-        if curr >= window || len > window {
-            return Err(crate::state::corrupt(format!(
-                "slickdeque_inv: curr {curr} / len {len} impossible for window {window}"
-            )));
-        }
         Ok(SlickDequeInv {
-            op,
-            partials,
+            ring,
             answer,
             window,
-            curr,
-            len,
         })
     }
 }

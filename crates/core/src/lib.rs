@@ -40,6 +40,7 @@
 
 pub mod aggregator;
 pub mod algorithms;
+mod answer_ring;
 pub mod chunked;
 pub mod invariants;
 mod monodeque;

@@ -3,7 +3,8 @@
 //! [`MultiSlickDequeInv`] keeps one running answer per distinct range in an
 //! answers map and updates each with one ⊕ (the arrival) and one ⊖ (the
 //! partial expiring from that range) — `2q` operations per slide for `q`
-//! distinct ranges.
+//! distinct ranges — on the history ring it shares with
+//! [`SlickDequeInv`](crate::algorithms::SlickDequeInv).
 //!
 //! [`MultiSlickDequeNonInv`] keeps one monotone deque of nodes stamped with
 //! their arrival index and answers all ranges in a single head-to-tail
@@ -12,7 +13,8 @@
 //! its wrapped positions are not reproduced).
 
 use crate::aggregator::{normalize_ranges, MemoryFootprint, MultiFinalAggregator};
-use crate::invariants::{ensure, partials_agree, strict_check, InvariantViolation};
+use crate::answer_ring::AnswerRing;
+use crate::invariants::{ensure, strict_check, InvariantViolation};
 use crate::monodeque::{MonoDeque, MIN_FRAME};
 use crate::ops::{InvertibleOp, SelectiveOp};
 
@@ -32,36 +34,28 @@ use crate::ops::{InvertibleOp, SelectiveOp};
 /// ```
 #[derive(Debug, Clone)]
 pub struct MultiSlickDequeInv<O: InvertibleOp> {
-    op: O,
-    /// Circular history of the window's partials (`wSize` slots).
-    partials: Vec<O::Partial>,
-    /// The answers map: one running aggregate per distinct range,
-    /// descending by range.
-    answers: Vec<(usize, O::Partial)>,
+    /// Circular history of `wSize` slots: the largest range ever
+    /// registered.
+    ring: AnswerRing<O>,
+    /// Distinct ranges, descending.
     ranges: Vec<usize>,
-    wsize: usize,
-    curr: usize,
+    /// The answers map: `answers[i]` is the running aggregate of
+    /// `ranges[i]`.
+    answers: Vec<O::Partial>,
 }
 
 impl<O: InvertibleOp> MultiSlickDequeInv<O> {
     /// Create a SlickDeque (Inv) for the given ranges.
     pub fn new(op: O, ranges: &[usize]) -> Self {
         let ranges = normalize_ranges(ranges);
-        let wsize = ranges[0];
-        let partials = (0..wsize).map(|_| op.identity()).collect();
-        let answers = ranges.iter().map(|&r| (r, op.identity())).collect();
+        let answers = ranges.iter().map(|_| op.identity()).collect();
         MultiSlickDequeInv {
-            op,
-            partials,
-            answers,
+            ring: AnswerRing::new(op, ranges[0]),
             ranges,
-            wsize,
-            curr: 0,
+            answers,
         }
     }
-}
 
-impl<O: InvertibleOp> MultiSlickDequeInv<O> {
     /// Register a new ACQ range at runtime (the paper's §6 "dynamic
     /// environments" direction). Idempotent for ranges already served.
     ///
@@ -74,29 +68,12 @@ impl<O: InvertibleOp> MultiSlickDequeInv<O> {
         if self.ranges.contains(&range) {
             return;
         }
-        if range > self.wsize {
-            // Grow the ring: re-lay the existing history oldest-first.
-            let old = &self.partials;
-            let mut ring: Vec<O::Partial> = (0..range).map(|_| self.op.identity()).collect();
-            for (k, slot) in ring.iter_mut().take(self.wsize).enumerate() {
-                // Slot holding the value from (wsize − k) slides ago.
-                let idx = (self.curr + k) % self.wsize;
-                *slot = old[idx].clone();
-            }
-            self.curr = self.wsize % range;
-            self.wsize = range;
-            self.partials = ring;
-        }
-        // Fold the last `range` slots (identity-padded) for the initial
-        // answer.
-        let mut answer = self.op.identity();
-        for k in 0..range {
-            let idx = (self.curr + self.wsize - range + k) % self.wsize;
-            answer = self.op.combine(&answer, &self.partials[idx]);
+        if range > self.ring.wsize() {
+            self.ring.relayout(range);
         }
         let at = self.ranges.partition_point(|&x| x > range);
         self.ranges.insert(at, range);
-        self.answers.insert(at, (range, answer));
+        self.answers.insert(at, self.ring.fold_last(range));
     }
 
     /// Deregister an ACQ range at runtime. Returns `true` if it was
@@ -124,64 +101,20 @@ impl<O: InvertibleOp> MultiFinalAggregator<O> for MultiSlickDequeInv<O> {
         MultiSlickDequeInv::new(op, ranges)
     }
 
+    /// Algorithm 1 lines 19-25: `ans ← ans ⊕ newPartial ⊖ partials[startPos]`.
     fn slide_multi(&mut self, partial: O::Partial, out: &mut Vec<O::Partial>) {
+        self.ring
+            .advance_answers(&self.ranges, &mut self.answers, partial);
         out.clear();
-        // Algorithm 1 lines 19-25: ans ← ans ⊕ newPartial ⊖
-        // partials[startPos], reading the history *before* the new partial
-        // overwrites its slot (startPos == curr when range == wSize).
-        for (r, ans) in &mut self.answers {
-            let start = (self.curr + self.wsize - *r) % self.wsize;
-            let with_new = self.op.combine(ans, &partial);
-            *ans = self.op.inverse_combine(&with_new, &self.partials[start]); // check:allow index kept in-bounds by the ring/stack invariant
-            out.push(ans.clone()); // alloc:amortized window buffer growth is amortized O(1) doubling
-        }
-        self.partials[self.curr] = partial; // check:allow index kept in-bounds by the ring/stack invariant
-        self.curr = (self.curr + 1) % self.wsize;
+        out.extend_from_slice(&self.answers);
         strict_check!(self);
     }
 
-    /// Range-major batching: each answers-map entry is loaded once, run
-    /// over the whole batch in a register, and stored once — one answers
-    /// touch per range instead of one per range per slide. The values
-    /// leaving range `r` during the batch are its last `r` history slots,
-    /// oldest first — at most two contiguous ring runs — followed by the
-    /// batch's own head, so the inner loop reads slices and the ring is
-    /// stored with at most two slice copies afterwards: one `%` per range
-    /// per batch, none per partial. Per-range combine order matches
-    /// `slide_multi` exactly, keeping answers bitwise identical.
+    /// Range-major over ring runs, in `slide_multi`'s per-range combine
+    /// order: bitwise its answers.
     fn bulk_slide_multi(&mut self, batch: &[O::Partial], out: &mut Vec<O::Partial>) {
-        out.clear();
-        let b = batch.len();
-        let q = self.answers.len();
-        if b == 0 {
-            return;
-        }
-        out.resize(b * q, self.op.identity());
-        for (slot, (r, ans)) in self.answers.iter_mut().enumerate() {
-            let from_ring = b.min(*r);
-            let start = (self.curr + self.wsize - *r) % self.wsize;
-            let (wrapped, straight) = self.partials.split_at(start);
-            let straight = &straight[..from_ring.min(straight.len())];
-            let wrapped = &wrapped[..from_ring - straight.len()];
-            let mut a = ans.clone();
-            let mut arrivals = batch.iter();
-            let mut rows = out.chunks_exact_mut(q);
-            for expiring in [straight, wrapped, &batch[..b - from_ring]] {
-                for ((old, p), row) in expiring.iter().zip(arrivals.by_ref()).zip(rows.by_ref()) {
-                    let with_new = self.op.combine(&a, p);
-                    a = self.op.inverse_combine(&with_new, old);
-                    row[slot] = a.clone();
-                }
-            }
-            *ans = a;
-        }
-        // Only the last `wsize` arrivals are still history afterwards.
-        let tail = &batch[b.saturating_sub(self.wsize)..];
-        let at = (self.curr + b - tail.len()) % self.wsize;
-        let straight = tail.len().min(self.wsize - at);
-        self.partials[at..at + straight].clone_from_slice(&tail[..straight]);
-        self.partials[..tail.len() - straight].clone_from_slice(&tail[straight..]);
-        self.curr = (self.curr + b) % self.wsize;
+        self.ring
+            .advance_answers_bulk(&self.ranges, &mut self.answers, batch, out);
         strict_check!(self);
     }
 
@@ -192,66 +125,21 @@ impl<O: InvertibleOp> MultiFinalAggregator<O> for MultiSlickDequeInv<O> {
     /// The ring size: the largest range ever registered, which
     /// `remove_query` leaves at its high-water mark.
     fn window(&self) -> usize {
-        self.wsize
+        self.ring.wsize()
     }
 
-    /// Multi-query SlickDeque (Inv) invariants (paper Algorithm 1): the
-    /// ring covers the largest range, the answers map mirrors the
-    /// (descending, duplicate-free) ranges list, and every entry's running
-    /// answer equals the fold of its last `r` history slots — the per-range
-    /// generalisation of the single-query `answer-refold` check.
-    ///
-    /// As in [`crate::algorithms::SlickDequeInv`], the refold comparison is
-    /// exact for integer partials; floating-point streams where ⊖ is not a
-    /// perfect inverse can differ in low bits. `O(Σ ranges)` combines.
+    /// The ring's Algorithm 1 invariants over every registered range: each
+    /// running answer is the fold of its last `r` history slots.
     fn check_invariants(&self) -> Result<(), InvariantViolation> {
-        ensure!(
-            Self::NAME,
-            "ring-shape",
-            self.partials.len() == self.wsize && self.curr < self.wsize,
-            "ring {} / curr {} for wsize {}",
-            self.partials.len(),
-            self.curr,
-            self.wsize
-        );
-        ensure!(
-            Self::NAME,
-            "ranges-normalized",
-            !self.ranges.is_empty()
-                && self.ranges[0] <= self.wsize
-                && self.ranges.windows(2).all(|w| w[0] > w[1])
-                && self.answers.len() == self.ranges.len()
-                && self
-                    .answers
-                    .iter()
-                    .zip(&self.ranges)
-                    .all(|((ar, _), r)| ar == r),
-            "ranges {:?} / answer keys {:?} for wsize {}",
-            self.ranges,
-            self.answers.iter().map(|(r, _)| *r).collect::<Vec<_>>(),
-            self.wsize
-        );
-        for (r, ans) in &self.answers {
-            let mut expect = self.op.identity();
-            for k in 0..*r {
-                let idx = (self.curr + self.wsize - *r + k) % self.wsize;
-                expect = self.op.combine(&expect, &self.partials[idx]);
-            }
-            ensure!(
-                Self::NAME,
-                "answer-refold",
-                partials_agree(ans, &expect),
-                "range {r} answer {ans:?}, its history slots fold to {expect:?}"
-            );
-        }
-        Ok(())
+        self.ring
+            .check_ring(Self::NAME, &self.ranges, &self.answers)
     }
 }
 
 impl<O: InvertibleOp> MemoryFootprint for MultiSlickDequeInv<O> {
     fn heap_bytes(&self) -> usize {
-        self.partials.capacity() * core::mem::size_of::<O::Partial>()
-            + self.answers.capacity() * core::mem::size_of::<(usize, O::Partial)>()
+        self.ring.heap_bytes()
+            + self.answers.capacity() * core::mem::size_of::<O::Partial>()
             + self.ranges.capacity() * core::mem::size_of::<usize>()
     }
 }

@@ -103,24 +103,32 @@ impl FromStr for SourceChoice {
     type Err = String;
     fn from_str(s: &str) -> Result<Self, String> {
         let parts: Vec<&str> = s.split(':').collect();
+        // An optional numeric field: absent means `default`, malformed is
+        // an error rather than a silent default.
+        let field = |i: usize, what: &str, default| match parts.get(i) {
+            None => Ok(default),
+            Some(p) => p.parse().map_err(|_| format!("bad {what} {p:?} in {s:?}")),
+        };
         match parts[0] {
-            "stdin" => Ok(SourceChoice::Stdin),
-            "debs" => {
-                let seed = parts.get(1).and_then(|p| p.parse().ok()).unwrap_or(42);
-                let channel = parts.get(2).and_then(|p| p.parse().ok()).unwrap_or(0);
+            "stdin" if parts.len() == 1 => Ok(SourceChoice::Stdin),
+            "debs" if parts.len() <= 3 => {
+                let seed = field(1, "seed", 42)?;
+                let channel = field(2, "channel", 0)? as usize;
                 if channel > 2 {
                     return Err("channel must be 0..3".into());
                 }
                 Ok(SourceChoice::Debs { seed, channel })
             }
-            "workload" => {
+            "workload" if parts.len() <= 3 => {
                 let name = parts
                     .get(1)
                     .ok_or("workload needs a name, e.g. workload:uniform")?
                     .to_string();
-                let seed = parts.get(2).and_then(|p| p.parse().ok()).unwrap_or(42);
+                parse_workload(&name)?;
+                let seed = field(2, "seed", 42)?;
                 Ok(SourceChoice::Synthetic { name, seed })
             }
+            "stdin" | "debs" | "workload" => Err(format!("too many fields in source {s:?}")),
             other => Err(format!("unknown source {other:?}")),
         }
     }
@@ -519,9 +527,10 @@ fn parse_workload(name: &str) -> Result<Workload, String> {
 
 /// Materialise the configured source as a bounded tuple vector; `--tuples`
 /// counts raw tuples, so endless sources are truncated here.
-fn build_source(cfg: &CliConfig, stdin_values: Option<Vec<f64>>) -> VecSource {
+fn build_source(cfg: &CliConfig, stdin_values: Option<Vec<f64>>) -> Result<VecSource, String> {
     let budget = cfg.tuples.map(|t| t as usize);
-    match &cfg.source {
+    let endless = || budget.ok_or("endless sources need --tuples");
+    Ok(match &cfg.source {
         SourceChoice::Stdin => {
             let mut values = stdin_values.unwrap_or_default();
             if let Some(n) = budget {
@@ -530,17 +539,14 @@ fn build_source(cfg: &CliConfig, stdin_values: Option<Vec<f64>>) -> VecSource {
             VecSource::new(values)
         }
         SourceChoice::Debs { seed, channel } => {
-            let n = budget.expect("validated: endless sources need --tuples");
             let mut src = DebsSource::new(*seed, *channel);
-            VecSource::new(src.take_values(n))
+            VecSource::new(src.take_values(endless()?))
         }
         SourceChoice::Synthetic { name, seed } => {
-            let workload = parse_workload(name).unwrap_or_else(|e| panic!("{e}"));
-            let n = budget.expect("validated: endless sources need --tuples");
-            let mut src = WorkloadSource::new(workload, *seed);
-            VecSource::new(src.take_values(n))
+            let mut src = WorkloadSource::new(parse_workload(name)?, *seed);
+            VecSource::new(src.take_values(endless()?))
         }
-    }
+    })
 }
 
 /// Materialise the configured source as a keyed source for `--keyed` runs.
@@ -592,7 +598,7 @@ pub fn run(
         return run_keyed(cfg, out).map(|(summaries, _)| summaries);
     }
     let plan = SharedPlan::build(&cfg.queries, cfg.pat);
-    let mut source = build_source(cfg, stdin_values);
+    let mut source = build_source(cfg, stdin_values)?;
     let slides = u64::MAX; // bounded by the materialised source
 
     if cfg.engine != EngineChoice::General
@@ -938,6 +944,12 @@ mod tests {
         assert!(CliConfig::parse(args("--op sum --queries 4:9 --tuples 1")).is_err());
         assert!(CliConfig::parse(args("--op sum --queries 4:1")).is_err()); // endless, no budget
         assert!(CliConfig::parse(args("--op sum --queries 4:1 --source mars --tuples 1")).is_err());
+        // Unknown workload names and malformed numeric fields are refused at
+        // parse time instead of panicking later or silently defaulting.
+        for source in ["workload:bogus", "debs:x", "workload:uniform:x", "debs:1:x"] {
+            let line = format!("--op sum --queries 4:1 --source {source} --tuples 1");
+            assert!(CliConfig::parse(args(&line)).is_err(), "{source}");
+        }
     }
 
     #[test]

@@ -488,6 +488,88 @@ fn bulk_slide_multi_noninv_follows_add_and_remove_query() {
     }
 }
 
+/// The Inv twin of the test above, through both forms of the one history
+/// ring: ranges registered and deregistered (`add_query` re-lays the ring)
+/// and windows resized and evicted (`resize` re-lays it too) between
+/// batches must leave `bulk_slide_multi` / `bulk_slide` in step with a
+/// per-tuple twin given the same calls. Batch sizes straddle every ring
+/// size so runs wrap mid-batch and overrun the ring. Values sit on a 1/64
+/// grid, so `Sum<f64>` is exact and the checkers' refold holds.
+#[test]
+fn bulk_slide_multi_inv_follows_add_and_remove_query() {
+    const SIZES: [usize; 4] = [417, 29, 7, 130];
+    let op = Sum::<f64>::new();
+    let values: Vec<f64> = stream(14_000, 0xD1A2)
+        .iter()
+        .map(|v| (v * 4096.0).floor() / 64.0)
+        .collect();
+    let mut batches = SIZES.iter().cycle().scan(0, |at, &n| {
+        *at += n;
+        values.get(*at - n..*at)
+    });
+
+    let mut scalar = MultiSlickDequeInv::with_ranges(op, &[64, 16]);
+    let mut bulk = MultiSlickDequeInv::with_ranges(op, &[64, 16]);
+    let (mut sout, mut bout) = (Vec::new(), Vec::new());
+    type Edit = fn(&mut MultiSlickDequeInv<Sum<f64>>);
+    let edits: [Edit; 6] = [
+        |a| a.add_query(32),
+        |a| a.add_query(128),
+        |a| assert!(a.remove_query(128)),
+        |a| assert!(a.remove_query(16)),
+        |a| a.add_query(200),
+        |a| assert!(a.remove_query(200)),
+    ];
+    for edit in edits {
+        for batch in batches.by_ref().take(SIZES.len()) {
+            let mut expected = Vec::new();
+            for v in batch {
+                scalar.slide_multi(op.lift(v), &mut sout);
+                expected.extend(sout.iter().map(|p| p.to_bits()));
+            }
+            bulk.bulk_slide_multi(batch, &mut bout);
+            let got: Vec<u64> = bout.iter().map(|p| p.to_bits()).collect();
+            assert_eq!(got, expected, "ranges {:?}", bulk.ranges());
+            scalar.check_invariants().unwrap(); // check:allow test assertion
+            bulk.check_invariants().unwrap(); // check:allow test assertion
+        }
+        edit(&mut scalar);
+        edit(&mut bulk);
+        assert_eq!(scalar.ranges(), bulk.ranges());
+        assert_eq!(scalar.window(), bulk.window());
+        scalar.check_invariants().unwrap(); // check:allow test assertion
+        bulk.check_invariants().unwrap(); // check:allow test assertion
+    }
+
+    let mut scalar = SlickDequeInv::with_capacity(op, 64);
+    let mut bulk = SlickDequeInv::with_capacity(op, 64);
+    type SingleEdit = fn(&mut SlickDequeInv<Sum<f64>>);
+    let edits: [SingleEdit; 6] = [
+        |a| a.resize(128),
+        |a| a.evict(),
+        |a| a.resize(40),
+        |a| a.resize(200),
+        |a| a.bulk_evict(a.len() / 2),
+        |a| a.resize(7),
+    ];
+    for edit in edits {
+        for batch in batches.by_ref().take(SIZES.len()) {
+            let expected: Vec<u64> = batch.iter().map(|v| scalar.slide(*v).to_bits()).collect();
+            bulk.bulk_slide(batch, &mut bout);
+            let got: Vec<u64> = bout.iter().map(|p| p.to_bits()).collect();
+            assert_eq!(got, expected, "window {}", bulk.window());
+            scalar.check_invariants().unwrap(); // check:allow test assertion
+            bulk.check_invariants().unwrap(); // check:allow test assertion
+        }
+        edit(&mut scalar);
+        edit(&mut bulk);
+        assert_eq!((scalar.window(), scalar.len()), (bulk.window(), bulk.len()));
+        assert_eq!(scalar.query().to_bits(), bulk.query().to_bits());
+        scalar.check_invariants().unwrap(); // check:allow test assertion
+        bulk.check_invariants().unwrap(); // check:allow test assertion
+    }
+}
+
 /// The sharded engine's per-key answer streams must not depend on the
 /// channel batch size, which controls how tuples group into bulk calls.
 #[test]
