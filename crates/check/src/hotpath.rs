@@ -26,8 +26,8 @@
 //!   function whose body carries no `.len(` read and no assertion).
 //!   Waived per site with `// check:allow <reason>`. `debug_assert!` is
 //!   not a panic token: it compiles out of release builds.
-//! - **HP03 hot-block** — locks, channel operations, raw clocks,
-//!   filesystem and stdio. Waived only through the baseline file
+//! - **HP03 hot-block** — locks, condvar waits, channel operations, raw
+//!   clocks, filesystem and stdio. Waived only through the baseline file
 //!   (`crates/check/hotpath-baseline.txt`), because a blocking site on
 //!   a hot path should be loud: each entry names the rule, the function,
 //!   and a reason.
@@ -69,10 +69,16 @@ const SERVER_HOT_FNS: &[&str] = &["accept_loop"];
 /// The span-record path (`SpanSampler` draws, `SampleBlock` iteration,
 /// stage records, and both recorder writes) runs inside the ingest loop
 /// with tracing on by default, so it carries the same contract as the
-/// aggregators themselves.
+/// aggregators themselves. The shard hand-off (the batch queue's send
+/// and receive) and the worker's per-tuple slot look-up and grouping
+/// run once per routed batch or tuple.
 const HOT_METHODS: &[(&str, &str)] = &[
     ("SharedPlanExecutor", "push"),
     ("SharedPlanExecutor", "push_batch"),
+    ("BatchSender", "hand_off"),
+    ("BatchReceiver", "next_batch"),
+    ("SlotTable", "open_slot"),
+    ("SlotGroups", "group_batch"),
     ("FlightRecorder", "record"),
     ("FlightRecorder", "record_at"),
     ("SpanSampler", "sample"),
@@ -157,11 +163,13 @@ const PANIC_TOKENS: &[&str] = &[
     "assert_ne!(",
 ];
 
-/// Blocking tokens: locks, channels, clocks, filesystem, stdio.
+/// Blocking tokens: locks, condvar waits, channels, clocks, filesystem,
+/// stdio.
 const BLOCK_TOKENS: &[&str] = &[
     "Mutex",
     "RwLock",
     ".lock()",
+    ".wait(",
     "sync_channel",
     ".recv()",
     ".recv_timeout(",

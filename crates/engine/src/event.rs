@@ -22,9 +22,10 @@
 //!   drop decision depends only on the (single, ordered) source stream,
 //!   never on shard count or batch boundaries.
 //!
-//! Workers apply each batch through [`ShardProcessor::process_run`] and
-//! then advance every key to the batch's watermark, emitting the time
-//! windows it closed. Per-key answer sequences are therefore identical
+//! Workers apply each batch one key-run at a time through
+//! [`ShardProcessor::process_slot`] and then advance every key to the
+//! batch's watermark, emitting the time windows it closed. Per-key
+//! answer sequences are therefore identical
 //! for any shard count: a key's accepted tuples and its window boundaries
 //! fully determine its `(query, window end, value)` stream.
 //!
@@ -35,8 +36,6 @@
 //! [`EngineStats::late_tuples`]: crate::EngineStats::late_tuples
 //! [`EngineStats::watermark`]: crate::EngineStats::watermark
 
-use std::collections::BTreeMap;
-
 use swag_core::ops::AggregateOp;
 use swag_data::event::KeyedEventSource;
 use swag_data::keyed::Key;
@@ -46,14 +45,15 @@ use swag_trace::{EventKind, FlightRecorder};
 
 use crate::keyed::ShardProcessor;
 use crate::shard::{Admit, EngineRun, ShardedEngine};
+use crate::slots::SlotTable;
 
 /// One [`TimeWindowExec`] (a FiBA finger B-tree plus window bookkeeping)
 /// per key. Tuples are `(event timestamp, value)`; answers are
 /// `(query index, window end, lowered value)`.
 ///
-/// Keys live in a `BTreeMap` so watermark advances visit them in key
-/// order — a shard's retained answer stream is deterministic, not
-/// hash-order dependent.
+/// Watermark advances visit keys in slot order — the order the processor
+/// first saw them — so a shard's retained answer stream is deterministic
+/// for a given input, not hash-order dependent.
 #[derive(Debug)]
 pub struct KeyedEventWindows<O>
 where
@@ -61,9 +61,9 @@ where
 {
     op: O,
     specs: Vec<TimeWindowSpec>,
-    states: BTreeMap<Key, TimeWindowExec<O>>,
+    states: SlotTable<TimeWindowExec<O>>,
     max_ts: Option<u64>,
-    /// Reusable lifted-batch buffer for [`ShardProcessor::process_run`].
+    /// Reusable lifted-batch buffer for [`ShardProcessor::process_slot`].
     lift_scratch: Vec<(u64, O::Partial)>,
 }
 
@@ -78,26 +78,27 @@ where
 
     /// The per-key executor, for inspection.
     pub fn state(&self, key: Key) -> Option<&TimeWindowExec<O>> {
-        self.states.get(&key)
+        self.states.state_of(key)
     }
 
-    /// Every key's executor, for snapshotting (key order).
+    /// Every key's executor, for snapshotting, in the order the processor
+    /// first saw the keys.
     pub fn states(&self) -> impl Iterator<Item = (Key, &TimeWindowExec<O>)> {
-        self.states.iter().map(|(&k, e)| (k, e))
+        self.states.by_slot()
     }
 
     /// Rebuild a processor from restored per-key executors — the restore
     /// counterpart of [`states`](Self::states). `max_ts` is recovered
     /// from the executors' trees; keys absent from `states` start fresh
-    /// on their first tuple.
+    /// on their first tuple; a key listed twice keeps its last executor.
     pub fn from_states(
         op: O,
         specs: Vec<TimeWindowSpec>,
         states: impl IntoIterator<Item = (Key, TimeWindowExec<O>)>,
     ) -> Self {
         assert!(!specs.is_empty(), "need at least one time window");
-        let states: BTreeMap<Key, TimeWindowExec<O>> = states.into_iter().collect();
-        let max_ts = states.values().filter_map(TimeWindowExec::max_ts).max();
+        let states: SlotTable<TimeWindowExec<O>> = states.into_iter().collect();
+        let max_ts = states.by_slot().filter_map(|(_, e)| e.max_ts()).max();
         KeyedEventWindows {
             op,
             specs,
@@ -116,20 +117,29 @@ where
     type Value = (u64, f64);
     type Answer = (usize, u64, f64);
 
-    /// One executor look-up and one FiBA bulk insert for the whole run.
-    /// Inserts never answer: windows close on watermark advances only.
-    fn process_run(&mut self, key: Key, tuples: &[(u64, f64)], _: &mut Vec<(Key, Self::Answer)>) {
+    fn open_slot(&mut self, key: Key) -> usize {
+        self.states.open_slot(key, || {
+            TimeWindowExec::new(self.op.clone(), self.specs.clone())
+        })
+    }
+
+    /// One FiBA bulk insert for the whole run. Inserts never answer:
+    /// windows close on watermark advances only.
+    fn process_slot(
+        &mut self,
+        slot: usize,
+        tuples: &[(u64, f64)],
+        _: &mut Vec<(Key, Self::Answer)>,
+    ) {
         let KeyedEventWindows {
             op,
-            specs,
             states,
             max_ts,
             lift_scratch,
+            ..
         } = self;
-        let exec = states
-            .entry(key)
-            // alloc:amortized per-key state warms up once then stabilizes
-            .or_insert_with(|| TimeWindowExec::new(op.clone(), specs.clone()));
+        // check:allow a slot open_slot never returned is a caller bug
+        let (_, exec) = states.slot_entry(slot).expect("a slot from open_slot");
         lift_scratch.clear();
         // alloc:amortized reused scratch; grows to the largest run once
         lift_scratch.extend(tuples.iter().map(|&(ts, v)| (ts, op.lift(&v))));
@@ -140,7 +150,7 @@ where
     }
 
     fn advance_watermark(&mut self, watermark: u64, out: &mut Vec<(Key, Self::Answer)>) {
-        for (&key, exec) in self.states.iter_mut() {
+        for (key, exec) in self.states.by_slot_mut() {
             for answer in exec.advance_watermark(watermark) {
                 out.push((key, answer)); // alloc:amortized the worker's reused answer scratch; grows to the largest advance once
             }
@@ -148,7 +158,7 @@ where
     }
 
     fn finish(&mut self, out: &mut Vec<(Key, Self::Answer)>) {
-        for (&key, exec) in self.states.iter_mut() {
+        for (key, exec) in self.states.by_slot_mut() {
             for answer in exec.finish() {
                 out.push((key, answer));
             }
@@ -164,7 +174,7 @@ where
     }
 
     fn check_invariants(&mut self) -> Result<(), String> {
-        for (key, exec) in self.states.iter_mut() {
+        for (key, exec) in self.states.by_slot_mut() {
             exec.check_invariants()
                 .map_err(|violation| format!("key {key}: {violation}"))?;
         }

@@ -8,21 +8,36 @@
 //!   SlickDeque Inv/Non-Inv, TwoStacks, DABA, …), single query, slide 1.
 //! * [`KeyedPlans`] — one [`SharedPlanExecutor`] per key for multi-ACQ
 //!   shared plans; answers are tagged with the plan's query index.
+//!
+//! Each processor keeps its keys in one key → dense-slot table (hashed
+//! with the router's `mix64`) with the per-key state in a slab indexed by
+//! slot. The table lives as long as the processor, across engine runs and
+//! service cycles; the shard worker looks each tuple's slot up once and
+//! groups its batch by slot with a counting sort.
 
-use std::collections::HashMap;
 use swag_core::aggregator::{FinalAggregator, MultiFinalAggregator};
 use swag_core::ops::AggregateOp;
 use swag_data::keyed::Key;
 use swag_stream::{SharedPlanExecutor, Sink};
 
+use crate::slots::SlotTable;
+
 /// Per-key stream processing logic run inside one shard.
 ///
-/// The worker hands a processor each key's tuples in arrival order (which,
-/// for any single key, is the key's stream order), one run per key per
-/// batch, and the processor appends produced answers to `out`. A tuple's
-/// payload is [`Value`](Self::Value): the bare `f64` on the arrival-order
-/// path, `(event timestamp, value)` on the event-time path. Event-time
-/// processors additionally emit from
+/// A processor numbers its keys with dense **slots**: 0, 1, 2, … in the
+/// order it first sees them, stable for the processor's life. The worker
+/// looks up each tuple's slot ([`open_slot`](Self::open_slot)), groups the
+/// batch by slot, and hands the processor each key's tuples in arrival
+/// order (which, for any single key, is the key's stream order), one run
+/// per key per batch ([`process_slot`](Self::process_slot)); the
+/// processor appends produced answers to `out`. Keys within a batch are
+/// run in the order of their first tuple in it, so the interleaving of
+/// different keys' answers is unspecified; each key's own answer order
+/// is its stream order.
+///
+/// A tuple's payload is [`Value`](Self::Value): the bare `f64` on the
+/// arrival-order path, `(event timestamp, value)` on the event-time path.
+/// Event-time processors additionally emit from
 /// [`advance_watermark`](Self::advance_watermark) and
 /// [`finish`](Self::finish); for arrival-order processors time is
 /// positional, the watermark never moves, and the defaults are no-ops.
@@ -33,14 +48,35 @@ pub trait ShardProcessor: Send {
     /// The answer type delivered per key.
     type Answer: Send;
 
-    /// Process a run of consecutive tuples that all belong to `key`, in
-    /// stream order, appending `(key, answer)` pairs to `out`. Answers do
-    /// not depend on how a key's stream is cut into runs; a run pays the
-    /// per-key state look-up once and takes the aggregator's bulk fast
-    /// paths. On the event-time path every tuple is at or above each
-    /// watermark previously passed to
+    /// The slot holding `key`'s state, opening one with fresh state the
+    /// first time `key` is seen.
+    fn open_slot(&mut self, key: Key) -> usize;
+
+    /// Process a run of consecutive tuples of the key in `slot` (a slot
+    /// [`open_slot`](Self::open_slot) returned), in stream order,
+    /// appending `(key, answer)` pairs to `out`. Answers do not depend on
+    /// how a key's stream is cut into runs; a run takes the aggregator's
+    /// bulk fast paths. On the event-time path every tuple is at or above
+    /// each watermark previously passed to
     /// [`advance_watermark`](Self::advance_watermark).
-    fn process_run(&mut self, key: Key, values: &[Self::Value], out: &mut Vec<(Key, Self::Answer)>);
+    fn process_slot(
+        &mut self,
+        slot: usize,
+        values: &[Self::Value],
+        out: &mut Vec<(Key, Self::Answer)>,
+    );
+
+    /// Process a run of consecutive tuples that all belong to `key`: one
+    /// slot look-up, then [`process_slot`](Self::process_slot).
+    fn process_run(
+        &mut self,
+        key: Key,
+        values: &[Self::Value],
+        out: &mut Vec<(Key, Self::Answer)>,
+    ) {
+        let slot = self.open_slot(key);
+        self.process_slot(slot, values, out);
+    }
 
     /// Process one keyed tuple: a run of one.
     fn process(&mut self, key: Key, value: Self::Value, out: &mut Vec<(Key, Self::Answer)>) {
@@ -88,10 +124,10 @@ where
 {
     op: O,
     window: usize,
-    states: HashMap<Key, A>,
-    /// Reusable lifted-batch buffer for [`ShardProcessor::process_run`].
+    states: SlotTable<A>,
+    /// Reusable lifted-batch buffer for [`ShardProcessor::process_slot`].
     lift_scratch: Vec<O::Partial>,
-    /// Reusable bulk-answer buffer for [`ShardProcessor::process_run`].
+    /// Reusable bulk-answer buffer for [`ShardProcessor::process_slot`].
     answer_scratch: Vec<O::Partial>,
 }
 
@@ -107,17 +143,19 @@ where
 
     /// The per-key window state, for inspection.
     pub fn state(&self, key: Key) -> Option<&A> {
-        self.states.get(&key)
+        self.states.state_of(key)
     }
 
-    /// Every key's window state, for snapshotting (arbitrary order).
+    /// Every key's window state, for snapshotting, in the order the
+    /// processor first saw the keys.
     pub fn states(&self) -> impl Iterator<Item = (Key, &A)> {
-        self.states.iter().map(|(&k, a)| (k, a))
+        self.states.by_slot()
     }
 
     /// Rebuild a processor from restored per-key states — the restore
     /// counterpart of [`states`](Self::states). Keys absent from `states`
-    /// start fresh on their first tuple, exactly as in a new processor.
+    /// start fresh on their first tuple, exactly as in a new processor; a
+    /// key listed twice keeps its last state.
     pub fn from_states(op: O, window: usize, states: impl IntoIterator<Item = (Key, A)>) -> Self {
         assert!(window >= 1, "window must be positive");
         KeyedWindows {
@@ -139,22 +177,26 @@ where
     type Value = f64;
     type Answer = f64;
 
-    /// One state look-up for the whole run, then the aggregator's
-    /// [`FinalAggregator::bulk_slide`] fast path — answers stay bitwise
-    /// identical to per-tuple processing.
-    fn process_run(&mut self, key: Key, values: &[f64], out: &mut Vec<(Key, f64)>) {
+    fn open_slot(&mut self, key: Key) -> usize {
+        self.states
+            .open_slot(key, || A::with_capacity(self.op.clone(), self.window))
+    }
+
+    /// The aggregator's [`FinalAggregator::bulk_slide`] fast path over the
+    /// whole run — answers stay bitwise identical to per-tuple processing.
+    fn process_slot(&mut self, slot: usize, values: &[f64], out: &mut Vec<(Key, f64)>) {
         let KeyedWindows {
             op,
-            window,
             states,
             lift_scratch,
             answer_scratch,
+            ..
         } = self;
-        let agg = states
-            .entry(key)
-            .or_insert_with(|| A::with_capacity(op.clone(), *window));
+        // check:allow a slot open_slot never returned is a caller bug
+        let (key, agg) = states.slot_entry(slot).expect("a slot from open_slot");
         op.lift_slice_into(values, lift_scratch);
         agg.bulk_slide(lift_scratch, answer_scratch);
+        // alloc:amortized the worker's reused answer scratch; grows to the largest batch once
         out.extend(answer_scratch.drain(..).map(|p| (key, op.lower(&p))));
     }
 
@@ -163,7 +205,7 @@ where
     }
 
     fn check_invariants(&mut self) -> Result<(), String> {
-        for (key, agg) in &self.states {
+        for (key, agg) in self.states.by_slot() {
             agg.check_invariants()
                 .map_err(|violation| format!("key {key}: {violation}"))?;
         }
@@ -191,8 +233,8 @@ where
 {
     op: O,
     plan: swag_plan::SharedPlan,
-    states: HashMap<Key, SharedPlanExecutor<O, M>>,
-    /// Reusable per-run delivery buffer for [`ShardProcessor::process_run`].
+    states: SlotTable<SharedPlanExecutor<O, M>>,
+    /// Reusable per-run delivery buffer for [`ShardProcessor::process_slot`].
     sink_scratch: VecSink<O::Partial>,
 }
 
@@ -210,7 +252,7 @@ where
         KeyedPlans {
             op,
             plan,
-            states: HashMap::new(),
+            states: SlotTable::default(),
             sink_scratch: VecSink(Vec::new()),
         }
     }
@@ -225,18 +267,23 @@ where
     type Value = f64;
     type Answer = (usize, f64);
 
-    /// One executor look-up per run, feeding the whole run through
-    /// [`SharedPlanExecutor::push_batch`] into a reused delivery buffer.
-    fn process_run(&mut self, key: Key, values: &[f64], out: &mut Vec<(Key, (usize, f64))>) {
+    fn open_slot(&mut self, key: Key) -> usize {
+        self.states.open_slot(key, || {
+            SharedPlanExecutor::new(self.op.clone(), self.plan.clone())
+        })
+    }
+
+    /// The whole run through [`SharedPlanExecutor::push_batch`] into a
+    /// reused delivery buffer.
+    fn process_slot(&mut self, slot: usize, values: &[f64], out: &mut Vec<(Key, (usize, f64))>) {
         let KeyedPlans {
             op,
-            plan,
             states,
             sink_scratch,
+            ..
         } = self;
-        let exec = states
-            .entry(key)
-            .or_insert_with(|| SharedPlanExecutor::new(op.clone(), plan.clone())); // alloc:amortized per-key state warms up once then stabilizes
+        // check:allow a slot open_slot never returned is a caller bug
+        let (key, exec) = states.slot_entry(slot).expect("a slot from open_slot");
         sink_scratch.0.clear();
         exec.push_batch(values, sink_scratch);
         for (qi, partial) in sink_scratch.0.drain(..) {
@@ -249,7 +296,7 @@ where
     }
 
     fn check_invariants(&mut self) -> Result<(), String> {
-        for (key, exec) in &self.states {
+        for (key, exec) in self.states.by_slot() {
             exec.aggregator()
                 .check_invariants()
                 .map_err(|violation| format!("key {key}: {violation}"))?;

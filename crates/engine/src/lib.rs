@@ -2,7 +2,7 @@
 //!
 //! Scales the single-stream SlickDeque platform to keyed streams and
 //! multiple cores: a router hash-partitions `(key, value)` tuples across N
-//! worker threads over bounded channels ([`shard`]), each worker runs
+//! worker threads over bounded batch queues ([`shard`]), each worker runs
 //! per-key window state — any [`FinalAggregator`] algorithm, a full
 //! multi-ACQ shared plan per key ([`keyed`]), or event-time windows closed
 //! by the router's watermark ([`event`]: the same router and worker under
@@ -46,7 +46,9 @@ pub mod event;
 pub mod http;
 pub mod keyed;
 pub mod obs;
+mod queue;
 pub mod shard;
+mod slots;
 pub mod stats;
 
 pub use event::KeyedEventWindows;

@@ -19,15 +19,15 @@
 //! | `swag_slide_latency_ns`         | histogram | `shard` |
 //!
 //! The busy/blocked pair is the worker's phase occupancy: nanoseconds
-//! spent processing batches vs. parked in `recv()` waiting on the
-//! channel. Two clock reads per *batch* (not per tuple) keep it cheap
+//! spent processing batches vs. parked waiting on the shard's batch
+//! queue. Two clock reads per *batch* (not per tuple) keep it cheap
 //! enough to stay on whenever observability is enabled; the ratio says
 //! immediately whether a slow pipeline is compute-bound (busy ≫ blocked)
 //! or starved/backpressured (blocked ≫ busy).
 //!
 //! Counters are cumulative across runs sharing one registry (Prometheus
 //! semantics); per-run exact numbers stay in [`EngineStats`]. The slide
-//! latency histogram times each [`ShardProcessor::process_run`] call —
+//! latency histogram times each [`ShardProcessor::process_slot`] call —
 //! the paper's per-slide latency, measured where the slide happens.
 //!
 //! With a trace capacity set, each worker keeps a [`FlightRecorder`] ring
@@ -38,7 +38,7 @@
 //! shard's last moments are always on disk.
 //!
 //! [`EngineStats`]: crate::EngineStats
-//! [`ShardProcessor::process_run`]: crate::ShardProcessor::process_run
+//! [`ShardProcessor::process_slot`]: crate::ShardProcessor::process_slot
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -140,12 +140,12 @@ impl ObservabilityConfig {
             ),
             blocked_ns: counter(
                 "swag_engine_blocked_ns_total",
-                "Nanoseconds the worker spent blocked on its channel",
+                "Nanoseconds the worker spent blocked on its queue",
             ),
             slide_latency: reg.map(|reg| {
                 reg.histogram(
                     "swag_slide_latency_ns",
-                    "Latency of one per-key slide (process_run call) in nanoseconds",
+                    "Latency of one per-key slide (process_slot call) in nanoseconds",
                     labels,
                 )
             }),
@@ -174,10 +174,10 @@ pub(crate) struct ShardObs {
     /// Phase occupancy: nanoseconds processing batches. Timed once per
     /// batch, so always on when any observability is.
     pub(crate) busy_ns: Counter,
-    /// Phase occupancy: nanoseconds blocked in `recv()`.
+    /// Phase occupancy: nanoseconds blocked waiting for a batch.
     pub(crate) blocked_ns: Counter,
     /// Present only with a registry: per-slide timing costs two clock
-    /// reads per `process_run`, so it is tied to someone scraping.
+    /// reads per `process_slot`, so it is tied to someone scraping.
     pub(crate) slide_latency: Option<Histogram>,
     /// Event-time runs only: `swag_engine_watermark_lag` (largest
     /// accepted timestamp minus the shard watermark); `None` on the

@@ -3,24 +3,26 @@
 //! One router (the calling thread) pulls tuples from a source, lets the
 //! path's [`Admit`] rule refuse some (arrival order refuses none; event
 //! time refuses the late — `crate::event`), and hash-partitions the rest
-//! across `shards` worker threads over bounded channels. Tuples are batched
-//! to amortise channel overhead; a full channel blocks the router
-//! (backpressure), so a slow shard slows admission instead of growing
-//! memory without bound. Each worker owns one [`ShardProcessor`] holding
-//! the per-key window state for every key routed to it. There is one
-//! router loop and one worker loop, whatever the path.
+//! across `shards` worker threads over bounded batch queues
+//! (`crate::queue`). Tuples are batched to amortise the hand-off; a full
+//! queue blocks the router (backpressure), so a slow shard slows
+//! admission instead of growing memory without bound. Each worker owns
+//! one [`ShardProcessor`] holding the per-key window state for every key
+//! routed to it. There is one router loop and one worker loop, whatever
+//! the path.
 //!
 //! Shutdown is graceful by construction: when the source runs dry (or the
 //! tuple limit is reached) the router flushes its partial batches and drops
 //! the senders; each worker drains its queue to completion and returns its
-//! [`ShardStats`].
+//! [`ShardStats`]. A worker that panics fails the run with its own panic:
+//! the router stops at its next hand-off, closes every queue, joins the
+//! workers and resumes the first worker panic.
 //!
 //! Because a single router preserves source order and a key maps to exactly
 //! one shard, every key's tuples are processed in stream order — per-key
 //! answers are identical for any shard count.
 
 use std::sync::atomic::AtomicBool;
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, Mutex};
 
 use swag_data::keyed::{Key, KeyedSource};
@@ -31,6 +33,8 @@ use swag_trace::EventKind;
 
 use crate::keyed::ShardProcessor;
 use crate::obs::{sampler_loop, EngineSample, ObservabilityConfig, ShardObs, StopGuard};
+use crate::queue::{batch_queue, Batch, BatchReceiver, BatchSender};
+use crate::slots::SlotGroups;
 use crate::stats::{EngineStats, ShardStats};
 
 /// Tuning knobs for a sharded run.
@@ -38,10 +42,11 @@ use crate::stats::{EngineStats, ShardStats};
 pub struct EngineConfig {
     /// Worker thread count (≥ 1). Keys are assigned by `mix64(key) % shards`.
     pub shards: usize,
-    /// Bounded channel capacity per shard, in batches. The router blocks
-    /// when a shard's queue is full — this is the backpressure bound.
+    /// Bounded queue capacity per shard, in batches. The router blocks
+    /// when a shard's queue is full — this is the backpressure bound —
+    /// until the worker has drained it to half.
     pub queue_capacity: usize,
-    /// Tuples per channel message. Larger batches amortise channel
+    /// Tuples per queued batch. Larger batches amortise queue
     /// synchronisation; smaller ones tighten the backpressure loop.
     pub batch: usize,
     /// Keep every `(key, answer)` pair a shard produces (for tests and
@@ -212,11 +217,11 @@ impl ShardedEngine {
         let shards = config.shards;
         let clock = Stopwatch::start();
 
-        let mut senders: Vec<SyncSender<Batch<A::Value>>> = Vec::with_capacity(shards);
-        let mut inboxes: Vec<Receiver<Batch<A::Value>>> = Vec::with_capacity(shards);
+        let mut senders: Vec<BatchSender<(Key, A::Value)>> = Vec::with_capacity(shards);
+        let mut inboxes: Vec<BatchReceiver<(Key, A::Value)>> = Vec::with_capacity(shards);
         let mut gauges: Vec<QueueDepthGauge> = Vec::with_capacity(shards);
         for _ in 0..shards {
-            let (tx, rx) = sync_channel(config.queue_capacity);
+            let (tx, rx) = batch_queue(config.queue_capacity);
             senders.push(tx);
             inboxes.push(rx);
             gauges.push(QueueDepthGauge::new());
@@ -259,12 +264,14 @@ impl ShardedEngine {
 
             // The router: batch admitted tuples per shard, block on full
             // queues. Every batch carries the watermark as of its flush.
+            // The worker hands drained buffers back through the queue;
+            // `Err` means it is gone (it panicked), and the join below
+            // surfaces why.
             let send = |shard: usize, watermark: u64, tuples: Vec<(Key, A::Value)>| {
                 gauges[shard].enqueued_n(tuples.len() as u64);
                 senders[shard]
-                    .send(Batch { watermark, tuples })
-                    // check:allow a dead worker already poisoned the run; surface it here
-                    .expect("shard worker exited before drain");
+                    .hand_off(Batch { watermark, tuples })
+                    .map_err(drop)
             };
             let mut batches: Vec<Vec<(Key, A::Value)>> = (0..shards)
                 .map(|_| Vec::with_capacity(config.batch))
@@ -277,9 +284,13 @@ impl ShardedEngine {
                 batches[shard].push((key, value));
                 routed += 1;
                 if batches[shard].len() == config.batch {
-                    let full =
-                        std::mem::replace(&mut batches[shard], Vec::with_capacity(config.batch));
-                    send(shard, admit.flush_watermark(full.len()), full);
+                    let full = std::mem::take(&mut batches[shard]);
+                    let Ok(spare) = send(shard, admit.flush_watermark(full.len()), full) else {
+                        // A dead worker: stop routing. Its hand-offs below
+                        // fail at once; the live workers drain and exit.
+                        break;
+                    };
+                    batches[shard] = spare.unwrap_or_else(|| Vec::with_capacity(config.batch));
                 }
             }
             // The stream is drained: the partial batches carry the
@@ -287,7 +298,7 @@ impl ShardedEngine {
             let closing = admit.close();
             for (shard, partial) in batches.into_iter().enumerate() {
                 if !partial.is_empty() {
-                    send(shard, admit.flush_watermark(partial.len()), partial);
+                    send(shard, admit.flush_watermark(partial.len()), partial).ok();
                 }
             }
             if A::TIMED {
@@ -296,7 +307,7 @@ impl ShardedEngine {
                 // watermark reflects the frontier it durably covers, not
                 // merely the tuples it happened to receive.
                 for shard in 0..shards {
-                    send(shard, closing, Vec::new());
+                    send(shard, closing, Vec::new()).ok();
                 }
             }
             // Dropping the senders signals end-of-stream; workers drain
@@ -306,13 +317,22 @@ impl ShardedEngine {
             let mut shard_stats = Vec::with_capacity(shards);
             let mut answers = Vec::with_capacity(shards);
             let mut processors = Vec::with_capacity(shards);
+            let mut crashed = None;
             for handle in handles {
-                // check:allow worker panics must propagate, not be swallowed
-                let (stats, shard_answers, processor) =
-                    handle.join().expect("shard worker panicked");
-                shard_stats.push(stats);
-                answers.push(shard_answers);
-                processors.push(processor);
+                match handle.join() {
+                    Ok((stats, shard_answers, processor)) => {
+                        shard_stats.push(stats);
+                        answers.push(shard_answers);
+                        processors.push(processor);
+                    }
+                    Err(panic) => {
+                        crashed.get_or_insert(panic);
+                    }
+                }
+            }
+            if let Some(panic) = crashed {
+                // The run fails with the worker's own panic.
+                std::panic::resume_unwind(panic);
             }
             (shard_stats, answers, processors)
         });
@@ -326,17 +346,6 @@ impl ShardedEngine {
             processors,
         )
     }
-}
-
-/// One routed message: tuples plus the router's watermark at flush time.
-/// No tuple in this batch — or any later batch to this shard — has a
-/// timestamp below the watermark; on the arrival-order path it is 0
-/// forever, so a count tuple stays 16 bytes and the worker pays one
-/// integer compare per batch for it.
-struct Batch<V> {
-    watermark: u64,
-    /// `(key, payload)` in routing order.
-    tuples: Vec<(Key, V)>,
 }
 
 /// The router's only per-path part: where tuples come from and which of
@@ -378,16 +387,19 @@ impl<S: KeyedSource + ?Sized> Admit for AdmitAll<'_, S> {
     }
 }
 
-/// One worker's loop: drain batches until the channel closes.
+/// One worker's loop: drain batches until the queue closes.
 ///
-/// Each received batch is grouped into per-key runs with a stable sort
-/// (tuples of one key keep their stream order while becoming contiguous),
-/// so a key pays one [`ShardProcessor::process_run`] call — one state
-/// look-up plus the aggregator's bulk path — per batch instead of one
-/// `process` call per tuple. Then every key is advanced to the batch's
+/// Each received batch is grouped into per-key runs by a counting sort on
+/// the processor's slots ([`SlotGroups`]: one slot look-up per tuple, no
+/// comparisons; stable, so tuples of one key keep their stream order), so
+/// a key pays one [`ShardProcessor::process_slot`] call — the
+/// aggregator's bulk path over a slice of the grouped values — per batch
+/// instead of one call per tuple. Keys run in the order of their first
+/// tuple in the batch. Then every key is advanced to the batch's
 /// watermark if it rose, collecting the windows that closes. Per-key
 /// answer sequences are unchanged; only the interleaving of different
-/// keys inside a batch may differ.
+/// keys inside a batch may differ. The batch's buffer goes back to the
+/// router with the next receive.
 ///
 /// With an instrument bundle, the worker additionally maintains its
 /// registry series, times each slide into the latency histogram, and
@@ -398,7 +410,7 @@ impl<S: KeyedSource + ?Sized> Admit for AdmitAll<'_, S> {
 /// registration guard lives for the whole function).
 fn shard_worker<P: ShardProcessor>(
     shard: usize,
-    inbox: Receiver<Batch<P::Value>>,
+    inbox: BatchReceiver<(Key, P::Value)>,
     gauge: QueueDepthGauge,
     mut processor: P,
     config: &EngineConfig,
@@ -413,8 +425,8 @@ fn shard_worker<P: ShardProcessor>(
     let mut batches = 0u64;
     let mut watermark = 0u64;
     let mut retained = Vec::new();
-    // Reused across recv iterations: per-run values and per-batch answers.
-    let mut values: Vec<P::Value> = Vec::new();
+    // Reused across batches: the grouping buffers and per-batch answers.
+    let mut groups = SlotGroups::new();
     let mut scratch = Vec::new();
     // Count answers as produced, before the retain decision — the tally
     // is the same whether or not answers are kept.
@@ -429,18 +441,19 @@ fn shard_worker<P: ShardProcessor>(
             scratch.clear();
         }
     };
-    // Phase occupancy: one clock read before and after each recv() splits
-    // the worker's wall time into blocked-on-channel vs. processing.
+    // Phase occupancy: one clock read before and after each receive
+    // splits the worker's wall time into blocked-on-queue vs. processing.
     let mut phase = obs.as_ref().map(|_| Stopwatch::start());
+    let mut spent = None;
     loop {
-        let received = inbox.recv();
+        let received = inbox.next_batch(spent.take());
         if let (Some(o), Some(p)) = (&obs, &mut phase) {
             o.blocked_ns.add(p.elapsed_ns());
             *p = Stopwatch::start();
         }
-        let Ok(Batch {
+        let Some(Batch {
             watermark: wm,
-            tuples: mut batch,
+            tuples: batch,
         }) = received
         else {
             break;
@@ -454,24 +467,17 @@ fn shard_worker<P: ShardProcessor>(
                 rec.record(EventKind::BatchReceived, batch.len() as u64, gauge.depth());
             }
         }
-        batch.sort_by_key(|&(key, _)| key);
-        let mut i = 0;
-        while i < batch.len() {
-            let key = batch[i].0;
-            let mut j = i + 1;
-            while j < batch.len() && batch[j].0 == key {
-                j += 1;
-            }
-            values.clear();
-            values.extend(batch[i..j].iter().map(|&(_, v)| v));
-            let run_len = (j - i) as u64;
+        groups.group_batch(&mut processor, &batch);
+        spent = Some(batch);
+        for (slot, key, values) in groups.runs() {
+            let run_len = values.len() as u64;
             // Two clock reads per slide, only when someone is scraping
             // the histogram.
             let timer = obs
                 .as_ref()
                 .and_then(|o| o.slide_latency.as_ref())
                 .map(|_| Stopwatch::start());
-            processor.process_run(key, &values, &mut scratch);
+            processor.process_slot(slot, values, &mut scratch);
             if let Some(o) = &obs {
                 if let (Some(hist), Some(timer)) = (&o.slide_latency, timer) {
                     hist.record(timer.elapsed_ns());
@@ -486,7 +492,6 @@ fn shard_worker<P: ShardProcessor>(
                 }
             }
             tuples += run_len;
-            i = j;
         }
         // The watermark closes windows across every key on this shard,
         // including keys untouched by this batch.
@@ -653,6 +658,93 @@ mod tests {
             KeyedEventWindows::new(Sum::<f64>::new(), vec![TimeWindowSpec::tumbling(16)])
         });
         assert_eq!((count.stats.tuples, event.stats.tuples), (300, 300));
+    }
+
+    /// Forwards to `inner` until it has been handed `fault_at − 1` tuples,
+    /// then panics on the next one.
+    struct PanicsAt<P> {
+        inner: P,
+        fault_at: u64,
+    }
+
+    impl<P: ShardProcessor> ShardProcessor for PanicsAt<P> {
+        type Value = P::Value;
+        type Answer = P::Answer;
+
+        fn open_slot(&mut self, key: Key) -> usize {
+            self.inner.open_slot(key)
+        }
+
+        fn process_slot(
+            &mut self,
+            slot: usize,
+            values: &[P::Value],
+            out: &mut Vec<(Key, P::Answer)>,
+        ) {
+            assert!(
+                (values.len() as u64) < self.fault_at,
+                "injected fault: this shard dies on tuple {}",
+                self.fault_at
+            );
+            self.fault_at -= values.len() as u64;
+            self.inner.process_slot(slot, values, out);
+        }
+
+        fn advance_watermark(&mut self, watermark: u64, out: &mut Vec<(Key, P::Answer)>) {
+            self.inner.advance_watermark(watermark, out);
+        }
+
+        fn keys(&self) -> usize {
+            self.inner.keys()
+        }
+    }
+
+    /// A worker that dies while the router is parked on its full
+    /// one-batch queue fails the run with the worker's own panic, down
+    /// both paths; a watchdog fails the test if the run hangs instead.
+    #[test]
+    fn a_dead_worker_behind_a_full_queue_fails_the_run() {
+        type Drive = fn(&ShardedEngine);
+        let count: Drive = |engine| {
+            engine.run(&mut KeyedVecSource::new(tuples(5000, 3)), u64::MAX, |_| {
+                PanicsAt {
+                    inner: KeyedWindows::<_, SlickDequeInv<_>>::new(Sum::<f64>::new(), 4),
+                    fault_at: 3,
+                }
+            });
+        };
+        let event: Drive = |engine| {
+            let mut source = DisorderedKeyedSource::new(KeyedVecSource::new(tuples(5000, 3)), 8, 1);
+            engine.run_events(&mut source, u64::MAX, None, |_| PanicsAt {
+                inner: KeyedEventWindows::new(
+                    Sum::<f64>::new(),
+                    vec![TimeWindowSpec::tumbling(16)],
+                ),
+                fault_at: 3,
+            });
+        };
+        for (path, drive) in [("count", count), ("event", event)] {
+            let (done, outcome) = std::sync::mpsc::channel();
+            std::thread::spawn(move || {
+                let engine = ShardedEngine::new(EngineConfig {
+                    shards: 2,
+                    queue_capacity: 1,
+                    batch: 1,
+                    ..EngineConfig::default()
+                });
+                let run = std::panic::catch_unwind(|| drive(&engine));
+                let message = run.err().map(|panic| match panic.downcast::<String>() {
+                    Ok(message) => *message,
+                    Err(_) => "a panic without a message".to_string(),
+                });
+                done.send(message).ok();
+            });
+            let message = outcome
+                .recv_timeout(std::time::Duration::from_secs(30))
+                .unwrap_or_else(|_| panic!("{path}: the run hung behind a dead worker"));
+            let message = message.unwrap_or_else(|| panic!("{path}: the run succeeded"));
+            assert!(message.contains("injected fault"), "{path}: {message}");
+        }
     }
 
     #[test]

@@ -17,7 +17,7 @@ pub struct ShardStats {
     /// Distinct keys routed to this shard.
     pub keys: usize,
     /// Deepest inbound-queue occupancy observed, in tuples — the
-    /// backpressure signal (a shard pinned near the channel capacity is
+    /// backpressure signal (a shard pinned near the queue capacity is
     /// the bottleneck).
     pub max_queue_depth: u64,
     /// The event-time watermark this shard durably passed by drain time.
@@ -52,7 +52,7 @@ pub struct EngineStats {
     pub tuples: u64,
     /// Total answers produced across shards.
     pub answers: u64,
-    /// Total channel batches received across shards.
+    /// Total batches received across shards.
     pub batches: u64,
     /// Tuples the router dropped for arriving below the watermark.
     /// Always 0 on the arrival-order path.
@@ -100,8 +100,8 @@ impl EngineStats {
         self.shards.iter().map(|s| s.keys).sum()
     }
 
-    /// Average tuples delivered per channel `recv` — how well the router's
-    /// batching amortises channel synchronisation. Below the configured
+    /// Average tuples delivered per received batch — how well the router's
+    /// batching amortises queue synchronisation. Below the configured
     /// batch size means the source drained faster than workers consumed
     /// (frequent partial flushes).
     pub fn tuples_per_batch(&self) -> f64 {

@@ -81,14 +81,18 @@ impl<P: ShardProcessor> ShardProcessor for Faulty<P> {
     type Value = P::Value;
     type Answer = P::Answer;
 
-    fn process_run(&mut self, key: Key, values: &[P::Value], out: &mut Vec<(Key, P::Answer)>) {
+    fn open_slot(&mut self, key: Key) -> usize {
+        self.inner.open_slot(key)
+    }
+
+    fn process_slot(&mut self, slot: usize, values: &[P::Value], out: &mut Vec<(Key, P::Answer)>) {
         self.processed += values.len() as u64;
         assert!(
             self.processed <= self.fault_after,
             "injected fault: shard crashed after {} tuples",
             self.fault_after
         );
-        self.inner.process_run(key, values, out);
+        self.inner.process_slot(slot, values, out);
     }
 
     fn advance_watermark(&mut self, watermark: u64, out: &mut Vec<(Key, P::Answer)>) {

@@ -373,7 +373,8 @@ trait Plan: Send + 'static {
     /// blocks (none for a fresh pipeline).
     fn rebuild(&self, keys: &[&KeyState]) -> Result<Self::Proc, String>;
 
-    /// Capture every key of one shard's processor.
+    /// Capture every key of one shard's processor, in any order
+    /// ([`shard_keys`] puts them in key order).
     fn save(&self, processor: &Self::Proc) -> Vec<KeyState>;
 
     /// Run one cycle's tuples through `engine` to a drain that leaves
@@ -397,6 +398,14 @@ trait Plan: Send + 'static {
 
 type Answer<Pl> = <<Pl as Plan>::Proc as ShardProcessor>::Answer;
 type Parked<'a, P> = &'a (dyn Fn(usize) -> P + Sync);
+
+/// One shard's key blocks for a snapshot, in key order: canonical bytes
+/// whatever order the processor first saw its keys in.
+fn shard_keys<Pl: Plan>(plan: &Pl, processor: &Pl::Proc) -> Vec<KeyState> {
+    let mut keys = plan.save(processor);
+    keys.sort_by_key(|k| k.key);
+    keys
+}
 
 /// Encode what `save` writes about one key with `op`'s codec.
 fn encode_key<O: AggregateOp + PartialCodec>(
@@ -458,14 +467,10 @@ where
     }
 
     fn save(&self, processor: &Self::Proc) -> Vec<KeyState> {
-        let mut keys: Vec<KeyState> = processor
+        processor
             .states()
             .map(|(k, agg)| encode_key(&self.op, k, |w| agg.save_state(w)))
-            .collect();
-        // Canonical bytes: key order within the shard (the per-key map
-        // iterates in hash order).
-        keys.sort_by_key(|k| k.key);
-        keys
+            .collect()
     }
 
     fn run(
@@ -610,7 +615,12 @@ fn pipeline_worker<Pl: Plan>(
             .lock()
             .unwrap()
             .iter()
-            .flat_map(|slot| plan.save(slot.as_ref().expect("processor parked between cycles")))
+            .flat_map(|slot| {
+                shard_keys(
+                    plan,
+                    slot.as_ref().expect("processor parked between cycles"),
+                )
+            })
             .collect();
         let snap = Snapshot {
             spec: ctx.spec.clone(),
@@ -756,4 +766,80 @@ pub(crate) fn spawn_pipeline(
         answers,
         ingest: IngestTarget { tx, trace, queue },
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const KEYS: [Key; 4] = [9, 2, 40, 17];
+
+    /// A shard's snapshot bytes after feeding every key the same stream,
+    /// `step` tuples per key, the keys interleaved in `order`. Each
+    /// processor first sees its keys in that order.
+    fn snapshot_after<Pl: Plan>(
+        plan: &Pl,
+        plan_kind: PlanKind,
+        order: &[Key],
+        tuple: impl Fn(Key, u64) -> <Pl::Proc as ShardProcessor>::Value,
+    ) -> Vec<u8> {
+        let mut processor = plan.rebuild(&[]).expect("a fresh processor");
+        let mut out = Vec::new();
+        for step in 0..24 {
+            for &key in order {
+                processor.process(key, tuple(key, step), &mut out);
+            }
+        }
+        processor.advance_watermark(12, &mut out);
+        Snapshot {
+            spec: PipelineSpec {
+                name: "canonical".into(),
+                op: OpKind::Sum,
+                plan: plan_kind,
+                shards: 1,
+                batch: 256,
+                slo: None,
+            },
+            watermark: 12,
+            keys: shard_keys(plan, &processor),
+        }
+        .encode()
+    }
+
+    /// Snapshot bytes do not depend on the order keys first arrived in,
+    /// for either plan kind.
+    #[test]
+    fn snapshots_are_canonical_across_key_arrival_orders() {
+        let reversed: Vec<Key> = KEYS.iter().rev().copied().collect();
+        let rotated: Vec<Key> = KEYS[1..].iter().chain(&KEYS[..1]).copied().collect();
+
+        let count = CountPlan {
+            op: Sum::<f64>::new(),
+            window: 8,
+            algo: PhantomData::<fn() -> SlickDequeInv<Sum<f64>>>,
+        };
+        let kind = PlanKind::Count { window: 8 };
+        let value = |key: Key, step: u64| (key * 3 + step % 5) as f64;
+        let reference = snapshot_after(&count, kind, &KEYS, value);
+        for order in [&reversed, &rotated] {
+            assert_eq!(snapshot_after(&count, kind, order, value), reference);
+        }
+
+        let event = EventPlan {
+            op: Sum::<f64>::new(),
+            specs: vec![TimeWindowSpec::new(8, 4)],
+            lateness: 0,
+            frontier: 0,
+        };
+        let kind = PlanKind::Event {
+            range: 8,
+            slide: 4,
+            lateness: 0,
+        };
+        let stamped = |key: Key, step: u64| (step, value(key, step));
+        let reference = snapshot_after(&event, kind, &KEYS, stamped);
+        for order in [&reversed, &rotated] {
+            assert_eq!(snapshot_after(&event, kind, order, stamped), reference);
+        }
+    }
 }

@@ -15,7 +15,7 @@
 //! u64  shards      (advisory: the count at capture; restore re-shards)
 //! u64  watermark   (event pipelines; 0 for count)
 //! u64  key count
-//! per key:
+//! per key (each key at most once):
 //!   u64 key
 //!   u64 word count,    word count × u64     (typed state words)
 //!   u64 partial count, u64 byte length, partials via PartialCodec
@@ -31,6 +31,7 @@
 //!
 //! [`shard_of`]: swag_engine::shard_of
 
+use std::collections::HashSet;
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -236,8 +237,14 @@ impl Snapshot {
             ));
         }
         let mut keys = Vec::with_capacity(nkeys as usize);
+        let mut seen = HashSet::with_capacity(nkeys as usize);
         for i in 0..nkeys {
             let key = take_u64(&mut pos, "key")?;
+            // Restore keeps one state per key: a second block for the
+            // same key would silently replace the first.
+            if !seen.insert(key) {
+                return Err(format!("snapshot names key {key} twice"));
+            }
             let nwords = take_u64(&mut pos, "word count")?;
             if nwords > (body.len() as u64) / 8 {
                 return Err(format!("snapshot key {i}: impossible word count {nwords}"));
@@ -424,6 +431,28 @@ mod tests {
         let err = Snapshot::decode(&bytes).unwrap_err();
         assert!(err.contains("\"bint\""), "{err}");
         assert!(err.contains("serves only slickdeque"), "{err}");
+    }
+
+    /// A snapshot that repeats a key block is refused by name: restore
+    /// keeps one state per key, so one of the two would be lost.
+    #[test]
+    fn a_key_named_twice_is_refused() {
+        let mut snap = sample();
+        snap.keys.truncate(1);
+        let captured = snap.encode();
+        snap.keys.clear();
+        let header_len = snap.encode().len() - 8;
+        let block = &captured[header_len..captured.len() - 8];
+        // The captured snapshot with its one key block repeated, the key
+        // count raised to match and the checksum recomputed.
+        let mut bytes = captured[..header_len].to_vec();
+        bytes[header_len - 8..].copy_from_slice(&2u64.to_le_bytes());
+        bytes.extend_from_slice(block);
+        bytes.extend_from_slice(block);
+        let sum = fnv1a(&bytes);
+        bytes.extend_from_slice(&sum.to_le_bytes());
+        let err = Snapshot::decode(&bytes).unwrap_err();
+        assert!(err.contains("key 7 twice"), "{err}");
     }
 
     #[test]

@@ -752,11 +752,12 @@ fn build_observability(
 ///
 /// Without `--ooo` the shared plan runs per key over arrival order; with
 /// `--emit`, answers are written as `key<TAB>query_index<TAB>answer`
-/// lines, grouped by shard. With `--ooo` each tuple carries its stream
-/// position as the event timestamp, `--disorder` shuffles the stream with
-/// a provable displacement bound, and every key's `--queries` time windows
-/// run on a FiBA finger B-tree and close when the watermark passes their
-/// end; `--emit` lines are then
+/// lines, grouped by shard; each key's lines are in stream order, but the
+/// order of different keys' lines within a batch is unspecified. With
+/// `--ooo` each tuple carries its stream position as the event timestamp,
+/// `--disorder` shuffles the stream with a provable displacement bound,
+/// and every key's `--queries` time windows run on a FiBA finger B-tree
+/// and close when the watermark passes their end; `--emit` lines are then
 /// `key<TAB>query_index<TAB>window_end<TAB>answer`.
 pub fn run_keyed(
     cfg: &CliConfig,
