@@ -70,11 +70,14 @@ const SERVER_HOT_FNS: &[&str] = &["accept_loop"];
 /// stage records, and both recorder writes) runs inside the ingest loop
 /// with tracing on by default, so it carries the same contract as the
 /// aggregators themselves. The shard hand-off (the batch queue's send
-/// and receive) and the worker's per-tuple slot look-up and grouping
-/// run once per routed batch or tuple.
+/// and receive), the worker's per-tuple slot look-up and grouping, the
+/// resident router's per-tuple step and its barrier run once per routed
+/// batch, tuple or service cycle.
 const HOT_METHODS: &[(&str, &str)] = &[
     ("SharedPlanExecutor", "push"),
     ("SharedPlanExecutor", "push_batch"),
+    ("ResidentEngine", "steer"),
+    ("ResidentEngine", "barrier"),
     ("BatchSender", "hand_off"),
     ("BatchReceiver", "next_batch"),
     ("SlotTable", "open_slot"),

@@ -36,6 +36,8 @@
 //! [`EngineStats::late_tuples`]: crate::EngineStats::late_tuples
 //! [`EngineStats::watermark`]: crate::EngineStats::watermark
 
+use std::path::PathBuf;
+
 use swag_core::ops::AggregateOp;
 use swag_data::event::KeyedEventSource;
 use swag_data::keyed::Key;
@@ -44,6 +46,8 @@ use swag_stream::{TimeWindowExec, TimeWindowSpec};
 use swag_trace::{EventKind, FlightRecorder};
 
 use crate::keyed::ShardProcessor;
+use crate::obs::ObservabilityConfig;
+use crate::resident::ResidentEngine;
 use crate::shard::{Admit, EngineRun, ShardedEngine};
 use crate::slots::SlotTable;
 
@@ -182,29 +186,81 @@ where
     }
 }
 
-/// The event-time admit rule. The watermark is derived from the stream
-/// routed *so far* and only ever rises; a tuple is judged against the
-/// watermark before it contributes to it, so a tuple can never be late
-/// relative to itself.
-struct AdmitOnTime<'a, S: ?Sized> {
-    source: &'a mut S,
+/// The event-time admit rule's state, kept for a resident engine's
+/// life. The watermark is derived from the stream routed *so far* and only
+/// ever rises; a tuple is judged against the watermark before it
+/// contributes to it, so a tuple can never be late relative to itself.
+pub(crate) struct OnTime {
     lateness: Option<u64>,
     max_ts: Option<u64>,
-    watermark: u64,
-    late: u64,
+    pub(crate) watermark: u64,
+    /// Tuples dropped as late so far.
+    pub(crate) late: u64,
     /// `swag_engine_late_tuples_total`, labelled `shard="router"` — drops
     /// happen before partitioning.
     late_counter: Option<Counter>,
     /// The router's own flight recorder, narrating drops and watermark
     /// advances.
     recorder: Option<FlightRecorder>,
+    trace_out: Option<PathBuf>,
+}
+
+impl OnTime {
+    pub(crate) fn new(obs: &ObservabilityConfig, lateness: Option<u64>) -> Self {
+        OnTime {
+            lateness,
+            max_ts: None,
+            watermark: 0,
+            late: 0,
+            late_counter: obs.registry.as_ref().map(|reg| {
+                reg.counter(
+                    "swag_engine_late_tuples_total",
+                    "Tuples dropped at the router for arriving below the watermark",
+                    &obs.series_labels("router"),
+                )
+            }),
+            recorder: (obs.trace_capacity > 0).then(|| FlightRecorder::new(obs.trace_capacity)),
+            trace_out: obs.trace_out.clone(),
+        }
+    }
+
+    /// The watermark to stamp on a batch of `tuples` tuples being flushed.
+    pub(crate) fn stamp(&mut self, tuples: usize) -> u64 {
+        if let Some(rec) = &self.recorder {
+            rec.record(EventKind::WatermarkAdvance, self.watermark, tuples as u64);
+        }
+        self.watermark
+    }
+
+    /// Write the router's ring next to the shards' (the router is not a
+    /// shard; its ring gets its own file).
+    pub(crate) fn dump_router_ring(&self) {
+        if let (Some(rec), Some(dir)) = (&self.recorder, &self.trace_out) {
+            if let Err(e) = std::fs::create_dir_all(dir).and_then(|_| {
+                std::fs::write(
+                    dir.join("flightrec-router.json"),
+                    rec.dump_json(usize::MAX).pretty(),
+                )
+            }) {
+                eprintln!("swag-engine: router flight-recorder dump failed: {e}");
+            }
+        }
+    }
+}
+
+/// The event-time admit rule over one source.
+pub(crate) struct AdmitOnTime<'a, S: ?Sized> {
+    pub(crate) source: &'a mut S,
+    pub(crate) rule: &'a mut OnTime,
 }
 
 impl<S: KeyedEventSource + ?Sized> AdmitOnTime<'_, S> {
-    /// Raise the watermark to the frontier's current reading.
-    fn read_frontier(&mut self) {
-        self.watermark = self.watermark.max(match self.lateness {
-            Some(l) => self.max_ts.map_or(0, |m| m.saturating_sub(l)),
+    /// Raise the watermark to the frontier's current reading (once the
+    /// source is drained, its final reading).
+    pub(crate) fn read_frontier(&mut self) {
+        let rule = &mut *self.rule;
+        rule.watermark = rule.watermark.max(match rule.lateness {
+            Some(l) => rule.max_ts.map_or(0, |m| m.saturating_sub(l)),
             None => self.source.low_watermark(),
         });
     }
@@ -212,35 +268,27 @@ impl<S: KeyedEventSource + ?Sized> AdmitOnTime<'_, S> {
 
 impl<S: KeyedEventSource + ?Sized> Admit for AdmitOnTime<'_, S> {
     type Value = (u64, f64);
-    const TIMED: bool = true;
 
     fn pull(&mut self) -> Option<Option<(Key, (u64, f64))>> {
         let (key, ts, value) = self.source.next_event()?;
         self.read_frontier();
-        if ts < self.watermark {
-            self.late += 1;
-            if let Some(c) = &self.late_counter {
+        let rule = &mut *self.rule;
+        if ts < rule.watermark {
+            rule.late += 1;
+            if let Some(c) = &rule.late_counter {
                 c.inc();
             }
-            if let Some(rec) = &self.recorder {
-                rec.record(EventKind::LateDrop, ts, self.watermark);
+            if let Some(rec) = &rule.recorder {
+                rec.record(EventKind::LateDrop, ts, rule.watermark);
             }
             return Some(None);
         }
-        self.max_ts = Some(self.max_ts.map_or(ts, |m| m.max(ts)));
+        rule.max_ts = Some(rule.max_ts.map_or(ts, |m| m.max(ts)));
         Some(Some((key, (ts, value))))
     }
 
     fn flush_watermark(&mut self, tuples: usize) -> u64 {
-        if let Some(rec) = &self.recorder {
-            rec.record(EventKind::WatermarkAdvance, self.watermark, tuples as u64);
-        }
-        self.watermark
-    }
-
-    fn close(&mut self) -> u64 {
-        self.read_frontier();
-        self.watermark
+        self.rule.stamp(tuples)
     }
 }
 
@@ -268,11 +316,11 @@ impl ShardedEngine {
             .0
     }
 
-    /// [`run_events`](Self::run_events), but for resident pipelines: open
+    /// [`run_events`](Self::run_events), but for resident callers: open
     /// windows are **not** flushed at drain (no [`ShardProcessor::finish`]
     /// — the stream pauses, it does not end), and each shard's drained
     /// processor is handed back in shard order for snapshotting or the
-    /// next cycle. Answers still flow from watermark advances as usual.
+    /// next run. Answers still flow from watermark advances as usual.
     pub fn run_events_collecting<S, P, F>(
         &self,
         source: &mut S,
@@ -288,8 +336,8 @@ impl ShardedEngine {
         self.route_on_time(source, limit, lateness, false, make_processor)
     }
 
-    /// [`route`](Self::route) under the event-time admit rule, then
-    /// account for what the rule refused.
+    /// Start a [`ResidentEngine`] under the event-time admit rule, route
+    /// `source` through it, and stop it.
     fn route_on_time<S, P, F>(
         &self,
         source: &mut S,
@@ -303,36 +351,12 @@ impl ShardedEngine {
         P: ShardProcessor<Value = (u64, f64)>,
         F: Fn(usize) -> P + Send + Sync,
     {
-        let obs = &self.config().obs;
-        let mut admit = AdmitOnTime {
-            source,
-            lateness,
-            max_ts: None,
-            watermark: 0,
-            late: 0,
-            late_counter: obs.registry.as_ref().map(|reg| {
-                reg.counter(
-                    "swag_engine_late_tuples_total",
-                    "Tuples dropped at the router for arriving below the watermark",
-                    &obs.series_labels("router"),
-                )
-            }),
-            recorder: (obs.trace_capacity > 0).then(|| FlightRecorder::new(obs.trace_capacity)),
-        };
-        let (mut run, processors) = self.route(&mut admit, limit, finish, make_processor);
-        run.stats.late_tuples = admit.late;
-        if let (Some(rec), Some(dir)) = (&admit.recorder, &obs.trace_out) {
-            // The router is not a shard; its ring gets its own file.
-            if let Err(e) = std::fs::create_dir_all(dir).and_then(|_| {
-                std::fs::write(
-                    dir.join("flightrec-router.json"),
-                    rec.dump_json(usize::MAX).pretty(),
-                )
-            }) {
-                eprintln!("swag-engine: router flight-recorder dump failed: {e}");
-            }
-        }
-        (run, processors)
+        std::thread::scope(|scope| {
+            let mut engine =
+                ResidentEngine::start_events(scope, self.config(), lateness, make_processor);
+            engine.route_events(source, limit);
+            engine.stop(finish)
+        })
     }
 }
 

@@ -7,7 +7,10 @@
 //! multi-ACQ shared plan per key ([`keyed`]), or event-time windows closed
 //! by the router's watermark ([`event`]: the same router and worker under
 //! a late-drop admit rule) — and per-shard statistics merge into an
-//! [`EngineStats`] report ([`stats`]). Live observability —
+//! [`EngineStats`] report ([`stats`]). The router and workers are a
+//! [`ResidentEngine`] ([`resident`]): a run starts one, feeds it a source
+//! and stops it; a long-lived caller keeps one and ends each stretch of
+//! tuples with a barrier. Live observability —
 //! registry-backed metric series, per-shard flight recorders with
 //! panic-time dumps, and a dependency-free `/metrics` HTTP endpoint — is
 //! opt-in via [`obs`] and [`http`].
@@ -47,6 +50,7 @@ pub mod http;
 pub mod keyed;
 pub mod obs;
 mod queue;
+pub mod resident;
 pub mod shard;
 mod slots;
 pub mod stats;
@@ -55,5 +59,6 @@ pub use event::KeyedEventWindows;
 pub use http::HttpServer;
 pub use keyed::{KeyedPlans, KeyedWindows, ShardProcessor};
 pub use obs::{EngineSample, ObservabilityConfig};
+pub use resident::ResidentEngine;
 pub use shard::{shard_of, EngineConfig, EngineRun, ShardedEngine};
 pub use stats::{EngineStats, ShardStats};

@@ -14,6 +14,11 @@
 //! returned buffer instead of allocating one, so a run allocates at most
 //! `capacity + 2` buffers per shard however many batches it routes.
 //!
+//! Besides tuple batches the queue carries the engine's **control
+//! items** ([`Item::Control`]: barriers, a lent processor coming back,
+//! end of stream) in the same FIFO order, so a control item is seen only
+//! after every batch routed before it.
+//!
 //! Either end going away is seen by the other: dropping the
 //! [`BatchSender`] closes the queue (the worker drains what is queued,
 //! then sees the end), and dropping the [`BatchReceiver`] — a worker that
@@ -34,8 +39,14 @@ pub(crate) struct Batch<E> {
     pub(crate) tuples: Vec<E>,
 }
 
-struct State<E> {
-    queue: VecDeque<Batch<E>>,
+/// One queue entry: a batch of tuples, or a control item of type `C`.
+pub(crate) enum Item<E, C> {
+    Batch(Batch<E>),
+    Control(C),
+}
+
+struct State<E, C> {
+    queue: VecDeque<Item<E, C>>,
     /// Emptied tuple buffers the worker handed back, for the router to
     /// fill next.
     spares: Vec<Vec<E>>,
@@ -50,8 +61,8 @@ struct State<E> {
     abandoned: bool,
 }
 
-struct Shared<E> {
-    state: Mutex<State<E>>,
+struct Shared<E, C> {
+    state: Mutex<State<E, C>>,
     /// Signalled when a batch arrives for a parked worker, or on close.
     filled: Condvar,
     /// Signalled when the queue drains to the low-water mark under a
@@ -61,24 +72,24 @@ struct Shared<E> {
     low_water: usize,
 }
 
-impl<E> Shared<E> {
+impl<E, C> Shared<E, C> {
     /// The queue state. Every update under the lock is a single field
     /// write or one queue operation, so the state is valid at every step
     /// and a panic elsewhere cannot leave it torn: a poisoned lock is
     /// taken over as is.
-    fn locked(&self) -> MutexGuard<'_, State<E>> {
+    fn locked(&self) -> MutexGuard<'_, State<E, C>> {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
 /// The router's end of a shard's [`batch_queue`].
-pub(crate) struct BatchSender<E>(Arc<Shared<E>>);
+pub(crate) struct BatchSender<E, C>(Arc<Shared<E, C>>);
 
 /// The worker's end of a shard's [`batch_queue`].
-pub(crate) struct BatchReceiver<E>(Arc<Shared<E>>);
+pub(crate) struct BatchReceiver<E, C>(Arc<Shared<E, C>>);
 
-/// A queue holding at most `capacity` (≥ 1) batches in flight.
-pub(crate) fn batch_queue<E>(capacity: usize) -> (BatchSender<E>, BatchReceiver<E>) {
+/// A queue holding at most `capacity` (≥ 1) items in flight.
+pub(crate) fn batch_queue<E, C>(capacity: usize) -> (BatchSender<E, C>, BatchReceiver<E, C>) {
     debug_assert!(capacity >= 1);
     let shared = Arc::new(Shared {
         state: Mutex::new(State {
@@ -99,12 +110,15 @@ pub(crate) fn batch_queue<E>(capacity: usize) -> (BatchSender<E>, BatchReceiver<
     (BatchSender(Arc::clone(&shared)), BatchReceiver(shared))
 }
 
-impl<E> BatchSender<E> {
-    /// Queue `batch` behind the ones already queued, parking while the
-    /// queue is full until the worker drains it to half. Returns an
-    /// emptied buffer the worker handed back, if one is waiting, for the
-    /// router to fill next; `Err(batch)` once the receiver is gone.
-    pub(crate) fn hand_off(&self, batch: Batch<E>) -> Result<Option<Vec<E>>, Batch<E>> {
+impl<E, C> BatchSender<E, C> {
+    /// Queue `item` behind the ones already queued, parking while the
+    /// queue is full until the worker drains it to half. For a batch,
+    /// returns an emptied buffer the worker handed back, if one is
+    /// waiting, for the router to fill next (a control item gives no
+    /// buffer away, so it takes none); `Err(item)` once the receiver is
+    /// gone.
+    pub(crate) fn hand_off(&self, item: Item<E, C>) -> Result<Option<Vec<E>>, Item<E, C>> {
+        let refill = matches!(item, Item::Batch(_));
         let shared = &*self.0;
         let mut state = shared.locked();
         if state.queue.len() >= shared.capacity {
@@ -119,20 +133,20 @@ impl<E> BatchSender<E> {
             }
         }
         if state.abandoned {
-            return Err(batch);
+            return Err(item);
         }
         // Never grows: the router only gets here below the capacity the
         // queue was built with.
-        state.queue.push_back(batch); // alloc:amortized bounded by the preallocated capacity
+        state.queue.push_back(item); // alloc:amortized bounded by the preallocated capacity
         if state.worker_parked {
             state.worker_parked = false;
             shared.filled.notify_one();
         }
-        Ok(state.spares.pop())
+        Ok(if refill { state.spares.pop() } else { None })
     }
 }
 
-impl<E> Drop for BatchSender<E> {
+impl<E, C> Drop for BatchSender<E, C> {
     /// End of stream: the worker drains what is queued, then stops. The
     /// router fills no more buffers, so the spares are freed now rather
     /// than held to the end of the run.
@@ -144,12 +158,12 @@ impl<E> Drop for BatchSender<E> {
     }
 }
 
-impl<E> BatchReceiver<E> {
-    /// The oldest queued batch, parking while the queue is empty; `None`
+impl<E, C> BatchReceiver<E, C> {
+    /// The oldest queued item, parking while the queue is empty; `None`
     /// once the sender is gone and the queue is drained. `spent` is the
     /// tuple buffer of the batch processed last, handed back (emptied)
     /// for the router to reuse, or freed once the sender is gone.
-    pub(crate) fn next_batch(&self, spent: Option<Vec<E>>) -> Option<Batch<E>> {
+    pub(crate) fn next_batch(&self, spent: Option<Vec<E>>) -> Option<Item<E, C>> {
         let shared = &*self.0;
         let spent = spent.map(|mut buf| {
             buf.clear();
@@ -162,12 +176,12 @@ impl<E> BatchReceiver<E> {
             state.spares.push(buf); // alloc:amortized bounded by the preallocated capacity
         }
         loop {
-            if let Some(batch) = state.queue.pop_front() {
+            if let Some(item) = state.queue.pop_front() {
                 if state.router_parked && state.queue.len() <= shared.low_water {
                     state.router_parked = false;
                     shared.drained.notify_one();
                 }
-                return Some(batch);
+                return Some(item);
             }
             if state.closed {
                 return None;
@@ -181,7 +195,7 @@ impl<E> BatchReceiver<E> {
     }
 }
 
-impl<E> Drop for BatchReceiver<E> {
+impl<E, C> Drop for BatchReceiver<E, C> {
     /// The worker is gone (returned or unwinding): release a parked
     /// router and fail every later hand-off.
     fn drop(&mut self) {
@@ -198,14 +212,24 @@ mod tests {
     use std::thread;
     use std::time::Duration;
 
-    fn batch(watermark: u64, tuples: Vec<u32>) -> Batch<u32> {
-        Batch { watermark, tuples }
+    type Q = Item<u32, &'static str>;
+
+    fn batch(watermark: u64, tuples: Vec<u32>) -> Q {
+        Item::Batch(Batch { watermark, tuples })
+    }
+
+    /// The batch inside `item`; panics on a control item.
+    fn unbatch(item: Q) -> Batch<u32> {
+        match item {
+            Item::Batch(b) => b,
+            Item::Control(c) => panic!("expected a batch, got control {c:?}"),
+        }
     }
 
     /// Wait (with a generous deadline) until `cond` holds on the queue
     /// state: how the tests below learn that the other end is parked
     /// without sleeping for a guessed interval.
-    fn wait_for(shared: &Shared<u32>, cond: impl Fn(&State<u32>) -> bool) {
+    fn wait_for(shared: &Shared<u32, &str>, cond: impl Fn(&State<u32, &str>) -> bool) {
         for _ in 0..30_000 {
             if cond(&shared.locked()) {
                 return;
@@ -217,21 +241,28 @@ mod tests {
 
     #[test]
     fn batches_arrive_in_fifo_order_then_the_end() {
-        let (tx, rx) = batch_queue::<u32>(8);
+        let (tx, rx) = batch_queue::<u32, &str>(9);
         for i in 0..8 {
             assert!(tx.hand_off(batch(i, vec![i as u32])).is_ok());
         }
+        assert!(tx.hand_off(Item::Control("barrier")).is_ok());
         drop(tx);
         for i in 0..8 {
-            let got = rx.next_batch(None).expect("queued batch");
+            let got = unbatch(rx.next_batch(None).expect("queued batch"));
             assert_eq!((got.watermark, got.tuples), (i, vec![i as u32]));
         }
+        // A control item keeps its place in the FIFO: after every batch
+        // queued before it.
+        assert!(matches!(
+            rx.next_batch(None),
+            Some(Item::Control("barrier"))
+        ));
         assert!(rx.next_batch(None).is_none(), "closed and drained");
     }
 
     #[test]
     fn a_parked_router_wakes_only_at_the_low_water_mark() {
-        let (tx, rx) = batch_queue::<u32>(4);
+        let (tx, rx) = batch_queue::<u32, &str>(4);
         let shared = Arc::clone(&rx.0);
         for i in 0..4 {
             assert!(tx.hand_off(batch(i, Vec::new())).is_ok());
@@ -244,28 +275,28 @@ mod tests {
         wait_for(&shared, |s| s.router_parked);
         // One pop leaves 3 queued, above the low-water mark of 2: the
         // router must stay parked.
-        assert_eq!(rx.next_batch(None).map(|b| b.watermark), Some(0));
+        assert_eq!(rx.next_batch(None).map(|b| unbatch(b).watermark), Some(0));
         assert!(shared.locked().router_parked, "woken above low water");
         assert!(done_rx.try_recv().is_err());
         // The second pop reaches 2 queued: the router is woken and lands
         // its batch behind the rest.
-        assert_eq!(rx.next_batch(None).map(|b| b.watermark), Some(1));
+        assert_eq!(rx.next_batch(None).map(|b| unbatch(b).watermark), Some(1));
         assert_eq!(done_rx.recv(), Ok(true));
         router.join().expect("router thread");
         let rest: Vec<u64> = std::iter::from_fn(|| rx.next_batch(None))
-            .map(|b| b.watermark)
+            .map(|b| unbatch(b).watermark)
             .collect();
         assert_eq!(rest, vec![2, 3, 4]);
     }
 
     #[test]
     fn spent_buffers_come_back_to_the_router_emptied() {
-        let (tx, rx) = batch_queue::<u32>(2);
+        let (tx, rx) = batch_queue::<u32, &str>(2);
         assert_eq!(
             tx.hand_off(batch(0, Vec::with_capacity(16))).ok(),
             Some(None)
         );
-        let first = rx.next_batch(None).expect("queued");
+        let first = unbatch(rx.next_batch(None).expect("queued"));
         let buf_ptr = first.tuples.as_ptr();
         let mut spent = first.tuples;
         spent.extend([1, 2, 3]);
@@ -283,9 +314,23 @@ mod tests {
         assert_eq!(tx.hand_off(batch(3, Vec::new())).ok(), Some(None));
     }
 
+    /// A control item gives no buffer away, so it takes no spare back:
+    /// the spare waits for the next batch.
+    #[test]
+    fn control_items_leave_the_spares_to_batches() {
+        let (tx, rx) = batch_queue::<u32, &str>(4);
+        assert!(tx.hand_off(batch(0, Vec::with_capacity(8))).is_ok());
+        let first = unbatch(rx.next_batch(None).expect("queued"));
+        assert!(tx.hand_off(Item::Control("barrier")).is_ok());
+        assert!(rx.next_batch(Some(first.tuples)).is_some());
+        assert_eq!(tx.hand_off(Item::Control("again")).ok(), Some(None));
+        let back = tx.hand_off(batch(1, vec![1])).ok().flatten();
+        assert!(back.is_some_and(|b| b.is_empty() && b.capacity() >= 8));
+    }
+
     #[test]
     fn closing_the_sender_wakes_a_parked_worker() {
-        let (tx, rx) = batch_queue::<u32>(2);
+        let (tx, rx) = batch_queue::<u32, &str>(2);
         let shared = Arc::clone(&tx.0);
         let worker = thread::spawn(move || rx.next_batch(None).is_none());
         wait_for(&shared, |s| s.worker_parked);
@@ -295,13 +340,13 @@ mod tests {
 
     #[test]
     fn dropping_the_receiver_fails_a_parked_router() {
-        let (tx, rx) = batch_queue::<u32>(1);
+        let (tx, rx) = batch_queue::<u32, &str>(1);
         let shared = Arc::clone(&tx.0);
         assert!(tx.hand_off(batch(0, Vec::new())).is_ok());
         let router = thread::spawn(move || {
             let parked = tx.hand_off(batch(1, vec![7]));
             let later = tx.hand_off(batch(2, Vec::new()));
-            (parked.err().map(|b| b.tuples), later.is_err())
+            (parked.err().map(|b| unbatch(b).tuples), later.is_err())
         });
         wait_for(&shared, |s| s.router_parked);
         drop(rx);

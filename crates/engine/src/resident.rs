@@ -1,0 +1,706 @@
+//! The resident engine: shard workers spawned once, fed across many runs.
+//!
+//! [`ResidentEngine::start`] spawns one worker per shard on the caller's
+//! [`std::thread::scope`] and hands each its [`ShardProcessor`]; the
+//! workers live until [`stop`](ResidentEngine::stop). In between, the
+//! caller routes tuples ([`route_keyed`](ResidentEngine::route_keyed),
+//! [`route_events`](ResidentEngine::route_events)) and ends any stretch of
+//! them with a **barrier** ([`barrier`](ResidentEngine::barrier)).
+//!
+//! A barrier is a real queue item. The router first flushes its partial
+//! batches (and, on the event-time path, broadcasts the watermark to every
+//! shard, as a run's end does), then queues a barrier behind them on each
+//! shard. A worker answers it only after everything routed before it, with
+//! the answers, tuple/answer/batch counts and key count since the previous
+//! barrier: an [`EngineRun`] of that stretch. Every processor then sits at
+//! a batch boundary, so [`barrier_with`](ResidentEngine::barrier_with)
+//! can also lend the caller the drain-consistent processors (for a
+//! snapshot) before the workers carry on.
+//!
+//! [`ShardedEngine::run`](crate::ShardedEngine::run) and its siblings are
+//! this engine started, fed one source, and stopped: there is one router
+//! loop and one worker loop.
+//!
+//! A worker that panics fails the engine with its own panic: the router
+//! notices at its next hand-off or barrier, closes every queue, joins the
+//! workers and resumes the first worker panic on the calling thread.
+
+use std::sync::atomic::AtomicBool;
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
+use std::sync::{Arc, Mutex};
+use std::thread::{Scope, ScopedJoinHandle};
+
+use swag_data::event::KeyedEventSource;
+use swag_data::keyed::{Key, KeyedSource};
+use swag_metrics::clock::Stopwatch;
+use swag_metrics::QueueDepthGauge;
+use swag_trace::EventKind;
+
+use crate::event::{AdmitOnTime, OnTime};
+use crate::keyed::ShardProcessor;
+use crate::obs::{sampler_loop, EngineSample, ShardObs, StopGuard};
+use crate::queue::{batch_queue, Batch, BatchReceiver, BatchSender, Item};
+use crate::shard::{shard_of, Admit, AdmitAll, EngineConfig, EngineRun};
+use crate::slots::SlotGroups;
+use crate::stats::{EngineStats, ShardStats};
+
+/// Long-lived shard workers behind one router. See the [module
+/// docs](self).
+pub struct ResidentEngine<'scope, P: ShardProcessor> {
+    lanes: Vec<Lane<P>>,
+    batch: usize,
+    workers: Vec<ScopedJoinHandle<'scope, Option<Drained<P>>>>,
+    /// The event-time admit rule, persistent across routed sources;
+    /// `None` on the arrival-order path.
+    time: Option<OnTime>,
+    /// The stretch up to the last barrier.
+    cut: EngineRun<P::Answer>,
+    /// Processors lent out by the current [`barrier_with`](Self::barrier_with).
+    lent: Vec<P>,
+    /// Late drops counted up to the previous barrier.
+    late_mark: u64,
+    started: Stopwatch,
+    since_cut: Stopwatch,
+    sampler: Option<ScopedJoinHandle<'scope, ()>>,
+    sampler_stop: StopGuard,
+    samples: Arc<Mutex<Vec<EngineSample>>>,
+}
+
+/// The router's end of one shard.
+struct Lane<P: ShardProcessor> {
+    tx: BatchSender<(Key, P::Value), Control<P>>,
+    reports: Receiver<Report<P>>,
+    gauge: QueueDepthGauge,
+    /// The batch being filled.
+    open: Vec<(Key, P::Value)>,
+}
+
+/// The worker's end of one shard.
+struct WorkerEnd<P: ShardProcessor> {
+    shard: usize,
+    inbox: BatchReceiver<(Key, P::Value), Control<P>>,
+    reports: SyncSender<Report<P>>,
+    gauge: QueueDepthGauge,
+    retain: bool,
+    check_invariants: bool,
+}
+
+/// Control items, queued in order with the batches.
+pub(crate) enum Control<P: ShardProcessor> {
+    /// Report the stretch since the previous barrier, retained answers
+    /// swapped for `spare` (an emptied buffer to fill next). With `lend`,
+    /// hand the processor over too and wait for [`Control::Resume`].
+    Barrier {
+        spare: Vec<(Key, P::Answer)>,
+        lend: bool,
+    },
+    /// A lent processor, handed back.
+    Resume(P),
+    /// End of stream: close every window still holding data.
+    Finish,
+}
+
+/// A worker's answer to a barrier.
+struct Report<P: ShardProcessor> {
+    tuples: u64,
+    answers: u64,
+    batches: u64,
+    keys: usize,
+    watermark: u64,
+    retained: Vec<(Key, P::Answer)>,
+    processor: Option<P>,
+}
+
+/// What a worker returns when its queue closes: totals since start, the
+/// answers retained since the last barrier, and its processor. (It
+/// returns nothing if its processor was lent out when the router went
+/// away.)
+type Drained<P> = (ShardStats, Vec<(Key, <P as ShardProcessor>::Answer)>, P);
+
+impl<'scope, P: ShardProcessor + 'scope> ResidentEngine<'scope, P> {
+    /// Spawn one worker per shard on `scope`, shard `i` running
+    /// `make_processor(i)`, for an arrival-order stream.
+    pub fn start<'env>(
+        scope: &'scope Scope<'scope, 'env>,
+        config: &EngineConfig,
+        make_processor: impl FnMut(usize) -> P,
+    ) -> Self
+    where
+        P: ShardProcessor<Value = f64>,
+    {
+        Self::open_lanes(scope, config, None, make_processor)
+    }
+
+    /// [`start`](Self::start) for an event-time stream. `lateness`: with
+    /// `Some(l)` the router's watermark trails the largest routed
+    /// timestamp by `l`; with `None` it trusts each source's own
+    /// watermark. Anything below the watermark is dropped and counted.
+    pub fn start_events<'env>(
+        scope: &'scope Scope<'scope, 'env>,
+        config: &EngineConfig,
+        lateness: Option<u64>,
+        make_processor: impl FnMut(usize) -> P,
+    ) -> Self
+    where
+        P: ShardProcessor<Value = (u64, f64)>,
+    {
+        let time = OnTime::new(&config.obs, lateness);
+        Self::open_lanes(scope, config, Some(time), make_processor)
+    }
+
+    fn open_lanes<'env>(
+        scope: &'scope Scope<'scope, 'env>,
+        config: &EngineConfig,
+        time: Option<OnTime>,
+        mut make_processor: impl FnMut(usize) -> P,
+    ) -> Self {
+        let started = Stopwatch::start();
+        let shards = config.shards;
+        let mut lanes = Vec::with_capacity(shards);
+        let mut workers = Vec::with_capacity(shards);
+        for shard in 0..shards {
+            let (tx, inbox) = batch_queue(config.queue_capacity);
+            let (report_tx, reports) = sync_channel(1);
+            let gauge = QueueDepthGauge::new();
+            // Instrument bundles (registry registration is locked) are
+            // built once here; `None` when obs is off.
+            let obs = config.obs.shard_obs(shard, &gauge, time.is_some());
+            let end = WorkerEnd {
+                shard,
+                inbox,
+                reports: report_tx,
+                gauge: gauge.clone(),
+                retain: config.retain_answers,
+                check_invariants: config.check_invariants,
+            };
+            let processor = make_processor(shard);
+            let worker = std::thread::Builder::new()
+                .name(format!("swag-shard-{shard}"))
+                .spawn_scoped(scope, move || shard_worker(end, processor, obs))
+                // check:allow out of threads at start-up: fail as `thread::scope`'s own spawn does
+                .expect("spawn a shard worker");
+            workers.push(worker);
+            lanes.push(Lane {
+                tx,
+                reports,
+                gauge,
+                open: Vec::with_capacity(config.batch),
+            });
+        }
+        // The sampler rides in the same scope; its stop flag is set by
+        // `stop`, or by the guard when the engine is dropped during an
+        // unwind, so the scope's join can never wait on it forever.
+        let sampler_stop = StopGuard(Arc::new(AtomicBool::new(false)));
+        let samples = Arc::new(Mutex::new(Vec::new()));
+        let sampler = match (config.obs.sample_interval, config.obs.registry.as_ref()) {
+            (Some(interval), Some(registry)) => {
+                let (stop, registry, out) = (
+                    Arc::clone(&sampler_stop.0),
+                    Arc::clone(registry),
+                    Arc::clone(&samples),
+                );
+                Some(scope.spawn(move || sampler_loop(&stop, interval, started, &registry, &out)))
+            }
+            _ => None,
+        };
+        ResidentEngine {
+            lanes,
+            batch: config.batch,
+            workers,
+            time,
+            cut: EngineRun {
+                stats: EngineStats::merge(Vec::new(), started.elapsed()),
+                answers: (0..shards).map(|_| Vec::new()).collect(),
+                samples: Vec::new(),
+            },
+            lent: Vec::with_capacity(shards),
+            late_mark: 0,
+            started,
+            since_cut: Stopwatch::start(),
+            sampler,
+            sampler_stop,
+            samples,
+        }
+    }
+
+    /// Route up to `limit` tuples from `source` into the shards; returns
+    /// how many were routed. Tuples may wait in a partial batch until the
+    /// next barrier.
+    pub fn route_keyed<S>(&mut self, source: &mut S, limit: u64) -> u64
+    where
+        S: KeyedSource + ?Sized,
+        P: ShardProcessor<Value = f64>,
+    {
+        let routed = self.route_from(&mut AdmitAll(source), limit);
+        routed.unwrap_or_else(|()| self.fail())
+    }
+
+    /// Route up to `limit` admitted timestamped tuples from `source` under
+    /// the engine's late-drop rule; returns how many were routed (late
+    /// drops are not counted). The watermark persists across sources: it
+    /// only ever rises. Routes nothing on an engine not started with
+    /// [`start_events`](Self::start_events).
+    pub fn route_events<S>(&mut self, source: &mut S, limit: u64) -> u64
+    where
+        S: KeyedEventSource + ?Sized,
+        P: ShardProcessor<Value = (u64, f64)>,
+    {
+        let Some(mut time) = self.time.take() else {
+            return 0;
+        };
+        let mut admit = AdmitOnTime {
+            source,
+            rule: &mut time,
+        };
+        let routed = self.route_from(&mut admit, limit);
+        admit.read_frontier();
+        self.time = Some(time);
+        routed.unwrap_or_else(|()| self.fail())
+    }
+
+    /// The one router loop: batch admitted tuples per shard, block on
+    /// full queues. `Err` means a worker is gone.
+    fn route_from<A: Admit<Value = P::Value>>(
+        &mut self,
+        admit: &mut A,
+        limit: u64,
+    ) -> Result<u64, ()> {
+        let mut routed = 0u64;
+        while routed < limit {
+            let Some(pulled) = admit.pull() else { break };
+            let Some((key, value)) = pulled else { continue };
+            routed += 1;
+            self.steer(key, value, admit)?;
+        }
+        Ok(routed)
+    }
+
+    /// Add one tuple to its shard's open batch, handing the batch off —
+    /// stamped with the watermark as of its flush — once full.
+    #[inline]
+    fn steer<A: Admit<Value = P::Value>>(
+        &mut self,
+        key: Key,
+        value: P::Value,
+        admit: &mut A,
+    ) -> Result<(), ()> {
+        let shards = self.lanes.len();
+        let lane = &mut self.lanes[shard_of(key, shards)];
+        lane.open.push((key, value)); // alloc:amortized the open batch is allocated with the batch capacity and flushed when full
+        if lane.open.len() == self.batch {
+            let watermark = admit.flush_watermark(self.batch);
+            lane.flush(watermark, self.batch)?;
+        }
+        Ok(())
+    }
+
+    /// Flush every partial batch and, on the event-time path, broadcast
+    /// the watermark to every shard — including shards no key hashed to —
+    /// so each one's watermark reflects the frontier it durably covers.
+    fn close_batches(&mut self) -> Result<(), ()> {
+        let batch = self.batch;
+        for lane in &mut self.lanes {
+            if !lane.open.is_empty() {
+                let watermark = self.time.as_mut().map_or(0, |t| t.stamp(lane.open.len()));
+                lane.flush(watermark, batch)?;
+            }
+        }
+        if let Some(time) = &self.time {
+            for lane in &mut self.lanes {
+                // An empty batch in the lane's own buffer, so the buffer
+                // comes back as a spare like any other.
+                lane.flush(time.watermark, batch)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// End the stretch since the previous barrier, blocking until every
+    /// shard has processed every tuple routed so far. Returns the
+    /// stretch's statistics — tuples, answers, batches and late drops
+    /// since the previous barrier; each shard's keys, watermark and queue
+    /// peak as of now — and each shard's retained answers. A caller may
+    /// take the answer buffers; those it leaves are emptied and refilled
+    /// by the next barrier, so a warm engine allocates nothing for them.
+    pub fn barrier(&mut self) -> &mut EngineRun<P::Answer> {
+        self.cut_stretch(false);
+        &mut self.cut
+    }
+
+    /// [`barrier`](Self::barrier), and while every worker waits at it,
+    /// `inspect` the drain-consistent processors (in shard order).
+    pub fn barrier_with<R>(
+        &mut self,
+        inspect: impl FnOnce(&[P]) -> R,
+    ) -> (&mut EngineRun<P::Answer>, R) {
+        self.cut_stretch(true);
+        let seen = inspect(&self.lent);
+        let mut lent = std::mem::take(&mut self.lent);
+        for (shard, processor) in lent.drain(..).enumerate() {
+            let resume = Item::Control(Control::Resume(processor));
+            if self.lanes[shard].tx.hand_off(resume).is_err() {
+                self.fail();
+            }
+        }
+        self.lent = lent;
+        (&mut self.cut, seen)
+    }
+
+    fn cut_stretch(&mut self, lend: bool) {
+        if self.close_batches().is_err() {
+            self.fail();
+        }
+        for shard in 0..self.lanes.len() {
+            let mut spare = std::mem::take(&mut self.cut.answers[shard]);
+            spare.clear();
+            let barrier = Item::Control(Control::Barrier { spare, lend });
+            if self.lanes[shard].tx.hand_off(barrier).is_err() {
+                self.fail();
+            }
+        }
+        let elapsed = self.since_cut.elapsed();
+        self.since_cut = Stopwatch::start();
+        self.cut.stats.shards.clear();
+        for shard in 0..self.lanes.len() {
+            let Ok(report) = self.lanes[shard].reports.recv() else {
+                self.fail();
+            };
+            // alloc:amortized cleared and refilled to the shard count at every barrier; grows once
+            self.cut.stats.shards.push(ShardStats {
+                shard,
+                tuples: report.tuples,
+                answers: report.answers,
+                batches: report.batches,
+                keys: report.keys,
+                max_queue_depth: self.lanes[shard].gauge.max_depth(),
+                watermark: report.watermark,
+                elapsed,
+            });
+            self.cut.answers[shard] = report.retained;
+            self.lent.extend(report.processor); // alloc:amortized allocated with one slot per shard at start
+        }
+        let late = self.time.as_ref().map_or(0, |t| t.late);
+        self.cut.stats.total(late - self.late_mark, elapsed);
+        self.late_mark = late;
+    }
+
+    /// Close every queue, join the workers and resume the first worker
+    /// panic: a worker is gone, so the engine cannot go on.
+    fn fail(&mut self) -> ! {
+        self.lanes.clear();
+        self.join_workers();
+        // check:allow unreachable: a worker leaves its loop early only by panicking
+        panic!("a shard worker exited before its queue closed");
+    }
+
+    /// Join every worker and collect what each returned, in shard order;
+    /// resume the first worker panic, once all are joined.
+    fn join_workers(&mut self) -> Vec<Drained<P>> {
+        let mut crashed = None;
+        let mut drained = Vec::with_capacity(self.workers.len());
+        for worker in self.workers.drain(..) {
+            match worker.join() {
+                Ok(returned) => drained.extend(returned),
+                Err(panic) => {
+                    crashed.get_or_insert(panic);
+                }
+            }
+        }
+        if let Some(panic) = crashed {
+            std::panic::resume_unwind(panic);
+        }
+        drained
+    }
+
+    /// Flush what is routed, let every worker drain, and join them. With
+    /// `finish` the stream ends — every window still holding data closes
+    /// — otherwise open windows survive in the returned processors (in
+    /// shard order). The run's answers are those since the last barrier;
+    /// its statistics cover the engine's whole life.
+    pub fn stop(mut self, finish: bool) -> (EngineRun<P::Answer>, Vec<P>) {
+        let finished = |lane: &Lane<P>| lane.tx.hand_off(Item::Control(Control::Finish)).is_ok();
+        if self.close_batches().is_err() || (finish && !self.lanes.iter().all(finished)) {
+            self.fail();
+        }
+        // Dropping the senders closes every queue; workers drain and return.
+        self.lanes.clear();
+        let drained = self.join_workers();
+        let mut shard_stats = Vec::with_capacity(drained.len());
+        let mut answers = Vec::with_capacity(drained.len());
+        let mut processors = Vec::with_capacity(drained.len());
+        for (stats, retained, processor) in drained {
+            shard_stats.push(stats);
+            answers.push(retained);
+            processors.push(processor);
+        }
+        drop(self.sampler_stop);
+        if let Some(sampler) = self.sampler.take() {
+            let _ = sampler.join();
+        }
+        let mut stats = EngineStats::merge(shard_stats, self.started.elapsed());
+        if let Some(time) = &self.time {
+            stats.late_tuples = time.late;
+            time.dump_router_ring();
+        }
+        let samples = std::mem::take(&mut *self.samples.lock().unwrap_or_else(|e| e.into_inner()));
+        (
+            EngineRun {
+                stats,
+                answers,
+                samples,
+            },
+            processors,
+        )
+    }
+}
+
+impl<P: ShardProcessor> Lane<P> {
+    /// Hand the open batch off and start a fresh one in a buffer the
+    /// worker handed back, if one is waiting.
+    fn flush(&mut self, watermark: u64, batch: usize) -> Result<(), ()> {
+        let tuples = std::mem::take(&mut self.open);
+        self.gauge.enqueued_n(tuples.len() as u64);
+        let spare = self
+            .tx
+            .hand_off(Item::Batch(Batch { watermark, tuples }))
+            .map_err(drop)?;
+        self.open = spare.unwrap_or_else(|| Vec::with_capacity(batch));
+        Ok(())
+    }
+}
+
+/// Answers a worker has produced: counted as produced, before the retain
+/// decision, so the tally is the same whether or not answers are kept.
+struct Delivered<A> {
+    count: u64,
+    retained: Vec<(Key, A)>,
+    retain: bool,
+}
+
+impl<A> Delivered<A> {
+    fn take_from(&mut self, scratch: &mut Vec<(Key, A)>, obs: Option<&ShardObs>) {
+        self.count += scratch.len() as u64;
+        if let Some(o) = obs {
+            o.answers.add(scratch.len() as u64);
+        }
+        if self.retain {
+            self.retained.append(scratch);
+        } else {
+            scratch.clear();
+        }
+    }
+}
+
+/// Answers a worker's scratch keeps room for across a barrier.
+const SCRATCH_KEPT: usize = 4096;
+
+/// One worker's loop: drain queue items until the queue closes.
+///
+/// Each received batch is grouped into per-key runs by a counting sort on
+/// the processor's slots ([`SlotGroups`]: one slot look-up per tuple, no
+/// comparisons; stable, so tuples of one key keep their stream order), so
+/// a key pays one [`ShardProcessor::process_slot`] call — the
+/// aggregator's bulk path over a slice of the grouped values — per batch
+/// instead of one call per tuple. Keys run in the order of their first
+/// tuple in the batch. Then every key is advanced to the batch's
+/// watermark if it rose, collecting the windows that closes. Per-key
+/// answer sequences are unchanged; only the interleaving of different
+/// keys inside a batch may differ. The batch's buffer goes back to the
+/// router with the next receive. Control items answer barriers, take a
+/// lent processor back, and end the stream.
+///
+/// With an instrument bundle, the worker additionally maintains its
+/// registry series, times each slide into the latency histogram, and
+/// narrates its life into the flight recorder — batch received, per-key
+/// slide (plus a bulk-path marker for multi-tuple runs), watermark
+/// advance, the post-drain invariant check, and the final drain event. A
+/// panic anywhere in the loop dumps the ring via `swag-trace`'s hook (the
+/// registration guard lives for the whole function).
+fn shard_worker<P: ShardProcessor>(
+    end: WorkerEnd<P>,
+    mut processor: P,
+    obs: Option<ShardObs>,
+) -> Option<Drained<P>> {
+    let WorkerEnd {
+        shard,
+        inbox,
+        reports,
+        gauge,
+        retain,
+        check_invariants,
+    } = end;
+    let started = Stopwatch::start();
+    let _trace_guard = obs.as_ref().and_then(ShardObs::install_trace);
+    let recorder = obs.as_ref().and_then(|o| o.recorder.as_ref());
+    let mut tuples = 0u64;
+    let mut batches = 0u64;
+    let mut watermark = 0u64;
+    // Tuples, answers and batches as of the previous barrier.
+    let mut marks = (0u64, 0u64, 0u64);
+    let mut delivered = Delivered {
+        count: 0,
+        retained: Vec::new(),
+        retain,
+    };
+    // Reused across batches: the grouping buffers and per-batch answers.
+    let mut groups = SlotGroups::new();
+    let mut scratch = Vec::new();
+    // Phase occupancy: one clock read before and after each receive
+    // splits the worker's wall time into blocked-on-queue vs. processing.
+    let mut phase = obs.as_ref().map(|_| Stopwatch::start());
+    let mut spent = None;
+    loop {
+        let received = inbox.next_batch(spent.take());
+        if let (Some(o), Some(p)) = (&obs, &mut phase) {
+            o.blocked_ns.add(p.elapsed_ns());
+            *p = Stopwatch::start();
+        }
+        match received {
+            None => break,
+            Some(Item::Batch(Batch {
+                watermark: wm,
+                tuples: batch,
+            })) => {
+                gauge.dequeued_n(batch.len() as u64);
+                batches += 1;
+                if let Some(o) = &obs {
+                    o.batches.inc();
+                    o.tuples.add(batch.len() as u64);
+                    if let Some(rec) = recorder {
+                        rec.record(EventKind::BatchReceived, batch.len() as u64, gauge.depth());
+                    }
+                }
+                groups.group_batch(&mut processor, &batch);
+                spent = Some(batch);
+                for (slot, key, values) in groups.runs() {
+                    let run_len = values.len() as u64;
+                    // Two clock reads per slide, only when someone is
+                    // scraping the histogram.
+                    let timer = obs
+                        .as_ref()
+                        .and_then(|o| o.slide_latency.as_ref())
+                        .map(|_| Stopwatch::start());
+                    processor.process_slot(slot, values, &mut scratch);
+                    if let Some(o) = &obs {
+                        if let (Some(hist), Some(timer)) = (&o.slide_latency, timer) {
+                            hist.record(timer.elapsed_ns());
+                        }
+                        if let Some(rec) = recorder {
+                            rec.record(EventKind::Slide, key, run_len);
+                            if run_len > 1 {
+                                // The run took the aggregator's bulk
+                                // insert/evict fast path.
+                                rec.record(EventKind::BulkEvict, key, run_len);
+                            }
+                        }
+                    }
+                    tuples += run_len;
+                }
+                // The watermark closes windows across every key on this
+                // shard, including keys untouched by this batch.
+                if wm > watermark {
+                    watermark = wm;
+                    processor.advance_watermark(wm, &mut scratch);
+                    if let Some(rec) = recorder {
+                        rec.record(EventKind::WatermarkAdvance, wm, scratch.len() as u64);
+                    }
+                }
+                if let Some(lag) = obs.as_ref().and_then(|o| o.watermark_lag.as_ref()) {
+                    // Refreshed every batch — not only on watermark
+                    // advance — so the gauge (and the sampler series built
+                    // from it) tracks lag even while the watermark is
+                    // stalled behind late data.
+                    lag.set(
+                        processor
+                            .max_ts()
+                            .map_or(0, |m| m.saturating_sub(watermark)),
+                    );
+                }
+                delivered.take_from(&mut scratch, obs.as_ref());
+            }
+            Some(Item::Control(Control::Barrier { spare, lend })) => {
+                // One event-time advance can fill the scratch with far more
+                // answers than a batch holds; do not keep that between
+                // stretches.
+                scratch.shrink_to(SCRATCH_KEPT);
+                if let Some(o) = &obs {
+                    o.keys.set(processor.keys() as u64);
+                }
+                let report = Report {
+                    tuples: tuples - marks.0,
+                    answers: delivered.count - marks.1,
+                    batches: batches - marks.2,
+                    keys: processor.keys(),
+                    watermark,
+                    retained: std::mem::replace(&mut delivered.retained, spare),
+                    processor: None,
+                };
+                marks = (tuples, delivered.count, batches);
+                if !lend {
+                    // A send fails only once the router is gone; the
+                    // queue then closes and the loop ends.
+                    let _ = reports.send(report);
+                } else {
+                    let lent = Report {
+                        processor: Some(processor),
+                        ..report
+                    };
+                    let _ = reports.send(lent);
+                    // Parked until the processor comes back; a closed
+                    // queue instead means the router is gone.
+                    match inbox.next_batch(None) {
+                        Some(Item::Control(Control::Resume(back))) => processor = back,
+                        _ => return None,
+                    }
+                }
+            }
+            Some(Item::Control(Control::Finish)) => {
+                // End of stream: close out every window still holding
+                // data. The shard's final watermark durably covers
+                // everything it accepted.
+                processor.finish(&mut scratch);
+                if let Some(max) = processor.max_ts() {
+                    watermark = watermark.max(max.saturating_add(1));
+                }
+                delivered.take_from(&mut scratch, obs.as_ref());
+            }
+            // Only ever sent in answer to a lending barrier, above.
+            Some(Item::Control(Control::Resume(_))) => {}
+        }
+        if let (Some(o), Some(p)) = (&obs, &mut phase) {
+            o.busy_ns.add(p.elapsed_ns());
+            *p = Stopwatch::start();
+        }
+    }
+    if let Some(lag) = obs.as_ref().and_then(|o| o.watermark_lag.as_ref()) {
+        lag.set(0);
+    }
+    if check_invariants {
+        let result = processor.check_invariants();
+        if let Some(rec) = recorder {
+            rec.record(EventKind::InvariantCheck, result.is_ok() as u64, 0);
+        }
+        if let Err(violation) = result {
+            // check:allow a corrupted shard must fail the run loudly, not return bad stats
+            panic!("shard {shard}: post-drain invariant check failed: {violation}");
+        }
+    }
+    if let Some(o) = &obs {
+        o.keys.set(processor.keys() as u64);
+        if let Some(rec) = recorder {
+            rec.record(EventKind::Drain, tuples, delivered.count);
+        }
+        o.dump_on_drain();
+    }
+    let stats = ShardStats {
+        shard,
+        tuples,
+        answers: delivered.count,
+        batches,
+        keys: processor.keys(),
+        max_queue_depth: gauge.max_depth(),
+        watermark,
+        elapsed: started.elapsed(),
+    };
+    Some((stats, delivered.retained, processor))
+}

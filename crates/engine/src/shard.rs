@@ -8,34 +8,26 @@
 //! queue blocks the router (backpressure), so a slow shard slows
 //! admission instead of growing memory without bound. Each worker owns
 //! one [`ShardProcessor`] holding the per-key window state for every key
-//! routed to it. There is one router loop and one worker loop, whatever
-//! the path.
+//! routed to it.
 //!
-//! Shutdown is graceful by construction: when the source runs dry (or the
-//! tuple limit is reached) the router flushes its partial batches and drops
-//! the senders; each worker drains its queue to completion and returns its
-//! [`ShardStats`]. A worker that panics fails the run with its own panic:
-//! the router stops at its next hand-off, closes every queue, joins the
-//! workers and resumes the first worker panic.
+//! The router and the workers are a [`ResidentEngine`]; a run is that
+//! engine started, fed the whole source, and stopped. Stopping is
+//! graceful: the router flushes its partial batches and closes the
+//! queues; each worker drains its queue to completion and returns its
+//! [`ShardStats`](crate::ShardStats). A worker that panics fails the run
+//! with its own panic.
 //!
 //! Because a single router preserves source order and a key maps to exactly
 //! one shard, every key's tuples are processed in stream order — per-key
 //! answers are identical for any shard count.
 
-use std::sync::atomic::AtomicBool;
-use std::sync::{Arc, Mutex};
-
 use swag_data::keyed::{Key, KeyedSource};
 use swag_data::prng::mix64;
-use swag_metrics::clock::Stopwatch;
-use swag_metrics::QueueDepthGauge;
-use swag_trace::EventKind;
 
 use crate::keyed::ShardProcessor;
-use crate::obs::{sampler_loop, EngineSample, ObservabilityConfig, ShardObs, StopGuard};
-use crate::queue::{batch_queue, Batch, BatchReceiver, BatchSender};
-use crate::slots::SlotGroups;
-use crate::stats::{EngineStats, ShardStats};
+use crate::obs::{EngineSample, ObservabilityConfig};
+use crate::resident::ResidentEngine;
+use crate::stats::EngineStats;
 
 /// Tuning knobs for a sharded run.
 #[derive(Debug, Clone)]
@@ -101,7 +93,8 @@ impl EngineConfig {
     }
 }
 
-/// The outcome of [`ShardedEngine::run`].
+/// The outcome of [`ShardedEngine::run`], or of the stretch between two
+/// [`ResidentEngine::barrier`]s.
 #[derive(Debug)]
 pub struct EngineRun<A> {
     /// Merged run statistics.
@@ -170,18 +163,18 @@ impl ShardedEngine {
         P: ShardProcessor<Value = f64>,
         F: Fn(usize) -> P + Send + Sync,
     {
-        self.route(&mut AdmitAll(source), limit, true, make_processor)
-            .0
+        self.route_keyed(source, limit, true, make_processor).0
     }
 
     /// [`run`](Self::run), but additionally hands back each shard's
     /// drained processor (in shard order) instead of dropping it.
     ///
-    /// This is the resident-service hook: after a graceful drain every
-    /// queue is empty and each processor sits at a batch boundary, so the
-    /// returned states are a **drain-consistent** cut of the whole engine
-    /// — the snapshot layer serializes them, and the next cycle feeds
-    /// them back through `make_processor`.
+    /// After a graceful drain every queue is empty and each processor
+    /// sits at a batch boundary, so the returned states are a
+    /// **drain-consistent** cut of the whole engine — a caller can
+    /// serialize them, or feed them back through `make_processor` for the
+    /// next run. (A caller that runs the engine over and over keeps a
+    /// [`ResidentEngine`] instead.)
     pub fn run_collecting<S, P, F>(
         &self,
         source: &mut S,
@@ -193,158 +186,30 @@ impl ShardedEngine {
         P: ShardProcessor<Value = f64>,
         F: Fn(usize) -> P + Send + Sync,
     {
-        self.route(&mut AdmitAll(source), limit, false, make_processor)
+        self.route_keyed(source, limit, false, make_processor)
     }
 
-    /// The one data plane behind every public entry point: spawn a
-    /// [`shard_worker`] per shard, route what `admit` lets through, drain,
-    /// join. `finish` ends the stream (workers flush open windows);
-    /// without it the stream only pauses and open windows survive in the
-    /// returned processors.
-    pub(crate) fn route<A, P, F>(
+    /// Start a [`ResidentEngine`], route `source` through it, and stop
+    /// it. `finish` ends the stream (workers flush open windows); without
+    /// it the stream only pauses and open windows survive in the returned
+    /// processors.
+    fn route_keyed<S, P, F>(
         &self,
-        admit: &mut A,
+        source: &mut S,
         limit: u64,
         finish: bool,
         make_processor: F,
     ) -> (EngineRun<P::Answer>, Vec<P>)
     where
-        A: Admit,
-        P: ShardProcessor<Value = A::Value>,
+        S: KeyedSource + ?Sized,
+        P: ShardProcessor<Value = f64>,
         F: Fn(usize) -> P + Send + Sync,
     {
-        let config = &self.config;
-        let shards = config.shards;
-        let clock = Stopwatch::start();
-
-        let mut senders: Vec<BatchSender<(Key, A::Value)>> = Vec::with_capacity(shards);
-        let mut inboxes: Vec<BatchReceiver<(Key, A::Value)>> = Vec::with_capacity(shards);
-        let mut gauges: Vec<QueueDepthGauge> = Vec::with_capacity(shards);
-        for _ in 0..shards {
-            let (tx, rx) = batch_queue(config.queue_capacity);
-            senders.push(tx);
-            inboxes.push(rx);
-            gauges.push(QueueDepthGauge::new());
-        }
-        // Instrument bundles are built here (registry registration is
-        // locked) and moved onto the workers; `None` when obs is off.
-        let mut shard_obs: Vec<Option<ShardObs>> = (0..shards)
-            .map(|shard| config.obs.shard_obs(shard, &gauges[shard], A::TIMED))
-            .collect();
-
-        let samples: Mutex<Vec<EngineSample>> = Mutex::new(Vec::new());
-        let make_processor = &make_processor;
-        let (shard_stats, answers, processors) = std::thread::scope(|scope| {
-            let handles: Vec<_> = inboxes
-                .into_iter()
-                .enumerate()
-                .map(|(shard, inbox)| {
-                    let gauge = gauges[shard].clone();
-                    let obs = shard_obs[shard].take();
-                    scope.spawn(move || {
-                        let processor = make_processor(shard);
-                        shard_worker(shard, inbox, gauge, processor, config, finish, obs)
-                    })
-                })
-                .collect();
-
-            // The sampler rides in the same scope; its StopGuard stops it
-            // even when a worker panic unwinds past the joins below, so
-            // the scope's implicit join can never deadlock on it.
-            let sampler_stop = Arc::new(AtomicBool::new(false));
-            let _sampler_guard = StopGuard(sampler_stop.clone());
-            if let (Some(interval), Some(registry)) =
-                (config.obs.sample_interval, config.obs.registry.as_ref())
-            {
-                let stop = sampler_stop.clone();
-                let registry = registry.clone();
-                let samples = &samples;
-                scope.spawn(move || sampler_loop(&stop, interval, clock, &registry, samples));
-            }
-
-            // The router: batch admitted tuples per shard, block on full
-            // queues. Every batch carries the watermark as of its flush.
-            // The worker hands drained buffers back through the queue;
-            // `Err` means it is gone (it panicked), and the join below
-            // surfaces why.
-            let send = |shard: usize, watermark: u64, tuples: Vec<(Key, A::Value)>| {
-                gauges[shard].enqueued_n(tuples.len() as u64);
-                senders[shard]
-                    .hand_off(Batch { watermark, tuples })
-                    .map_err(drop)
-            };
-            let mut batches: Vec<Vec<(Key, A::Value)>> = (0..shards)
-                .map(|_| Vec::with_capacity(config.batch))
-                .collect();
-            let mut routed = 0u64;
-            while routed < limit {
-                let Some(pulled) = admit.pull() else { break };
-                let Some((key, value)) = pulled else { continue };
-                let shard = shard_of(key, shards);
-                batches[shard].push((key, value));
-                routed += 1;
-                if batches[shard].len() == config.batch {
-                    let full = std::mem::take(&mut batches[shard]);
-                    let Ok(spare) = send(shard, admit.flush_watermark(full.len()), full) else {
-                        // A dead worker: stop routing. Its hand-offs below
-                        // fail at once; the live workers drain and exit.
-                        break;
-                    };
-                    batches[shard] = spare.unwrap_or_else(|| Vec::with_capacity(config.batch));
-                }
-            }
-            // The stream is drained: the partial batches carry the
-            // frontier's final reading.
-            let closing = admit.close();
-            for (shard, partial) in batches.into_iter().enumerate() {
-                if !partial.is_empty() {
-                    send(shard, admit.flush_watermark(partial.len()), partial).ok();
-                }
-            }
-            if A::TIMED {
-                // Broadcast the final watermark to every shard — including
-                // shards no key hashed to — so each one's reported
-                // watermark reflects the frontier it durably covers, not
-                // merely the tuples it happened to receive.
-                for shard in 0..shards {
-                    send(shard, closing, Vec::new()).ok();
-                }
-            }
-            // Dropping the senders signals end-of-stream; workers drain
-            // their queues and return.
-            drop(senders);
-
-            let mut shard_stats = Vec::with_capacity(shards);
-            let mut answers = Vec::with_capacity(shards);
-            let mut processors = Vec::with_capacity(shards);
-            let mut crashed = None;
-            for handle in handles {
-                match handle.join() {
-                    Ok((stats, shard_answers, processor)) => {
-                        shard_stats.push(stats);
-                        answers.push(shard_answers);
-                        processors.push(processor);
-                    }
-                    Err(panic) => {
-                        crashed.get_or_insert(panic);
-                    }
-                }
-            }
-            if let Some(panic) = crashed {
-                // The run fails with the worker's own panic.
-                std::panic::resume_unwind(panic);
-            }
-            (shard_stats, answers, processors)
-        });
-
-        (
-            EngineRun {
-                stats: EngineStats::merge(shard_stats, clock.elapsed()),
-                answers,
-                samples: samples.into_inner().unwrap_or_else(|e| e.into_inner()),
-            },
-            processors,
-        )
+        std::thread::scope(|scope| {
+            let mut engine = ResidentEngine::start(scope, &self.config, make_processor);
+            engine.route_keyed(source, limit);
+            engine.stop(finish)
+        })
     }
 }
 
@@ -356,10 +221,6 @@ pub(crate) trait Admit {
     /// The tuple payload this path routes.
     type Value: Copy + Send;
 
-    /// Whether time is carried by the tuples (a moving watermark, shard
-    /// lag gauges, a closing watermark broadcast) rather than positional.
-    const TIMED: bool;
-
     /// Pull the next tuple: `None` once the source is dry, `Some(None)`
     /// for a tuple pulled but refused.
     fn pull(&mut self) -> Option<Option<(Key, Self::Value)>>;
@@ -368,199 +229,17 @@ pub(crate) trait Admit {
     fn flush_watermark(&mut self, _tuples: usize) -> u64 {
         0
     }
-
-    /// The source is drained: take the watermark's final reading.
-    fn close(&mut self) -> u64 {
-        0
-    }
 }
 
 /// Arrival order: time is positional, every tuple is admitted.
-struct AdmitAll<'a, S: ?Sized>(&'a mut S);
+pub(crate) struct AdmitAll<'a, S: ?Sized>(pub(crate) &'a mut S);
 
 impl<S: KeyedSource + ?Sized> Admit for AdmitAll<'_, S> {
     type Value = f64;
-    const TIMED: bool = false;
 
     fn pull(&mut self) -> Option<Option<(Key, f64)>> {
         self.0.next_tuple().map(Some)
     }
-}
-
-/// One worker's loop: drain batches until the queue closes.
-///
-/// Each received batch is grouped into per-key runs by a counting sort on
-/// the processor's slots ([`SlotGroups`]: one slot look-up per tuple, no
-/// comparisons; stable, so tuples of one key keep their stream order), so
-/// a key pays one [`ShardProcessor::process_slot`] call — the
-/// aggregator's bulk path over a slice of the grouped values — per batch
-/// instead of one call per tuple. Keys run in the order of their first
-/// tuple in the batch. Then every key is advanced to the batch's
-/// watermark if it rose, collecting the windows that closes. Per-key
-/// answer sequences are unchanged; only the interleaving of different
-/// keys inside a batch may differ. The batch's buffer goes back to the
-/// router with the next receive.
-///
-/// With an instrument bundle, the worker additionally maintains its
-/// registry series, times each slide into the latency histogram, and
-/// narrates its life into the flight recorder — batch received, per-key
-/// slide (plus a bulk-path marker for multi-tuple runs), watermark
-/// advance, the post-drain invariant check, and the final drain event. A
-/// panic anywhere in the loop dumps the ring via `swag-trace`'s hook (the
-/// registration guard lives for the whole function).
-fn shard_worker<P: ShardProcessor>(
-    shard: usize,
-    inbox: BatchReceiver<(Key, P::Value)>,
-    gauge: QueueDepthGauge,
-    mut processor: P,
-    config: &EngineConfig,
-    finish: bool,
-    obs: Option<ShardObs>,
-) -> (ShardStats, Vec<(Key, P::Answer)>, P) {
-    let started = Stopwatch::start();
-    let _trace_guard = obs.as_ref().and_then(ShardObs::install_trace);
-    let recorder = obs.as_ref().and_then(|o| o.recorder.as_ref());
-    let mut tuples = 0u64;
-    let mut answers = 0u64;
-    let mut batches = 0u64;
-    let mut watermark = 0u64;
-    let mut retained = Vec::new();
-    // Reused across batches: the grouping buffers and per-batch answers.
-    let mut groups = SlotGroups::new();
-    let mut scratch = Vec::new();
-    // Count answers as produced, before the retain decision — the tally
-    // is the same whether or not answers are kept.
-    let mut deliver = |scratch: &mut Vec<(Key, P::Answer)>| {
-        answers += scratch.len() as u64;
-        if let Some(o) = &obs {
-            o.answers.add(scratch.len() as u64);
-        }
-        if config.retain_answers {
-            retained.append(scratch);
-        } else {
-            scratch.clear();
-        }
-    };
-    // Phase occupancy: one clock read before and after each receive
-    // splits the worker's wall time into blocked-on-queue vs. processing.
-    let mut phase = obs.as_ref().map(|_| Stopwatch::start());
-    let mut spent = None;
-    loop {
-        let received = inbox.next_batch(spent.take());
-        if let (Some(o), Some(p)) = (&obs, &mut phase) {
-            o.blocked_ns.add(p.elapsed_ns());
-            *p = Stopwatch::start();
-        }
-        let Some(Batch {
-            watermark: wm,
-            tuples: batch,
-        }) = received
-        else {
-            break;
-        };
-        gauge.dequeued_n(batch.len() as u64);
-        batches += 1;
-        if let Some(o) = &obs {
-            o.batches.inc();
-            o.tuples.add(batch.len() as u64);
-            if let Some(rec) = recorder {
-                rec.record(EventKind::BatchReceived, batch.len() as u64, gauge.depth());
-            }
-        }
-        groups.group_batch(&mut processor, &batch);
-        spent = Some(batch);
-        for (slot, key, values) in groups.runs() {
-            let run_len = values.len() as u64;
-            // Two clock reads per slide, only when someone is scraping
-            // the histogram.
-            let timer = obs
-                .as_ref()
-                .and_then(|o| o.slide_latency.as_ref())
-                .map(|_| Stopwatch::start());
-            processor.process_slot(slot, values, &mut scratch);
-            if let Some(o) = &obs {
-                if let (Some(hist), Some(timer)) = (&o.slide_latency, timer) {
-                    hist.record(timer.elapsed_ns());
-                }
-                if let Some(rec) = recorder {
-                    rec.record(EventKind::Slide, key, run_len);
-                    if run_len > 1 {
-                        // The run took the aggregator's bulk
-                        // insert/evict fast path.
-                        rec.record(EventKind::BulkEvict, key, run_len);
-                    }
-                }
-            }
-            tuples += run_len;
-        }
-        // The watermark closes windows across every key on this shard,
-        // including keys untouched by this batch.
-        if wm > watermark {
-            watermark = wm;
-            processor.advance_watermark(wm, &mut scratch);
-            if let Some(rec) = recorder {
-                rec.record(EventKind::WatermarkAdvance, wm, scratch.len() as u64);
-            }
-        }
-        if let Some(lag) = obs.as_ref().and_then(|o| o.watermark_lag.as_ref()) {
-            // Refreshed every batch — not only on watermark advance — so
-            // the gauge (and the sampler series built from it) tracks lag
-            // even while the watermark is stalled behind late data.
-            lag.set(
-                processor
-                    .max_ts()
-                    .map_or(0, |m| m.saturating_sub(watermark)),
-            );
-        }
-        deliver(&mut scratch);
-        if let (Some(o), Some(p)) = (&obs, &mut phase) {
-            o.busy_ns.add(p.elapsed_ns());
-            *p = Stopwatch::start();
-        }
-    }
-    // End of stream: close out every window still holding data. The
-    // shard's final watermark durably covers everything it accepted. A
-    // resident run skips this — the stream is pausing, not ending — and
-    // reports the watermark it actually reached, so open windows survive
-    // into the next cycle.
-    if finish {
-        processor.finish(&mut scratch);
-        if let Some(max) = processor.max_ts() {
-            watermark = watermark.max(max.saturating_add(1));
-        }
-        deliver(&mut scratch);
-    }
-    if let Some(lag) = obs.as_ref().and_then(|o| o.watermark_lag.as_ref()) {
-        lag.set(0);
-    }
-    if config.check_invariants {
-        let result = processor.check_invariants();
-        if let Some(rec) = recorder {
-            rec.record(EventKind::InvariantCheck, result.is_ok() as u64, 0);
-        }
-        if let Err(violation) = result {
-            // check:allow a corrupted shard must fail the run loudly, not return bad stats
-            panic!("shard {shard}: post-drain invariant check failed: {violation}");
-        }
-    }
-    if let Some(o) = &obs {
-        o.keys.set(processor.keys() as u64);
-        if let Some(rec) = recorder {
-            rec.record(EventKind::Drain, tuples, answers);
-        }
-        o.dump_on_drain();
-    }
-    let stats = ShardStats {
-        shard,
-        tuples,
-        answers,
-        batches,
-        keys: processor.keys(),
-        max_queue_depth: gauge.max_depth(),
-        watermark,
-        elapsed: started.elapsed(),
-    };
-    (stats, retained, processor)
 }
 
 #[cfg(test)]

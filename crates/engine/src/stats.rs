@@ -65,17 +65,25 @@ pub struct EngineStats {
 impl EngineStats {
     /// Merge per-shard reports under the run's wall-clock time.
     pub fn merge(shards: Vec<ShardStats>, elapsed: Duration) -> Self {
-        let tuples = shards.iter().map(|s| s.tuples).sum();
-        let answers = shards.iter().map(|s| s.answers).sum();
-        let batches = shards.iter().map(|s| s.batches).sum();
-        EngineStats {
+        let mut stats = EngineStats {
             shards,
-            tuples,
-            answers,
-            batches,
+            tuples: 0,
+            answers: 0,
+            batches: 0,
             late_tuples: 0,
             elapsed,
-        }
+        };
+        stats.total(0, elapsed);
+        stats
+    }
+
+    /// Recompute the totals from the per-shard reports.
+    pub(crate) fn total(&mut self, late_tuples: u64, elapsed: Duration) {
+        self.tuples = self.shards.iter().map(|s| s.tuples).sum();
+        self.answers = self.shards.iter().map(|s| s.answers).sum();
+        self.batches = self.shards.iter().map(|s| s.batches).sum();
+        self.late_tuples = late_tuples;
+        self.elapsed = elapsed;
     }
 
     /// The engine-level event-time watermark: the minimum across shards

@@ -1,7 +1,9 @@
 //! No allocation per batch: once a processor is warm, a sharded run
 //! allocates a fixed amount — worker threads, queues, reusable buffers —
 //! however many batches it routes. The batch buffers themselves go round
-//! between router and worker instead of being allocated per batch.
+//! between router and worker instead of being allocated per batch. And no
+//! allocation per cycle: a warm resident engine routes and barriers for
+//! the same allocation count however many cycles it runs.
 //!
 //! This binary installs its own call-counting allocator, so it holds a
 //! single test: nothing else may allocate while a run is being counted.
@@ -14,8 +16,8 @@ use std::sync::Mutex;
 
 use swag_core::algorithms::SlickDequeInv;
 use swag_core::ops::Sum;
-use swag_data::keyed::{Key, KeyedVecSource};
-use swag_engine::{EngineConfig, KeyedWindows, ShardedEngine};
+use swag_data::keyed::{Key, KeyedSource, KeyedVecSource};
+use swag_engine::{EngineConfig, KeyedWindows, ResidentEngine, ShardedEngine};
 
 /// Allocation calls (`alloc`, `alloc_zeroed`, `realloc`) so far; a
 /// statistic published to no other data, hence `Relaxed`.
@@ -91,14 +93,40 @@ fn counted_run(engine: &ShardedEngine, parked: &mut Vec<Windows>, source: Vec<(K
     calls
 }
 
+/// A borrowed stream: routing it allocates nothing.
+struct Slice<'a>(std::slice::Iter<'a, (Key, f64)>);
+
+impl KeyedSource for Slice<'_> {
+    fn next_tuple(&mut self) -> Option<(Key, f64)> {
+        self.0.next().copied()
+    }
+}
+
+/// Allocation calls made by `cycles` resident cycles, each routing
+/// `cycle` and ending with a barrier.
+fn counted_cycles(
+    engine: &mut ResidentEngine<'_, Windows>,
+    cycle: &[(Key, f64)],
+    cycles: usize,
+) -> u64 {
+    let before = CALLS.load(Ordering::Relaxed);
+    for _ in 0..cycles {
+        engine.route_keyed(&mut Slice(cycle.iter()), u64::MAX);
+        let cut = engine.barrier();
+        assert_eq!(cut.stats.answers, cycle.len() as u64);
+    }
+    CALLS.load(Ordering::Relaxed) - before
+}
+
 #[test]
 fn a_warm_run_allocates_the_same_for_64_and_1024_batches() {
-    let engine = ShardedEngine::new(EngineConfig {
+    let config = EngineConfig {
         shards: SHARDS,
         queue_capacity: QUEUE,
         batch: BATCH,
         ..EngineConfig::default()
-    });
+    };
+    let engine = ShardedEngine::new(config.clone());
     let mut parked: Vec<Windows> = (0..SHARDS)
         .map(|_| KeyedWindows::new(Sum::<f64>::new(), 1024))
         .collect();
@@ -116,4 +144,24 @@ fn a_warm_run_allocates_the_same_for_64_and_1024_batches() {
         "64 batches made {short_calls} allocation calls, 1024 made {long_calls}: \
          960 more batches may cost at most {slack} more"
     );
+
+    // The resident engine on the same warm processors: cycles of five
+    // and a half batches (so every cycle ends in partial batches).
+    let cycle = &tuples(6)[BATCH / 2..];
+    std::thread::scope(|scope| {
+        let mut processors = parked.into_iter();
+        let mut engine = ResidentEngine::start(scope, &config, |_| {
+            processors.next().expect("one warm processor per shard")
+        });
+        counted_cycles(&mut engine, cycle, 10);
+        let (few, many) = (
+            counted_cycles(&mut engine, cycle, 10),
+            counted_cycles(&mut engine, cycle, 1000),
+        );
+        assert!(
+            many <= few + slack,
+            "10 resident cycles made {few} allocation calls, 1000 made {many}"
+        );
+        engine.stop(false);
+    });
 }

@@ -155,10 +155,21 @@ impl Histogram {
     /// Record one sample.
     #[inline]
     pub fn record(&self, v: u64) {
+        self.record_n(v, 1);
+    }
+
+    /// Record `n` samples of the same value `v`: the state `n` calls of
+    /// [`record`](Self::record) leave, for the price of one.
+    #[inline]
+    pub fn record_n(&self, v: u64, n: u64) {
+        if n == 0 {
+            return;
+        }
         let inner = &*self.inner;
-        inner.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed); // check:allow bucket_index maps every u64 into the fixed bucket table
-        inner.count.fetch_add(1, Ordering::Relaxed);
-        inner.sum.fetch_add(v, Ordering::Relaxed);
+        inner.buckets[bucket_index(v)].fetch_add(n, Ordering::Relaxed); // check:allow bucket_index maps every u64 into the fixed bucket table
+        inner.count.fetch_add(n, Ordering::Relaxed);
+        // The sum wraps as n separate adds of `v` would.
+        inner.sum.fetch_add(v.wrapping_mul(n), Ordering::Relaxed);
         inner.min.fetch_min(v, Ordering::Relaxed);
         inner.max.fetch_max(v, Ordering::Relaxed);
     }
@@ -786,6 +797,28 @@ mod tests {
 
     /// Element-wise nearest-rank quantile, the reference the histogram's
     /// bucketed estimate must bound.
+    #[test]
+    fn record_n_equals_n_single_records() {
+        let (bulk, single) = (Histogram::new(), Histogram::new());
+        for (v, n) in [
+            (0, 3),
+            (1, 1),
+            (700, 5),
+            (700, 0),
+            (u64::MAX / 3, 4),
+            (42, 1000),
+        ] {
+            bulk.record_n(v, n);
+            for _ in 0..n {
+                single.record(v);
+            }
+        }
+        assert_eq!(bulk.snapshot(), single.snapshot());
+        let empty = Histogram::new();
+        empty.record_n(9, 0);
+        assert_eq!(empty.snapshot(), HistogramSnapshot::default());
+    }
+
     fn exact_quantile(sorted: &[u64], q: f64) -> u64 {
         let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
         sorted[rank - 1]

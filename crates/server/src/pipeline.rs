@@ -1,37 +1,49 @@
 //! Resident pipeline workers: the cycle loop that turns a socket's tuple
-//! stream into engine runs, answers, metrics, and snapshots.
+//! stream into engine work, answers, metrics, and snapshots.
 //!
-//! A pipeline owns one worker thread. The worker blocks on its message
-//! queue, gathers a **cycle** (everything queued, bounded), runs the
-//! sharded engine over it to completion via the collecting entry points,
-//! and takes the per-shard processors back for the next cycle. Between
-//! cycles no engine thread is alive and every processor is at a batch
-//! boundary, so that instant is a drain-consistent cut: snapshot
-//! requests are answered there, which is what makes restored answers
-//! bitwise-identical — the snapshot never splits a batch.
+//! A pipeline owns one worker thread, and that thread holds one
+//! [`ResidentEngine`] — its shard threads and their processors — for the
+//! pipeline's whole life. The worker blocks on its message queue, then
+//! gathers a **cycle** (everything queued, bounded), routing each tuple
+//! message straight into the shards as it is taken off the queue. The
+//! cycle ends with a barrier: once every shard has processed everything
+//! routed to it, the cycle's answers are published, and only then are
+//! the pipeline's counters raised, so a reader that sees the count cover
+//! n tuples finds their answers in the table. At a barrier every
+//! processor is at a batch boundary, so that instant is a
+//! drain-consistent cut: snapshot requests (and the snapshot a graceful
+//! stop takes) are answered there, with the workers waiting at the
+//! barrier, which is what makes restored answers bitwise-identical — the
+//! snapshot never splits a batch.
 //!
 //! Backpressure: the message queue is a bounded [`sync_channel`]. When
 //! cycles fall behind, the queue fills, ingest readers block on `send`,
 //! the kernel socket buffers fill, and remote writers stall — the
-//! engine's bounded-channel discipline propagated to the wire.
+//! engine's bounded-queue discipline propagated to the wire.
+//!
+//! A panic in the worker or in one of its shards stops the pipeline: its
+//! status reads `stopped`, with the panic message as the error.
+//!
+//! [`sync_channel`]: std::sync::mpsc::sync_channel
 
+use std::any::Any;
 use std::collections::HashMap;
 use std::marker::PhantomData;
+use std::panic::AssertUnwindSafe;
 use std::path::PathBuf;
 use std::sync::mpsc::{Receiver, SyncSender, TryRecvError};
 use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
+use std::thread::{JoinHandle, Scope};
 
 use swag_core::aggregator::FinalAggregator;
 use swag_core::algorithms::{SlickDequeInv, SlickDequeNonInv};
 use swag_core::ops::AggregateOp;
 use swag_core::ops::{MaxF64, Mean, MinF64, StdDev, Sum, Variance};
 use swag_core::state::{PartialCodec, StateError, StateReader, StateWriter, StatefulAggregator};
-use swag_data::keyed::KeyedVecSource;
-use swag_data::{Key, KeyedEventSource};
+use swag_data::{Key, KeyedEventSource, KeyedSource};
 use swag_engine::{
-    shard_of, EngineConfig, EngineRun, KeyedEventWindows, KeyedWindows, ObservabilityConfig,
-    ShardProcessor, ShardedEngine,
+    shard_of, EngineConfig, EngineStats, KeyedEventWindows, KeyedWindows, ObservabilityConfig,
+    ResidentEngine, ShardProcessor,
 };
 use swag_metrics::clock::Stopwatch;
 use swag_metrics::json::Json;
@@ -234,13 +246,24 @@ pub(crate) struct PipelineCtx {
 }
 
 impl PipelineCtx {
-    /// Record stage `stage` for every sampled tuple of a cycle.
-    fn record_stage(&self, tuples: &[IngestTuple], stage: Stage, extra: u64) {
+    /// Record `Dequeue` and `AggStart` for every sampled tuple of a
+    /// message entering the engine, keeping their trace ids in `sampled`
+    /// for the cycle's later stages.
+    fn enter_stages(&self, tuples: &[IngestTuple], sampled: &mut Vec<u64>) {
         if let Some(trace) = &self.trace {
-            for t in tuples {
-                if t.trace != 0 {
-                    trace.stage(t.trace, stage, extra);
-                }
+            for t in tuples.iter().filter(|t| t.trace != 0) {
+                trace.stage(t.trace, Stage::Dequeue, 0);
+                trace.stage(t.trace, Stage::AggStart, tuples.len() as u64);
+                sampled.push(t.trace);
+            }
+        }
+    }
+
+    /// Record stage `stage` for every sampled tuple of a cycle.
+    fn record_stage(&self, sampled: &[u64], stage: Stage, extra: u64) {
+        if let Some(trace) = &self.trace {
+            for &id in sampled {
+                trace.stage(id, stage, extra);
             }
         }
     }
@@ -278,66 +301,16 @@ impl PipelineHandle {
     }
 }
 
-/// One gathered cycle: tuples to run, snapshot requests to answer at the
-/// cycle boundary, and whether the worker should stop afterwards.
-struct Cycle {
-    tuples: Vec<IngestTuple>,
-    snap_reqs: Vec<SyncSender<Result<PathBuf, String>>>,
-    /// `Some(snapshot_first)` when the worker should exit.
-    stop: Option<bool>,
-}
-
-/// Block for the next message, then drain whatever else is queued (up to
-/// [`MAX_CYCLE_MSGS`]) into one cycle. The dequeue boundary is where
-/// sampled tuples get their `Dequeue` stage event and where the
-/// pipeline's queue-depth gauge is decremented.
-fn collect_cycle(ctx: &PipelineCtx) -> Cycle {
-    let mut cycle = Cycle {
-        tuples: Vec::new(),
-        snap_reqs: Vec::new(),
-        stop: None,
-    };
-    let first = match ctx.rx.recv() {
-        Ok(m) => m,
-        // Every sender gone (server dropped the handle): exit without a
-        // snapshot — graceful paths always send an explicit `Stop`.
-        Err(_) => {
-            cycle.stop = Some(false);
-            return cycle;
-        }
-    };
-    let absorb = |cycle: &mut Cycle, msg: Msg| match msg {
-        Msg::Tuples(ts) => {
-            ctx.obs.queue.dequeued_n(ts.len() as u64);
-            ctx.record_stage(&ts, Stage::Dequeue, 0);
-            cycle.tuples.extend(ts);
-        }
-        Msg::Snapshot(reply) => cycle.snap_reqs.push(reply),
-        Msg::Stop { snapshot } => cycle.stop = Some(snapshot),
-    };
-    absorb(&mut cycle, first);
-    let mut msgs = 1;
-    while cycle.stop.is_none() && msgs < MAX_CYCLE_MSGS {
-        match ctx.rx.try_recv() {
-            Ok(m) => {
-                absorb(&mut cycle, m);
-                msgs += 1;
-            }
-            Err(TryRecvError::Empty) => break,
-            Err(TryRecvError::Disconnected) => {
-                cycle.stop = Some(false);
-                break;
-            }
-        }
-    }
-    cycle
-}
-
-/// Update shared status + metrics after a cycle's engine run.
-fn record_run(ctx: &PipelineCtx, stats: &swag_engine::EngineStats, cycle_tuples: &[IngestTuple]) {
+/// Update shared status + metrics after a cycle's barrier. Ingest
+/// latency is recorded once per message: `stamps` holds each tuple
+/// message's `(ingest_ns, tuples)`, and the ingest reader stamps a whole
+/// message with one decode time.
+fn record_run(ctx: &PipelineCtx, stats: &EngineStats, stamps: &[(u64, u64)]) {
     let end_ns = ctx.epoch.elapsed_ns();
-    for t in cycle_tuples {
-        ctx.obs.latency.record(end_ns.saturating_sub(t.ingest_ns));
+    for &(ingest_ns, tuples) in stamps {
+        ctx.obs
+            .latency
+            .record_n(end_ns.saturating_sub(ingest_ns), tuples);
     }
     ctx.obs.tuples.add(stats.tuples);
     ctx.obs.answers.add(stats.answers);
@@ -355,7 +328,7 @@ fn record_run(ctx: &PipelineCtx, stats: &swag_engine::EngineStats, cycle_tuples:
 }
 
 fn mark_stopped(ctx: &PipelineCtx, error: Option<String>) {
-    let mut st = ctx.status.lock().unwrap();
+    let mut st = ctx.status.lock().unwrap_or_else(|e| e.into_inner());
     st.stopped = true;
     if st.error.is_none() {
         st.error = error;
@@ -363,8 +336,9 @@ fn mark_stopped(ctx: &PipelineCtx, error: Option<String>) {
 }
 
 /// What a plan kind brings to the one pipeline loop: how a shard's
-/// processor is rebuilt from and saved into snapshot key blocks, how a
-/// cycle's tuples enter the engine, and where its answers land.
+/// processor is rebuilt from and saved into snapshot key blocks, how the
+/// engine starts and a message's tuples enter it, and where its answers
+/// land.
 trait Plan: Send + 'static {
     /// The per-shard processor the engine runs.
     type Proc: ShardProcessor + 'static;
@@ -377,14 +351,17 @@ trait Plan: Send + 'static {
     /// ([`shard_keys`] puts them in key order).
     fn save(&self, processor: &Self::Proc) -> Vec<KeyState>;
 
-    /// Run one cycle's tuples through `engine` to a drain that leaves
-    /// windows open; `parked(shard)` hands each worker its processor.
-    fn run(
-        &mut self,
-        engine: &ShardedEngine,
-        tuples: &[IngestTuple],
-        parked: Parked<'_, Self::Proc>,
-    ) -> (EngineRun<Answer<Self>>, Vec<Self::Proc>);
+    /// Start the pipeline's resident engine on `processors`, one per
+    /// shard.
+    fn start<'scope>(
+        &self,
+        scope: &'scope Scope<'scope, '_>,
+        config: &EngineConfig,
+        processors: Vec<Self::Proc>,
+    ) -> ResidentEngine<'scope, Self::Proc>;
+
+    /// Route one message's tuples into the engine's shards.
+    fn route(&mut self, engine: &mut ResidentEngine<'_, Self::Proc>, tuples: &[IngestTuple]);
 
     /// The event-time frontier (largest timestamp seen); 0 where time is
     /// positional.
@@ -397,7 +374,36 @@ trait Plan: Send + 'static {
 }
 
 type Answer<Pl> = <<Pl as Plan>::Proc as ShardProcessor>::Answer;
-type Parked<'a, P> = &'a (dyn Fn(usize) -> P + Sync);
+
+/// The last answer of each run of answers for one table entry (`same`
+/// tells whether two answers update the same entry). A shard emits a
+/// key's answers contiguously — one run per batch or watermark advance —
+/// and a later run for the entry comes later in the shard's list, so
+/// inserting only these leaves the table that inserting every answer
+/// would.
+fn run_lasts<A>(
+    answers: &[Vec<A>],
+    same: impl Fn(&A, &A) -> bool + Copy,
+) -> impl Iterator<Item = &A> {
+    answers
+        .iter()
+        .flat_map(move |shard| shard.chunk_by(same).filter_map(<[A]>::last))
+}
+
+/// Hands the engine each shard's processor in shard order.
+fn in_order<P>(processors: Vec<P>) -> impl FnMut(usize) -> P {
+    let mut processors = processors.into_iter();
+    move |_| processors.next().expect("one rebuilt processor per shard")
+}
+
+/// One message's tuples as a count path source.
+struct MessageTuples<'a>(std::slice::Iter<'a, IngestTuple>);
+
+impl KeyedSource for MessageTuples<'_> {
+    fn next_tuple(&mut self) -> Option<(Key, f64)> {
+        self.0.next().map(|t| (t.key, t.value))
+    }
+}
 
 /// One shard's key blocks for a snapshot, in key order: canonical bytes
 /// whatever order the processor first saw its keys in.
@@ -473,19 +479,22 @@ where
             .collect()
     }
 
-    fn run(
-        &mut self,
-        engine: &ShardedEngine,
-        tuples: &[IngestTuple],
-        parked: Parked<'_, Self::Proc>,
-    ) -> (EngineRun<f64>, Vec<Self::Proc>) {
-        let mut source = KeyedVecSource::new(tuples.iter().map(|t| (t.key, t.value)).collect());
-        engine.run_collecting(&mut source, u64::MAX, parked)
+    fn start<'scope>(
+        &self,
+        scope: &'scope Scope<'scope, '_>,
+        config: &EngineConfig,
+        processors: Vec<Self::Proc>,
+    ) -> ResidentEngine<'scope, Self::Proc> {
+        ResidentEngine::start(scope, config, in_order(processors))
+    }
+
+    fn route(&mut self, engine: &mut ResidentEngine<'_, Self::Proc>, tuples: &[IngestTuple]) {
+        engine.route_keyed(&mut MessageTuples(tuples.iter()), u64::MAX);
     }
 
     fn publish(table: &mut AnswerTable, answers: &[Vec<(Key, f64)>]) {
         if let AnswerTable::Count(map) = table {
-            for &(k, v) in answers.iter().flatten() {
+            for &(k, v) in run_lasts(answers, |a, b| a.0 == b.0) {
                 map.insert(k, v);
             }
         }
@@ -493,8 +502,8 @@ where
 }
 
 /// An event-time plan: one FiBA-backed [`TimeWindowExec`] per key. The
-/// plan is also the cycle's watermarked event source: the frontier
-/// persists across cycles, so the watermark never regresses when the
+/// plan is also each message's watermarked event source: the frontier
+/// persists across messages, so the watermark never regresses when the
 /// stream pauses; the low watermark trails it by the spec's allowed
 /// lateness and the engine router drops (and counts) anything below it.
 struct EventPlan<O> {
@@ -504,7 +513,7 @@ struct EventPlan<O> {
     frontier: u64,
 }
 
-/// One cycle of an [`EventPlan`] as the engine's event source.
+/// One message of an [`EventPlan`] as the engine's event source.
 struct CycleEvents<'a> {
     tuples: std::slice::Iter<'a, IngestTuple>,
     frontier: &'a mut u64,
@@ -553,18 +562,22 @@ where
             .collect()
     }
 
-    fn run(
-        &mut self,
-        engine: &ShardedEngine,
-        tuples: &[IngestTuple],
-        parked: Parked<'_, Self::Proc>,
-    ) -> (EngineRun<(usize, u64, f64)>, Vec<Self::Proc>) {
+    fn start<'scope>(
+        &self,
+        scope: &'scope Scope<'scope, '_>,
+        config: &EngineConfig,
+        processors: Vec<Self::Proc>,
+    ) -> ResidentEngine<'scope, Self::Proc> {
+        ResidentEngine::start_events(scope, config, None, in_order(processors))
+    }
+
+    fn route(&mut self, engine: &mut ResidentEngine<'_, Self::Proc>, tuples: &[IngestTuple]) {
         let mut source = CycleEvents {
             tuples: tuples.iter(),
             frontier: &mut self.frontier,
             lateness: self.lateness,
         };
-        engine.run_events_collecting(&mut source, u64::MAX, None, parked)
+        engine.route_events(&mut source, u64::MAX);
     }
 
     fn frontier(&self) -> u64 {
@@ -573,97 +586,160 @@ where
 
     fn publish(table: &mut AnswerTable, answers: &[Vec<(Key, (usize, u64, f64))>]) {
         if let AnswerTable::Event(map) = table {
-            for &(k, (q, end, v)) in answers.iter().flatten() {
+            let same = |a: &(Key, (usize, u64, f64)), b: &(Key, (usize, u64, f64))| {
+                (a.0, a.1 .0) == (b.0, b.1 .0)
+            };
+            for &(k, (q, end, v)) in run_lasts(answers, same) {
                 map.insert((k, q), (end, v));
             }
         }
     }
 }
 
-/// The pipeline worker loop, for every plan: gather a cycle, run it
-/// through the engine, publish, answer snapshot requests at the cycle
-/// boundary, stop when told.
+/// The pipeline worker thread: serve until stopped, then record how the
+/// pipeline ended — a panic in the worker or in one of its shards leaves
+/// it stopped with the panic message as its error.
 fn pipeline_worker<Pl: Plan>(
     ctx: PipelineCtx,
+    plan: Pl,
+    processors: Vec<Pl::Proc>,
+    watermark: u64,
+) {
+    let served = std::panic::catch_unwind(AssertUnwindSafe(|| {
+        serve(&ctx, plan, processors, watermark)
+    }));
+    let error = served.unwrap_or_else(|panic| {
+        Some(format!(
+            "pipeline worker panicked: {}",
+            panic_message(&*panic)
+        ))
+    });
+    mark_stopped(&ctx, error);
+}
+
+/// The text a panic was raised with.
+fn panic_message(panic: &(dyn Any + Send)) -> &str {
+    match panic.downcast_ref::<String>() {
+        Some(message) => message,
+        None => panic
+            .downcast_ref::<&str>()
+            .copied()
+            .unwrap_or("no message"),
+    }
+}
+
+/// The pipeline loop, for every plan: gather a cycle, routing each tuple
+/// message into the resident engine as it is taken off the queue; end it
+/// with a barrier, publish, then count; answer snapshot requests at a
+/// barrier; stop when told. Returns the error a final snapshot met.
+fn serve<Pl: Plan>(
+    ctx: &PipelineCtx,
     mut plan: Pl,
     processors: Vec<Pl::Proc>,
     mut watermark: u64,
-) {
-    // Parked between cycles, taken by the engine's workers during one.
-    let slots: Mutex<Vec<Option<Pl::Proc>>> =
-        Mutex::new(processors.into_iter().map(Some).collect());
-    let engine = ShardedEngine::new(EngineConfig {
+) -> Option<String> {
+    let config = EngineConfig {
         shards: ctx.spec.shards,
         batch: ctx.spec.batch,
         retain_answers: true,
         // The shared server registry with a `pipeline=<name>` label (so
         // engine series — slide latency, shard phase occupancy, queue
-        // depth — stay separable per pipeline), no per-cycle rings or
-        // samplers.
+        // depth — stay separable per pipeline), no rings or samplers.
         obs: ObservabilityConfig {
             registry: Some(Arc::clone(&ctx.registry)),
             labels: vec![("pipeline".to_string(), ctx.spec.name.clone())],
             ..ObservabilityConfig::default()
         },
         ..EngineConfig::default()
-    });
+    };
     // Resume the watermark where the snapshot cut it (0 for a fresh or an
     // arrival-order pipeline, whose watermark never moves).
     ctx.status.lock().unwrap().watermark = watermark;
-    let snapshot = |plan: &Pl, watermark: u64| {
-        let keys = slots
-            .lock()
-            .unwrap()
-            .iter()
-            .flat_map(|slot| {
-                shard_keys(
-                    plan,
-                    slot.as_ref().expect("processor parked between cycles"),
-                )
-            })
-            .collect();
+    let snapshot = |plan: &Pl, processors: &[Pl::Proc], watermark: u64| {
+        let keys = processors.iter().flat_map(|p| shard_keys(plan, p));
         let snap = Snapshot {
             spec: ctx.spec.clone(),
             watermark,
-            keys,
+            keys: keys.collect(),
         };
         write_snapshot(&ctx.snapshot_dir, &snap)
     };
-
-    let mut phase = Stopwatch::start();
-    loop {
-        let cycle = collect_cycle(&ctx);
-        ctx.obs.blocked_ns.add(phase.elapsed_ns());
-        phase = Stopwatch::start();
-        if !cycle.tuples.is_empty() {
-            ctx.record_stage(&cycle.tuples, Stage::AggStart, cycle.tuples.len() as u64);
-            let (run, drained) = plan.run(&engine, &cycle.tuples, &|shard| {
-                slots.lock().unwrap()[shard]
-                    .take()
-                    .expect("one parked processor per shard")
-            });
-            *slots.lock().unwrap() = drained.into_iter().map(Some).collect();
-            watermark = watermark.max(run.stats.watermark());
-            ctx.record_stage(&cycle.tuples, Stage::AggEnd, run.stats.answers);
-            record_run(&ctx, &run.stats, &cycle.tuples);
-            ctx.obs.lag.set(plan.frontier().saturating_sub(watermark));
-            Pl::publish(&mut ctx.answers.lock().unwrap(), &run.answers);
-            // The answer table is published: sampled answers exist now.
-            ctx.record_stage(&cycle.tuples, Stage::Emit, 0);
+    // Reused from cycle to cycle: each tuple message's `(ingest_ns,
+    // tuples)`, the cycle's sampled trace ids, its snapshot requests.
+    let mut stamps: Vec<(u64, u64)> = Vec::new();
+    let mut sampled: Vec<u64> = Vec::new();
+    let mut replies = Vec::new();
+    std::thread::scope(|scope| {
+        let mut engine = plan.start(scope, &config, processors);
+        let mut phase = Stopwatch::start();
+        loop {
+            // Block for the next message, then take whatever else is
+            // queued, up to MAX_CYCLE_MSGS. Every sender gone (the server
+            // dropped the handle) means exit without a snapshot: graceful
+            // paths always send an explicit `Stop`.
+            let mut next = ctx.rx.recv().ok();
+            let mut stop = next.is_none().then_some(false);
+            ctx.obs.blocked_ns.add(phase.elapsed_ns());
+            phase = Stopwatch::start();
+            let mut msgs = 0;
+            while let Some(msg) = next.take() {
+                msgs += 1;
+                match msg {
+                    Msg::Tuples(tuples) => {
+                        ctx.obs.queue.dequeued_n(tuples.len() as u64);
+                        ctx.enter_stages(&tuples, &mut sampled);
+                        if let Some(first) = tuples.first() {
+                            stamps.push((first.ingest_ns, tuples.len() as u64));
+                        }
+                        plan.route(&mut engine, &tuples);
+                    }
+                    Msg::Snapshot(reply) => replies.push(reply),
+                    Msg::Stop { snapshot } => stop = Some(snapshot),
+                }
+                if stop.is_some() || msgs == MAX_CYCLE_MSGS {
+                    break;
+                }
+                next = match ctx.rx.try_recv() {
+                    Ok(m) => Some(m),
+                    Err(TryRecvError::Empty) => None,
+                    Err(TryRecvError::Disconnected) => {
+                        stop = Some(false);
+                        None
+                    }
+                };
+            }
+            if !stamps.is_empty() {
+                let cut = engine.barrier();
+                watermark = watermark.max(cut.stats.watermark());
+                ctx.record_stage(&sampled, Stage::AggEnd, cut.stats.answers);
+                // Publish first, then count: a reader that sees the
+                // counters cover n tuples finds their answers published.
+                Pl::publish(&mut ctx.answers.lock().unwrap(), &cut.answers);
+                // Published answers are not kept: a burst's buffers are
+                // freed rather than held for the pipeline's life.
+                for answers in &mut cut.answers {
+                    *answers = Vec::new();
+                }
+                ctx.record_stage(&sampled, Stage::Emit, 0);
+                record_run(ctx, &cut.stats, &stamps);
+                ctx.obs.lag.set(plan.frontier().saturating_sub(watermark));
+                stamps.clear();
+                sampled.clear();
+            }
+            for reply in replies.drain(..) {
+                let (_, written) = engine.barrier_with(|procs| snapshot(&plan, procs, watermark));
+                let _ = reply.send(written);
+            }
+            ctx.obs.busy_ns.add(phase.elapsed_ns());
+            phase = Stopwatch::start();
+            if let Some(snapshot_first) = stop {
+                let (_, processors) = engine.stop(false);
+                return snapshot_first
+                    .then(|| snapshot(&plan, &processors, watermark).err())
+                    .flatten();
+            }
         }
-        for reply in cycle.snap_reqs {
-            let _ = reply.send(snapshot(&plan, watermark));
-        }
-        ctx.obs.busy_ns.add(phase.elapsed_ns());
-        phase = Stopwatch::start();
-        if let Some(snapshot_first) = cycle.stop {
-            let err = snapshot_first
-                .then(|| snapshot(&plan, watermark).err())
-                .flatten();
-            mark_stopped(&ctx, err);
-            return;
-        }
-    }
+    })
 }
 
 /// Rebuild `plan`'s per-shard processors from `restore` (re-partitioning
@@ -771,8 +847,148 @@ pub(crate) fn spawn_pipeline(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use swag_data::prng::SplitMix64;
 
     const KEYS: [Key; 4] = [9, 2, 40, 17];
+
+    type SumPlan = CountPlan<Sum<f64>, SlickDequeInv<Sum<f64>>>;
+
+    /// Publishing only the last answer of each same-entry run leaves the
+    /// table that inserting every answer does, however keys interleave.
+    #[test]
+    fn publishing_run_lasts_equals_publishing_every_answer() {
+        let mut rng = SplitMix64::new(0xAB);
+        for _ in 0..200 {
+            let mut key = 0;
+            let mut answers = vec![Vec::new(); 1 + (rng.next_u64() % 3) as usize];
+            for shard in &mut answers {
+                for i in 0..rng.next_u64() % 60 {
+                    // Runs of one key, broken at random.
+                    if !rng.next_u64().is_multiple_of(3) {
+                        key = rng.next_u64() % 7;
+                    }
+                    let q = (rng.next_u64() % 2) as usize;
+                    shard.push((key, (q, i, (rng.next_u64() % 100) as f64)));
+                }
+            }
+            let mut every = HashMap::new();
+            for &(k, (q, end, v)) in answers.iter().flatten() {
+                every.insert((k, q), (end, v));
+            }
+            let mut table = AnswerTable::Event(HashMap::new());
+            EventPlan::<Sum<f64>>::publish(&mut table, &answers);
+            assert!(matches!(&table, AnswerTable::Event(m) if *m == every));
+
+            let count: Vec<Vec<(Key, f64)>> = answers
+                .iter()
+                .map(|shard| shard.iter().map(|&(k, (_, _, v))| (k, v)).collect())
+                .collect();
+            let every: HashMap<Key, f64> = count.iter().flatten().copied().collect();
+            let mut table = AnswerTable::Count(HashMap::new());
+            SumPlan::publish(&mut table, &count);
+            assert!(matches!(&table, AnswerTable::Count(m) if *m == every));
+        }
+    }
+
+    /// A count plan whose shards panic on their first tuple.
+    struct Doomed(SumPlan);
+
+    struct Faulty(KeyedWindows<Sum<f64>, SlickDequeInv<Sum<f64>>>);
+
+    impl ShardProcessor for Faulty {
+        type Value = f64;
+        type Answer = f64;
+
+        fn open_slot(&mut self, key: Key) -> usize {
+            self.0.open_slot(key)
+        }
+
+        fn process_slot(&mut self, _: usize, _: &[f64], _: &mut Vec<(Key, f64)>) {
+            panic!("injected shard fault");
+        }
+
+        fn keys(&self) -> usize {
+            self.0.keys()
+        }
+    }
+
+    impl Plan for Doomed {
+        type Proc = Faulty;
+
+        fn rebuild(&self, keys: &[&KeyState]) -> Result<Faulty, String> {
+            self.0.rebuild(keys).map(Faulty)
+        }
+
+        fn save(&self, processor: &Faulty) -> Vec<KeyState> {
+            self.0.save(&processor.0)
+        }
+
+        fn start<'scope>(
+            &self,
+            scope: &'scope Scope<'scope, '_>,
+            config: &EngineConfig,
+            processors: Vec<Faulty>,
+        ) -> ResidentEngine<'scope, Faulty> {
+            ResidentEngine::start(scope, config, in_order(processors))
+        }
+
+        fn route(&mut self, engine: &mut ResidentEngine<'_, Faulty>, tuples: &[IngestTuple]) {
+            engine.route_keyed(&mut MessageTuples(tuples.iter()), u64::MAX);
+        }
+
+        fn publish(table: &mut AnswerTable, answers: &[Vec<(Key, f64)>]) {
+            SumPlan::publish(table, answers);
+        }
+    }
+
+    /// A shard that panics stops its pipeline loudly: `stopped`, with the
+    /// shard's panic message as the error.
+    #[test]
+    fn a_shard_panic_stops_the_pipeline_with_its_message() {
+        let spec = PipelineSpec {
+            name: "doomed".into(),
+            op: OpKind::Sum,
+            plan: PlanKind::Count { window: 8 },
+            shards: 2,
+            batch: 4,
+            slo: None,
+        };
+        let registry = Arc::new(MetricRegistry::new());
+        let (tx, rx) = std::sync::mpsc::sync_channel(MSG_QUEUE_CAP);
+        let status = Arc::new(Mutex::new(PipelineStatus::default()));
+        let ctx = PipelineCtx {
+            spec: spec.clone(),
+            rx,
+            status: Arc::clone(&status),
+            answers: Arc::new(Mutex::new(AnswerTable::Count(HashMap::new()))),
+            obs: PipelineObs::new(&registry, &spec.name),
+            epoch: Stopwatch::start(),
+            snapshot_dir: std::env::temp_dir().join("swag-doomed-never-written"),
+            registry,
+            trace: None,
+        };
+        let plan = Doomed(SumPlan {
+            op: Sum::<f64>::new(),
+            window: 8,
+            algo: PhantomData,
+        });
+        let worker = launch(plan, ctx, None).expect("the pipeline starts");
+        let tuple = |key| IngestTuple {
+            key,
+            ts: 0,
+            value: 1.0,
+            ingest_ns: 0,
+            trace: 0,
+        };
+        tx.send(Msg::Tuples((0..64).map(tuple).collect())).unwrap();
+        worker
+            .join()
+            .expect("the pipeline thread catches the panic");
+        let status = status.lock().unwrap();
+        assert!(status.stopped);
+        let error = status.error.as_deref().unwrap_or("");
+        assert!(error.contains("injected shard fault"), "error: {error:?}");
+    }
 
     /// A shard's snapshot bytes after feeding every key the same stream,
     /// `step` tuples per key, the keys interleaved in `order`. Each

@@ -25,7 +25,7 @@
 //! The spec lives *inside* the file, so `restore` needs only the name:
 //! the pipeline is re-created exactly as captured. Key blocks are
 //! written in shard order then key order within a shard — a
-//! drain-consistent cut taken between engine cycles — and restore
+//! drain-consistent cut taken at an engine barrier — and restore
 //! re-partitions keys by [`shard_of`], so the shard count may change
 //! between save and load without touching answers.
 //!

@@ -333,6 +333,68 @@ fn control_plane_crud_and_metrics() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Publish before counting: whenever the pipeline's tuple counter
+/// covers everything sent, the answer table already holds every key's
+/// answer over exactly that prefix. Many one-frame cycles, each checked
+/// against an in-memory oracle the moment the counter reaches it.
+#[test]
+fn the_answer_table_is_complete_when_the_counter_says_so() {
+    const WINDOW: usize = 50;
+    let dir = temp_dir("publish");
+    let server = start(&dir);
+    server.create_pipeline(count_spec("fresh")).unwrap();
+    let processed = server.registry().counter(
+        "swag_pipeline_tuples_total",
+        "Tuples processed",
+        &[("pipeline", "fresh")],
+    );
+    let conn = TcpStream::connect(server.ingest_addr()).unwrap();
+    conn.set_nodelay(true).unwrap();
+    let mut client = IngestClient::new("fresh", conn).unwrap();
+    // Integer values: the oracle's sums are exact.
+    let tuples: Vec<(u64, u64, f64)> = (0..4000u64)
+        .map(|i| ((i * 7) % 17, 0, ((i * 31) % 101) as f64))
+        .collect();
+    let mut history: std::collections::BTreeMap<u64, Vec<f64>> = Default::default();
+    let mut sent = 0usize;
+    for frame in 0.. {
+        let len = 1 + (frame * 5) % 13;
+        let Some(chunk) = tuples.get(sent..(sent + len).min(tuples.len())) else {
+            break;
+        };
+        if chunk.is_empty() {
+            break;
+        }
+        client.send(chunk).unwrap();
+        sent += chunk.len();
+        for &(key, _, value) in chunk {
+            history.entry(key).or_default().push(value);
+        }
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while processed.get() < sent as u64 {
+            assert!(
+                Instant::now() < deadline,
+                "stuck at {} of {sent}",
+                processed.get()
+            );
+            std::hint::spin_loop();
+        }
+        let table = server.answers_json("fresh").unwrap();
+        let rows = table.as_array().unwrap();
+        assert_eq!(rows.len(), history.len(), "after {sent} tuples");
+        for row in rows {
+            let key = row.get("key").and_then(Json::as_u64).unwrap();
+            let values = &history[&key];
+            let expect: f64 = values[values.len().saturating_sub(WINDOW)..].iter().sum();
+            let got = row.get("value").and_then(Json::as_f64).unwrap();
+            assert_eq!(got, expect, "key {key} after {sent} tuples");
+        }
+    }
+    drop(client);
+    server.shutdown().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn unknown_pipeline_ingest_gets_err_ack() {
     let dir = temp_dir("nopipe");

@@ -25,17 +25,16 @@ use crate::recorder::{Event, EventKind, FlightRecorder};
 /// A tuple-lifecycle stage boundary. The code is stored in the low byte
 /// of the `SpanStage` event's `b` payload; bits 8.. carry a
 /// stage-specific extra (frame sequence number for [`Stage::Ingest`],
-/// cycle tuple count for [`Stage::AggStart`]).
+/// the tuple count of its message for [`Stage::AggStart`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Stage {
     /// Decoded off the wire; the trace id was just assigned.
     Ingest,
     /// The pipeline worker pulled the tuple's message off its queue.
     Dequeue,
-    /// The worker's cycle stopped gathering messages and entered the
-    /// engine run.
+    /// The worker routed the tuple's message into the engine's shards.
     AggStart,
-    /// The engine run returned with fresh answers.
+    /// The cycle's barrier returned: the engine has processed the tuple.
     AggEnd,
     /// The answer table was updated; the answer is observable.
     Emit,
