@@ -71,12 +71,13 @@ const SERVER_HOT_FNS: &[&str] = &["accept_loop"];
 /// with tracing on by default, so it carries the same contract as the
 /// aggregators themselves. The shard hand-off (the batch queue's send
 /// and receive), the worker's per-tuple slot look-up and grouping, the
-/// resident router's per-tuple step and its barrier run once per routed
-/// batch, tuple or service cycle.
+/// resident router's per-tuple step, its per-tuple late-drop check and
+/// its barrier run once per routed batch, tuple or service cycle.
 const HOT_METHODS: &[(&str, &str)] = &[
     ("SharedPlanExecutor", "push"),
     ("SharedPlanExecutor", "push_batch"),
     ("ResidentEngine", "steer"),
+    ("OnTime", "judge"),
     ("ResidentEngine", "barrier"),
     ("BatchSender", "hand_off"),
     ("BatchReceiver", "next_batch"),

@@ -1,12 +1,13 @@
 //! The event-time path: out-of-order keyed streams, watermarks, and a
 //! router-side late-tuple policy.
 //!
-//! Event time runs on the same data plane as arrival order — one router
-//! loop, one shard worker ([`crate::shard`]). What this module adds is the
-//! router's **admit rule** for sources whose tuples carry an event
+//! Event time runs on the same data plane as arrival order — one router,
+//! one shard worker ([`crate::resident`]). What this module adds is the
+//! router's **late-drop rule** for sources whose tuples carry an event
 //! timestamp and may arrive out of order ([`ShardedEngine::run_events`]),
-//! and the per-key processor that turns watermarks into window answers
-//! ([`KeyedEventWindows`]):
+//! checked once per pulled tuple before the tuple is steered to its
+//! shard, and the per-key processor that turns watermarks into window
+//! answers ([`KeyedEventWindows`]):
 //!
 //! * Every routed batch carries the router's current **watermark** — a
 //!   promise that no tuple below it will follow. With an explicit
@@ -33,6 +34,7 @@
 //! per-shard watermarks ([`EngineStats::watermark`]) — the frontier every
 //! shard has durably passed.
 //!
+//! [`ShardedEngine::run_events`]: crate::ShardedEngine::run_events
 //! [`EngineStats::late_tuples`]: crate::EngineStats::late_tuples
 //! [`EngineStats::watermark`]: crate::EngineStats::watermark
 
@@ -47,8 +49,6 @@ use swag_trace::{EventKind, FlightRecorder};
 
 use crate::keyed::ShardProcessor;
 use crate::obs::ObservabilityConfig;
-use crate::resident::ResidentEngine;
-use crate::shard::{Admit, EngineRun, ShardedEngine};
 use crate::slots::SlotTable;
 
 /// One [`TimeWindowExec`] (a FiBA finger B-tree plus window bookkeeping)
@@ -186,7 +186,7 @@ where
     }
 }
 
-/// The event-time admit rule's state, kept for a resident engine's
+/// The event-time late-drop rule's state, kept for a resident engine's
 /// life. The watermark is derived from the stream routed *so far* and only
 /// ever rises; a tuple is judged against the watermark before it
 /// contributes to it, so a tuple can never be late relative to itself.
@@ -224,6 +224,36 @@ impl OnTime {
         }
     }
 
+    /// Raise the watermark to the frontier's current reading: the largest
+    /// routed timestamp less the lateness bound, or without one, the
+    /// source's own watermark.
+    pub(crate) fn read_frontier<S: KeyedEventSource + ?Sized>(&mut self, source: &S) {
+        self.watermark = self.watermark.max(match self.lateness {
+            Some(l) => self.max_ts.map_or(0, |m| m.saturating_sub(l)),
+            None => source.low_watermark(),
+        });
+    }
+
+    /// Judge a tuple stamped `ts` just pulled from `source`: drop (and
+    /// count) it if it is below the watermark, else let it raise the
+    /// frontier and admit it.
+    #[inline]
+    pub(crate) fn judge<S: KeyedEventSource + ?Sized>(&mut self, ts: u64, source: &S) -> bool {
+        self.read_frontier(source);
+        if ts < self.watermark {
+            self.late += 1;
+            if let Some(c) = &self.late_counter {
+                c.inc();
+            }
+            if let Some(rec) = &self.recorder {
+                rec.record(EventKind::LateDrop, ts, self.watermark);
+            }
+            return false;
+        }
+        self.max_ts = Some(self.max_ts.map_or(ts, |m| m.max(ts)));
+        true
+    }
+
     /// The watermark to stamp on a batch of `tuples` tuples being flushed.
     pub(crate) fn stamp(&mut self, tuples: usize) -> u64 {
         if let Some(rec) = &self.recorder {
@@ -248,122 +278,11 @@ impl OnTime {
     }
 }
 
-/// The event-time admit rule over one source.
-pub(crate) struct AdmitOnTime<'a, S: ?Sized> {
-    pub(crate) source: &'a mut S,
-    pub(crate) rule: &'a mut OnTime,
-}
-
-impl<S: KeyedEventSource + ?Sized> AdmitOnTime<'_, S> {
-    /// Raise the watermark to the frontier's current reading (once the
-    /// source is drained, its final reading).
-    pub(crate) fn read_frontier(&mut self) {
-        let rule = &mut *self.rule;
-        rule.watermark = rule.watermark.max(match rule.lateness {
-            Some(l) => rule.max_ts.map_or(0, |m| m.saturating_sub(l)),
-            None => self.source.low_watermark(),
-        });
-    }
-}
-
-impl<S: KeyedEventSource + ?Sized> Admit for AdmitOnTime<'_, S> {
-    type Value = (u64, f64);
-
-    fn pull(&mut self) -> Option<Option<(Key, (u64, f64))>> {
-        let (key, ts, value) = self.source.next_event()?;
-        self.read_frontier();
-        let rule = &mut *self.rule;
-        if ts < rule.watermark {
-            rule.late += 1;
-            if let Some(c) = &rule.late_counter {
-                c.inc();
-            }
-            if let Some(rec) = &rule.recorder {
-                rec.record(EventKind::LateDrop, ts, rule.watermark);
-            }
-            return Some(None);
-        }
-        rule.max_ts = Some(rule.max_ts.map_or(ts, |m| m.max(ts)));
-        Some(Some((key, (ts, value))))
-    }
-
-    fn flush_watermark(&mut self, tuples: usize) -> u64 {
-        self.rule.stamp(tuples)
-    }
-}
-
-impl ShardedEngine {
-    /// Route up to `limit` timestamped tuples from `source` across the
-    /// shards, running `make_processor(shard)` on each worker.
-    ///
-    /// `lateness`: with `Some(l)`, the router's watermark trails the
-    /// largest routed timestamp by `l` and anything below it is dropped
-    /// (and counted); with `None` the router trusts the source's own
-    /// watermark, which for well-behaved sources drops nothing.
-    pub fn run_events<S, P, F>(
-        &self,
-        source: &mut S,
-        limit: u64,
-        lateness: Option<u64>,
-        make_processor: F,
-    ) -> EngineRun<P::Answer>
-    where
-        S: KeyedEventSource + ?Sized,
-        P: ShardProcessor<Value = (u64, f64)>,
-        F: Fn(usize) -> P + Send + Sync,
-    {
-        self.route_on_time(source, limit, lateness, true, make_processor)
-            .0
-    }
-
-    /// [`run_events`](Self::run_events), but for resident callers: open
-    /// windows are **not** flushed at drain (no [`ShardProcessor::finish`]
-    /// — the stream pauses, it does not end), and each shard's drained
-    /// processor is handed back in shard order for snapshotting or the
-    /// next run. Answers still flow from watermark advances as usual.
-    pub fn run_events_collecting<S, P, F>(
-        &self,
-        source: &mut S,
-        limit: u64,
-        lateness: Option<u64>,
-        make_processor: F,
-    ) -> (EngineRun<P::Answer>, Vec<P>)
-    where
-        S: KeyedEventSource + ?Sized,
-        P: ShardProcessor<Value = (u64, f64)>,
-        F: Fn(usize) -> P + Send + Sync,
-    {
-        self.route_on_time(source, limit, lateness, false, make_processor)
-    }
-
-    /// Start a [`ResidentEngine`] under the event-time admit rule, route
-    /// `source` through it, and stop it.
-    fn route_on_time<S, P, F>(
-        &self,
-        source: &mut S,
-        limit: u64,
-        lateness: Option<u64>,
-        finish: bool,
-        make_processor: F,
-    ) -> (EngineRun<P::Answer>, Vec<P>)
-    where
-        S: KeyedEventSource + ?Sized,
-        P: ShardProcessor<Value = (u64, f64)>,
-        F: Fn(usize) -> P + Send + Sync,
-    {
-        std::thread::scope(|scope| {
-            let mut engine =
-                ResidentEngine::start_events(scope, self.config(), lateness, make_processor);
-            engine.route_events(source, limit);
-            engine.stop(finish)
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::shard::EngineConfig;
+    use crate::resident::ResidentEngine;
+    use crate::shard::{EngineConfig, ShardedEngine};
     use crate::stats::EngineStats;
     use std::collections::HashMap;
     use swag_core::ops::Sum;
@@ -456,6 +375,38 @@ mod tests {
             .map(|&(_, (_, _, v))| v)
             .sum();
         assert_eq!(accepted_sum, 1.0 + 2.0 + 4.0 + 32.0);
+    }
+
+    /// The watermark catches up with the frontier once the routing loop
+    /// ends, not only when the next tuple is pulled: a source's last
+    /// tuple still closes the windows it makes due at the next barrier.
+    #[test]
+    fn the_watermark_rises_after_the_last_routed_tuple() {
+        let config = EngineConfig {
+            shards: 2,
+            retain_answers: true,
+            ..EngineConfig::default()
+        };
+        std::thread::scope(|scope| {
+            let mut engine = ResidentEngine::start_events(scope, &config, Some(10), |_| {
+                KeyedEventWindows::new(Sum::<f64>::new(), vec![TimeWindowSpec::tumbling(16)])
+            });
+            let events = vec![(1, 0, 1.0), (2, 5, 2.0), (1, 100, 4.0)];
+            let mut source = KeyedVecEventSource::new(events, u64::MAX);
+            assert_eq!(engine.route_events(&mut source, u64::MAX), 3);
+            let cut = engine.barrier();
+            assert_eq!(cut.stats.watermark(), 90);
+            let mut first: Vec<(Key, Answer)> = cut
+                .answers
+                .iter()
+                .flatten()
+                .filter(|&&(_, (_, end, _))| end == 16)
+                .copied()
+                .collect();
+            first.sort_by_key(|&(key, _)| key);
+            assert_eq!(first, vec![(1, (0, 16, 1.0)), (2, (0, 16, 2.0))]);
+            engine.stop(false);
+        });
     }
 
     #[test]

@@ -5,15 +5,16 @@
 //! worker threads over bounded batch queues ([`shard`]), each worker runs
 //! per-key window state — any [`FinalAggregator`] algorithm, a full
 //! multi-ACQ shared plan per key ([`keyed`]), or event-time windows closed
-//! by the router's watermark ([`event`]: the same router and worker under
-//! a late-drop admit rule) — and per-shard statistics merge into an
-//! [`EngineStats`] report ([`stats`]). The router and workers are a
-//! [`ResidentEngine`] ([`resident`]): a run starts one, feeds it a source
-//! and stops it; a long-lived caller keeps one and ends each stretch of
-//! tuples with a barrier. Live observability —
-//! registry-backed metric series, per-shard flight recorders with
-//! panic-time dumps, and a dependency-free `/metrics` HTTP endpoint — is
-//! opt-in via [`obs`] and [`http`].
+//! by the router's watermark ([`event`]: the same router and worker, with
+//! late tuples dropped before they are routed) — and per-shard statistics
+//! merge into an [`EngineStats`] report ([`stats`]). The router and
+//! workers are a [`ResidentEngine`] ([`resident`]), the one way into the
+//! shards: each [`ShardedEngine`] run starts one, feeds it a source and
+//! stops it; a long-lived caller keeps one and ends each stretch of
+//! tuples with a barrier. Live observability — registry-backed metric
+//! series, per-shard flight recorders with panic-time dumps, and a
+//! dependency-free `/metrics` HTTP endpoint — is opt-in via [`obs`] and
+//! [`http`].
 //!
 //! Determinism: a single router preserves source order and a key lives on
 //! exactly one shard, so per-key answers are identical for every shard

@@ -18,8 +18,8 @@
 //! snapshot) before the workers carry on.
 //!
 //! [`ShardedEngine::run`](crate::ShardedEngine::run) and its siblings are
-//! this engine started, fed one source, and stopped: there is one router
-//! loop and one worker loop.
+//! this engine started, fed one source, and stopped: there is one
+//! per-tuple router step and one worker loop.
 //!
 //! A worker that panics fails the engine with its own panic: the router
 //! notices at its next hand-off or barrier, closes every queue, joins the
@@ -29,6 +29,7 @@ use std::sync::atomic::AtomicBool;
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, Mutex};
 use std::thread::{Scope, ScopedJoinHandle};
+use std::time::Duration;
 
 use swag_data::event::KeyedEventSource;
 use swag_data::keyed::{Key, KeyedSource};
@@ -36,11 +37,11 @@ use swag_metrics::clock::Stopwatch;
 use swag_metrics::QueueDepthGauge;
 use swag_trace::EventKind;
 
-use crate::event::{AdmitOnTime, OnTime};
+use crate::event::OnTime;
 use crate::keyed::ShardProcessor;
 use crate::obs::{sampler_loop, EngineSample, ShardObs, StopGuard};
 use crate::queue::{batch_queue, Batch, BatchReceiver, BatchSender, Item};
-use crate::shard::{shard_of, Admit, AdmitAll, EngineConfig, EngineRun};
+use crate::shard::{shard_of, EngineConfig, EngineRun};
 use crate::slots::SlotGroups;
 use crate::stats::{EngineStats, ShardStats};
 
@@ -49,8 +50,8 @@ use crate::stats::{EngineStats, ShardStats};
 pub struct ResidentEngine<'scope, P: ShardProcessor> {
     lanes: Vec<Lane<P>>,
     batch: usize,
-    workers: Vec<ScopedJoinHandle<'scope, Option<Drained<P>>>>,
-    /// The event-time admit rule, persistent across routed sources;
+    workers: Vec<ScopedJoinHandle<'scope, Option<Report<P>>>>,
+    /// The event-time late-drop rule, persistent across routed sources;
     /// `None` on the arrival-order path.
     time: Option<OnTime>,
     /// The stretch up to the last barrier.
@@ -100,22 +101,14 @@ pub(crate) enum Control<P: ShardProcessor> {
     Finish,
 }
 
-/// A worker's answer to a barrier.
+/// A worker's report, with the answers retained since the last barrier:
+/// at a barrier, the stretch since the previous one (and the processor,
+/// if lent); when its queue closes, its totals and its processor.
 struct Report<P: ShardProcessor> {
-    tuples: u64,
-    answers: u64,
-    batches: u64,
-    keys: usize,
-    watermark: u64,
+    stats: ShardStats,
     retained: Vec<(Key, P::Answer)>,
     processor: Option<P>,
 }
-
-/// What a worker returns when its queue closes: totals since start, the
-/// answers retained since the last barrier, and its processor. (It
-/// returns nothing if its processor was lent out when the router went
-/// away.)
-type Drained<P> = (ShardStats, Vec<(Key, <P as ShardProcessor>::Answer)>, P);
 
 impl<'scope, P: ShardProcessor + 'scope> ResidentEngine<'scope, P> {
     /// Spawn one worker per shard on `scope`, shard `i` running
@@ -231,64 +224,54 @@ impl<'scope, P: ShardProcessor + 'scope> ResidentEngine<'scope, P> {
         S: KeyedSource + ?Sized,
         P: ShardProcessor<Value = f64>,
     {
-        let routed = self.route_from(&mut AdmitAll(source), limit);
-        routed.unwrap_or_else(|()| self.fail())
+        let mut routed = 0u64;
+        while routed < limit {
+            let Some((key, value)) = source.next_tuple() else {
+                break;
+            };
+            routed += 1;
+            self.steer(key, value).unwrap_or_else(|()| self.fail());
+        }
+        routed
     }
 
     /// Route up to `limit` admitted timestamped tuples from `source` under
     /// the engine's late-drop rule; returns how many were routed (late
     /// drops are not counted). The watermark persists across sources: it
-    /// only ever rises. Routes nothing on an engine not started with
-    /// [`start_events`](Self::start_events).
+    /// only ever rises.
     pub fn route_events<S>(&mut self, source: &mut S, limit: u64) -> u64
     where
         S: KeyedEventSource + ?Sized,
         P: ShardProcessor<Value = (u64, f64)>,
     {
-        let Some(mut time) = self.time.take() else {
-            return 0;
-        };
-        let mut admit = AdmitOnTime {
-            source,
-            rule: &mut time,
-        };
-        let routed = self.route_from(&mut admit, limit);
-        admit.read_frontier();
-        self.time = Some(time);
-        routed.unwrap_or_else(|()| self.fail())
-    }
-
-    /// The one router loop: batch admitted tuples per shard, block on
-    /// full queues. `Err` means a worker is gone.
-    fn route_from<A: Admit<Value = P::Value>>(
-        &mut self,
-        admit: &mut A,
-        limit: u64,
-    ) -> Result<u64, ()> {
         let mut routed = 0u64;
         while routed < limit {
-            let Some(pulled) = admit.pull() else { break };
-            let Some((key, value)) = pulled else { continue };
-            routed += 1;
-            self.steer(key, value, admit)?;
+            let Some((key, ts, value)) = source.next_event() else {
+                break;
+            };
+            if self.time.as_mut().is_some_and(|t| t.judge(ts, source)) {
+                routed += 1;
+                self.steer(key, (ts, value))
+                    .unwrap_or_else(|()| self.fail());
+            }
         }
-        Ok(routed)
+        // Raise the watermark however the loop ended, the limit included.
+        if let Some(time) = &mut self.time {
+            time.read_frontier(source);
+        }
+        routed
     }
 
     /// Add one tuple to its shard's open batch, handing the batch off —
-    /// stamped with the watermark as of its flush — once full.
+    /// stamped with the watermark as of its flush — once full. `Err`
+    /// means the shard's worker is gone.
     #[inline]
-    fn steer<A: Admit<Value = P::Value>>(
-        &mut self,
-        key: Key,
-        value: P::Value,
-        admit: &mut A,
-    ) -> Result<(), ()> {
+    fn steer(&mut self, key: Key, value: P::Value) -> Result<(), ()> {
         let shards = self.lanes.len();
         let lane = &mut self.lanes[shard_of(key, shards)];
         lane.open.push((key, value)); // alloc:amortized the open batch is allocated with the batch capacity and flushed when full
         if lane.open.len() == self.batch {
-            let watermark = admit.flush_watermark(self.batch);
+            let watermark = self.time.as_mut().map_or(0, |t| t.stamp(self.batch));
             lane.flush(watermark, self.batch)?;
         }
         Ok(())
@@ -347,9 +330,7 @@ impl<'scope, P: ShardProcessor + 'scope> ResidentEngine<'scope, P> {
     }
 
     fn cut_stretch(&mut self, lend: bool) {
-        if self.close_batches().is_err() {
-            self.fail();
-        }
+        self.close_batches().unwrap_or_else(|()| self.fail());
         for shard in 0..self.lanes.len() {
             let mut spare = std::mem::take(&mut self.cut.answers[shard]);
             spare.clear();
@@ -362,20 +343,12 @@ impl<'scope, P: ShardProcessor + 'scope> ResidentEngine<'scope, P> {
         self.since_cut = Stopwatch::start();
         self.cut.stats.shards.clear();
         for shard in 0..self.lanes.len() {
-            let Ok(report) = self.lanes[shard].reports.recv() else {
+            let Ok(mut report) = self.lanes[shard].reports.recv() else {
                 self.fail();
             };
+            report.stats.elapsed = elapsed;
             // alloc:amortized cleared and refilled to the shard count at every barrier; grows once
-            self.cut.stats.shards.push(ShardStats {
-                shard,
-                tuples: report.tuples,
-                answers: report.answers,
-                batches: report.batches,
-                keys: report.keys,
-                max_queue_depth: self.lanes[shard].gauge.max_depth(),
-                watermark: report.watermark,
-                elapsed,
-            });
+            self.cut.stats.shards.push(report.stats);
             self.cut.answers[shard] = report.retained;
             self.lent.extend(report.processor); // alloc:amortized allocated with one slot per shard at start
         }
@@ -395,7 +368,7 @@ impl<'scope, P: ShardProcessor + 'scope> ResidentEngine<'scope, P> {
 
     /// Join every worker and collect what each returned, in shard order;
     /// resume the first worker panic, once all are joined.
-    fn join_workers(&mut self) -> Vec<Drained<P>> {
+    fn join_workers(&mut self) -> Vec<Report<P>> {
         let mut crashed = None;
         let mut drained = Vec::with_capacity(self.workers.len());
         for worker in self.workers.drain(..) {
@@ -424,15 +397,13 @@ impl<'scope, P: ShardProcessor + 'scope> ResidentEngine<'scope, P> {
         }
         // Dropping the senders closes every queue; workers drain and return.
         self.lanes.clear();
-        let drained = self.join_workers();
-        let mut shard_stats = Vec::with_capacity(drained.len());
-        let mut answers = Vec::with_capacity(drained.len());
-        let mut processors = Vec::with_capacity(drained.len());
-        for (stats, retained, processor) in drained {
-            shard_stats.push(stats);
-            answers.push(retained);
-            processors.push(processor);
-        }
+        let mut processors = Vec::with_capacity(self.workers.len());
+        let (shard_stats, answers) = (self.join_workers().into_iter())
+            .map(|report| {
+                processors.extend(report.processor);
+                (report.stats, report.retained)
+            })
+            .unzip();
         drop(self.sampler_stop);
         if let Some(sampler) = self.sampler.take() {
             let _ = sampler.join();
@@ -469,21 +440,21 @@ impl<P: ShardProcessor> Lane<P> {
     }
 }
 
-/// Answers a worker has produced: counted as produced, before the retain
-/// decision, so the tally is the same whether or not answers are kept.
-struct Delivered<A> {
-    count: u64,
-    retained: Vec<(Key, A)>,
-    retain: bool,
-}
-
-impl<A> Delivered<A> {
-    fn take_from(&mut self, scratch: &mut Vec<(Key, A)>, obs: Option<&ShardObs>) {
-        self.count += scratch.len() as u64;
+impl<P: ShardProcessor> Report<P> {
+    /// Take the answers a worker has just produced out of `scratch`:
+    /// counted as produced, before the retain decision, so the tally is
+    /// the same whether or not answers are kept.
+    fn tally_answers(
+        &mut self,
+        scratch: &mut Vec<(Key, P::Answer)>,
+        retain: bool,
+        obs: Option<&ShardObs>,
+    ) {
+        self.stats.answers += scratch.len() as u64;
         if let Some(o) = obs {
             o.answers.add(scratch.len() as u64);
         }
-        if self.retain {
+        if retain {
             self.retained.append(scratch);
         } else {
             scratch.clear();
@@ -520,7 +491,7 @@ fn shard_worker<P: ShardProcessor>(
     end: WorkerEnd<P>,
     mut processor: P,
     obs: Option<ShardObs>,
-) -> Option<Drained<P>> {
+) -> Option<Report<P>> {
     let WorkerEnd {
         shard,
         inbox,
@@ -532,16 +503,23 @@ fn shard_worker<P: ShardProcessor>(
     let started = Stopwatch::start();
     let _trace_guard = obs.as_ref().and_then(ShardObs::install_trace);
     let recorder = obs.as_ref().and_then(|o| o.recorder.as_ref());
-    let mut tuples = 0u64;
-    let mut batches = 0u64;
-    let mut watermark = 0u64;
-    // Tuples, answers and batches as of the previous barrier.
-    let mut marks = (0u64, 0u64, 0u64);
-    let mut delivered = Delivered {
-        count: 0,
+    // The running totals and retained answers, and the totals as of the
+    // previous barrier.
+    let mut run = Report {
+        stats: ShardStats {
+            shard,
+            tuples: 0,
+            answers: 0,
+            batches: 0,
+            keys: 0,
+            max_queue_depth: 0,
+            watermark: 0,
+            elapsed: Duration::ZERO,
+        },
         retained: Vec::new(),
-        retain,
+        processor: None,
     };
+    let mut mark = run.stats.clone();
     // Reused across batches: the grouping buffers and per-batch answers.
     let mut groups = SlotGroups::new();
     let mut scratch = Vec::new();
@@ -562,7 +540,7 @@ fn shard_worker<P: ShardProcessor>(
                 tuples: batch,
             })) => {
                 gauge.dequeued_n(batch.len() as u64);
-                batches += 1;
+                run.stats.batches += 1;
                 if let Some(o) = &obs {
                     o.batches.inc();
                     o.tuples.add(batch.len() as u64);
@@ -594,12 +572,12 @@ fn shard_worker<P: ShardProcessor>(
                             }
                         }
                     }
-                    tuples += run_len;
+                    run.stats.tuples += run_len;
                 }
                 // The watermark closes windows across every key on this
                 // shard, including keys untouched by this batch.
-                if wm > watermark {
-                    watermark = wm;
+                if wm > run.stats.watermark {
+                    run.stats.watermark = wm;
                     processor.advance_watermark(wm, &mut scratch);
                     if let Some(rec) = recorder {
                         rec.record(EventKind::WatermarkAdvance, wm, scratch.len() as u64);
@@ -613,10 +591,10 @@ fn shard_worker<P: ShardProcessor>(
                     lag.set(
                         processor
                             .max_ts()
-                            .map_or(0, |m| m.saturating_sub(watermark)),
+                            .map_or(0, |m| m.saturating_sub(run.stats.watermark)),
                     );
                 }
-                delivered.take_from(&mut scratch, obs.as_ref());
+                run.tally_answers(&mut scratch, retain, obs.as_ref());
             }
             Some(Item::Control(Control::Barrier { spare, lend })) => {
                 // One event-time advance can fill the scratch with far more
@@ -626,16 +604,19 @@ fn shard_worker<P: ShardProcessor>(
                 if let Some(o) = &obs {
                     o.keys.set(processor.keys() as u64);
                 }
+                run.stats.keys = processor.keys();
+                run.stats.max_queue_depth = gauge.max_depth();
                 let report = Report {
-                    tuples: tuples - marks.0,
-                    answers: delivered.count - marks.1,
-                    batches: batches - marks.2,
-                    keys: processor.keys(),
-                    watermark,
-                    retained: std::mem::replace(&mut delivered.retained, spare),
+                    stats: ShardStats {
+                        tuples: run.stats.tuples - mark.tuples,
+                        answers: run.stats.answers - mark.answers,
+                        batches: run.stats.batches - mark.batches,
+                        ..run.stats.clone()
+                    },
+                    retained: std::mem::replace(&mut run.retained, spare),
                     processor: None,
                 };
-                marks = (tuples, delivered.count, batches);
+                mark = run.stats.clone();
                 if !lend {
                     // A send fails only once the router is gone; the
                     // queue then closes and the loop ends.
@@ -660,9 +641,9 @@ fn shard_worker<P: ShardProcessor>(
                 // everything it accepted.
                 processor.finish(&mut scratch);
                 if let Some(max) = processor.max_ts() {
-                    watermark = watermark.max(max.saturating_add(1));
+                    run.stats.watermark = run.stats.watermark.max(max.saturating_add(1));
                 }
-                delivered.take_from(&mut scratch, obs.as_ref());
+                run.tally_answers(&mut scratch, retain, obs.as_ref());
             }
             // Only ever sent in answer to a lending barrier, above.
             Some(Item::Control(Control::Resume(_))) => {}
@@ -688,19 +669,13 @@ fn shard_worker<P: ShardProcessor>(
     if let Some(o) = &obs {
         o.keys.set(processor.keys() as u64);
         if let Some(rec) = recorder {
-            rec.record(EventKind::Drain, tuples, delivered.count);
+            rec.record(EventKind::Drain, run.stats.tuples, run.stats.answers);
         }
         o.dump_on_drain();
     }
-    let stats = ShardStats {
-        shard,
-        tuples,
-        answers: delivered.count,
-        batches,
-        keys: processor.keys(),
-        max_queue_depth: gauge.max_depth(),
-        watermark,
-        elapsed: started.elapsed(),
-    };
-    Some((stats, delivered.retained, processor))
+    run.stats.keys = processor.keys();
+    run.stats.max_queue_depth = gauge.max_depth();
+    run.stats.elapsed = started.elapsed();
+    run.processor = Some(processor);
+    Some(run)
 }

@@ -1,26 +1,26 @@
 //! The sharded engine: hash-partitioned, multi-threaded keyed execution.
 //!
-//! One router (the calling thread) pulls tuples from a source, lets the
-//! path's [`Admit`] rule refuse some (arrival order refuses none; event
-//! time refuses the late — `crate::event`), and hash-partitions the rest
-//! across `shards` worker threads over bounded batch queues
-//! (`crate::queue`). Tuples are batched to amortise the hand-off; a full
-//! queue blocks the router (backpressure), so a slow shard slows
-//! admission instead of growing memory without bound. Each worker owns
-//! one [`ShardProcessor`] holding the per-key window state for every key
-//! routed to it.
+//! One router (the calling thread) pulls tuples from a source, drops the
+//! late ones on the event-time path (`crate::event`; arrival order drops
+//! none), and hash-partitions the rest across `shards` worker threads
+//! over bounded batch queues (`crate::queue`). Tuples are batched to
+//! amortise the hand-off; a full queue blocks the router (backpressure),
+//! so a slow shard slows admission instead of growing memory without
+//! bound. Each worker owns one [`ShardProcessor`] holding the per-key
+//! window state for every key routed to it.
 //!
-//! The router and the workers are a [`ResidentEngine`]; a run is that
-//! engine started, fed the whole source, and stopped. Stopping is
-//! graceful: the router flushes its partial batches and closes the
-//! queues; each worker drains its queue to completion and returns its
-//! [`ShardStats`](crate::ShardStats). A worker that panics fails the run
-//! with its own panic.
+//! The router and the workers are a [`ResidentEngine`]; each of the four
+//! `run*` methods is that engine started, fed the whole source, and
+//! stopped. Stopping is graceful: the router flushes its partial batches
+//! and closes the queues; each worker drains its queue to completion and
+//! returns its [`ShardStats`](crate::ShardStats). A worker that panics
+//! fails the run with its own panic.
 //!
 //! Because a single router preserves source order and a key maps to exactly
 //! one shard, every key's tuples are processed in stream order — per-key
 //! answers are identical for any shard count.
 
+use swag_data::event::KeyedEventSource;
 use swag_data::keyed::{Key, KeyedSource};
 use swag_data::prng::mix64;
 
@@ -163,18 +163,17 @@ impl ShardedEngine {
         P: ShardProcessor<Value = f64>,
         F: Fn(usize) -> P + Send + Sync,
     {
-        self.route_keyed(source, limit, true, make_processor).0
+        std::thread::scope(|scope| {
+            let mut engine = ResidentEngine::start(scope, &self.config, make_processor);
+            engine.route_keyed(source, limit);
+            engine.stop(true).0
+        })
     }
 
-    /// [`run`](Self::run), but additionally hands back each shard's
-    /// drained processor (in shard order) instead of dropping it.
-    ///
-    /// After a graceful drain every queue is empty and each processor
-    /// sits at a batch boundary, so the returned states are a
-    /// **drain-consistent** cut of the whole engine — a caller can
-    /// serialize them, or feed them back through `make_processor` for the
-    /// next run. (A caller that runs the engine over and over keeps a
-    /// [`ResidentEngine`] instead.)
+    /// [`run`](Self::run), but the stream pauses rather than ends: open
+    /// windows are not flushed ([`ShardProcessor::finish`]), and each
+    /// shard's drained processor — at a batch boundary, so together a
+    /// **drain-consistent** cut — is handed back in shard order.
     pub fn run_collecting<S, P, F>(
         &self,
         source: &mut S,
@@ -186,59 +185,60 @@ impl ShardedEngine {
         P: ShardProcessor<Value = f64>,
         F: Fn(usize) -> P + Send + Sync,
     {
-        self.route_keyed(source, limit, false, make_processor)
-    }
-
-    /// Start a [`ResidentEngine`], route `source` through it, and stop
-    /// it. `finish` ends the stream (workers flush open windows); without
-    /// it the stream only pauses and open windows survive in the returned
-    /// processors.
-    fn route_keyed<S, P, F>(
-        &self,
-        source: &mut S,
-        limit: u64,
-        finish: bool,
-        make_processor: F,
-    ) -> (EngineRun<P::Answer>, Vec<P>)
-    where
-        S: KeyedSource + ?Sized,
-        P: ShardProcessor<Value = f64>,
-        F: Fn(usize) -> P + Send + Sync,
-    {
         std::thread::scope(|scope| {
             let mut engine = ResidentEngine::start(scope, &self.config, make_processor);
             engine.route_keyed(source, limit);
-            engine.stop(finish)
+            engine.stop(false)
         })
     }
-}
 
-/// The router's only per-path part: where tuples come from and which of
-/// them are admitted. The arrival-order path admits everything
-/// ([`AdmitAll`]); the event-time path applies the late-drop/watermark
-/// rule (`event::AdmitOnTime`).
-pub(crate) trait Admit {
-    /// The tuple payload this path routes.
-    type Value: Copy + Send;
-
-    /// Pull the next tuple: `None` once the source is dry, `Some(None)`
-    /// for a tuple pulled but refused.
-    fn pull(&mut self) -> Option<Option<(Key, Self::Value)>>;
-
-    /// The watermark to stamp on a batch of `tuples` tuples being flushed.
-    fn flush_watermark(&mut self, _tuples: usize) -> u64 {
-        0
+    /// Route up to `limit` timestamped tuples from `source` across the
+    /// shards, running `make_processor(shard)` on each worker.
+    ///
+    /// `lateness`: with `Some(l)`, the router's watermark trails the
+    /// largest routed timestamp by `l` and anything below it is dropped
+    /// (and counted); with `None` the router trusts the source's own
+    /// watermark, which for well-behaved sources drops nothing.
+    pub fn run_events<S, P, F>(
+        &self,
+        source: &mut S,
+        limit: u64,
+        lateness: Option<u64>,
+        make_processor: F,
+    ) -> EngineRun<P::Answer>
+    where
+        S: KeyedEventSource + ?Sized,
+        P: ShardProcessor<Value = (u64, f64)>,
+        F: Fn(usize) -> P + Send + Sync,
+    {
+        std::thread::scope(|scope| {
+            let mut engine =
+                ResidentEngine::start_events(scope, &self.config, lateness, make_processor);
+            engine.route_events(source, limit);
+            engine.stop(true).0
+        })
     }
-}
 
-/// Arrival order: time is positional, every tuple is admitted.
-pub(crate) struct AdmitAll<'a, S: ?Sized>(pub(crate) &'a mut S);
-
-impl<S: KeyedSource + ?Sized> Admit for AdmitAll<'_, S> {
-    type Value = f64;
-
-    fn pull(&mut self) -> Option<Option<(Key, f64)>> {
-        self.0.next_tuple().map(Some)
+    /// [`run_events`](Self::run_events), but pausing the stream as
+    /// [`run_collecting`](Self::run_collecting) does.
+    pub fn run_events_collecting<S, P, F>(
+        &self,
+        source: &mut S,
+        limit: u64,
+        lateness: Option<u64>,
+        make_processor: F,
+    ) -> (EngineRun<P::Answer>, Vec<P>)
+    where
+        S: KeyedEventSource + ?Sized,
+        P: ShardProcessor<Value = (u64, f64)>,
+        F: Fn(usize) -> P + Send + Sync,
+    {
+        std::thread::scope(|scope| {
+            let mut engine =
+                ResidentEngine::start_events(scope, &self.config, lateness, make_processor);
+            engine.route_events(source, limit);
+            engine.stop(false)
+        })
     }
 }
 

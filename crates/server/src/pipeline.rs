@@ -29,6 +29,7 @@
 use std::any::Any;
 use std::collections::HashMap;
 use std::marker::PhantomData;
+use std::ops::Range;
 use std::panic::AssertUnwindSafe;
 use std::path::PathBuf;
 use std::sync::mpsc::{Receiver, SyncSender, TryRecvError};
@@ -61,23 +62,17 @@ pub(crate) const MSG_QUEUE_CAP: usize = 16;
 /// Most messages gathered into one engine cycle.
 const MAX_CYCLE_MSGS: usize = 32;
 
-/// One ingested tuple, stamped with the service-epoch nanosecond it was
-/// decoded off the wire (for ingest-to-answer latency).
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct IngestTuple {
-    pub key: Key,
-    pub ts: u64,
-    pub value: f64,
-    pub ingest_ns: u64,
-    /// Lifecycle trace id from the ingest [`SpanSampler`]; 0 means the
-    /// tuple is unsampled and crosses every stage silently.
-    pub trace: u64,
-}
-
 /// A message on a pipeline's queue.
 pub(crate) enum Msg {
-    /// Tuples from an ingest connection.
-    Tuples(Vec<IngestTuple>),
+    /// Tuples from an ingest connection, decoded off the wire at one
+    /// service-epoch nanosecond (for ingest-to-answer latency).
+    Tuples {
+        ingest_ns: u64,
+        tuples: Vec<(Key, u64, f64)>,
+        /// Lifecycle trace ids the ingest [`SpanSampler`] drew for these
+        /// tuples: one block draw reserves consecutive ids.
+        traces: Range<u64>,
+    },
     /// Snapshot now (between cycles) and reply with the path.
     Snapshot(SyncSender<Result<PathBuf, String>>),
     /// Stop the worker, optionally snapshotting first.
@@ -247,14 +242,14 @@ pub(crate) struct PipelineCtx {
 
 impl PipelineCtx {
     /// Record `Dequeue` and `AggStart` for every sampled tuple of a
-    /// message entering the engine, keeping their trace ids in `sampled`
-    /// for the cycle's later stages.
-    fn enter_stages(&self, tuples: &[IngestTuple], sampled: &mut Vec<u64>) {
+    /// `tuples`-tuple message entering the engine, keeping their trace
+    /// ids in `sampled` for the cycle's later stages.
+    fn enter_stages(&self, traces: Range<u64>, tuples: usize, sampled: &mut Vec<u64>) {
         if let Some(trace) = &self.trace {
-            for t in tuples.iter().filter(|t| t.trace != 0) {
-                trace.stage(t.trace, Stage::Dequeue, 0);
-                trace.stage(t.trace, Stage::AggStart, tuples.len() as u64);
-                sampled.push(t.trace);
+            for id in traces {
+                trace.stage(id, Stage::Dequeue, 0);
+                trace.stage(id, Stage::AggStart, tuples as u64);
+                sampled.push(id);
             }
         }
     }
@@ -303,8 +298,7 @@ impl PipelineHandle {
 
 /// Update shared status + metrics after a cycle's barrier. Ingest
 /// latency is recorded once per message: `stamps` holds each tuple
-/// message's `(ingest_ns, tuples)`, and the ingest reader stamps a whole
-/// message with one decode time.
+/// message's `(ingest_ns, tuples)`, a message carrying one decode stamp.
 fn record_run(ctx: &PipelineCtx, stats: &EngineStats, stamps: &[(u64, u64)]) {
     let end_ns = ctx.epoch.elapsed_ns();
     for &(ingest_ns, tuples) in stamps {
@@ -361,7 +355,7 @@ trait Plan: Send + 'static {
     ) -> ResidentEngine<'scope, Self::Proc>;
 
     /// Route one message's tuples into the engine's shards.
-    fn route(&mut self, engine: &mut ResidentEngine<'_, Self::Proc>, tuples: &[IngestTuple]);
+    fn route(&mut self, engine: &mut ResidentEngine<'_, Self::Proc>, tuples: &[(Key, u64, f64)]);
 
     /// The event-time frontier (largest timestamp seen); 0 where time is
     /// positional.
@@ -397,11 +391,11 @@ fn in_order<P>(processors: Vec<P>) -> impl FnMut(usize) -> P {
 }
 
 /// One message's tuples as a count path source.
-struct MessageTuples<'a>(std::slice::Iter<'a, IngestTuple>);
+struct MessageTuples<'a>(std::slice::Iter<'a, (Key, u64, f64)>);
 
 impl KeyedSource for MessageTuples<'_> {
     fn next_tuple(&mut self) -> Option<(Key, f64)> {
-        self.0.next().map(|t| (t.key, t.value))
+        self.0.next().map(|&(key, _, value)| (key, value))
     }
 }
 
@@ -488,7 +482,7 @@ where
         ResidentEngine::start(scope, config, in_order(processors))
     }
 
-    fn route(&mut self, engine: &mut ResidentEngine<'_, Self::Proc>, tuples: &[IngestTuple]) {
+    fn route(&mut self, engine: &mut ResidentEngine<'_, Self::Proc>, tuples: &[(Key, u64, f64)]) {
         engine.route_keyed(&mut MessageTuples(tuples.iter()), u64::MAX);
     }
 
@@ -515,16 +509,16 @@ struct EventPlan<O> {
 
 /// One message of an [`EventPlan`] as the engine's event source.
 struct CycleEvents<'a> {
-    tuples: std::slice::Iter<'a, IngestTuple>,
+    tuples: std::slice::Iter<'a, (Key, u64, f64)>,
     frontier: &'a mut u64,
     lateness: u64,
 }
 
 impl KeyedEventSource for CycleEvents<'_> {
     fn next_event(&mut self) -> Option<(Key, u64, f64)> {
-        let t = self.tuples.next()?;
-        *self.frontier = (*self.frontier).max(t.ts);
-        Some((t.key, t.ts, t.value))
+        let &(key, ts, value) = self.tuples.next()?;
+        *self.frontier = (*self.frontier).max(ts);
+        Some((key, ts, value))
     }
 
     fn low_watermark(&self) -> u64 {
@@ -571,7 +565,7 @@ where
         ResidentEngine::start_events(scope, config, None, in_order(processors))
     }
 
-    fn route(&mut self, engine: &mut ResidentEngine<'_, Self::Proc>, tuples: &[IngestTuple]) {
+    fn route(&mut self, engine: &mut ResidentEngine<'_, Self::Proc>, tuples: &[(Key, u64, f64)]) {
         let mut source = CycleEvents {
             tuples: tuples.iter(),
             frontier: &mut self.frontier,
@@ -685,12 +679,14 @@ fn serve<Pl: Plan>(
             while let Some(msg) = next.take() {
                 msgs += 1;
                 match msg {
-                    Msg::Tuples(tuples) => {
+                    Msg::Tuples {
+                        ingest_ns,
+                        tuples,
+                        traces,
+                    } => {
                         ctx.obs.queue.dequeued_n(tuples.len() as u64);
-                        ctx.enter_stages(&tuples, &mut sampled);
-                        if let Some(first) = tuples.first() {
-                            stamps.push((first.ingest_ns, tuples.len() as u64));
-                        }
+                        ctx.enter_stages(traces, tuples.len(), &mut sampled);
+                        stamps.push((ingest_ns, tuples.len() as u64));
                         plan.route(&mut engine, &tuples);
                     }
                     Msg::Snapshot(reply) => replies.push(reply),
@@ -932,7 +928,7 @@ mod tests {
             ResidentEngine::start(scope, config, in_order(processors))
         }
 
-        fn route(&mut self, engine: &mut ResidentEngine<'_, Faulty>, tuples: &[IngestTuple]) {
+        fn route(&mut self, engine: &mut ResidentEngine<'_, Faulty>, tuples: &[(Key, u64, f64)]) {
             engine.route_keyed(&mut MessageTuples(tuples.iter()), u64::MAX);
         }
 
@@ -973,14 +969,12 @@ mod tests {
             algo: PhantomData,
         });
         let worker = launch(plan, ctx, None).expect("the pipeline starts");
-        let tuple = |key| IngestTuple {
-            key,
-            ts: 0,
-            value: 1.0,
+        tx.send(Msg::Tuples {
             ingest_ns: 0,
-            trace: 0,
-        };
-        tx.send(Msg::Tuples((0..64).map(tuple).collect())).unwrap();
+            tuples: (0..64).map(|key| (key, 0, 1.0)).collect(),
+            traces: 0..0,
+        })
+        .unwrap();
         worker
             .join()
             .expect("the pipeline thread catches the panic");

@@ -17,7 +17,7 @@ use swag_trace::chrome::write_chrome_trace;
 use swag_trace::{FlightRecorder, SpanSampler, Stage};
 
 use crate::control;
-use crate::pipeline::{spawn_pipeline, IngestTarget, IngestTuple, Msg, PipelineHandle};
+use crate::pipeline::{spawn_pipeline, IngestTarget, Msg, PipelineHandle};
 use crate::proto;
 use crate::slo;
 use crate::snapshot::{read_snapshot, Snapshot};
@@ -452,29 +452,25 @@ fn forward(
 ) -> Result<(), String> {
     let ingest_ns = state.epoch.elapsed_ns();
     for chunk in tuples.chunks(FORWARD_CHUNK) {
-        let mut batch: Vec<IngestTuple> = chunk
-            .iter()
-            .map(|&(key, ts, value)| IngestTuple {
-                key,
-                ts,
-                value,
-                ingest_ns,
-                trace: 0,
-            })
-            // alloc:amortized one owned batch per FORWARD_CHUNK tuples; the worker consumes it, so the buffer cannot be reused
-            .collect();
-        let n = batch.len() as u64;
-        // One atomic draw covers the whole chunk; only the 1-in-N hits
-        // pay a trace-id stamp and an Ingest stage record. The record
-        // reuses `ingest_ns` — the ring shares `state.epoch`, and the
-        // whole chunk was decoded at that instant anyway — so sampling
-        // adds no clock reads to the ingest loop.
+        let n = chunk.len() as u64;
+        // One atomic draw covers the whole chunk and reserves its hits'
+        // ids consecutively; only the 1-in-N hits pay an Ingest stage
+        // record. The record reuses `ingest_ns` — the ring shares
+        // `state.epoch`, and the whole chunk was decoded at that instant
+        // anyway — so sampling adds no clock reads to the ingest loop.
+        let mut traces = 0..0;
         if let Some(sampler) = &target.trace {
-            for (offset, id) in sampler.sample_block(n) {
-                batch[offset].trace = id;
+            for (_, id) in sampler.sample_block(n) {
                 sampler.stage_at(ingest_ns, id, Stage::Ingest, frame);
+                traces = if traces.is_empty() { id } else { traces.start }..id + 1;
             }
         }
+        let msg = Msg::Tuples {
+            ingest_ns,
+            // alloc:amortized one owned batch per FORWARD_CHUNK tuples; the worker consumes it, so the buffer cannot be reused
+            tuples: chunk.to_vec(),
+            traces,
+        };
         // Gauge up before the send: depth counts tuples committed to
         // the pipeline but not yet absorbed into a cycle, including the
         // batch a blocked send is holding.
@@ -482,7 +478,7 @@ fn forward(
         // This send is the backpressure point: it blocks while the
         // pipeline's bounded queue is full, which in turn stalls the
         // remote writer through the kernel socket buffers.
-        if target.tx.send(Msg::Tuples(batch)).is_err() {
+        if target.tx.send(msg).is_err() {
             target.queue.dequeued_n(n);
             // alloc:amortized error path only — pipeline stopped mid-stream
             return Err("pipeline stopped while streaming".to_string());

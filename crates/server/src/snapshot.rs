@@ -38,7 +38,7 @@ use std::path::{Path, PathBuf};
 
 use swag_core::state::{PartialCodec, StateError};
 
-use crate::spec::{OpKind, PipelineSpec, PlanKind, ALGORITHMS};
+use crate::spec::{check_name, OpKind, PipelineSpec, PlanKind, ALGORITHMS};
 
 /// Snapshot file magic.
 pub const SNAP_MAGIC: &[u8; 4] = b"SWAG";
@@ -294,7 +294,8 @@ pub fn snapshot_path(dir: &Path, name: &str) -> PathBuf {
     dir.join(format!("{name}.swag"))
 }
 
-/// Write `snap` to `dir/<name>.swag` atomically (temp file + rename).
+/// Write `snap` to `dir/<name>.swag` atomically and durably: a synced
+/// temp file, a rename, then a synced directory.
 pub fn write_snapshot(dir: &Path, snap: &Snapshot) -> Result<PathBuf, String> {
     fs::create_dir_all(dir).map_err(|e| format!("create {}: {e}", dir.display()))?;
     let path = snapshot_path(dir, &snap.spec.name);
@@ -306,11 +307,17 @@ pub fn write_snapshot(dir: &Path, snap: &Snapshot) -> Result<PathBuf, String> {
         .map_err(|e| format!("write {}: {e}", tmp.display()))?;
     drop(f);
     fs::rename(&tmp, &path).map_err(|e| format!("rename to {}: {e}", path.display()))?;
+    // The rename is durable only once the directory entry is.
+    fs::File::open(dir)
+        .and_then(|d| d.sync_all())
+        .map_err(|e| format!("sync {}: {e}", dir.display()))?;
     Ok(path)
 }
 
-/// Read and decode `dir/<name>.swag`.
+/// Read and decode `dir/<name>.swag`. An invalid pipeline name is refused
+/// before the filesystem is touched, so no name reaches outside `dir`.
 pub fn read_snapshot(dir: &Path, name: &str) -> Result<Snapshot, String> {
+    check_name(name)?;
     let path = snapshot_path(dir, name);
     let bytes = fs::read(&path).map_err(|e| format!("read {}: {e}", path.display()))?;
     Snapshot::decode(&bytes).map_err(|e| format!("{}: {e}", path.display()))

@@ -255,6 +255,22 @@ impl SloSpec {
     }
 }
 
+/// Check a pipeline name: 1..=64 bytes of `[A-Za-z0-9_-]`. It is also a
+/// snapshot file stem, so this keeps create and restore inside the
+/// snapshot directory.
+pub(crate) fn check_name(name: &str) -> Result<(), String> {
+    let allowed = |b: u8| b.is_ascii_alphanumeric() || b == b'-' || b == b'_';
+    if name.is_empty() || name.len() > 64 {
+        Err("pipeline name must be 1..=64 bytes".into())
+    } else if !name.bytes().all(allowed) {
+        Err(format!(
+            "pipeline name {name:?} may only contain [A-Za-z0-9_-]"
+        ))
+    } else {
+        Ok(())
+    }
+}
+
 /// Everything needed to (re)create a named pipeline.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PipelineSpec {
@@ -277,19 +293,7 @@ pub struct PipelineSpec {
 impl PipelineSpec {
     /// Validate cross-field consistency, returning a client-readable error.
     pub fn validate(&self) -> Result<(), String> {
-        if self.name.is_empty() || self.name.len() > 64 {
-            return Err("pipeline name must be 1..=64 bytes".into());
-        }
-        if !self
-            .name
-            .bytes()
-            .all(|b| b.is_ascii_alphanumeric() || b == b'-' || b == b'_')
-        {
-            return Err(format!(
-                "pipeline name {:?} may only contain [A-Za-z0-9_-]",
-                self.name
-            ));
-        }
+        check_name(&self.name)?;
         if self.shards < 1 {
             return Err("shards must be at least 1".into());
         }

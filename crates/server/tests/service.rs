@@ -408,3 +408,34 @@ fn unknown_pipeline_ingest_gets_err_ack() {
     server.shutdown().unwrap();
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A restore name that climbs out of the snapshot directory is refused
+/// before any file is read, through the API and over HTTP: a valid
+/// snapshot one directory up stays unread and no pipeline appears.
+#[test]
+fn restore_refuses_names_outside_the_snapshot_dir() {
+    let base = temp_dir("escape");
+    let server = start(&base);
+    server.create_pipeline(count_spec("evil")).unwrap();
+    stream_binary(&server, "evil", &workload(100));
+    wait_tuples(&server, "evil", 100);
+    server.shutdown().unwrap();
+    assert!(base.join("evil.swag").exists(), "shutdown snapshotted");
+
+    let server = start(&base.join("inner"));
+    let err = server.restore_pipeline("../evil").unwrap_err();
+    assert!(err.contains("pipeline name"), "{err}");
+    let (head, body) = http(
+        &server,
+        "POST",
+        "/pipelines",
+        r#"{"name":"../evil","restore":true}"#,
+    );
+    assert!(head.starts_with("HTTP/1.1 4"), "{head}\n{body}");
+    assert!(
+        server.status_json("evil").is_none(),
+        "a pipeline was created"
+    );
+    server.shutdown().unwrap();
+    let _ = std::fs::remove_dir_all(&base);
+}
