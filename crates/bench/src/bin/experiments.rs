@@ -6,14 +6,13 @@
 //! ```
 //!
 //! Subcommands: `table1`, `exp1a`, `exp1b`, `exp2a`, `exp2b`, `exp3`,
-//! `exp4`, `workloads`, `pats`, `scaling`, `bulk`, `ooo`, `kernels`,
-//! `nexmark`, `tails`, `all`. Flags: `--quick`,
+//! `exp4`, `workloads`, `pats`, `ooo`, `kernels`, `nexmark`, `tails`,
+//! `all`. Flags: `--quick`,
 //! `--max-exp E`, `--multi-max-exp E`, `--budget-ms N`,
 //! `--latency-tuples N`, `--seed S`, `--out DIR`, `--no-save`.
 
 use swag_bench::{
-    bulk, exp1, exp2, exp3, exp4, kernels, nexmark, ooo, pats, scaling, table1, tails, workloads,
-    Config,
+    exp1, exp2, exp3, exp4, kernels, nexmark, ooo, pats, table1, tails, workloads, Config,
 };
 use swag_metrics::alloc::CountingAllocator;
 
@@ -23,9 +22,10 @@ static ALLOC: CountingAllocator = CountingAllocator;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: experiments <table1|exp1a|exp1b|exp2a|exp2b|exp3|exp4|workloads|pats|scaling|bulk|ooo|kernels|nexmark|tails|all> \
+        "usage: experiments <{}|all> \
          [--quick] [--max-exp E] [--multi-max-exp E] [--budget-ms N] \
-         [--latency-tuples N] [--seed S] [--out DIR] [--no-save]"
+         [--latency-tuples N] [--seed S] [--out DIR] [--no-save]",
+        SUBCOMMANDS.join("|")
     );
     std::process::exit(2);
 }
@@ -86,123 +86,64 @@ fn parse_args() -> (Vec<String>, Config) {
     (commands, cfg)
 }
 
-fn save_series(table: &swag_bench::report::SeriesTable, cfg: &Config) {
-    table.print();
-    if let Some(dir) = &cfg.out_dir {
-        if let Err(e) = table.save(dir) {
-            eprintln!("warning: could not save results: {e}");
+/// Every live subcommand, in the order `all` runs them.
+const SUBCOMMANDS: &[&str] = &[
+    "table1",
+    "exp1a",
+    "exp1b",
+    "exp2a",
+    "exp2b",
+    "exp3",
+    "exp4",
+    "workloads",
+    "pats",
+    "ooo",
+    "kernels",
+    "nexmark",
+    "tails",
+];
+
+/// Print a result table and, unless `--no-save`, write it under `--out`;
+/// a failed write warns rather than vanishing.
+macro_rules! report {
+    ($cfg:expr, $table:expr) => {{
+        let table = $table;
+        table.print();
+        if let Some(dir) = &$cfg.out_dir {
+            if let Err(e) = table.save(dir) {
+                eprintln!("warning: could not save results: {e}");
+            }
         }
-    }
+    }};
 }
 
 fn main() {
     let (commands, cfg) = parse_args();
-    let commands: Vec<String> = if commands.iter().any(|c| c == "all") {
-        [
-            "table1",
-            "exp1a",
-            "exp1b",
-            "exp2a",
-            "exp2b",
-            "exp3",
-            "exp4",
-            "workloads",
-            "pats",
-            "scaling",
-            "bulk",
-            "ooo",
-            "kernels",
-            "nexmark",
-            "tails",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect()
+    let commands: Vec<&str> = if commands.iter().any(|c| c == "all") {
+        SUBCOMMANDS.to_vec()
     } else {
-        commands
+        commands.iter().map(String::as_str).collect()
     };
 
-    for cmd in &commands {
-        match cmd.as_str() {
-            "table1" => {
-                let t = table1::run(&cfg);
-                t.print();
-                if let Some(dir) = &cfg.out_dir {
-                    let _ = t.save(dir);
-                }
-            }
-            "exp1a" => save_series(&exp1::run(&cfg, true), &cfg),
-            "exp1b" => save_series(&exp1::run(&cfg, false), &cfg),
-            "exp2a" => save_series(&exp2::run(&cfg, true), &cfg),
-            "exp2b" => save_series(&exp2::run(&cfg, false), &cfg),
-            "exp3" => {
-                let t = exp3::run(&cfg);
-                t.print();
-                if let Some(dir) = &cfg.out_dir {
-                    let _ = t.save(dir);
-                }
-            }
-            "pats" => {
-                let t = pats::run(&cfg);
-                t.print();
-                if let Some(dir) = &cfg.out_dir {
-                    let _ = t.save(dir);
-                }
-            }
-            "workloads" => {
-                let t = workloads::run(&cfg);
-                t.print();
-                if let Some(dir) = &cfg.out_dir {
-                    let _ = t.save(dir);
-                }
-            }
-            "scaling" => {
-                let t = scaling::run(&cfg);
-                t.print();
-                if let Some(dir) = &cfg.out_dir {
-                    let _ = t.save(dir);
-                }
-            }
-            "bulk" => {
-                let t = bulk::run(&cfg);
-                t.print();
-                if let Some(dir) = &cfg.out_dir {
-                    let _ = t.save(dir);
-                }
-            }
-            "ooo" => {
-                let t = ooo::run(&cfg);
-                t.print();
-                if let Some(dir) = &cfg.out_dir {
-                    let _ = t.save(dir);
-                }
-            }
-            "kernels" => {
-                let t = kernels::run(&cfg);
-                t.print();
-                if let Some(dir) = &cfg.out_dir {
-                    let _ = t.save(dir);
-                }
-            }
-            "nexmark" => {
-                let t = nexmark::run(&cfg);
-                t.print();
-                if let Some(dir) = &cfg.out_dir {
-                    let _ = t.save(dir);
-                }
-            }
-            "tails" => {
-                let t = tails::run(&cfg);
-                t.print();
-                if let Some(dir) = &cfg.out_dir {
-                    let _ = t.save(dir);
-                }
-            }
+    for cmd in commands {
+        match cmd {
+            "table1" => report!(cfg, table1::run(&cfg)),
+            "exp1a" => report!(cfg, exp1::run(&cfg, true)),
+            "exp1b" => report!(cfg, exp1::run(&cfg, false)),
+            "exp2a" => report!(cfg, exp2::run(&cfg, true)),
+            "exp2b" => report!(cfg, exp2::run(&cfg, false)),
+            "exp3" => report!(cfg, exp3::run(&cfg)),
             "exp4" => {
                 let (measured, analytic) = exp4::run(&cfg);
-                save_series(&measured, &cfg);
-                save_series(&analytic, &cfg);
+                report!(cfg, measured);
+                report!(cfg, analytic);
             }
+            "workloads" => report!(cfg, workloads::run(&cfg)),
+            "pats" => report!(cfg, pats::run(&cfg)),
+            "ooo" => report!(cfg, ooo::run(&cfg)),
+            "kernels" => report!(cfg, kernels::run(&cfg)),
+            "nexmark" => report!(cfg, nexmark::run(&cfg)),
+            "tails" => report!(cfg, tails::run(&cfg)),
             _ => usage(),
         }
     }

@@ -16,8 +16,6 @@
 //! | Fig. 15 (memory requirement) | [`exp4`] | `exp4` |
 //! | §4 input-dependence ablation (extension) | [`workloads`] | `workloads` |
 //! | §2.1 PAT ablation (extension) | [`pats`] | `pats` |
-//! | Sharded-engine scaling (extension) | [`scaling`] | `scaling` |
-//! | Bulk-ingestion batch sweep (extension) | [`bulk`] | `bulk` |
 //! | Out-of-order ingestion sweep (extension) | [`ooo`] | `ooo` |
 //! | Batch-kernel sweep (extension) | [`kernels`] | `kernels` |
 //! | NEXMark service scenario (extension) | [`nexmark`] | `nexmark` |
@@ -26,7 +24,6 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod bulk;
 pub mod exp1;
 pub mod exp2;
 pub mod exp3;
@@ -41,7 +38,6 @@ pub mod ooo;
 pub mod pats;
 pub mod registry;
 pub mod report;
-pub mod scaling;
 pub mod table1;
 pub mod tails;
 pub mod workloads;

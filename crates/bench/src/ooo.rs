@@ -30,7 +30,7 @@ pub const OOO_RANGE: u64 = 128;
 /// Event-time window slide; the count-window baseline answers per tuple.
 pub const OOO_SLIDE: u64 = 32;
 
-/// Distinct keys, matching the bulk experiment.
+/// Distinct keys.
 pub const OOO_KEYS: usize = 8;
 
 /// The disorder bounds swept: in-order, mild, and heavy displacement.

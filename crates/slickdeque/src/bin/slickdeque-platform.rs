@@ -31,11 +31,10 @@ fn main() {
             eprintln!(
                 "usage: slickdeque-platform --op <sum|mean|stddev|max|min> \
                  --queries r:s[,r:s…] [--pat panes|pairs|cutty] \
-                 [--engine slickdeque|naive|flatfat|bint|flatfit|general] \
                  [--source stdin|debs:<seed>[:<ch>]|workload:<name>[:<seed>]] \
-                 [--tuples N] [--batch N] [--emit] [--keyed] [--shards N] [--keys N] \
-                 [--metrics-addr host:port] [--metrics-hold-ms N] \
-                 [--trace-capacity N] [--trace-out DIR]\n\
+                 [--tuples N] [--emit] [--keyed] [--shards N] [--keys N] \
+                 [--ooo] [--disorder N] [--lateness N] \
+                 [--metrics-addr host:port] [--metrics-hold-ms N] [--trace-out DIR]\n\
                  service:   slickdeque-platform --serve [--ingest-addr host:port] \
                  [--metrics-addr host:port] [--snapshot-dir DIR] [--trace-out DIR] \
                  [--pipeline JSON]... [--restore NAME]... [--serve-hold-ms N]"

@@ -7,9 +7,10 @@
 //! ```
 //!
 //! Queries are `range:slide` pairs (tuples). Invertible operations run on
-//! SlickDeque (Inv), selective ones on SlickDeque (Non-Inv); any plan the
-//! multi-query engines cannot serve (Cutty punctuations, non-uniform
-//! partial counts) falls back to the exact general executor.
+//! SlickDeque (Inv), selective ones on SlickDeque (Non-Inv); a plan the
+//! multi-query SlickDeque cannot serve (Cutty punctuations, non-uniform
+//! partial counts) runs on the exact general executor instead, or is
+//! refused with `--keyed`.
 //!
 //! `--keyed` switches to the sharded engine: the stream is partitioned by
 //! key (`--keys` DEBS machines or synthetic streams) across `--shards`
@@ -19,11 +20,6 @@
 //! slickdeque-platform --op max --queries 60:10 --source debs:42 \
 //!     --tuples 100000 --keyed --keys 20 --shards 4
 //! ```
-//!
-//! `--batch N` selects bulk vs scalar ingestion: unkeyed runs feed the
-//! shared-plan executor `N`-tuple slices through its batched push path,
-//! keyed runs use `N` as the engine's channel batch size. Answers are
-//! identical either way; batching only amortises per-tuple overheads.
 //!
 //! `--ooo` switches a keyed run to event time: each tuple is stamped with
 //! its stream position as the event timestamp, `--queries` ranges and
@@ -41,7 +37,6 @@
 use crate::prelude::*;
 use std::io::{BufRead, Write};
 use std::str::FromStr;
-use swag_core::ops::MeanPartial;
 use swag_data::event::DisorderedKeyedSource;
 use swag_data::keyed::{KeyedDebsSource, KeyedSource, KeyedWorkloadSource};
 use swag_engine::{EngineConfig, EngineStats, KeyedEventWindows, KeyedPlans, ShardedEngine};
@@ -134,43 +129,6 @@ impl FromStr for SourceChoice {
     }
 }
 
-/// Which multi-query engine answers the plan.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EngineChoice {
-    /// SlickDeque (Inv for invertible ops, Non-Inv for selective ones) —
-    /// the paper's contribution and the default.
-    #[default]
-    SlickDeque,
-    /// The Naive / Panes final aggregation baseline.
-    Naive,
-    /// FlatFAT.
-    FlatFat,
-    /// B-Int.
-    BInt,
-    /// FlatFIT (dense multi-query regime).
-    FlatFit,
-    /// The exact general executor: serves any plan, including Cutty
-    /// punctuations and non-uniform partial counts.
-    General,
-}
-
-impl FromStr for EngineChoice {
-    type Err = String;
-    fn from_str(s: &str) -> Result<Self, String> {
-        match s {
-            "slickdeque" => Ok(EngineChoice::SlickDeque),
-            "naive" => Ok(EngineChoice::Naive),
-            "flatfat" => Ok(EngineChoice::FlatFat),
-            "bint" => Ok(EngineChoice::BInt),
-            "flatfit" => Ok(EngineChoice::FlatFit),
-            "general" => Ok(EngineChoice::General),
-            other => Err(format!(
-                "unknown engine {other:?} (expected slickdeque|naive|flatfat|bint|flatfit|general)"
-            )),
-        }
-    }
-}
-
 /// Parsed command line.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CliConfig {
@@ -180,8 +138,6 @@ pub struct CliConfig {
     pub queries: Vec<Query>,
     /// Partial-aggregation technique.
     pub pat: Pat,
-    /// Multi-query engine.
-    pub engine: EngineChoice,
     /// Tuple source.
     pub source: SourceChoice,
     /// Tuples to process (None = until the source ends).
@@ -196,22 +152,15 @@ pub struct CliConfig {
     /// Distinct keys the keyed sources generate (DEBS machines /
     /// synthetic streams).
     pub keys: usize,
-    /// Ingestion batch size (`--batch`). `None` keeps the defaults:
-    /// scalar pull-based execution unkeyed, the engine's default channel
-    /// batch keyed. `Some(n > 1)` drives the bulk fast paths: chunked
-    /// [`SharedPlanExecutor::push_batch`] unkeyed, `n`-tuple channel
-    /// batches keyed.
-    pub batch: Option<usize>,
     /// Serve live `/metrics` (Prometheus text) and `/metrics.json` on this
     /// address during a keyed run (e.g. `127.0.0.1:9184`; port 0 picks an
     /// ephemeral port, printed to stderr).
     pub metrics_addr: Option<String>,
-    /// Per-shard flight-recorder ring capacity in events. `None` defaults
-    /// to 4096 when `--trace-out` is given, otherwise tracing is off.
-    pub trace_capacity: Option<usize>,
     /// Directory for `flightrec-<shard>.json` dumps (written on graceful
-    /// drain and on worker panic) and, with `--serve`, for the service's
-    /// `trace-<pipeline>.json` exports (`results` when absent).
+    /// drain and on worker panic; setting it arms a 4096-event flight
+    /// recorder per shard) and, with `--serve`, for
+    /// the service's `trace-<pipeline>.json` exports (`results` when
+    /// absent).
     pub trace_out: Option<std::path::PathBuf>,
     /// Keep the metrics endpoint up this long after the run finishes, so
     /// a scraper can read the final counters (CI smoke uses this).
@@ -257,7 +206,6 @@ impl CliConfig {
         let mut op = OpChoice::Sum;
         let mut queries = Vec::new();
         let mut pat = Pat::Pairs;
-        let mut engine = EngineChoice::default();
         let mut source = SourceChoice::Debs {
             seed: 42,
             channel: 0,
@@ -267,9 +215,7 @@ impl CliConfig {
         let mut keyed = false;
         let mut shards = 1usize;
         let mut keys = 8usize;
-        let mut batch = None;
         let mut metrics_addr = None;
-        let mut trace_capacity = None;
         let mut trace_out = None;
         let mut metrics_hold_ms = 0u64;
         let mut ooo = false;
@@ -289,8 +235,8 @@ impl CliConfig {
         {
             raw.parse().map_err(|e| format!("bad {what}: {e}"))
         }
-        let positive = |n: usize, flag: &str, unit: &str| match n {
-            0 => Err(format!("{flag} must be at least 1{unit}")),
+        let positive = |n: usize, flag: &str| match n {
+            0 => Err(format!("{flag} must be at least 1")),
             n => Ok(n),
         };
         let mut args = args.into_iter();
@@ -319,30 +265,15 @@ impl CliConfig {
                         other => return Err(format!("unknown PAT {other:?}")),
                     }
                 }
-                "--engine" => engine = value("--engine")?.parse()?,
                 "--source" => source = value("--source")?.parse()?,
                 "--tuples" => tuples = Some(num(value("--tuples")?, "tuple count")?),
                 "--emit" => emit = true,
                 "--keyed" => keyed = true,
                 "--shards" => {
-                    shards = positive(num(value("--shards")?, "shard count")?, "--shards", "")?
+                    shards = positive(num(value("--shards")?, "shard count")?, "--shards")?
                 }
-                "--keys" => keys = positive(num(value("--keys")?, "key count")?, "--keys", "")?,
-                "--batch" => {
-                    batch = Some(positive(
-                        num(value("--batch")?, "batch size")?,
-                        "--batch",
-                        "",
-                    )?)
-                }
+                "--keys" => keys = positive(num(value("--keys")?, "key count")?, "--keys")?,
                 "--metrics-addr" => metrics_addr = Some(value("--metrics-addr")?),
-                "--trace-capacity" => {
-                    trace_capacity = Some(positive(
-                        num(value("--trace-capacity")?, "trace capacity")?,
-                        "--trace-capacity",
-                        " event",
-                    )?)
-                }
                 "--trace-out" => trace_out = Some(std::path::PathBuf::from(value("--trace-out")?)),
                 "--metrics-hold-ms" => {
                     metrics_hold_ms = num(value("--metrics-hold-ms")?, "hold duration")?
@@ -399,30 +330,21 @@ impl CliConfig {
         }
         if !keyed
             && !serve
-            && (metrics_addr.is_some()
-                || trace_capacity.is_some()
-                || trace_out.is_some()
-                || metrics_hold_ms > 0)
+            && (metrics_addr.is_some() || trace_out.is_some() || metrics_hold_ms > 0)
         {
-            return Err(
-                "--metrics-addr/--trace-capacity/--trace-out/--metrics-hold-ms require --keyed"
-                    .into(),
-            );
+            return Err("--metrics-addr/--trace-out/--metrics-hold-ms require --keyed".into());
         }
         Ok(CliConfig {
             op,
             queries,
             pat,
-            engine,
             source,
             tuples,
             emit,
             keyed,
             shards,
             keys,
-            batch,
             metrics_addr,
-            trace_capacity,
             trace_out,
             metrics_hold_ms,
             ooo,
@@ -488,29 +410,9 @@ pub fn run_serve(cfg: &CliConfig) -> Result<(), String> {
     server.shutdown()
 }
 
-/// Drive a shared-plan executor over the whole source: pull-based when the
-/// batch size is 1 (scalar), push-based in `batch`-tuple chunks otherwise.
-/// Answers are bitwise identical either way.
-fn drive_shared<O, M, K>(
-    exec: &mut SharedPlanExecutor<O, M>,
-    source: &mut VecSource,
-    batch: usize,
-    sink: &mut K,
-) where
-    O: AggregateOp<Input = f64> + Clone,
-    M: MultiFinalAggregator<O>,
-    K: Sink<O::Partial>,
-{
-    if batch <= 1 {
-        exec.run(source, u64::MAX, sink);
-    } else {
-        let n = source.remaining();
-        let values = source.take_values(n);
-        for chunk in values.chunks(batch) {
-            exec.push_batch(chunk, sink);
-        }
-    }
-}
+/// Per-shard flight-recorder ring capacity, in events, on a keyed run with
+/// `--trace-out`.
+const TRACE_CAPACITY: usize = 4096;
 
 /// Resolve a workload name from the command line.
 fn parse_workload(name: &str) -> Result<Workload, String> {
@@ -575,16 +477,81 @@ pub struct QuerySummary {
     pub last_answer: String,
 }
 
-/// Every registered query, before its first answer.
-fn blank_summaries(cfg: &CliConfig) -> Vec<QuerySummary> {
-    cfg.queries
+/// One answer, lowered to `f64`: the key on keyed runs, the query index,
+/// the closed window's end on event-time runs, and the value.
+type Answer = (Option<u64>, usize, Option<u64>, f64);
+
+/// Count every answer against its query, keeping the last one rendered;
+/// with `--emit`, also write each as a tab-separated line of its fields.
+fn tally(
+    cfg: &CliConfig,
+    out: &mut dyn Write,
+    answers: impl IntoIterator<Item = Answer>,
+) -> Result<Vec<QuerySummary>, String> {
+    let mut summaries: Vec<QuerySummary> = cfg
+        .queries
         .iter()
         .map(|q| QuerySummary {
             query: *q,
             answers: 0,
             last_answer: "—".to_string(),
         })
-        .collect()
+        .collect();
+    for (key, qi, end, answer) in answers {
+        let rendered = format!("{answer:.6}");
+        if cfg.emit {
+            let key = key.map_or(String::new(), |k| format!("{k}\t"));
+            let end = end.map_or(String::new(), |e| format!("\t{e}"));
+            writeln!(out, "{key}{qi}{end}\t{rendered}").map_err(|e| e.to_string())?;
+        }
+        summaries[qi].answers += 1;
+        summaries[qi].last_answer = rendered;
+    }
+    Ok(summaries)
+}
+
+/// Whether the multi-query SlickDeque can serve `plan`: no Cutty
+/// punctuations and a uniform partial count per query.
+fn shared_plan_fits(plan: &SharedPlan) -> bool {
+    plan.all_edges_cut() && plan.uniform_query_ranges().is_some()
+}
+
+/// Evaluate `$body` with `$op` bound to the chosen operation and, if
+/// named, `$multi` to the multi-query SlickDeque of its class: Inv for
+/// invertible ops, Non-Inv for selective ones.
+macro_rules! with_op {
+    ($choice:expr, |$op:ident $(, $multi:ident)?| $body:expr) => {
+        match $choice {
+            OpChoice::Sum => with_op!(@ Sum::<f64>::new(), MultiSlickDequeInv, $op [$($multi)?] $body),
+            OpChoice::Mean => with_op!(@ Mean::new(), MultiSlickDequeInv, $op [$($multi)?] $body),
+            OpChoice::StdDev => with_op!(@ StdDev::new(), MultiSlickDequeInv, $op [$($multi)?] $body),
+            OpChoice::Max => with_op!(@ MaxF64::new(), MultiSlickDequeNonInv, $op [$($multi)?] $body),
+            OpChoice::Min => with_op!(@ MinF64::new(), MultiSlickDequeNonInv, $op [$($multi)?] $body),
+        }
+    };
+    (@ $new:expr, $slick:ident, $op:ident [$($multi:ident)?] $body:expr) => {{
+        let $op = $new;
+        $(type $multi<O> = $slick<O>;)?
+        $body
+    }};
+}
+
+/// Every answer of `plan` over the whole source, lowered to `f64`: the
+/// multi-query SlickDeque `M` when the plan fits it, otherwise the exact
+/// general executor, which serves any plan.
+fn answer_plan<O, M>(op: O, plan: SharedPlan, source: &mut VecSource) -> Vec<Answer>
+where
+    O: AggregateOp<Input = f64, Output = f64> + Clone,
+    M: MultiFinalAggregator<O>,
+{
+    let mut sink = CollectSink::new();
+    if shared_plan_fits(&plan) {
+        SharedPlanExecutor::<O, M>::new(op.clone(), plan).run(source, u64::MAX, &mut sink);
+    } else {
+        GeneralPlanExecutor::new(op.clone(), plan).run(source, u64::MAX, &mut sink);
+    }
+    let lower = |(qi, partial): (usize, O::Partial)| (None, qi, None, op.lower(&partial));
+    sink.answers.into_iter().map(lower).collect()
 }
 
 /// Run the platform; returns per-query summaries. Answers are written to
@@ -599,114 +566,18 @@ pub fn run(
     }
     let plan = SharedPlan::build(&cfg.queries, cfg.pat);
     let mut source = build_source(cfg, stdin_values)?;
-    let slides = u64::MAX; // bounded by the materialised source
-
-    if cfg.engine != EngineChoice::General
-        && !(plan.all_edges_cut() && plan.uniform_query_ranges().is_some())
-    {
-        return Err(format!(
-            "engine {:?} needs a uniform, punctuation-free plan (this one \
-             has Cutty punctuations or non-uniform partial counts); use \
-             --engine general",
-            cfg.engine
-        ));
-    }
-
-    let batch = cfg.batch.unwrap_or(1);
-    if cfg.engine == EngineChoice::General && batch > 1 {
-        return Err(
-            "--batch drives the shared-plan executors; --engine general is \
-             pull-based and always scalar"
-                .into(),
-        );
-    }
-
-    // The exact general executor serves any plan; the named engines run
-    // the corresponding multi-query aggregator over the shared plan and
-    // produce identical answers (verified by the test suite). `$slick` is
-    // the SlickDeque flavour matching the op class: Inv for invertible
-    // ops, Non-Inv for selective ones.
-    macro_rules! run_engine {
-        ($op:expr, $sink:ident, $slick:ident) => {{
-            macro_rules! shared {
-                ($multi:ident) => {
-                    drive_shared(
-                        &mut SharedPlanExecutor::<_, $multi<_>>::new($op, plan.clone()),
-                        &mut source,
-                        batch,
-                        &mut $sink,
-                    )
-                };
-            }
-            match cfg.engine {
-                EngineChoice::General => {
-                    GeneralPlanExecutor::new($op, plan.clone()).run(
-                        &mut source,
-                        slides,
-                        &mut $sink,
-                    );
-                }
-                EngineChoice::SlickDeque => shared!($slick),
-                EngineChoice::Naive => shared!(MultiNaive),
-                EngineChoice::FlatFat => shared!(MultiFlatFat),
-                EngineChoice::BInt => shared!(MultiBInt),
-                EngineChoice::FlatFit => shared!(MultiFlatFit),
-            }
-        }};
-    }
-
-    macro_rules! run_op {
-        ($op:expr, $render:expr, $class:tt) => {{
-            let op = $op;
-            let mut sink = CollectSink::new();
-            run_engine!(op, sink, $class);
-            let mut summaries = blank_summaries(cfg);
-            #[allow(clippy::redundant_closure_call)]
-            for (qi, answer) in &sink.answers {
-                let rendered: String = $render(&op, answer);
-                if cfg.emit {
-                    writeln!(out, "{qi}\t{rendered}").map_err(|e| e.to_string())?;
-                }
-                summaries[*qi].answers += 1;
-                summaries[*qi].last_answer = rendered;
-            }
-            Ok(summaries)
-        }};
-    }
-
-    match cfg.op {
-        OpChoice::Sum => run_op!(
-            Sum::<f64>::new(),
-            |_op: &Sum<f64>, a: &f64| format!("{a:.6}"),
-            MultiSlickDequeInv
-        ),
-        OpChoice::Mean => run_op!(
-            Mean::new(),
-            |op: &Mean, a: &MeanPartial| format!("{:.6}", op.lower(a)),
-            MultiSlickDequeInv
-        ),
-        OpChoice::StdDev => run_op!(
-            StdDev::new(),
-            |op: &StdDev, a| format!("{:.6}", op.lower(a)),
-            MultiSlickDequeInv
-        ),
-        OpChoice::Max => run_op!(
-            MaxF64::new(),
-            |_op: &MaxF64, a: &f64| format!("{a:.6}"),
-            MultiSlickDequeNonInv
-        ),
-        OpChoice::Min => run_op!(
-            MinF64::new(),
-            |_op: &MinF64, a: &f64| format!("{a:.6}"),
-            MultiSlickDequeNonInv
-        ),
-    }
+    let answers = with_op!(cfg.op, |op, Multi| answer_plan::<_, Multi<_>>(
+        op,
+        plan,
+        &mut source
+    ));
+    tally(cfg, out, answers)
 }
 
 /// Observability wiring for a keyed run: a registry (and live `/metrics`
 /// endpoint) when `--metrics-addr` is set, a flight recorder when
-/// `--trace-out` or `--trace-capacity` is set. The returned server (if
-/// any) must be held until the run finishes, then shut down.
+/// `--trace-out` is set. The returned server (if any) must be held until
+/// the run finishes, then shut down.
 fn build_observability(
     cfg: &CliConfig,
 ) -> Result<
@@ -731,11 +602,11 @@ fn build_observability(
     };
     let obs = swag_engine::ObservabilityConfig {
         registry: registry.clone(),
-        trace_capacity: cfg.trace_capacity.unwrap_or(if cfg.trace_out.is_some() {
-            4096
+        trace_capacity: if cfg.trace_out.is_some() {
+            TRACE_CAPACITY
         } else {
             0
-        }),
+        },
         trace_out: cfg.trace_out.clone(),
         sample_interval: registry
             .as_ref()
@@ -764,46 +635,36 @@ pub fn run_keyed(
     out: &mut dyn Write,
 ) -> Result<(Vec<QuerySummary>, EngineStats), String> {
     let tuples = cfg.tuples.ok_or("--tuples is required with --keyed")?;
-    // Called by each path once it has refused what it cannot run, so a
-    // bad command line starts nothing.
-    let set_up = || -> Result<_, String> {
-        let source = build_keyed_source(cfg)?;
-        let (server, obs) = build_observability(cfg)?;
-        let engine = ShardedEngine::try_new(EngineConfig {
-            shards: cfg.shards,
-            batch: cfg.batch.unwrap_or(EngineConfig::default().batch),
-            retain_answers: true,
-            obs,
-            ..EngineConfig::default()
-        })?;
-        Ok((source, server, engine))
-    };
+    // Arrival-order runs share one plan per key; event-time runs have
+    // none. Refuse a plan that cannot run before the metrics endpoint or
+    // any shard thread starts.
+    let plan = (!cfg.ooo).then(|| SharedPlan::build(&cfg.queries, cfg.pat));
+    if plan.as_ref().is_some_and(|plan| !shared_plan_fits(plan)) {
+        return Err("keyed mode runs shared plans per key and needs a uniform, \
+             punctuation-free plan (this one has Cutty punctuations or \
+             non-uniform partial counts)"
+            .into());
+    }
+    let mut source = build_keyed_source(cfg)?;
+    let (server, obs) = build_observability(cfg)?;
+    let engine = ShardedEngine::try_new(EngineConfig {
+        shards: cfg.shards,
+        retain_answers: true,
+        obs,
+        ..EngineConfig::default()
+    })?;
 
-    let mut summaries = blank_summaries(cfg);
-    // Per-key answers are lowered inside the shard workers, so every op
-    // and either path tallies the same way; `end` is the closed window's
-    // end on the event-time path.
-    let mut tally = |key: u64, qi: usize, end: Option<u64>, answer: f64| {
-        let rendered = format!("{answer:.6}");
-        if cfg.emit {
-            match end {
-                Some(end) => writeln!(out, "{key}\t{qi}\t{end}\t{rendered}"),
-                None => writeln!(out, "{key}\t{qi}\t{rendered}"),
-            }
-            .map_err(|e| e.to_string())?;
-        }
-        summaries[qi].answers += 1;
-        summaries[qi].last_answer = rendered;
-        Ok::<(), String>(())
-    };
-
-    let (server, stats) = if cfg.ooo {
-        if cfg.engine != EngineChoice::SlickDeque {
-            return Err("--ooo always runs time windows on the FiBA finger B-tree; \
-                 --engine selects count-based multi-query engines and does not apply"
-                .into());
-        }
-        let (source, server, engine) = set_up()?;
+    // Per-key answers are lowered to `f64` inside the shard workers.
+    let (summaries, stats) = if let Some(plan) = plan {
+        let run = with_op!(cfg.op, |op, Multi| engine.run(
+            source.as_mut(),
+            tuples,
+            |_shard| KeyedPlans::<_, Multi<_>>::new(op, plan.clone())
+        ));
+        let answers = run.answers.iter().flatten();
+        let lines = answers.map(|&(key, (qi, a))| (Some(key), qi, None, a));
+        (tally(cfg, out, lines)?, run.stats)
+    } else {
         let specs: Vec<TimeWindowSpec> = cfg
             .queries
             .iter()
@@ -816,68 +677,15 @@ pub fn run_keyed(
             SourceChoice::Debs { seed, .. } | SourceChoice::Synthetic { seed, .. } => *seed,
         };
         let mut source = DisorderedKeyedSource::new(source, cfg.disorder, seed);
-        macro_rules! events_op {
-            ($op:expr) => {{
-                let op = $op;
-                engine.run_events(&mut source, tuples, cfg.lateness, |_shard| {
-                    KeyedEventWindows::new(op, specs.clone())
-                })
-            }};
-        }
-        let run = match cfg.op {
-            OpChoice::Sum => events_op!(Sum::<f64>::new()),
-            OpChoice::Mean => events_op!(Mean::new()),
-            OpChoice::StdDev => events_op!(StdDev::new()),
-            OpChoice::Max => events_op!(MaxF64::new()),
-            OpChoice::Min => events_op!(MinF64::new()),
-        };
-        for &(key, (qi, end, answer)) in run.answers.iter().flatten() {
-            tally(key, qi, Some(end), answer)?;
-        }
-        (server, run.stats)
-    } else {
-        let plan = SharedPlan::build(&cfg.queries, cfg.pat);
-        if !(plan.all_edges_cut() && plan.uniform_query_ranges().is_some()) {
-            return Err("keyed mode runs shared plans per key and needs a uniform, \
-                 punctuation-free plan (this one has Cutty punctuations or \
-                 non-uniform partial counts)"
-                .into());
-        }
-        if cfg.engine == EngineChoice::General {
-            return Err("--engine general is not available with --keyed".into());
-        }
-        let (mut source, server, engine) = set_up()?;
-        macro_rules! keyed_with {
-            ($op:expr, $multi:ident) => {{
-                let op = $op;
-                engine.run(source.as_mut(), tuples, |_shard| {
-                    KeyedPlans::<_, $multi<_>>::new(op, plan.clone())
-                })
-            }};
-        }
-        macro_rules! keyed_op {
-            ($op:expr, $slick:ident) => {{
-                match cfg.engine {
-                    EngineChoice::SlickDeque => keyed_with!($op, $slick),
-                    EngineChoice::Naive => keyed_with!($op, MultiNaive),
-                    EngineChoice::FlatFat => keyed_with!($op, MultiFlatFat),
-                    EngineChoice::BInt => keyed_with!($op, MultiBInt),
-                    EngineChoice::FlatFit => keyed_with!($op, MultiFlatFit),
-                    EngineChoice::General => unreachable!("rejected above"),
-                }
-            }};
-        }
-        let run = match cfg.op {
-            OpChoice::Sum => keyed_op!(Sum::<f64>::new(), MultiSlickDequeInv),
-            OpChoice::Mean => keyed_op!(Mean::new(), MultiSlickDequeInv),
-            OpChoice::StdDev => keyed_op!(StdDev::new(), MultiSlickDequeInv),
-            OpChoice::Max => keyed_op!(MaxF64::new(), MultiSlickDequeNonInv),
-            OpChoice::Min => keyed_op!(MinF64::new(), MultiSlickDequeNonInv),
-        };
-        for &(key, (qi, answer)) in run.answers.iter().flatten() {
-            tally(key, qi, None, answer)?;
-        }
-        (server, run.stats)
+        let run = with_op!(cfg.op, |op| engine.run_events(
+            &mut source,
+            tuples,
+            cfg.lateness,
+            |_shard| KeyedEventWindows::new(op, specs.clone())
+        ));
+        let answers = run.answers.iter().flatten();
+        let lines = answers.map(|&(key, (qi, end, a))| (Some(key), qi, Some(end), a));
+        (tally(cfg, out, lines)?, run.stats)
     };
 
     // Keep the endpoint alive for scrapers (CI smoke) before tearing it
@@ -1039,62 +847,33 @@ mod tests {
     }
 
     #[test]
-    fn all_engines_agree_on_a_uniform_plan() {
-        let values: Vec<f64> = (0..200).map(|i| ((i * 37) % 101) as f64).collect();
-        let mut reference: Option<Vec<QuerySummary>> = None;
-        for engine in [
-            "general",
-            "slickdeque",
-            "naive",
-            "flatfat",
-            "bint",
-            "flatfit",
-        ] {
-            for op in ["sum", "max"] {
-                let cfg = CliConfig::parse(args(&format!(
-                    "--op {op} --queries 24:4,16:8 --engine {engine} --source stdin"
-                )))
-                .unwrap();
-                let mut out = Vec::new();
-                let got = run(&cfg, Some(values.clone()), &mut out).unwrap();
-                match (&reference, op) {
-                    (None, "sum") => reference = Some(got),
-                    (Some(r), "sum") => {
-                        assert_eq!(&got, r, "engine {engine}");
-                    }
-                    _ => {
-                        // Max answers just need to be produced and equal
-                        // across engines; compare against the general run.
-                        let gcfg = CliConfig::parse(args(
-                            "--op max --queries 24:4,16:8 --engine general --source stdin",
-                        ))
-                        .unwrap();
-                        let mut gout = Vec::new();
-                        let gref = run(&gcfg, Some(values.clone()), &mut gout).unwrap();
-                        assert_eq!(got, gref, "engine {engine} (max)");
-                    }
-                }
-            }
-        }
+    fn punctuated_plans_fall_back_to_the_general_executor() {
+        // r=7, s=5 under Cutty produces punctuation edges, which the
+        // multi-query SlickDeque cannot serve.
+        let cfg =
+            CliConfig::parse(args("--op sum --queries 7:5 --pat cutty --source stdin")).unwrap();
+        assert!(!shared_plan_fits(&SharedPlan::build(&cfg.queries, cfg.pat)));
+        let mut out = Vec::new();
+        let summaries = run(&cfg, Some(vec![1.0; 20]), &mut out).unwrap();
+        assert_eq!(summaries[0].answers, 4);
+        assert_eq!(summaries[0].last_answer, "7.000000");
     }
 
     #[test]
-    fn named_engine_rejects_punctuated_plans() {
-        // r=7, s=5 under Cutty produces punctuation edges.
-        let cfg = CliConfig::parse(args(
-            "--op sum --queries 7:5 --pat cutty --engine slickdeque --source stdin",
-        ))
+    fn keyed_punctuated_plans_are_refused_before_any_thread_starts() {
+        // Hold the metrics port: had the endpoint been started first, its
+        // bind would fail and name --metrics-addr instead of the plan.
+        let held = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let cfg = CliConfig::parse(args(&format!(
+            "--op sum --queries 7:5 --pat cutty --source debs:3 --tuples 100 --keyed \
+             --metrics-addr {}",
+            held.local_addr().unwrap()
+        )))
         .unwrap();
         let mut out = Vec::new();
-        let err = run(&cfg, Some(vec![1.0; 20]), &mut out).unwrap_err();
-        assert!(err.contains("general"), "{err}");
-        // The general engine serves it fine.
-        let cfg = CliConfig::parse(args(
-            "--op sum --queries 7:5 --pat cutty --engine general --source stdin",
-        ))
-        .unwrap();
-        let summaries = run(&cfg, Some(vec![1.0; 20]), &mut out).unwrap();
-        assert_eq!(summaries[0].answers, 4);
+        let err = run_keyed(&cfg, &mut out).unwrap_err();
+        assert!(err.contains("punctuation-free"), "{err}");
+        assert!(out.is_empty());
     }
 
     #[test]
@@ -1115,12 +894,10 @@ mod tests {
     fn observability_flags_parse_and_require_keyed() {
         let cfg = CliConfig::parse(args(
             "--op sum --queries 8:2 --source debs:3 --tuples 100 --keyed \
-             --metrics-addr 127.0.0.1:0 --trace-capacity 512 --trace-out results \
-             --metrics-hold-ms 250",
+             --metrics-addr 127.0.0.1:0 --trace-out results --metrics-hold-ms 250",
         ))
         .unwrap();
         assert_eq!(cfg.metrics_addr.as_deref(), Some("127.0.0.1:0"));
-        assert_eq!(cfg.trace_capacity, Some(512));
         assert_eq!(
             cfg.trace_out.as_deref(),
             Some(std::path::Path::new("results"))
@@ -1132,7 +909,6 @@ mod tests {
         ))
         .unwrap();
         assert_eq!(cfg.metrics_addr, None);
-        assert_eq!(cfg.trace_capacity, None);
         assert_eq!(cfg.trace_out, None);
         assert_eq!(cfg.metrics_hold_ms, 0);
         // The single-threaded path has no shards to observe.
@@ -1144,75 +920,6 @@ mod tests {
             "--op sum --queries 8:2 --tuples 100 --trace-out results"
         ))
         .is_err());
-        // A zero-capacity ring records nothing and is a config error.
-        assert!(CliConfig::parse(args(
-            "--op sum --queries 8:2 --source debs:3 --tuples 100 --keyed --trace-capacity 0"
-        ))
-        .is_err());
-    }
-
-    #[test]
-    fn batch_flag_parses_and_validates() {
-        let cfg = CliConfig::parse(args("--op sum --queries 8:2 --tuples 100 --batch 64")).unwrap();
-        assert_eq!(cfg.batch, Some(64));
-        let cfg = CliConfig::parse(args("--op sum --queries 8:2 --tuples 100")).unwrap();
-        assert_eq!(cfg.batch, None);
-        assert!(CliConfig::parse(args("--op sum --queries 8:2 --tuples 100 --batch 0")).is_err());
-        assert!(CliConfig::parse(args("--op sum --queries 8:2 --tuples 100 --batch abc")).is_err());
-    }
-
-    #[test]
-    fn batched_ingestion_matches_scalar() {
-        let values: Vec<f64> = (0..300).map(|i| ((i * 37) % 101) as f64).collect();
-        for engine in ["slickdeque", "naive", "flatfat"] {
-            for op in ["sum", "max", "stddev"] {
-                let scalar_cfg = CliConfig::parse(args(&format!(
-                    "--op {op} --queries 24:4,16:8 --engine {engine} --source stdin --emit"
-                )))
-                .unwrap();
-                let mut scalar_out = Vec::new();
-                let scalar = run(&scalar_cfg, Some(values.clone()), &mut scalar_out).unwrap();
-
-                for batch in [1usize, 7, 64, 512] {
-                    let cfg = CliConfig::parse(args(&format!(
-                        "--op {op} --queries 24:4,16:8 --engine {engine} --source stdin \
-                         --emit --batch {batch}"
-                    )))
-                    .unwrap();
-                    let mut out = Vec::new();
-                    let got = run(&cfg, Some(values.clone()), &mut out).unwrap();
-                    assert_eq!(got, scalar, "{engine}/{op} batch {batch}");
-                    assert_eq!(out, scalar_out, "{engine}/{op} batch {batch} emit");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn general_engine_rejects_bulk_batching() {
-        let cfg = CliConfig::parse(args(
-            "--op sum --queries 8:2 --engine general --source stdin --batch 8",
-        ))
-        .unwrap();
-        let mut out = Vec::new();
-        let err = run(&cfg, Some(vec![1.0; 32]), &mut out).unwrap_err();
-        assert!(err.contains("--batch"), "{err}");
-    }
-
-    #[test]
-    fn keyed_batch_size_feeds_engine_config() {
-        let cfg = CliConfig::parse(args(
-            "--op sum --queries 4:1 --source workload:constant --tuples 64 \
-             --keyed --shards 2 --keys 3 --batch 16",
-        ))
-        .unwrap();
-        let mut out = Vec::new();
-        let (summaries, stats) = run_keyed(&cfg, &mut out).unwrap();
-        assert_eq!(summaries[0].answers, 64);
-        // 64 tuples over 16-tuple channel batches cannot need more than a
-        // couple of messages per shard.
-        assert!(stats.batches >= 4, "batches = {}", stats.batches);
-        assert!(stats.tuples_per_batch() <= 16.0);
     }
 
     /// Per-key answers do not depend on the shard count, in arrival order
@@ -1338,17 +1045,6 @@ mod tests {
                 "0\t0\t32\t8.000000",
             ]
         );
-    }
-
-    #[test]
-    fn ooo_rejects_named_engines() {
-        let cfg = CliConfig::parse(args(
-            "--op sum --queries 8:2 --source debs:3 --tuples 100 --keyed --ooo --engine naive",
-        ))
-        .unwrap();
-        let mut out = Vec::new();
-        let err = run_keyed(&cfg, &mut out).unwrap_err();
-        assert!(err.contains("--engine"), "{err}");
     }
 
     #[test]
