@@ -72,10 +72,13 @@ const SERVER_HOT_FNS: &[&str] = &["accept_loop"];
 /// aggregators themselves. The shard hand-off (the batch queue's send
 /// and receive), the worker's per-tuple slot look-up and grouping, the
 /// resident router's per-tuple step, its per-tuple late-drop check and
-/// its barrier run once per routed batch, tuple or service cycle.
+/// its barrier run once per routed batch, tuple or service cycle. The
+/// event-time emission loop (`TimeWindowExec::advance_into`) runs for
+/// every key on every watermark advance.
 const HOT_METHODS: &[(&str, &str)] = &[
     ("SharedPlanExecutor", "push"),
     ("SharedPlanExecutor", "push_batch"),
+    ("TimeWindowExec", "advance_into"),
     ("ResidentEngine", "steer"),
     ("OnTime", "judge"),
     ("ResidentEngine", "barrier"),

@@ -153,20 +153,23 @@ where
         }
     }
 
+    /// Every key's closed windows, straight into the worker's scratch.
     fn advance_watermark(&mut self, watermark: u64, out: &mut Vec<(Key, Self::Answer)>) {
         for (key, exec) in self.states.by_slot_mut() {
-            for answer in exec.advance_watermark(watermark) {
-                out.push((key, answer)); // alloc:amortized the worker's reused answer scratch; grows to the largest advance once
-            }
+            // alloc:amortized the worker's reused answer scratch; grows to the largest advance once
+            exec.advance_into(watermark, |answer| out.push((key, answer)));
         }
     }
 
     fn finish(&mut self, out: &mut Vec<(Key, Self::Answer)>) {
         for (key, exec) in self.states.by_slot_mut() {
-            for answer in exec.finish() {
-                out.push((key, answer));
-            }
+            exec.finish_into(|answer| out.push((key, answer)));
         }
+    }
+
+    /// One entry per query.
+    fn same_entry(a: &(usize, u64, f64), b: &(usize, u64, f64)) -> bool {
+        a.0 == b.0
     }
 
     fn keys(&self) -> usize {

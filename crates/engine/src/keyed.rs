@@ -91,6 +91,21 @@ pub trait ShardProcessor: Send {
     /// End of stream: emit every remaining window holding data.
     fn finish(&mut self, _out: &mut Vec<(Key, Self::Answer)>) {}
 
+    /// Whether answers `a` and `b` of one key update the same entry of a
+    /// table that keeps each entry's latest answer. With
+    /// [`EngineConfig::latest_only`] a worker retains only the last
+    /// answer of each entry per key per batch. An equivalence for a
+    /// processor that opts in; the default, `false` even for `a` with
+    /// itself, shares no entries, so every answer is retained.
+    ///
+    /// [`EngineConfig::latest_only`]: crate::EngineConfig::latest_only
+    fn same_entry(_a: &Self::Answer, _b: &Self::Answer) -> bool
+    where
+        Self: Sized,
+    {
+        false
+    }
+
     /// Largest event timestamp accepted so far (for watermark-lag
     /// reporting), or `None` before the first tuple and on the
     /// arrival-order path.
@@ -200,6 +215,11 @@ where
         out.extend(answer_scratch.drain(..).map(|p| (key, op.lower(&p))));
     }
 
+    /// One window per key: every answer updates the key's one entry.
+    fn same_entry(_: &f64, _: &f64) -> bool {
+        true
+    }
+
     fn keys(&self) -> usize {
         self.states.len()
     }
@@ -289,6 +309,11 @@ where
         for (qi, partial) in sink_scratch.0.drain(..) {
             out.push((key, (qi, op.lower(&partial)))); // alloc:amortized per-key state warms up once then stabilizes
         }
+    }
+
+    /// One entry per query.
+    fn same_entry(a: &(usize, f64), b: &(usize, f64)) -> bool {
+        a.0 == b.0
     }
 
     fn keys(&self) -> usize {

@@ -39,6 +39,22 @@
 //! let mut answers: Vec<_> = run.answers.into_iter().flatten().collect();
 //! answers.sort_by(|a, b| a.partial_cmp(b).unwrap());
 //! assert_eq!(answers, vec![(1, 2.0), (1, 5.0), (2, 5.0)]);
+//!
+//! // A table of each key's latest answer needs only those: with
+//! // `latest_only` a shard keeps one answer per entry per batch, and
+//! // still counts every answer.
+//! let engine = ShardedEngine::new(EngineConfig {
+//!     latest_only: true,
+//!     ..engine.config().clone()
+//! });
+//! let mut source = KeyedVecSource::new(vec![(1, 2.0), (2, 5.0), (1, 3.0)]);
+//! let run = engine.run(&mut source, u64::MAX, |_shard| {
+//!     KeyedWindows::<_, SlickDequeInv<_>>::new(Sum::<f64>::new(), 2)
+//! });
+//! assert_eq!(run.stats.answers, 3);
+//! let mut answers: Vec<_> = run.answers.into_iter().flatten().collect();
+//! answers.sort_by(|a, b| a.partial_cmp(b).unwrap());
+//! assert_eq!(answers, vec![(1, 5.0), (2, 5.0)]);
 //! ```
 //!
 //! [`FinalAggregator`]: swag_core::aggregator::FinalAggregator

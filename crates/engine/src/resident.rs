@@ -82,8 +82,18 @@ struct WorkerEnd<P: ShardProcessor> {
     inbox: BatchReceiver<(Key, P::Value), Control<P>>,
     reports: SyncSender<Report<P>>,
     gauge: QueueDepthGauge,
-    retain: bool,
+    retain: Retain,
     check_invariants: bool,
+}
+
+/// Which of its answers a worker keeps for the next barrier.
+#[derive(Clone, Copy)]
+enum Retain {
+    Nothing,
+    Every,
+    /// Each entry's last answer per key per batch
+    /// ([`ShardProcessor::same_entry`]).
+    Latest,
 }
 
 /// Control items, queued in order with the batches.
@@ -163,7 +173,11 @@ impl<'scope, P: ShardProcessor + 'scope> ResidentEngine<'scope, P> {
                 inbox,
                 reports: report_tx,
                 gauge: gauge.clone(),
-                retain: config.retain_answers,
+                retain: match (config.retain_answers, config.latest_only) {
+                    (false, _) => Retain::Nothing,
+                    (true, false) => Retain::Every,
+                    (true, true) => Retain::Latest,
+                },
                 check_invariants: config.check_invariants,
             };
             let processor = make_processor(shard);
@@ -443,23 +457,60 @@ impl<P: ShardProcessor> Lane<P> {
 impl<P: ShardProcessor> Report<P> {
     /// Take the answers a worker has just produced out of `scratch`:
     /// counted as produced, before the retain decision, so the tally is
-    /// the same whether or not answers are kept.
+    /// the same whatever is kept.
     fn tally_answers(
         &mut self,
         scratch: &mut Vec<(Key, P::Answer)>,
-        retain: bool,
+        retain: Retain,
         obs: Option<&ShardObs>,
     ) {
         self.stats.answers += scratch.len() as u64;
         if let Some(o) = obs {
             o.answers.add(scratch.len() as u64);
         }
-        if retain {
-            self.retained.append(scratch);
-        } else {
-            scratch.clear();
+        match retain {
+            Retain::Nothing => scratch.clear(),
+            Retain::Every => self.retained.append(scratch),
+            Retain::Latest => {
+                keep_latest::<P>(scratch);
+                self.retained.append(scratch);
+            }
         }
     }
+}
+
+/// Compact `answers` in place to each entry's last answer within every
+/// stretch of one key's answers. A key's answers from one batch form one
+/// stretch (one `process_slot` run, or one watermark advance), so the
+/// entries kept so far in a stretch number at most the processor's
+/// queries, and the look-back for a matching entry is that short. A kept
+/// answer stays where its entry first appeared, holding the entry's
+/// latest value: inserting the kept answers in order into a latest-answer
+/// table leaves the table that inserting every answer would.
+fn keep_latest<P: ShardProcessor>(answers: &mut Vec<(Key, P::Answer)>) {
+    let mut kept = 0;
+    let mut stretch = 0;
+    for i in 0..answers.len() {
+        let (key, answer) = &answers[i];
+        if kept > 0 && answers[kept - 1].0 != *key {
+            stretch = kept;
+        }
+        // An answer outside every entry is never merged, so a processor
+        // that does not opt in pays no look-back.
+        let entry = P::same_entry(answer, answer)
+            .then(|| {
+                (stretch..kept)
+                    .rev()
+                    .find(|&j| P::same_entry(&answers[j].1, answer))
+            })
+            .flatten();
+        let at = entry.unwrap_or_else(|| {
+            kept += 1;
+            kept - 1
+        });
+        answers.swap(at, i);
+    }
+    answers.truncate(kept);
 }
 
 /// Answers a worker's scratch keeps room for across a barrier.

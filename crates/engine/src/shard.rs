@@ -45,6 +45,11 @@ pub struct EngineConfig {
     /// result inspection). Leave off for throughput runs: answers are
     /// counted but not stored.
     pub retain_answers: bool,
+    /// With [`retain_answers`](Self::retain_answers), keep only each
+    /// entry's last answer per key per batch, entries as
+    /// [`ShardProcessor::same_entry`] groups them: for a caller that
+    /// keeps a table of latest answers. Every answer is still counted.
+    pub latest_only: bool,
     /// Run [`ShardProcessor::check_invariants`] on every shard after its
     /// graceful drain, panicking the worker on a violation. O(total window
     /// state) at shutdown; leave off for throughput runs.
@@ -61,6 +66,7 @@ impl Default for EngineConfig {
             queue_capacity: 64,
             batch: 256,
             retain_answers: false,
+            latest_only: false,
             check_invariants: false,
             obs: ObservabilityConfig::default(),
         }

@@ -187,6 +187,7 @@ fn series_match_stats_and_drain_dumps_parse(
         queue_capacity: 4,
         batch: 32,
         retain_answers: false,
+        latest_only: false,
         check_invariants: true,
         obs: ObservabilityConfig {
             registry: Some(registry.clone()),
@@ -305,6 +306,7 @@ fn panic_leaves_a_parseable_post_mortem(path: &str, drive: Path) {
         queue_capacity: 4,
         batch: 64,
         retain_answers: false,
+        latest_only: false,
         check_invariants: false,
         obs: ObservabilityConfig {
             registry: None,

@@ -363,26 +363,13 @@ trait Plan: Send + 'static {
         0
     }
 
-    /// Fold a cycle's retained answers into the answer table.
+    /// Fold a cycle's retained answers into the answer table, in order:
+    /// each shard retains only each entry's latest answers
+    /// ([`EngineConfig::latest_only`]), and a later one comes later.
     fn publish(table: &mut AnswerTable, answers: &[Vec<(Key, Answer<Self>)>]);
 }
 
 type Answer<Pl> = <<Pl as Plan>::Proc as ShardProcessor>::Answer;
-
-/// The last answer of each run of answers for one table entry (`same`
-/// tells whether two answers update the same entry). A shard emits a
-/// key's answers contiguously — one run per batch or watermark advance —
-/// and a later run for the entry comes later in the shard's list, so
-/// inserting only these leaves the table that inserting every answer
-/// would.
-fn run_lasts<A>(
-    answers: &[Vec<A>],
-    same: impl Fn(&A, &A) -> bool + Copy,
-) -> impl Iterator<Item = &A> {
-    answers
-        .iter()
-        .flat_map(move |shard| shard.chunk_by(same).filter_map(<[A]>::last))
-}
 
 /// Hands the engine each shard's processor in shard order.
 fn in_order<P>(processors: Vec<P>) -> impl FnMut(usize) -> P {
@@ -488,7 +475,7 @@ where
 
     fn publish(table: &mut AnswerTable, answers: &[Vec<(Key, f64)>]) {
         if let AnswerTable::Count(map) = table {
-            for &(k, v) in run_lasts(answers, |a, b| a.0 == b.0) {
+            for &(k, v) in answers.iter().flatten() {
                 map.insert(k, v);
             }
         }
@@ -580,10 +567,7 @@ where
 
     fn publish(table: &mut AnswerTable, answers: &[Vec<(Key, (usize, u64, f64))>]) {
         if let AnswerTable::Event(map) = table {
-            let same = |a: &(Key, (usize, u64, f64)), b: &(Key, (usize, u64, f64))| {
-                (a.0, a.1 .0) == (b.0, b.1 .0)
-            };
-            for &(k, (q, end, v)) in run_lasts(answers, same) {
+            for &(k, (q, end, v)) in answers.iter().flatten() {
                 map.insert((k, q), (end, v));
             }
         }
@@ -636,6 +620,9 @@ fn serve<Pl: Plan>(
         shards: ctx.spec.shards,
         batch: ctx.spec.batch,
         retain_answers: true,
+        // The table keeps each entry's latest answer: the shards hand
+        // over only those.
+        latest_only: true,
         // The shared server registry with a `pipeline=<name>` label (so
         // engine series — slide latency, shard phase occupancy, queue
         // depth — stay separable per pipeline), no rings or samplers.
@@ -843,48 +830,10 @@ pub(crate) fn spawn_pipeline(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use swag_data::prng::SplitMix64;
 
     const KEYS: [Key; 4] = [9, 2, 40, 17];
 
     type SumPlan = CountPlan<Sum<f64>, SlickDequeInv<Sum<f64>>>;
-
-    /// Publishing only the last answer of each same-entry run leaves the
-    /// table that inserting every answer does, however keys interleave.
-    #[test]
-    fn publishing_run_lasts_equals_publishing_every_answer() {
-        let mut rng = SplitMix64::new(0xAB);
-        for _ in 0..200 {
-            let mut key = 0;
-            let mut answers = vec![Vec::new(); 1 + (rng.next_u64() % 3) as usize];
-            for shard in &mut answers {
-                for i in 0..rng.next_u64() % 60 {
-                    // Runs of one key, broken at random.
-                    if !rng.next_u64().is_multiple_of(3) {
-                        key = rng.next_u64() % 7;
-                    }
-                    let q = (rng.next_u64() % 2) as usize;
-                    shard.push((key, (q, i, (rng.next_u64() % 100) as f64)));
-                }
-            }
-            let mut every = HashMap::new();
-            for &(k, (q, end, v)) in answers.iter().flatten() {
-                every.insert((k, q), (end, v));
-            }
-            let mut table = AnswerTable::Event(HashMap::new());
-            EventPlan::<Sum<f64>>::publish(&mut table, &answers);
-            assert!(matches!(&table, AnswerTable::Event(m) if *m == every));
-
-            let count: Vec<Vec<(Key, f64)>> = answers
-                .iter()
-                .map(|shard| shard.iter().map(|&(k, (_, _, v))| (k, v)).collect())
-                .collect();
-            let every: HashMap<Key, f64> = count.iter().flatten().copied().collect();
-            let mut table = AnswerTable::Count(HashMap::new());
-            SumPlan::publish(&mut table, &count);
-            assert!(matches!(&table, AnswerTable::Count(m) if *m == every));
-        }
-    }
 
     /// A count plan whose shards panic on their first tuple.
     struct Doomed(SumPlan);

@@ -117,21 +117,24 @@ impl<O: AggregateOp> TimeWindowExec<O> {
     }
 
     /// Offer a batch; returns how many were accepted (the rest were
-    /// late). Rides the tree's bulk path when the batch is in order.
+    /// late). Rides the tree's bulk path when the batch is in order. A
+    /// batch with no late tuple — always, behind a router that drops
+    /// late tuples first — goes to the tree as it is; only a batch with
+    /// a late tuple is copied, to its accepted subset.
     pub fn bulk_insert(&mut self, batch: &[(Timestamp, O::Partial)]) -> usize {
+        let Some(earliest) = batch.iter().map(|&(ts, _)| ts).min() else {
+            return 0;
+        };
         let wm = self.watermark;
-        let mut accepted = 0usize;
-        let mut pending: Vec<(Timestamp, O::Partial)> = Vec::with_capacity(batch.len());
-        for (ts, p) in batch {
-            if *ts >= wm {
-                self.prime_next_end(*ts);
-                pending.push((*ts, p.clone()));
-                accepted += 1;
-            }
+        if earliest < wm {
+            let mut on_time = Vec::with_capacity(batch.len());
+            on_time.extend(batch.iter().filter(|e| e.0 >= wm).cloned());
+            return self.bulk_insert(&on_time);
         }
-        self.tree.bulk_insert(&pending);
-        self.accepted += accepted as u64;
-        accepted
+        self.prime_next_end(earliest);
+        self.tree.bulk_insert(batch);
+        self.accepted += batch.len() as u64;
+        batch.len()
     }
 
     /// Start (or pull back) every query at the earliest aligned window
@@ -160,13 +163,20 @@ impl<O: AggregateOp> TimeWindowExec<O> {
     /// window are evicted. A watermark below the current one is a no-op
     /// — watermarks only move forward.
     pub fn advance_watermark(&mut self, wm: Timestamp) -> Vec<TimeAnswer<O::Output>> {
+        let mut out = Vec::new();
+        self.advance_into(wm, |answer| out.push(answer));
+        out
+    }
+
+    /// [`advance_watermark`](Self::advance_watermark), handing each
+    /// answer to `sink` in emission order instead of collecting them.
+    pub fn advance_into(&mut self, wm: Timestamp, mut sink: impl FnMut(TimeAnswer<O::Output>)) {
         if wm <= self.watermark {
-            return Vec::new();
+            return;
         }
         self.watermark = wm;
-        let out = self.emit_due(|_| wm);
+        self.emit_due(|_| wm, &mut sink);
         self.evict_unreachable();
-        out
     }
 
     /// Close the stream: emit every remaining window up to (and
@@ -175,8 +185,15 @@ impl<O: AggregateOp> TimeWindowExec<O> {
     /// empty windows. Returns nothing if no tuple arrived since the last
     /// emission.
     pub fn finish(&mut self) -> Vec<TimeAnswer<O::Output>> {
+        let mut out = Vec::new();
+        self.finish_into(|answer| out.push(answer));
+        out
+    }
+
+    /// [`finish`](Self::finish), handing each answer to `sink`.
+    pub fn finish_into(&mut self, mut sink: impl FnMut(TimeAnswer<O::Output>)) {
         let Some(max) = self.tree.max_ts() else {
-            return Vec::new();
+            return;
         };
         // Per query: the end of the last aligned window containing `max`.
         let last_end: Vec<Timestamp> = self
@@ -184,18 +201,24 @@ impl<O: AggregateOp> TimeWindowExec<O> {
             .iter()
             .map(|s| (max / s.slide) * s.slide + s.range)
             .collect();
-        let out = self.emit_due(|q| last_end[q]);
+        self.emit_due(|q| last_end[q], &mut sink);
         for &le in &last_end {
             self.watermark = self.watermark.max(le);
         }
         self.evict_unreachable();
-        out
     }
 
     /// Emit every due window, oldest end first (ties by query index),
-    /// where query `q` is due while its next end ≤ `bound(q)`.
-    fn emit_due(&mut self, bound: impl Fn(usize) -> Timestamp) -> Vec<TimeAnswer<O::Output>> {
-        let mut out = Vec::new();
+    /// where query `q` is due while its next end ≤ `bound(q)`. A window
+    /// outside the live span `[min_ts, max_ts]` holds no tuple: it is
+    /// answered with the lowered identity, the value a tree query over it
+    /// returns, without the query.
+    fn emit_due(
+        &mut self,
+        bound: impl Fn(usize) -> Timestamp,
+        sink: &mut impl FnMut(TimeAnswer<O::Output>),
+    ) {
+        let live = self.tree.min_ts().zip(self.tree.max_ts());
         loop {
             let due = self
                 .next_end
@@ -206,11 +229,14 @@ impl<O: AggregateOp> TimeWindowExec<O> {
                 .min();
             let Some((end, q)) = due else { break };
             let spec = self.specs[q]; // check:allow q enumerates next_end, which holds one cursor per spec
-            let part = self.tree.query_range(end - spec.range, end);
-            out.push((q, end, self.tree.op().lower(&part))); // alloc:amortized one entry per window this advance closes: the answers are the product
+            let start = end - spec.range;
+            let part = match live {
+                Some((min, max)) if start <= max && end > min => self.tree.query_range(start, end),
+                _ => self.tree.op().identity(),
+            };
+            sink((q, end, self.tree.op().lower(&part)));
             self.next_end[q] = Some(end + spec.slide); // check:allow q enumerates next_end itself
         }
-        out
     }
 
     /// Validate the underlying tree's structural invariants (see
@@ -222,6 +248,9 @@ impl<O: AggregateOp> TimeWindowExec<O> {
     /// Drop entries below every query's next window start — no future
     /// window `[next_end - range + j·slide, …)` can reach them.
     fn evict_unreachable(&mut self) {
+        if self.tree.is_empty() {
+            return;
+        }
         let cutoff = self
             .next_end
             .iter()
