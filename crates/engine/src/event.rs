@@ -25,7 +25,9 @@
 //!
 //! Workers apply each batch one key-run at a time through
 //! [`ShardProcessor::process_slot`] and then advance every key to the
-//! batch's watermark, emitting the time windows it closed. Per-key
+//! batch's watermark, emitting the time windows it closed (a worker that
+//! keeps only the latest answers gets each query's last closed window
+//! and a count, and skips keys with no data until they need it). Per-key
 //! answer sequences are therefore identical
 //! for any shard count: a key's accepted tuples and its window boundaries
 //! fully determine its `(query, window end, value)` stream.
@@ -55,9 +57,21 @@ use crate::slots::SlotTable;
 /// per key. Tuples are `(event timestamp, value)`; answers are
 /// `(query index, window end, lowered value)`.
 ///
-/// Watermark advances visit keys in slot order — the order the processor
-/// first saw them — so a shard's retained answer stream is deterministic
+/// [`advance_watermark`](ShardProcessor::advance_watermark) visits keys
+/// in slot order — the order the processor first saw them — so a shard's
+/// full answer stream (`Retain::Every` in the worker) is deterministic
 /// for a given input, not hash-order dependent.
+///
+/// [`advance_latest`](ShardProcessor::advance_latest) answers each
+/// query's run of closed windows with its last window and a count, and
+/// visits only **active** keys: a key whose tree is empty after an
+/// advance is parked — taken out of the scan — until its next tuple.
+/// A parked key's executor keeps the state of the advance that parked
+/// it. Its next run of tuples first catches it up to the last watermark
+/// (every window in the gap is empty: no tuple below a watermark reaches
+/// a shard), so the executor then holds exactly what the skipped
+/// advances would have left; [`settle`](ShardProcessor::settle) does the
+/// same for every key still parked.
 #[derive(Debug)]
 pub struct KeyedEventWindows<O>
 where
@@ -65,10 +79,25 @@ where
 {
     op: O,
     specs: Vec<TimeWindowSpec>,
-    states: SlotTable<TimeWindowExec<O>>,
+    states: SlotTable<KeyWindows<O>>,
+    /// The slots `advance_latest` visits; each has `listed` set.
+    active: Vec<usize>,
+    /// The largest watermark `advance_latest` was given: where parked
+    /// keys are caught up to.
+    watermark: u64,
+    /// Answers closed while catching up a returning key but not
+    /// appended, for the next `advance_latest` or `settle` to count.
+    unreported: u64,
     max_ts: Option<u64>,
     /// Reusable lifted-batch buffer for [`ShardProcessor::process_slot`].
     lift_scratch: Vec<(u64, O::Partial)>,
+}
+
+/// One key's executor, and whether its slot is in the active list.
+#[derive(Debug)]
+struct KeyWindows<O: AggregateOp> {
+    exec: TimeWindowExec<O>,
+    listed: bool,
 }
 
 impl<O> KeyedEventWindows<O>
@@ -82,31 +111,40 @@ where
 
     /// The per-key executor, for inspection.
     pub fn state(&self, key: Key) -> Option<&TimeWindowExec<O>> {
-        self.states.state_of(key)
+        self.states.state_of(key).map(|entry| &entry.exec)
     }
 
     /// Every key's executor, for snapshotting, in the order the processor
     /// first saw the keys.
     pub fn states(&self) -> impl Iterator<Item = (Key, &TimeWindowExec<O>)> {
-        self.states.by_slot()
+        self.states.by_slot().map(|(key, entry)| (key, &entry.exec))
     }
 
     /// Rebuild a processor from restored per-key executors — the restore
     /// counterpart of [`states`](Self::states). `max_ts` is recovered
     /// from the executors' trees; keys absent from `states` start fresh
     /// on their first tuple; a key listed twice keeps its last executor.
+    /// Every restored key starts active.
     pub fn from_states(
         op: O,
         specs: Vec<TimeWindowSpec>,
         states: impl IntoIterator<Item = (Key, TimeWindowExec<O>)>,
     ) -> Self {
         assert!(!specs.is_empty(), "need at least one time window");
-        let states: SlotTable<TimeWindowExec<O>> = states.into_iter().collect();
-        let max_ts = states.by_slot().filter_map(|(_, e)| e.max_ts()).max();
+        let states: SlotTable<KeyWindows<O>> = (states.into_iter())
+            .map(|(key, exec)| (key, KeyWindows { exec, listed: true }))
+            .collect();
+        let max_ts = states
+            .by_slot()
+            .filter_map(|(_, entry)| entry.exec.max_ts())
+            .max();
         KeyedEventWindows {
             op,
             specs,
+            active: (0..states.len()).collect(),
             states,
+            watermark: 0,
+            unreported: 0,
             max_ts,
             lift_scratch: Vec::new(),
         }
@@ -121,33 +159,56 @@ where
     type Value = (u64, f64);
     type Answer = (usize, u64, f64);
 
+    /// A new key starts active, as a fresh executor: it has no advance
+    /// to catch up on.
     fn open_slot(&mut self, key: Key) -> usize {
-        self.states.open_slot(key, || {
-            TimeWindowExec::new(self.op.clone(), self.specs.clone())
-        })
+        let keys = self.states.len();
+        let slot = self.states.open_slot(key, || KeyWindows {
+            exec: TimeWindowExec::new(self.op.clone(), self.specs.clone()),
+            listed: true,
+        });
+        if slot == keys {
+            self.active.push(slot); // alloc:amortized one entry per key at most; grows to the key count once
+        }
+        slot
     }
 
-    /// One FiBA bulk insert for the whole run. Inserts never answer:
-    /// windows close on watermark advances only.
+    /// One FiBA bulk insert for the whole run. A parked key is caught
+    /// up to the last watermark first and made active again; apart from
+    /// that, inserts never answer: windows close on watermark advances
+    /// only.
     fn process_slot(
         &mut self,
         slot: usize,
         tuples: &[(u64, f64)],
-        _: &mut Vec<(Key, Self::Answer)>,
+        out: &mut Vec<(Key, Self::Answer)>,
     ) {
         let KeyedEventWindows {
             op,
             states,
+            active,
+            watermark,
+            unreported,
             max_ts,
             lift_scratch,
             ..
         } = self;
         // check:allow a slot open_slot never returned is a caller bug
-        let (_, exec) = states.slot_entry(slot).expect("a slot from open_slot");
+        let (key, entry) = states.slot_entry(slot).expect("a slot from open_slot");
+        if !entry.listed {
+            entry.listed = true;
+            active.push(slot); // alloc:amortized one entry per key at most; grows to the key count once
+            let before = out.len();
+            // alloc:amortized the worker's reused answer scratch; grows to keys × queries once
+            let closed = entry
+                .exec
+                .advance_last_into(*watermark, |answer| out.push((key, answer)));
+            *unreported += closed - (out.len() - before) as u64;
+        }
         lift_scratch.clear();
         // alloc:amortized reused scratch; grows to the largest run once
         lift_scratch.extend(tuples.iter().map(|&(ts, v)| (ts, op.lift(&v))));
-        exec.bulk_insert(lift_scratch);
+        entry.exec.bulk_insert(lift_scratch);
         for &(ts, _) in tuples {
             *max_ts = Some(max_ts.map_or(ts, |m| m.max(ts)));
         }
@@ -155,15 +216,63 @@ where
 
     /// Every key's closed windows, straight into the worker's scratch.
     fn advance_watermark(&mut self, watermark: u64, out: &mut Vec<(Key, Self::Answer)>) {
-        for (key, exec) in self.states.by_slot_mut() {
+        for (key, entry) in self.states.by_slot_mut() {
             // alloc:amortized the worker's reused answer scratch; grows to the largest advance once
-            exec.advance_into(watermark, |answer| out.push((key, answer)));
+            entry
+                .exec
+                .advance_into(watermark, |answer| out.push((key, answer)));
         }
     }
 
+    /// Each active key's last window per query, counted with the run it
+    /// ends; a key left with an empty tree is parked.
+    fn advance_latest(&mut self, watermark: u64, out: &mut Vec<(Key, Self::Answer)>) -> u64 {
+        let KeyedEventWindows {
+            states,
+            active,
+            watermark: last,
+            unreported,
+            ..
+        } = self;
+        *last = (*last).max(watermark);
+        let mut closed = std::mem::take(unreported);
+        let mut i = 0;
+        while let Some(&slot) = active.get(i) {
+            // check:allow the active list holds only slots open_slot returned
+            let (key, entry) = states.slot_entry(slot).expect("an active slot");
+            // alloc:amortized the worker's reused answer scratch; grows to keys × queries once
+            closed += entry
+                .exec
+                .advance_last_into(watermark, |answer| out.push((key, answer)));
+            if entry.exec.live() == 0 {
+                entry.listed = false;
+                active.swap_remove(i);
+            } else {
+                i += 1;
+            }
+        }
+        closed
+    }
+
+    /// Every parked key's last window per query up to the last watermark
+    /// (the lowered identity: a parked key holds no tuple), counted.
+    fn settle(&mut self, out: &mut Vec<(Key, Self::Answer)>) -> u64 {
+        let watermark = self.watermark;
+        let mut closed = std::mem::take(&mut self.unreported);
+        for (key, entry) in self.states.by_slot_mut() {
+            if !entry.listed {
+                // alloc:amortized the worker's reused answer scratch; grows to keys × queries once
+                closed += entry
+                    .exec
+                    .advance_last_into(watermark, |answer| out.push((key, answer)));
+            }
+        }
+        closed
+    }
+
     fn finish(&mut self, out: &mut Vec<(Key, Self::Answer)>) {
-        for (key, exec) in self.states.by_slot_mut() {
-            exec.finish_into(|answer| out.push((key, answer)));
+        for (key, entry) in self.states.by_slot_mut() {
+            entry.exec.finish_into(|answer| out.push((key, answer)));
         }
     }
 
@@ -181,8 +290,10 @@ where
     }
 
     fn check_invariants(&mut self) -> Result<(), String> {
-        for (key, exec) in self.states.by_slot_mut() {
-            exec.check_invariants()
+        for (key, entry) in self.states.by_slot_mut() {
+            entry
+                .exec
+                .check_invariants()
                 .map_err(|violation| format!("key {key}: {violation}"))?;
         }
         Ok(())

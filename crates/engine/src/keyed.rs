@@ -88,6 +88,31 @@ pub trait ShardProcessor: Send {
     /// non-decreasing.
     fn advance_watermark(&mut self, _watermark: u64, _out: &mut Vec<(Key, Self::Answer)>) {}
 
+    /// [`advance_watermark`](Self::advance_watermark) for a caller that
+    /// keeps only each entry's latest answer
+    /// ([`same_entry`](Self::same_entry)): close the same windows, but
+    /// append at least each entry's last answer, and return how many
+    /// answers the advance produced in all, appended or not — plus any
+    /// that [`process_slot`](Self::process_slot) produced without
+    /// appending since the last count. A processor may leave keys behind
+    /// here as long as [`settle`](Self::settle) catches them up. The
+    /// default appends every answer.
+    fn advance_latest(&mut self, watermark: u64, out: &mut Vec<(Key, Self::Answer)>) -> u64 {
+        let before = out.len();
+        self.advance_watermark(watermark, out);
+        (out.len() - before) as u64
+    }
+
+    /// Catch every key [`advance_latest`](Self::advance_latest) left
+    /// behind up to the last watermark, appending each entry's last
+    /// answer and returning how many answers that produced in all,
+    /// counted as `advance_latest` counts them. Once it returns, every
+    /// key's state is what [`advance_watermark`](Self::advance_watermark)
+    /// would have left. The default has no key left behind.
+    fn settle(&mut self, _out: &mut Vec<(Key, Self::Answer)>) -> u64 {
+        0
+    }
+
     /// End of stream: emit every remaining window holding data.
     fn finish(&mut self, _out: &mut Vec<(Key, Self::Answer)>) {}
 

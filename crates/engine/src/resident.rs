@@ -86,7 +86,10 @@ struct WorkerEnd<P: ShardProcessor> {
     check_invariants: bool,
 }
 
-/// Which of its answers a worker keeps for the next barrier.
+/// Which of its answers a worker keeps for the next barrier. Only
+/// `Every` needs every window answer: the others advance the processor
+/// with [`ShardProcessor::advance_latest`] and catch it up with
+/// [`ShardProcessor::settle`] before anyone reads it.
 #[derive(Clone, Copy)]
 enum Retain {
     Nothing,
@@ -94,6 +97,33 @@ enum Retain {
     /// Each entry's last answer per key per batch
     /// ([`ShardProcessor::same_entry`]).
     Latest,
+}
+
+impl Retain {
+    /// Raise `processor`'s watermark to `watermark`, appending the
+    /// answers this retention needs to `scratch`; returns how many more
+    /// answers the advance produced than it appended.
+    fn close_due<P: ShardProcessor>(
+        self,
+        processor: &mut P,
+        watermark: u64,
+        scratch: &mut Vec<(Key, P::Answer)>,
+    ) -> u64 {
+        if let Retain::Every = self {
+            processor.advance_watermark(watermark, scratch);
+            return 0;
+        }
+        let before = scratch.len();
+        processor.advance_latest(watermark, scratch) - (scratch.len() - before) as u64
+    }
+}
+
+/// Catch `processor` up with [`ShardProcessor::settle`], appending to
+/// `scratch`; returns how many more answers that produced than it
+/// appended.
+fn catch_up<P: ShardProcessor>(processor: &mut P, scratch: &mut Vec<(Key, P::Answer)>) -> u64 {
+    let before = scratch.len();
+    processor.settle(scratch) - (scratch.len() - before) as u64
 }
 
 /// Control items, queued in order with the batches.
@@ -455,18 +485,21 @@ impl<P: ShardProcessor> Lane<P> {
 }
 
 impl<P: ShardProcessor> Report<P> {
-    /// Take the answers a worker has just produced out of `scratch`:
-    /// counted as produced, before the retain decision, so the tally is
-    /// the same whatever is kept.
+    /// Take the answers a worker has just produced out of `scratch`, plus
+    /// `unappended` more it produced without appending: counted as
+    /// produced, before the retain decision, so the tally is the same
+    /// whatever is kept.
     fn tally_answers(
         &mut self,
         scratch: &mut Vec<(Key, P::Answer)>,
+        unappended: u64,
         retain: Retain,
         obs: Option<&ShardObs>,
     ) {
-        self.stats.answers += scratch.len() as u64;
+        let produced = scratch.len() as u64 + unappended;
+        self.stats.answers += produced;
         if let Some(o) = obs {
-            o.answers.add(scratch.len() as u64);
+            o.answers.add(produced);
         }
         match retain {
             Retain::Nothing => scratch.clear(),
@@ -585,7 +618,12 @@ fn shard_worker<P: ShardProcessor>(
             *p = Stopwatch::start();
         }
         match received {
-            None => break,
+            None => {
+                // The processor is handed back as it stands: caught up.
+                let unappended = catch_up(&mut processor, &mut scratch);
+                run.tally_answers(&mut scratch, unappended, retain, obs.as_ref());
+                break;
+            }
             Some(Item::Batch(Batch {
                 watermark: wm,
                 tuples: batch,
@@ -627,11 +665,13 @@ fn shard_worker<P: ShardProcessor>(
                 }
                 // The watermark closes windows across every key on this
                 // shard, including keys untouched by this batch.
+                let mut unappended = 0;
                 if wm > run.stats.watermark {
                     run.stats.watermark = wm;
-                    processor.advance_watermark(wm, &mut scratch);
+                    unappended = retain.close_due(&mut processor, wm, &mut scratch);
                     if let Some(rec) = recorder {
-                        rec.record(EventKind::WatermarkAdvance, wm, scratch.len() as u64);
+                        let closed = scratch.len() as u64 + unappended;
+                        rec.record(EventKind::WatermarkAdvance, wm, closed);
                     }
                 }
                 if let Some(lag) = obs.as_ref().and_then(|o| o.watermark_lag.as_ref()) {
@@ -645,9 +685,13 @@ fn shard_worker<P: ShardProcessor>(
                             .map_or(0, |m| m.saturating_sub(run.stats.watermark)),
                     );
                 }
-                run.tally_answers(&mut scratch, retain, obs.as_ref());
+                run.tally_answers(&mut scratch, unappended, retain, obs.as_ref());
             }
             Some(Item::Control(Control::Barrier { spare, lend })) => {
+                // Counters, retained answers and a lent processor all
+                // cover every key up to the watermark.
+                let unappended = catch_up(&mut processor, &mut scratch);
+                run.tally_answers(&mut scratch, unappended, retain, obs.as_ref());
                 // One event-time advance can fill the scratch with far more
                 // answers than a batch holds; do not keep that between
                 // stretches.
@@ -690,11 +734,12 @@ fn shard_worker<P: ShardProcessor>(
                 // End of stream: close out every window still holding
                 // data. The shard's final watermark durably covers
                 // everything it accepted.
+                let unappended = catch_up(&mut processor, &mut scratch);
                 processor.finish(&mut scratch);
                 if let Some(max) = processor.max_ts() {
                     run.stats.watermark = run.stats.watermark.max(max.saturating_add(1));
                 }
-                run.tally_answers(&mut scratch, retain, obs.as_ref());
+                run.tally_answers(&mut scratch, unappended, retain, obs.as_ref());
             }
             // Only ever sent in answer to a lending barrier, above.
             Some(Item::Control(Control::Resume(_))) => {}

@@ -164,19 +164,44 @@ impl<O: AggregateOp> TimeWindowExec<O> {
     /// — watermarks only move forward.
     pub fn advance_watermark(&mut self, wm: Timestamp) -> Vec<TimeAnswer<O::Output>> {
         let mut out = Vec::new();
+        // alloc:amortized a by-name link from `ShardProcessor::advance_latest`; processors call the sink forms
         self.advance_into(wm, |answer| out.push(answer));
         out
     }
 
     /// [`advance_watermark`](Self::advance_watermark), handing each
     /// answer to `sink` in emission order instead of collecting them.
-    pub fn advance_into(&mut self, wm: Timestamp, mut sink: impl FnMut(TimeAnswer<O::Output>)) {
+    pub fn advance_into(&mut self, wm: Timestamp, sink: impl FnMut(TimeAnswer<O::Output>)) {
+        self.raise_watermark(wm, false, sink);
+    }
+
+    /// Raise the watermark to `wm` as [`advance_into`](Self::advance_into)
+    /// does, but hand `sink` only each query's **last** window the advance
+    /// closes, and return how many windows it closed in all — the number
+    /// of answers `advance_into` would have emitted. A run of due windows
+    /// costs one answer (at most one tree query), however long it is. The
+    /// executor is left exactly as `advance_into` leaves it.
+    pub fn advance_last_into(
+        &mut self,
+        wm: Timestamp,
+        sink: impl FnMut(TimeAnswer<O::Output>),
+    ) -> u64 {
+        self.raise_watermark(wm, true, sink)
+    }
+
+    fn raise_watermark(
+        &mut self,
+        wm: Timestamp,
+        last_only: bool,
+        mut sink: impl FnMut(TimeAnswer<O::Output>),
+    ) -> u64 {
         if wm <= self.watermark {
-            return;
+            return 0;
         }
         self.watermark = wm;
-        self.emit_due(|_| wm, &mut sink);
+        let closed = self.emit_due(|_| wm, last_only, &mut sink);
         self.evict_unreachable();
+        closed
     }
 
     /// Close the stream: emit every remaining window up to (and
@@ -201,24 +226,29 @@ impl<O: AggregateOp> TimeWindowExec<O> {
             .iter()
             .map(|s| (max / s.slide) * s.slide + s.range)
             .collect();
-        self.emit_due(|q| last_end[q], &mut sink);
+        self.emit_due(|q| last_end[q], false, &mut sink);
         for &le in &last_end {
             self.watermark = self.watermark.max(le);
         }
         self.evict_unreachable();
     }
 
-    /// Emit every due window, oldest end first (ties by query index),
-    /// where query `q` is due while its next end ≤ `bound(q)`. A window
-    /// outside the live span `[min_ts, max_ts]` holds no tuple: it is
-    /// answered with the lowered identity, the value a tree query over it
-    /// returns, without the query.
+    /// Close every due window, oldest end first (ties by query index),
+    /// where query `q` is due while its next end ≤ `bound(q)`, and return
+    /// how many closed. Each closed window is answered, or with
+    /// `last_only` only the last of each query's run: the cursor jumps
+    /// to the last aligned end ≤ the bound and the windows it skips are
+    /// counted. A window outside the live span `[min_ts, max_ts]` holds
+    /// no tuple: it is answered with the lowered identity, the value a
+    /// tree query over it returns, without the query.
     fn emit_due(
         &mut self,
         bound: impl Fn(usize) -> Timestamp,
+        last_only: bool,
         sink: &mut impl FnMut(TimeAnswer<O::Output>),
-    ) {
+    ) -> u64 {
         let live = self.tree.min_ts().zip(self.tree.max_ts());
+        let mut closed = 0;
         loop {
             let due = self
                 .next_end
@@ -227,8 +257,15 @@ impl<O: AggregateOp> TimeWindowExec<O> {
                 .filter_map(|(q, e)| e.map(|end| (end, q)))
                 .filter(|&(end, q)| end <= bound(q))
                 .min();
-            let Some((end, q)) = due else { break };
+            let Some((next, q)) = due else { break };
             let spec = self.specs[q]; // check:allow q enumerates next_end, which holds one cursor per spec
+            let end = match last_only {
+                // `next` is on its spec's progression (`load_state` checks
+                // a restored one), so this is the last window end ≤ the bound.
+                true => next + (bound(q) - next) / spec.slide * spec.slide,
+                false => next,
+            };
+            closed += (end - next) / spec.slide + 1;
             let start = end - spec.range;
             let part = match live {
                 Some((min, max)) if start <= max && end > min => self.tree.query_range(start, end),
@@ -237,6 +274,7 @@ impl<O: AggregateOp> TimeWindowExec<O> {
             sink((q, end, self.tree.op().lower(&part)));
             self.next_end[q] = Some(end + spec.slide); // check:allow q enumerates next_end itself
         }
+        closed
     }
 
     /// Validate the underlying tree's structural invariants (see
@@ -323,11 +361,20 @@ impl<O: AggregateOp> TimeWindowExec<O> {
             specs.push(TimeWindowSpec { range, slide });
         }
         let mut next_end = Vec::with_capacity(nspecs);
-        for _ in 0..nspecs {
+        for spec in &specs {
             let flag = r.word("time-window next_end flag")?;
             let end = r.word("time-window next_end value")?;
             next_end.push(match flag {
                 0 => None,
+                // Every window end is `range + k·slide`; `emit_due` and
+                // `evict_unreachable` subtract `range` from it and step
+                // by whole slides.
+                1 if end < spec.range || (end - spec.range) % spec.slide != 0 => {
+                    return Err(corrupt(format!(
+                        "time-window: next_end {end} is not a window end of spec {}x{}",
+                        spec.range, spec.slide
+                    )))
+                }
                 1 => Some(end),
                 other => {
                     return Err(corrupt(format!(
@@ -455,6 +502,95 @@ mod tests {
         // No flood of empty [0,10), [10,20)… answers.
         assert_eq!(exec.advance_watermark(1005), vec![]);
         assert_eq!(exec.finish(), vec![(0, 1010, 1.0)]);
+    }
+
+    /// A one-spec (range 10, slide 4) capture whose cursor is `next_end`.
+    fn load_with_next_end(next_end: u64) -> Result<(), swag_core::state::StateError> {
+        let words = [0, 0, 1, 10, 4, 1, next_end, 0];
+        let mut r = swag_core::state::StateReader::<f64>::new(&words, &[]);
+        TimeWindowExec::load_state(Sum::<f64>::new(), &mut r).map(drop)
+    }
+
+    #[test]
+    fn restore_rejects_a_cursor_below_the_range() {
+        let err = load_with_next_end(6).expect_err("end 6 < range 10");
+        assert!(err.to_string().contains("not a window end"), "{err}");
+        assert!(load_with_next_end(10).is_ok());
+    }
+
+    #[test]
+    fn restore_rejects_a_cursor_off_the_slide_progression() {
+        let err = load_with_next_end(12).expect_err("12 is not 10 + k·4");
+        assert!(err.to_string().contains("not a window end"), "{err}");
+        assert!(load_with_next_end(14).is_ok());
+    }
+
+    /// The executor's capture, partials as bits.
+    fn capture(exec: &TimeWindowExec<Sum<f64>>) -> (Vec<u64>, Vec<u64>) {
+        let mut w = swag_core::state::StateWriter::new();
+        exec.save_state(&mut w);
+        let (words, partials) = w.into_parts();
+        (words, partials.iter().map(|p| p.to_bits()).collect())
+    }
+
+    /// `advance_last_into` against `advance_into` on twin executors fed
+    /// the same sparse stream: gaps many slides wide, stragglers stamped
+    /// on window ends, watermark steps of zero, about one and many
+    /// slides. After every advance the count is `advance_into`'s answer
+    /// count, each query's answer is `advance_into`'s last one for it,
+    /// bitwise, and the two captures are identical.
+    #[test]
+    fn last_only_advance_counts_runs_and_keeps_the_last_answer() {
+        use swag_data::prng::Xoshiro256StarStar;
+        // Range not a multiple of the slide, and range below the slide.
+        let specs = vec![TimeWindowSpec::new(10, 4), TimeWindowSpec::new(3, 7)];
+        for seed in 0..40 {
+            let mut rng = Xoshiro256StarStar::new(seed);
+            let mut every = TimeWindowExec::new(Sum::<f64>::new(), specs.clone());
+            let mut last = TimeWindowExec::new(Sum::<f64>::new(), specs.clone());
+            let (mut ts, mut wm) = (rng.gen_below(3), 0u64);
+            for step in 0..400 {
+                let value = rng.gen_below(16) as f64;
+                let spec = specs[rng.gen_below(2) as usize];
+                let at = if rng.gen_bool(0.2) && ts >= spec.range {
+                    (ts - spec.range) / spec.slide * spec.slide + spec.range
+                } else {
+                    ts
+                };
+                assert_eq!(every.insert(at, &value), last.insert(at, &value));
+                ts += match rng.gen_below(10) {
+                    0 => 40 + rng.gen_below(400),
+                    1..=3 => 0,
+                    _ => 1 + rng.gen_below(5),
+                };
+                wm = ts.min(
+                    wm + match rng.gen_below(4) {
+                        0 => 0,
+                        1 => 4 + rng.gen_below(4),
+                        _ => 28 * (1 + rng.gen_below(20)),
+                    },
+                );
+                let what = format!("seed {seed} step {step} watermark {wm}");
+                let mut all = Vec::new();
+                every.advance_into(wm, |a| all.push(a));
+                let mut lasts = Vec::new();
+                let closed = last.advance_last_into(wm, |a| lasts.push(a));
+                assert_eq!(closed, all.len() as u64, "{what}: count");
+                for q in 0..specs.len() {
+                    let bits = |a: &TimeAnswer<f64>| (a.0, a.1, a.2.to_bits());
+                    let want: Vec<_> = all
+                        .iter()
+                        .rev()
+                        .find(|a| a.0 == q)
+                        .map(bits)
+                        .into_iter()
+                        .collect();
+                    let got: Vec<_> = lasts.iter().filter(|a| a.0 == q).map(bits).collect();
+                    assert_eq!(got, want, "{what}: query {q}");
+                }
+                assert_eq!(capture(&every), capture(&last), "{what}: state");
+            }
+        }
     }
 
     #[test]
