@@ -177,6 +177,21 @@ pub trait MultiFinalAggregator<O: AggregateOp>: MemoryFootprint {
     }
 }
 
+/// A single-query structure over a fixed ring of window slots that can
+/// overwrite any one slot and fold any circular run of slots — all a
+/// multi-query baseline needs from it ("additional queries do not require
+/// any additional structures", paper §4.2). Naive, FlatFAT and B-Int
+/// implement it; `multi::MultiRanges` turns each into its multi-query form.
+pub trait SlotRanges<O: AggregateOp>: FinalAggregator<O> {
+    /// Overwrite window slot `pos` (< window) with `p` and refresh whatever
+    /// the structure derives from it.
+    fn set_slot(&mut self, pos: usize, p: O::Partial);
+
+    /// Aggregate the `count` (≤ window) slots starting at slot `start`,
+    /// wrapping circularly, in window order.
+    fn query_range(&self, start: usize, count: usize) -> O::Partial;
+}
+
 /// Analytic heap-usage accounting, used by the memory experiment (Exp 4 /
 /// Fig. 15) alongside the counting global allocator.
 ///

@@ -11,7 +11,7 @@
 //! but is slower by a constant factor — here because a full-window look-up
 //! still pays the dyadic decomposition, where FlatFAT reads its root.
 
-use crate::aggregator::{FinalAggregator, MemoryFootprint};
+use crate::aggregator::{FinalAggregator, MemoryFootprint, SlotRanges};
 use crate::invariants::{ensure, partials_agree, strict_check, InvariantViolation};
 use crate::ops::AggregateOp;
 
@@ -52,36 +52,6 @@ impl<O: AggregateOp> BInt<O> {
         &self.op
     }
 
-    /// Overwrite slot `pos` and rebuild the covering interval at every
-    /// level — `log₂(m)` combines.
-    pub fn update_slot(&mut self, pos: usize, value: O::Partial) {
-        debug_assert!(pos < self.m);
-        self.levels[0][pos] = value;
-        for l in 1..self.levels.len() {
-            let idx = pos >> l;
-            let (lower, upper) = self.levels.split_at_mut(l);
-            let children = &lower[l - 1];
-            upper[0][idx] = self.op.combine(&children[2 * idx], &children[2 * idx + 1]);
-        }
-    }
-
-    /// Aggregate the `count` slots starting at `start`, wrapping
-    /// circularly, decomposed into the minimal set of base intervals.
-    pub fn query_range(&self, start: usize, count: usize) -> O::Partial {
-        debug_assert!(count <= self.window);
-        if count == 0 {
-            return self.op.identity();
-        }
-        let end = start + count;
-        if end <= self.window {
-            self.range_non_wrapping(start, end)
-        } else {
-            let head = self.range_non_wrapping(start, self.window);
-            let tail = self.range_non_wrapping(0, end - self.window);
-            self.op.combine(&head, &tail)
-        }
-    }
-
     /// Greedy left-to-right dyadic decomposition of `[lo, hi)`: at each
     /// step take the largest base interval aligned at `lo` that fits.
     fn range_non_wrapping(&self, mut lo: usize, hi: usize) -> O::Partial {
@@ -115,11 +85,6 @@ impl<O: AggregateOp> BInt<O> {
         let start = (self.curr + self.window - self.len) % self.window;
         self.query_range(start, self.len)
     }
-
-    /// Slot count (window rounded up to a power of two).
-    pub fn slot_count(&self) -> usize {
-        self.m
-    }
 }
 
 impl<O: AggregateOp> FinalAggregator<O> for BInt<O> {
@@ -130,7 +95,7 @@ impl<O: AggregateOp> FinalAggregator<O> for BInt<O> {
     }
 
     fn slide(&mut self, partial: O::Partial) -> O::Partial {
-        self.update_slot(self.curr, partial);
+        self.set_slot(self.curr, partial);
         self.curr = (self.curr + 1) % self.window;
         self.len = (self.len + 1).min(self.window);
         strict_check!(self);
@@ -151,7 +116,7 @@ impl<O: AggregateOp> FinalAggregator<O> for BInt<O> {
         assert!(self.len > 0, "evict from an empty B-Int window"); // check:allow precondition assert documenting the caller contract
         let oldest = (self.curr + self.window - self.len) % self.window;
         let identity = self.op.identity();
-        self.update_slot(oldest, identity);
+        self.set_slot(oldest, identity);
         self.len -= 1;
         strict_check!(self);
     }
@@ -160,7 +125,7 @@ impl<O: AggregateOp> FinalAggregator<O> for BInt<O> {
     /// its `log₂(m)` interval rebuild but no query decomposition.
     fn bulk_insert(&mut self, batch: &[O::Partial]) {
         for p in batch {
-            self.update_slot(self.curr, p.clone());
+            self.set_slot(self.curr, p.clone());
             self.curr = (self.curr + 1) % self.window;
             self.len = (self.len + 1).min(self.window);
         }
@@ -170,7 +135,7 @@ impl<O: AggregateOp> FinalAggregator<O> for BInt<O> {
     /// B-Int invariants (paper §2.2, Fig. 5): the dyadic levels halve in
     /// size and tile the slot ring, every interval at level ℓ ≥ 1 equals
     /// `combine` of its two level-(ℓ−1) halves (refolded in exactly
-    /// `update_slot`'s order, so bitwise even for floats), and every
+    /// `set_slot`'s order, so bitwise even for floats), and every
     /// non-live base slot holds the identity. `O(m)` combines.
     fn check_invariants(&self) -> Result<(), InvariantViolation> {
         ensure!(
@@ -232,6 +197,37 @@ impl<O: AggregateOp> FinalAggregator<O> for BInt<O> {
             );
         }
         Ok(())
+    }
+}
+
+impl<O: AggregateOp> SlotRanges<O> for BInt<O> {
+    /// Overwrite slot `pos` and rebuild the covering interval at every
+    /// level — `log₂(m)` combines.
+    fn set_slot(&mut self, pos: usize, p: O::Partial) {
+        debug_assert!(pos < self.m);
+        self.levels[0][pos] = p;
+        for l in 1..self.levels.len() {
+            let idx = pos >> l;
+            let (lower, upper) = self.levels.split_at_mut(l);
+            let children = &lower[l - 1];
+            upper[0][idx] = self.op.combine(&children[2 * idx], &children[2 * idx + 1]);
+        }
+    }
+
+    /// The range decomposed into the minimal set of base intervals.
+    fn query_range(&self, start: usize, count: usize) -> O::Partial {
+        debug_assert!(count <= self.window);
+        if count == 0 {
+            return self.op.identity();
+        }
+        let end = start + count;
+        if end <= self.window {
+            self.range_non_wrapping(start, end)
+        } else {
+            let head = self.range_non_wrapping(start, self.window);
+            let tail = self.range_non_wrapping(0, end - self.window);
+            self.op.combine(&head, &tail)
+        }
     }
 }
 

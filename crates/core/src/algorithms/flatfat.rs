@@ -13,7 +13,7 @@
 //! `3n`... strictly `4n` counting both leaf and internal levels after
 //! rounding — the paper's `2^⌈log(n)⌉·2` formulation).
 
-use crate::aggregator::{FinalAggregator, MemoryFootprint};
+use crate::aggregator::{FinalAggregator, MemoryFootprint, SlotRanges};
 use crate::invariants::{ensure, partials_agree, strict_check, InvariantViolation};
 use crate::ops::AggregateOp;
 
@@ -54,19 +54,6 @@ impl<O: AggregateOp> FlatFat<O> {
         &self.op
     }
 
-    /// Overwrite leaf `pos` (a window slot) and update its root path —
-    /// exactly `log₂(m)` combines.
-    pub fn update_leaf(&mut self, pos: usize, value: O::Partial) {
-        debug_assert!(pos < self.m);
-        let mut i = self.m + pos;
-        self.tree[i] = value;
-        i >>= 1;
-        while i >= 1 {
-            self.tree[i] = self.op.combine(&self.tree[2 * i], &self.tree[2 * i + 1]);
-            i >>= 1;
-        }
-    }
-
     /// The root value: the aggregate of every leaf.
     ///
     /// Because evicted/unused leaves hold the identity this equals the
@@ -89,23 +76,6 @@ impl<O: AggregateOp> FlatFat<O> {
         }
         let start = (self.curr + self.window - self.len) % self.window;
         self.query_range(start, self.len)
-    }
-
-    /// Aggregate the `count` leaves starting at window slot `start`,
-    /// wrapping circularly, in window order.
-    pub fn query_range(&self, start: usize, count: usize) -> O::Partial {
-        debug_assert!(count <= self.window);
-        if count == 0 {
-            return self.op.identity();
-        }
-        let end = start + count;
-        if end <= self.window {
-            self.range_non_wrapping(start, end)
-        } else {
-            let head = self.range_non_wrapping(start, self.window);
-            let tail = self.range_non_wrapping(0, end - self.window);
-            self.op.combine(&head, &tail)
-        }
     }
 
     /// Standard iterative segment-tree range query over leaves
@@ -145,7 +115,7 @@ impl<O: AggregateOp> FlatFat<O> {
     /// Recompute the ancestors of leaf slots `[lo, hi)` level by level —
     /// `O((hi − lo) + log m)` combines, one contiguous sweep per level.
     /// Every parent is recomputed from its *current* children in exactly
-    /// [`update_leaf`](Self::update_leaf)'s combine order, so the cached
+    /// [`set_slot`](SlotRanges::set_slot)'s combine order, so the cached
     /// internal nodes end up bitwise identical to per-leaf root walks.
     fn rebuild_leaves(&mut self, lo: usize, hi: usize) {
         debug_assert!(lo < hi && hi <= self.m);
@@ -164,11 +134,6 @@ impl<O: AggregateOp> FlatFat<O> {
     pub fn leaf_count(&self) -> usize {
         self.m
     }
-
-    /// The window slot the next arrival will occupy.
-    pub fn current_slot(&self) -> usize {
-        self.curr
-    }
 }
 
 impl<O: AggregateOp> FinalAggregator<O> for FlatFat<O> {
@@ -181,7 +146,7 @@ impl<O: AggregateOp> FinalAggregator<O> for FlatFat<O> {
     /// One slide = overwrite the oldest leaf and read the root: exactly
     /// `log₂(m)` combines, matching Table 1.
     fn slide(&mut self, partial: O::Partial) -> O::Partial {
-        self.update_leaf(self.curr, partial);
+        self.set_slot(self.curr, partial);
         self.curr = (self.curr + 1) % self.window;
         self.len = (self.len + 1).min(self.window);
         strict_check!(self);
@@ -202,7 +167,7 @@ impl<O: AggregateOp> FinalAggregator<O> for FlatFat<O> {
         assert!(self.len > 0, "evict from an empty FlatFAT window"); // check:allow precondition assert documenting the caller contract
         let oldest = (self.curr + self.window - self.len) % self.window;
         let identity = self.op.identity();
-        self.update_leaf(oldest, identity);
+        self.set_slot(oldest, identity);
         self.len -= 1;
         strict_check!(self);
     }
@@ -244,7 +209,7 @@ impl<O: AggregateOp> FinalAggregator<O> for FlatFat<O> {
 
     /// FlatFAT invariants (paper §2.2, Fig. 4): every internal node equals
     /// `combine` of its children — the checker refolds in exactly the order
-    /// `update_leaf` used, so the comparison is bitwise even for floats —
+    /// `set_slot` used, so the comparison is bitwise even for floats —
     /// and every non-live leaf holds the identity, which is what makes the
     /// root the window aggregate. `O(m)` combines.
     fn check_invariants(&self) -> Result<(), InvariantViolation> {
@@ -299,6 +264,37 @@ impl<O: AggregateOp> FinalAggregator<O> for FlatFat<O> {
             );
         }
         Ok(())
+    }
+}
+
+impl<O: AggregateOp> SlotRanges<O> for FlatFat<O> {
+    /// Overwrite leaf `pos` and update its root path — exactly `log₂(m)`
+    /// combines.
+    fn set_slot(&mut self, pos: usize, p: O::Partial) {
+        debug_assert!(pos < self.m);
+        let mut i = self.m + pos;
+        self.tree[i] = p;
+        i >>= 1;
+        while i >= 1 {
+            self.tree[i] = self.op.combine(&self.tree[2 * i], &self.tree[2 * i + 1]);
+            i >>= 1;
+        }
+    }
+
+    /// A minimal O(log n) node cover of the range, in window order.
+    fn query_range(&self, start: usize, count: usize) -> O::Partial {
+        debug_assert!(count <= self.window);
+        if count == 0 {
+            return self.op.identity();
+        }
+        let end = start + count;
+        if end <= self.window {
+            self.range_non_wrapping(start, end)
+        } else {
+            let head = self.range_non_wrapping(start, self.window);
+            let tail = self.range_non_wrapping(0, end - self.window);
+            self.op.combine(&head, &tail)
+        }
     }
 }
 

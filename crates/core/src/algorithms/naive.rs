@@ -6,7 +6,7 @@
 //! of `n` partials; space `n`. The implementation folds left-to-right in
 //! window order, so non-commutative operations are handled correctly.
 
-use crate::aggregator::{FinalAggregator, MemoryFootprint};
+use crate::aggregator::{FinalAggregator, MemoryFootprint, SlotRanges};
 use crate::invariants::{ensure, strict_check, InvariantViolation};
 use crate::ops::AggregateOp;
 
@@ -42,17 +42,9 @@ impl<O: AggregateOp> Naive<O> {
 
     /// Aggregate of the current window contents, folding in window order.
     pub fn query(&self) -> O::Partial {
-        if self.len == 0 {
-            return self.op.identity();
-        }
         // Oldest live slot.
         let start = (self.curr + self.window - self.len) % self.window;
-        let mut acc = self.partials[start].clone(); // check:allow index kept in-bounds by the ring/stack invariant
-        for i in 1..self.len {
-            let idx = (start + i) % self.window;
-            acc = self.op.combine(&acc, &self.partials[idx]); // check:allow index kept in-bounds by the ring/stack invariant
-        }
-        acc
+        self.query_range(start, self.len)
     }
 }
 
@@ -145,6 +137,28 @@ impl<O: AggregateOp> FinalAggregator<O> for Naive<O> {
             self.window
         );
         Ok(())
+    }
+}
+
+impl<O: AggregateOp> SlotRanges<O> for Naive<O> {
+    fn set_slot(&mut self, pos: usize, p: O::Partial) {
+        self.partials[pos] = p; // check:allow index kept in-bounds by the ring/stack invariant
+    }
+
+    /// The ring fold: exactly `count − 1` combines, oldest first. Slots
+    /// not yet written hold the identity, so a multi-query range during
+    /// warm-up still pays its full `r − 1` (the paper's Example 2
+    /// accounting).
+    fn query_range(&self, start: usize, count: usize) -> O::Partial {
+        if count == 0 {
+            return self.op.identity();
+        }
+        let mut acc = self.partials[start].clone(); // check:allow index kept in-bounds by the ring/stack invariant
+        for i in 1..count {
+            let idx = (start + i) % self.window;
+            acc = self.op.combine(&acc, &self.partials[idx]); // check:allow index kept in-bounds by the ring/stack invariant
+        }
+        acc
     }
 }
 

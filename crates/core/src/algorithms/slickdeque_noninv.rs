@@ -138,7 +138,7 @@ impl<O: SelectiveOp> FinalAggregator<O> for SlickDequeNonInv<O> {
     }
 
     /// Algorithm 2's dominance popping, batched: one call into the
-    /// dominated-suffix scan ([`MonoDeque::append_frame`]) — each batch
+    /// dominated-suffix scan (`MonoDeque::append_frame`) — each batch
     /// partial costs one comparison instead of a full push/pop cycle.
     fn bulk_insert(&mut self, batch: &[O::Partial]) {
         let b = batch.len();
@@ -155,12 +155,12 @@ impl<O: SelectiveOp> FinalAggregator<O> for SlickDequeNonInv<O> {
         strict_check!(self);
     }
 
-    /// Frame-wise answers ([`MonoDeque::answer_frame`]): per frame of at
+    /// Frame-wise answers (`MonoDeque::answer_frame`): per frame of at
     /// most `window` partials, every answer is the pre-frame deque node
     /// still in the window ⊕ the frame's prefix scan, and the deque is
     /// updated once by `bulk_insert`. Bitwise the answers of `slide` —
     /// selection returns one of the window's own partials — without its
-    /// data-dependent pop branch; frames under [`MIN_FRAME`] partials keep
+    /// data-dependent pop branch; frames under `MIN_FRAME` partials keep
     /// the per-slide loop.
     fn bulk_slide(&mut self, batch: &[O::Partial], out: &mut Vec<O::Partial>) {
         out.clear();
@@ -179,7 +179,7 @@ impl<O: SelectiveOp> FinalAggregator<O> for SlickDequeNonInv<O> {
     }
 
     /// SlickDeque (Non-Inv) invariants (paper §3.2, Algorithm 2): the
-    /// shared [`MonoDeque::check_invariants`] with strictly increasing
+    /// shared `MonoDeque::check_invariants` with strictly increasing
     /// positions inside `[next_pos − len, next_pos)` — so the deque never
     /// holds more nodes than live window slots — and a non-empty window has
     /// a head to answer from. `O(deque_len)` combines.
@@ -250,7 +250,7 @@ impl MemoryFootprint for SlickDequeRange {
 
 impl<O: SelectiveOp> crate::state::StatefulAggregator<O> for SlickDequeNonInv<O> {
     /// Capture `[len, next_pos]`, then the deque
-    /// ([`MonoDeque::save_nodes`]: node count, each node's absolute
+    /// (`MonoDeque::save_nodes`: node count, each node's absolute
     /// position, each node's value head→tail). The monotone deque is the
     /// whole derived state.
     fn save_state(&self, w: &mut crate::state::StateWriter<O::Partial>) {

@@ -8,6 +8,14 @@
 //! TwoStacks and DABA are absent by design: "neither TwoStacks nor DABA
 //! are known to support multi-query execution" (paper §2.2).
 //!
+//! Naive, FlatFAT and B-Int answer many ranges with the structure they
+//! use for one, so their multi-query forms are one wrapper,
+//! [`MultiRanges`], over the single-query structure's
+//! [`SlotRanges`](crate::aggregator::SlotRanges) surface: write the
+//! arrival's slot, then fold each registered range. FlatFIT (dense and
+//! sparse) and SlickDeque change their algorithm for many ranges and keep
+//! their own types.
+//!
 //! | Algorithm | Ops/slide (max-multi) | Space |
 //! |---|---|---|
 //! | [`MultiNaive`] | n²/2 − n/2 | n |
@@ -18,21 +26,17 @@
 //! | [`MultiSlickDequeInv`] | 2n | 2n |
 //! | [`MultiSlickDequeNonInv`] | 2…2n (input-dependent) | ≤ 2n + 4√n |
 
-mod bint;
-mod flatfat;
 mod flatfit;
 mod flatfit_sparse;
-mod naive;
+mod ranges;
 mod slickdeque;
 #[cfg(test)]
 mod time_multi;
 
 pub use crate::algorithms::time_windows::{MultiTimeSlickDequeInv, MultiTimeSlickDequeNonInv};
-pub use bint::MultiBInt;
-pub use flatfat::MultiFlatFat;
 pub use flatfit::MultiFlatFit;
 pub use flatfit_sparse::MultiFlatFitSparse;
-pub use naive::MultiNaive;
+pub use ranges::{MultiBInt, MultiFlatFat, MultiNaive, MultiRanges};
 pub use slickdeque::{MultiSlickDequeInv, MultiSlickDequeNonInv};
 
 #[cfg(test)]
@@ -171,6 +175,116 @@ mod tests {
             mnaive.slide_multi(mop.lift(v), &mut m1);
             mdeque.slide_multi(mop.lift(v), &mut m2);
             assert_eq!(m1, m2);
+        }
+    }
+}
+
+/// Hand-computed answers for [`MultiNaive`].
+#[cfg(test)]
+mod naive {
+    mod tests {
+        use crate::aggregator::MultiFinalAggregator;
+        use crate::multi::*;
+        use crate::ops::Sum;
+
+        #[test]
+        fn answers_descending_ranges() {
+            let mut agg = MultiNaive::new(Sum::<i64>::new(), &[2, 4]);
+            let mut out = Vec::new();
+            agg.slide_multi(1, &mut out);
+            assert_eq!(out, vec![1, 1]);
+            agg.slide_multi(2, &mut out);
+            assert_eq!(out, vec![3, 3]);
+            agg.slide_multi(3, &mut out);
+            assert_eq!(out, vec![6, 5]);
+            agg.slide_multi(4, &mut out);
+            assert_eq!(out, vec![10, 7]);
+            agg.slide_multi(5, &mut out);
+            assert_eq!(out, vec![14, 9]);
+        }
+
+        #[test]
+        fn single_range_degenerates_to_single_query() {
+            let mut agg = MultiNaive::new(Sum::<i64>::new(), &[3]);
+            let mut out = Vec::new();
+            for (v, expect) in [(1, 1), (2, 3), (3, 6), (4, 9)] {
+                agg.slide_multi(v, &mut out);
+                assert_eq!(out, vec![expect]);
+            }
+        }
+
+        #[test]
+        fn range_one_is_latest_value() {
+            let mut agg = MultiNaive::new(Sum::<i64>::new(), &[1, 3]);
+            let mut out = Vec::new();
+            agg.slide_multi(10, &mut out);
+            agg.slide_multi(20, &mut out);
+            assert_eq!(out, vec![30, 20]);
+        }
+    }
+}
+
+/// Hand-computed answers for [`MultiFlatFat`].
+#[cfg(test)]
+mod flatfat {
+    mod tests {
+        use crate::aggregator::MultiFinalAggregator;
+        use crate::multi::*;
+        use crate::ops::{AggregateOp, Max, Sum};
+
+        #[test]
+        fn answers_match_hand_computation() {
+            let mut agg = MultiFlatFat::new(Sum::<i64>::new(), &[4, 2]);
+            let mut out = Vec::new();
+            for (v, expect) in [
+                (1, vec![1, 1]),
+                (2, vec![3, 3]),
+                (3, vec![6, 5]),
+                (4, vec![10, 7]),
+                (5, vec![14, 9]),
+            ] {
+                agg.slide_multi(v, &mut out);
+                assert_eq!(out, expect);
+            }
+        }
+
+        #[test]
+        fn max_over_multiple_ranges() {
+            let op = Max::<i64>::new();
+            let mut agg = MultiFlatFat::new(op, &[3, 1]);
+            let mut out = Vec::new();
+            agg.slide_multi(op.lift(&9), &mut out);
+            agg.slide_multi(op.lift(&2), &mut out);
+            agg.slide_multi(op.lift(&5), &mut out);
+            assert_eq!(out, vec![Some(9), Some(5)]);
+            agg.slide_multi(op.lift(&1), &mut out);
+            assert_eq!(out, vec![Some(5), Some(1)]);
+        }
+    }
+}
+
+/// Hand-computed answers for [`MultiBInt`].
+#[cfg(test)]
+mod bint {
+    mod tests {
+        use crate::aggregator::MultiFinalAggregator;
+        use crate::multi::*;
+        use crate::ops::Sum;
+
+        #[test]
+        fn answers_match_hand_computation() {
+            let mut agg = MultiBInt::new(Sum::<i64>::new(), &[4, 2, 1]);
+            let mut out = Vec::new();
+            agg.slide_multi(10, &mut out);
+            assert_eq!(out, vec![10, 10, 10]);
+            agg.slide_multi(20, &mut out);
+            assert_eq!(out, vec![30, 30, 20]);
+            agg.slide_multi(30, &mut out);
+            assert_eq!(out, vec![60, 50, 30]);
+            agg.slide_multi(40, &mut out);
+            assert_eq!(out, vec![100, 70, 40]);
+            agg.slide_multi(50, &mut out);
+            assert_eq!(out, vec![140, 90, 50]);
         }
     }
 }

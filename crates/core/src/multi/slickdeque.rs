@@ -251,13 +251,13 @@ impl<O: SelectiveOp> MultiFinalAggregator<O> for MultiSlickDequeNonInv<O> {
         self.slide_into(partial, out);
     }
 
-    /// Frame-wise answers ([`MonoDeque::answer_frame`]): the batch is cut
+    /// Frame-wise answers (`MonoDeque::answer_frame`): the batch is cut
     /// into frames no longer than the smallest range; per frame, every
     /// answer is the pre-frame deque node still inside that range's window
     /// ⊕ the frame's prefix scan, and the shared deque is updated once.
     /// Bitwise the answers of `slide_multi` — selection returns one of the
     /// window's own partials — without its data-dependent pop branch;
-    /// frames under [`MIN_FRAME`] partials keep the per-slide loop. Expiry
+    /// frames under `MIN_FRAME` partials keep the per-slide loop. Expiry
     /// is by `wsize`, which can exceed `ranges[0]` after `remove_query`.
     fn bulk_slide_multi(&mut self, batch: &[O::Partial], out: &mut Vec<O::Partial>) {
         out.clear();
@@ -295,7 +295,7 @@ impl<O: SelectiveOp> MultiFinalAggregator<O> for MultiSlickDequeNonInv<O> {
 
     /// Multi-query SlickDeque (Non-Inv) invariants (paper Algorithm 2): the
     /// ranges list is descending with the largest range inside the window,
-    /// and the shared [`MonoDeque::check_invariants`] with strictly
+    /// and the shared `MonoDeque::check_invariants` with strictly
     /// increasing positions among the last `wsize` arrivals — so the deque
     /// never holds more nodes than window slots. `O(deque_len)` combines.
     fn check_invariants(&self) -> Result<(), InvariantViolation> {

@@ -422,40 +422,29 @@ impl VariancePartial {
             count: a.count + b.count,
         }
     }
-
-    #[inline]
-    fn unmerge(a: &Self, b: &Self) -> Self {
-        VariancePartial {
-            sum: a.sum - b.sum,
-            sum_squares: a.sum_squares - b.sum_squares,
-            count: a.count - b.count,
-        }
-    }
-
-    #[inline]
-    fn variance(&self) -> f64 {
-        if self.count == 0 {
-            return f64::NAN;
-        }
-        let n = self.count as f64;
-        let mean = self.sum / n;
-        // Population variance; clamp tiny negative values from cancellation.
-        (self.sum_squares / n - mean * mean).max(0.0)
-    }
 }
 
-/// Windowed population variance (algebraic: SumSquares, Sum, Count).
+/// Windowed population variance ([`Variance`]) or standard deviation
+/// ([`StdDev`], its square root when `ROOT`) — algebraic: SumSquares, Sum,
+/// Count. The two share the partial, ⊕ and ⊖, and differ only in the
+/// lowering.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Variance;
+pub struct Dispersion<const ROOT: bool>;
 
-impl Variance {
-    /// Create the Variance operation.
+/// Windowed population variance (see [`Dispersion`]).
+pub type Variance = Dispersion<false>;
+
+/// Windowed population standard deviation (see [`Dispersion`]).
+pub type StdDev = Dispersion<true>;
+
+impl<const ROOT: bool> Dispersion<ROOT> {
+    /// Create the operation.
     pub fn new() -> Self {
-        Variance
+        Dispersion
     }
 }
 
-impl AggregateOp for Variance {
+impl<const ROOT: bool> AggregateOp for Dispersion<ROOT> {
     type Input = f64;
     type Partial = VariancePartial;
     type Output = f64;
@@ -482,10 +471,25 @@ impl AggregateOp for Variance {
     }
     #[inline]
     fn lower(&self, agg: &VariancePartial) -> f64 {
-        agg.variance()
+        if agg.count == 0 {
+            return f64::NAN;
+        }
+        let n = agg.count as f64;
+        let mean = agg.sum / n;
+        // Population variance; clamp tiny negative values from cancellation.
+        let variance = (agg.sum_squares / n - mean * mean).max(0.0);
+        if ROOT {
+            variance.sqrt()
+        } else {
+            variance
+        }
     }
     fn name(&self) -> &'static str {
-        "variance"
+        if ROOT {
+            "std_dev"
+        } else {
+            "variance"
+        }
     }
     fn fold_slice(&self, init: &VariancePartial, slice: &[VariancePartial]) -> VariancePartial {
         lane_fold(init, slice, VariancePartial::merge)
@@ -498,69 +502,18 @@ impl AggregateOp for Variance {
     }
 }
 
-impl InvertibleOp for Variance {
+impl<const ROOT: bool> InvertibleOp for Dispersion<ROOT> {
     #[inline]
     fn inverse_combine(&self, a: &VariancePartial, b: &VariancePartial) -> VariancePartial {
-        VariancePartial::unmerge(a, b)
+        VariancePartial {
+            sum: a.sum - b.sum,
+            sum_squares: a.sum_squares - b.sum_squares,
+            count: a.count - b.count,
+        }
     }
 }
 
-impl CommutativeOp for Variance {}
-
-/// Windowed population standard deviation (the square root of [`Variance`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StdDev;
-
-impl StdDev {
-    /// Create the StdDev operation.
-    pub fn new() -> Self {
-        StdDev
-    }
-}
-
-impl AggregateOp for StdDev {
-    type Input = f64;
-    type Partial = VariancePartial;
-    type Output = f64;
-
-    #[inline]
-    fn identity(&self) -> VariancePartial {
-        Variance.identity()
-    }
-    #[inline]
-    fn lift(&self, input: &f64) -> VariancePartial {
-        Variance.lift(input)
-    }
-    #[inline]
-    fn combine(&self, a: &VariancePartial, b: &VariancePartial) -> VariancePartial {
-        VariancePartial::merge(a, b)
-    }
-    #[inline]
-    fn lower(&self, agg: &VariancePartial) -> f64 {
-        agg.variance().sqrt()
-    }
-    fn name(&self) -> &'static str {
-        "std_dev"
-    }
-    fn fold_slice(&self, init: &VariancePartial, slice: &[VariancePartial]) -> VariancePartial {
-        lane_fold(init, slice, VariancePartial::merge)
-    }
-    fn prefix_scan_into(&self, slice: &[VariancePartial], out: &mut Vec<VariancePartial>) {
-        scan_prefix_with(slice, out, VariancePartial::merge);
-    }
-    fn suffix_scan_into(&self, slice: &[VariancePartial], out: &mut Vec<VariancePartial>) {
-        scan_suffix_with(slice, out, VariancePartial::merge);
-    }
-}
-
-impl InvertibleOp for StdDev {
-    #[inline]
-    fn inverse_combine(&self, a: &VariancePartial, b: &VariancePartial) -> VariancePartial {
-        VariancePartial::unmerge(a, b)
-    }
-}
-
-impl CommutativeOp for StdDev {}
+impl<const ROOT: bool> CommutativeOp for Dispersion<ROOT> {}
 
 /// Windowed geometric mean over positive inputs (algebraic: log-sum and
 /// count; zeros tracked separately so the operation stays invertible).

@@ -23,6 +23,14 @@
 //!   (`FlatFat::query_in_order` covers the rest). The marker also lets
 //!   property tests check the law where it is claimed.
 //!
+//! The selective operations come in mirrored pairs — Max/Min,
+//! MaxF64/MinF64, ArgMax/ArgMin, BoolAny/BoolAll, Last/First — that differ
+//! only in which way a comparison points. Each pair is one generic type
+//! over a zero-sized [`Direction`] ([`Greatest`] or [`Least`]) with one
+//! `AggregateOp` impl, and the familiar names are type aliases of it;
+//! Variance/StdDev is likewise one [`Dispersion`] generic over its
+//! lowering.
+//!
 //! Holistic aggregations (Median, Top-K, …) are out of scope, exactly as in
 //! the paper.
 
@@ -33,12 +41,12 @@ mod pair;
 
 pub use counting::{CountingOp, OpCounter};
 pub use invertible::{
-    Additive, Count, GeometricMean, Mean, MeanPartial, Product, ProductPartial, StdDev, Sum,
-    SumSquares, Variance, VariancePartial,
+    Additive, Count, Dispersion, GeometricMean, Mean, MeanPartial, Product, ProductPartial, StdDev,
+    Sum, SumSquares, Variance, VariancePartial,
 };
 pub use noninvertible::{
-    AlphaMax, ArgMax, ArgMin, BoolAll, BoolAny, First, Last, Max, MaxF64, Min, MinF64, MinMax,
-    Range,
+    AlphaMax, ArgExtreme, ArgMax, ArgMin, BoolAll, BoolAny, BoolExtreme, Direction, Extreme,
+    ExtremeF64, First, Greatest, Last, Least, Max, MaxF64, Min, MinF64, MinMax, Range, WindowEnd,
 };
 pub use pair::PairOp;
 

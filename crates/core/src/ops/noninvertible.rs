@@ -1,132 +1,155 @@
 //! Non-invertible aggregate operations: Max, Min, Range, alphabetical Max,
-//! ArgMax / ArgMin, and boolean All/Any.
+//! ArgMax / ArgMin, First / Last, and boolean All/Any.
 //!
 //! These are the operations the paper's SlickDeque (Non-Inv) targets. All of
 //! them except [`MinMax`]/[`Range`] have *selection* semantics
-//! ([`SelectiveOp`]): `combine(a, b)` returns one of its arguments. Range is
-//! algebraic (Max and Min combined) and is therefore processed either by the
-//! general algorithms directly or by SlickDeque as two deques (see
+//! ([`SelectiveOp`]): `combine(a, b)` returns one of its arguments. The
+//! selective operations come in mirrored pairs that differ only in which
+//! way a comparison points, so each pair is one generic type over a
+//! [`Direction`] — [`Greatest`] or [`Least`] — and the familiar names are
+//! aliases of it: [`Max`]/[`Min`] of [`Extreme`], [`MaxF64`]/[`MinF64`] of
+//! [`ExtremeF64`], [`ArgMax`]/[`ArgMin`] of [`ArgExtreme`],
+//! [`BoolAny`]/[`BoolAll`] of [`BoolExtreme`] and [`Last`]/[`First`] of
+//! [`WindowEnd`]. Range is algebraic (Max and Min combined) and is
+//! therefore processed either by the general algorithms directly or by
+//! SlickDeque as two deques (see
 //! `algorithms::slickdeque_noninv::SlickDequeRange`).
 
 use super::{AggregateOp, CommutativeOp, SelectiveOp};
+use core::cmp::Ordering;
 use core::fmt::Debug;
 use core::marker::PhantomData;
 
-/// Windowed maximum over any [`PartialOrd`] carrier (numbers, strings, …).
+/// Which end of an order a selective operation keeps: [`Greatest`] (Max,
+/// MaxF64, ArgMax, BoolAny, Last) or [`Least`] (their mirrors).
+///
+/// Everything a mirrored pair does differently follows from one ordering,
+/// [`KEEPS_OLDER`](Self::KEEPS_OLDER): the strict comparison under which ⊕
+/// keeps its older (left) argument ([`outranks`](Self::outranks), or a
+/// direct test against an [`Ordering`] such as `f64::total_cmp`'s) and,
+/// through [`pick_end`](Self::pick_end), the identity, the canonical NaN,
+/// the kernel seed and the name. Ties keep the newer (right) argument in
+/// both directions, so the monotone deque discards the older duplicate.
+pub trait Direction {
+    /// How the older argument must compare with the newer one for ⊕ to
+    /// keep it: `Greater` for [`Greatest`], `Less` for [`Least`].
+    const KEEPS_OLDER: Ordering;
+
+    /// `old` strictly beats `new`: `old > new` for [`Greatest`], `old < new`
+    /// for [`Least`].
+    #[inline]
+    fn outranks<T: PartialOrd + ?Sized>(old: &T, new: &T) -> bool {
+        old.partial_cmp(new) == Some(Self::KEEPS_OLDER)
+    }
+
+    /// `greatest` under [`Greatest`], `least` under [`Least`]. The choice
+    /// is a compile-time constant, so the unused argument is dropped from
+    /// every monomorphised kernel.
+    #[inline]
+    fn pick_end<X>(greatest: X, least: X) -> X {
+        if Self::KEEPS_OLDER == Ordering::Greater {
+            greatest
+        } else {
+            least
+        }
+    }
+}
+
+/// Keep the greatest element: Max, MaxF64, ArgMax, BoolAny, Last.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Greatest;
+
+/// Keep the least element: Min, MinF64, ArgMin, BoolAll, First.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Least;
+
+impl Direction for Greatest {
+    const KEEPS_OLDER: Ordering = Ordering::Greater;
+}
+
+impl Direction for Least {
+    const KEEPS_OLDER: Ordering = Ordering::Less;
+}
+
+/// ⊕ on `Option` partials with `None` as the identity: of two values the
+/// older is kept only if `older_wins` says so, otherwise the newer.
+#[inline]
+fn select<P: Clone>(
+    a: &Option<P>,
+    b: &Option<P>,
+    older_wins: impl FnOnce(&P, &P) -> bool,
+) -> Option<P> {
+    match (a, b) {
+        (Some(x), Some(y)) => {
+            if older_wins(x, y) {
+                Some(x.clone())
+            } else {
+                Some(y.clone())
+            }
+        }
+        (Some(x), None) => Some(x.clone()),
+        (None, y) => y.clone(),
+    }
+}
+
+/// Windowed maximum ([`Max`]) or minimum ([`Min`]) over any [`PartialOrd`]
+/// carrier (numbers, strings, …).
 ///
 /// The partial aggregate is `Option<T>` with `None` as the identity (the
-/// paper's −∞ `initVal`), which keeps the operation total and generic without
-/// requiring a least element for every carrier type.
+/// paper's ∓∞ `initVal`), which keeps the operation total and generic without
+/// requiring a least or greatest element for every carrier type.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Max<T>(PhantomData<T>);
+pub struct Extreme<T, D>(PhantomData<(T, D)>);
 
-impl<T> Max<T> {
-    /// Create the Max operation.
-    pub fn new() -> Self {
-        Max(PhantomData)
-    }
-}
+/// Windowed maximum (see [`Extreme`]).
+pub type Max<T> = Extreme<T, Greatest>;
 
-impl<T: PartialOrd + Clone + PartialEq + Debug> AggregateOp for Max<T> {
-    type Input = T;
-    type Partial = Option<T>;
-    type Output = Option<T>;
-
-    #[inline]
-    fn identity(&self) -> Option<T> {
-        None
-    }
-
-    #[inline]
-    fn lift(&self, input: &T) -> Option<T> {
-        Some(input.clone())
-    }
-
-    #[inline]
-    fn combine(&self, a: &Option<T>, b: &Option<T>) -> Option<T> {
-        match (a, b) {
-            (Some(x), Some(y)) => {
-                if x > y {
-                    Some(x.clone())
-                } else {
-                    Some(y.clone())
-                }
-            }
-            (Some(x), None) => Some(x.clone()),
-            (None, y) => y.clone(),
-        }
-    }
-
-    #[inline]
-    fn lower(&self, agg: &Option<T>) -> Option<T> {
-        agg.clone()
-    }
-
-    fn name(&self) -> &'static str {
-        "max"
-    }
-}
-
-impl<T: PartialOrd + Clone + PartialEq + Debug> SelectiveOp for Max<T> {}
-impl<T: PartialOrd + Clone + PartialEq + Debug> CommutativeOp for Max<T> {}
-
-/// Windowed minimum. See [`Max`] for representation notes.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Min<T>(PhantomData<T>);
-
-impl<T> Min<T> {
-    /// Create the Min operation.
-    pub fn new() -> Self {
-        Min(PhantomData)
-    }
-}
-
-impl<T: PartialOrd + Clone + PartialEq + Debug> AggregateOp for Min<T> {
-    type Input = T;
-    type Partial = Option<T>;
-    type Output = Option<T>;
-
-    #[inline]
-    fn identity(&self) -> Option<T> {
-        None
-    }
-
-    #[inline]
-    fn lift(&self, input: &T) -> Option<T> {
-        Some(input.clone())
-    }
-
-    #[inline]
-    fn combine(&self, a: &Option<T>, b: &Option<T>) -> Option<T> {
-        match (a, b) {
-            (Some(x), Some(y)) => {
-                if x < y {
-                    Some(x.clone())
-                } else {
-                    Some(y.clone())
-                }
-            }
-            (Some(x), None) => Some(x.clone()),
-            (None, y) => y.clone(),
-        }
-    }
-
-    #[inline]
-    fn lower(&self, agg: &Option<T>) -> Option<T> {
-        agg.clone()
-    }
-
-    fn name(&self) -> &'static str {
-        "min"
-    }
-}
-
-impl<T: PartialOrd + Clone + PartialEq + Debug> SelectiveOp for Min<T> {}
-impl<T: PartialOrd + Clone + PartialEq + Debug> CommutativeOp for Min<T> {}
+/// Windowed minimum (see [`Extreme`]).
+pub type Min<T> = Extreme<T, Least>;
 
 /// Alphabetical maximum over strings — one of the paper's motivating
 /// non-invertible operations. Identical to [`Max<String>`].
 pub type AlphaMax = Max<String>;
+
+impl<T, D> Extreme<T, D> {
+    /// Create the operation.
+    pub fn new() -> Self {
+        Extreme(PhantomData)
+    }
+}
+
+impl<T: PartialOrd + Clone + PartialEq + Debug, D: Direction> AggregateOp for Extreme<T, D> {
+    type Input = T;
+    type Partial = Option<T>;
+    type Output = Option<T>;
+
+    #[inline]
+    fn identity(&self) -> Option<T> {
+        None
+    }
+
+    #[inline]
+    fn lift(&self, input: &T) -> Option<T> {
+        Some(input.clone())
+    }
+
+    #[inline]
+    fn combine(&self, a: &Option<T>, b: &Option<T>) -> Option<T> {
+        select(a, b, D::outranks)
+    }
+
+    #[inline]
+    fn lower(&self, agg: &Option<T>) -> Option<T> {
+        agg.clone()
+    }
+
+    fn name(&self) -> &'static str {
+        D::pick_end("max", "min")
+    }
+}
+
+impl<T: PartialOrd + Clone + PartialEq + Debug, D: Direction> SelectiveOp for Extreme<T, D> {}
+impl<T: PartialOrd + Clone + PartialEq + Debug, D: Direction> CommutativeOp for Extreme<T, D> {}
 
 /// Map an `f64` to an `i64` whose natural integer order matches
 /// [`f64::total_cmp`]: flip the sign bit for non-negative values, flip all
@@ -134,7 +157,7 @@ pub type AlphaMax = Max<String>;
 /// internally). The map is an involution — applying it twice returns the
 /// original bits — so it is its own inverse.
 ///
-/// [`MaxF64`]/[`MinF64`] use it to turn their slice kernels into branchless
+/// [`ExtremeF64`] uses it to turn its slice kernels into branchless
 /// integer `max`/`min` reductions: the map is a monotone bijection, so an
 /// integer extreme of keys is the `total_cmp` extreme of values, and ties
 /// are unobservable (total_cmp-equal floats have identical bits).
@@ -150,8 +173,16 @@ fn from_total_cmp_key(k: i64) -> f64 {
     f64::from_bits((k ^ (((k >> 63) as u64) >> 1) as i64) as u64)
 }
 
-/// Windowed maximum over `f64` with a −∞ identity — the unboxed
-/// representation the paper's C++ platform uses (`initVal` is −∞ for Max).
+/// The integer `max` ([`Greatest`]) or `min` ([`Least`]) of two keys: the
+/// one step of every branchless [`ExtremeF64`] kernel.
+#[inline]
+fn key_extreme<D: Direction>(a: i64, b: i64) -> i64 {
+    D::pick_end(a.max(b), a.min(b))
+}
+
+/// Windowed maximum ([`MaxF64`], −∞ identity) or minimum ([`MinF64`], +∞
+/// identity) over `f64` — the unboxed representation the paper's C++
+/// platform uses for its `initVal`.
 ///
 /// Halves the partial size relative to [`Max<f64>`]'s `Option<f64>`;
 /// prefer it in throughput-critical paths.
@@ -159,47 +190,52 @@ fn from_total_cmp_key(k: i64) -> f64 {
 /// # NaN policy
 ///
 /// Values are ordered by [`f64::total_cmp`], which is a *total* order:
-/// `… < −∞ < finite < +∞ < NaN`. `lift` canonicalises every NaN input to
-/// the positive quiet NaN, the greatest element of that order, so a NaN in
-/// the window is "the maximum" until it expires — the window never silently
-/// drops or misorders it. This keeps the selection property (`combine`
-/// returns one of its arguments) and the identity law (`−∞` is below every
-/// canonical partial) intact even on hostile streams; the old
-/// `debug_assert!(!input.is_nan())` could not protect release builds.
-/// Ties prefer the newer (right) argument, matching [`Max<T>`].
+/// `NaN(neg) < −∞ < finite < +∞ < NaN`. `lift` canonicalises every NaN
+/// input to the quiet NaN at the winning end of that order — positive for
+/// Max, negative for Min — so a NaN in the window is "the maximum" (or
+/// "the minimum") until it expires, and the window never silently drops or
+/// misorders it. This keeps the selection property (`combine` returns one
+/// of its arguments) and the identity law (the identity never beats a
+/// canonical partial) intact even on hostile streams. Ties prefer the
+/// newer (right) argument, matching [`Extreme`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MaxF64;
+pub struct ExtremeF64<D>(PhantomData<D>);
 
-impl MaxF64 {
+/// Windowed maximum over `f64` (see [`ExtremeF64`]).
+pub type MaxF64 = ExtremeF64<Greatest>;
+
+/// Windowed minimum over `f64` (see [`ExtremeF64`]).
+pub type MinF64 = ExtremeF64<Least>;
+
+impl<D> ExtremeF64<D> {
     /// Create the operation.
     pub fn new() -> Self {
-        MaxF64
+        ExtremeF64(PhantomData)
     }
 }
 
-impl AggregateOp for MaxF64 {
+impl<D: Direction> AggregateOp for ExtremeF64<D> {
     type Input = f64;
     type Partial = f64;
     type Output = f64;
 
     #[inline]
     fn identity(&self) -> f64 {
-        f64::NEG_INFINITY
+        D::pick_end(f64::NEG_INFINITY, f64::INFINITY)
     }
     #[inline]
     fn lift(&self, input: &f64) -> f64 {
-        // Canonicalise to the positive quiet NaN — the greatest element in
-        // the total_cmp order, so a single bit pattern represents "NaN
-        // dominates" regardless of the input's sign/payload bits.
+        // One bit pattern represents "NaN dominates" regardless of the
+        // input's sign and payload bits.
         if input.is_nan() {
-            f64::NAN
+            D::pick_end(f64::NAN, -f64::NAN)
         } else {
             *input
         }
     }
     #[inline]
     fn combine(&self, a: &f64, b: &f64) -> f64 {
-        if a.total_cmp(b) == core::cmp::Ordering::Greater {
+        if a.total_cmp(b) == D::KEEPS_OLDER {
             *a
         } else {
             *b
@@ -210,159 +246,78 @@ impl AggregateOp for MaxF64 {
         *agg
     }
     fn name(&self) -> &'static str {
-        "max_f64"
+        D::pick_end("max_f64", "min_f64")
     }
     fn fold_slice(&self, init: &f64, slice: &[f64]) -> f64 {
         // Branchless reduction in total_cmp key space (see total_cmp_key).
         let mut best = total_cmp_key(*init);
         for &x in slice {
-            best = best.max(total_cmp_key(x));
+            best = key_extreme::<D>(best, total_cmp_key(x));
         }
         from_total_cmp_key(best)
     }
     fn prefix_scan_into(&self, slice: &[f64], out: &mut Vec<f64>) {
         out.clear();
         out.reserve(slice.len());
-        // The key map is a bijection, so seeding below every key is safe:
-        // i64::MIN either loses immediately or *is* the first element's key.
-        let mut best = i64::MIN;
+        // The key map is a bijection, so seeding past every key is safe:
+        // the seed either loses immediately or *is* the first element's key.
+        let mut best = D::pick_end(i64::MIN, i64::MAX);
         for &x in slice {
-            best = best.max(total_cmp_key(x));
+            best = key_extreme::<D>(best, total_cmp_key(x));
             out.push(from_total_cmp_key(best));
         }
     }
     fn suffix_scan_into(&self, slice: &[f64], out: &mut Vec<f64>) {
         out.clear();
         out.extend_from_slice(slice);
-        let mut best = i64::MIN;
+        let mut best = D::pick_end(i64::MIN, i64::MAX);
         for x in out.iter_mut().rev() {
-            best = best.max(total_cmp_key(*x));
+            best = key_extreme::<D>(best, total_cmp_key(*x));
             *x = from_total_cmp_key(best);
         }
     }
 }
 
-impl SelectiveOp for MaxF64 {
+impl<D: Direction> SelectiveOp for ExtremeF64<D> {
     /// `total_cmp`-based dominance: unlike the `PartialEq` default, a NaN
     /// arrival correctly defeats older partials (and an older NaN is only
     /// defeated by another NaN).
     #[inline]
     fn defeats(&self, new: &f64, old: &f64) -> bool {
-        old.total_cmp(new) != core::cmp::Ordering::Greater
+        old.total_cmp(new) != D::KEEPS_OLDER
     }
 }
-impl CommutativeOp for MaxF64 {}
+impl<D: Direction> CommutativeOp for ExtremeF64<D> {}
 
-/// Windowed minimum over `f64` with a +∞ identity (see [`MaxF64`]).
-///
-/// # NaN policy
-///
-/// Mirror image of [`MaxF64`]: values are ordered by [`f64::total_cmp`] and
-/// `lift` canonicalises NaN inputs to the *negative* quiet NaN, the least
-/// element of the total order (`NaN(neg) < −∞ < finite < +∞`), so a NaN in
-/// the window is "the minimum" until it expires. Ties prefer the newer
-/// (right) argument.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MinF64;
-
-impl MinF64 {
-    /// Create the operation.
-    pub fn new() -> Self {
-        MinF64
-    }
-}
-
-impl AggregateOp for MinF64 {
-    type Input = f64;
-    type Partial = f64;
-    type Output = f64;
-
-    #[inline]
-    fn identity(&self) -> f64 {
-        f64::INFINITY
-    }
-    #[inline]
-    fn lift(&self, input: &f64) -> f64 {
-        // Canonicalise to the negative quiet NaN — the least element in the
-        // total_cmp order (below −∞), the mirror of MaxF64's policy.
-        if input.is_nan() {
-            -f64::NAN
-        } else {
-            *input
-        }
-    }
-    #[inline]
-    fn combine(&self, a: &f64, b: &f64) -> f64 {
-        if a.total_cmp(b) == core::cmp::Ordering::Less {
-            *a
-        } else {
-            *b
-        }
-    }
-    #[inline]
-    fn lower(&self, agg: &f64) -> f64 {
-        *agg
-    }
-    fn name(&self) -> &'static str {
-        "min_f64"
-    }
-    fn fold_slice(&self, init: &f64, slice: &[f64]) -> f64 {
-        // Branchless reduction in total_cmp key space (see total_cmp_key).
-        let mut best = total_cmp_key(*init);
-        for &x in slice {
-            best = best.min(total_cmp_key(x));
-        }
-        from_total_cmp_key(best)
-    }
-    fn prefix_scan_into(&self, slice: &[f64], out: &mut Vec<f64>) {
-        out.clear();
-        out.reserve(slice.len());
-        let mut best = i64::MAX;
-        for &x in slice {
-            best = best.min(total_cmp_key(x));
-            out.push(from_total_cmp_key(best));
-        }
-    }
-    fn suffix_scan_into(&self, slice: &[f64], out: &mut Vec<f64>) {
-        out.clear();
-        out.extend_from_slice(slice);
-        let mut best = i64::MAX;
-        for x in out.iter_mut().rev() {
-            best = best.min(total_cmp_key(*x));
-            *x = from_total_cmp_key(best);
-        }
-    }
-}
-
-impl SelectiveOp for MinF64 {
-    /// `total_cmp`-based dominance, NaN-safe (see [`MaxF64::defeats`]).
-    #[inline]
-    fn defeats(&self, new: &f64, old: &f64) -> bool {
-        old.total_cmp(new) != core::cmp::Ordering::Less
-    }
-}
-impl CommutativeOp for MinF64 {}
-
-/// Windowed ArgMax: returns the payload whose key is largest.
+/// Windowed ArgMax ([`ArgMax`]) or ArgMin ([`ArgMin`]): returns the payload
+/// whose key is largest (smallest).
 ///
 /// Inputs are `(key, payload)` pairs; `combine` selects the pair with the
-/// larger key, preferring the *newer* (right) argument on ties so the answer
-/// is deterministic. Covers the paper's "ArgMax of Cosine" style operations
-/// by lifting `x` to `(cos(x), x)`.
+/// larger (smaller) key, preferring the *newer* (right) argument on ties so
+/// the answer is deterministic. Covers the paper's "ArgMax of Cosine" and
+/// "ArgMin of x²" style operations by lifting `x` to `(cos(x), x)` or
+/// `(x², x)`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ArgMax<K, V>(PhantomData<(K, V)>);
+pub struct ArgExtreme<K, V, D>(PhantomData<(K, V, D)>);
 
-impl<K, V> ArgMax<K, V> {
-    /// Create the ArgMax operation.
+/// Windowed ArgMax (see [`ArgExtreme`]).
+pub type ArgMax<K, V> = ArgExtreme<K, V, Greatest>;
+
+/// Windowed ArgMin (see [`ArgExtreme`]).
+pub type ArgMin<K, V> = ArgExtreme<K, V, Least>;
+
+impl<K, V, D> ArgExtreme<K, V, D> {
+    /// Create the operation.
     pub fn new() -> Self {
-        ArgMax(PhantomData)
+        ArgExtreme(PhantomData)
     }
 }
 
-impl<K, V> AggregateOp for ArgMax<K, V>
+impl<K, V, D> AggregateOp for ArgExtreme<K, V, D>
 where
     K: PartialOrd + Clone + PartialEq + Debug,
     V: Clone + PartialEq + Debug,
+    D: Direction,
 {
     type Input = (K, V);
     type Partial = Option<(K, V)>;
@@ -380,17 +335,7 @@ where
 
     #[inline]
     fn combine(&self, a: &Option<(K, V)>, b: &Option<(K, V)>) -> Option<(K, V)> {
-        match (a, b) {
-            (Some(x), Some(y)) => {
-                if x.0 > y.0 {
-                    Some(x.clone())
-                } else {
-                    Some(y.clone())
-                }
-            }
-            (Some(x), None) => Some(x.clone()),
-            (None, y) => y.clone(),
-        }
+        select(a, b, |x, y| D::outranks(&x.0, &y.0))
     }
 
     #[inline]
@@ -399,94 +344,41 @@ where
     }
 
     fn name(&self) -> &'static str {
-        "arg_max"
+        D::pick_end("arg_max", "arg_min")
     }
 }
 
-impl<K, V> SelectiveOp for ArgMax<K, V>
+impl<K, V, D> SelectiveOp for ArgExtreme<K, V, D>
 where
     K: PartialOrd + Clone + PartialEq + Debug,
     V: Clone + PartialEq + Debug,
+    D: Direction,
 {
 }
 
-/// Windowed ArgMin: returns the payload whose key is smallest (the paper's
-/// "ArgMin of x²" style operations).
+/// The newest ([`Last`]) or oldest ([`First`]) value in the window: the
+/// greatest or least by arrival, so `combine` always selects its right
+/// (newer) or left (older) argument. Selective, so SlickDeque (Non-Inv)
+/// serves Last with a singleton deque (every arrival dominates everything)
+/// and First with a deque that never pops (every node survives until
+/// expiry).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ArgMin<K, V>(PhantomData<(K, V)>);
+pub struct WindowEnd<T, D>(PhantomData<(T, D)>);
 
-impl<K, V> ArgMin<K, V> {
-    /// Create the ArgMin operation.
+/// The oldest value in the window (see [`WindowEnd`]).
+pub type First<T> = WindowEnd<T, Least>;
+
+/// The newest value in the window (see [`WindowEnd`]).
+pub type Last<T> = WindowEnd<T, Greatest>;
+
+impl<T, D> WindowEnd<T, D> {
+    /// Create the operation.
     pub fn new() -> Self {
-        ArgMin(PhantomData)
+        WindowEnd(PhantomData)
     }
 }
 
-impl<K, V> AggregateOp for ArgMin<K, V>
-where
-    K: PartialOrd + Clone + PartialEq + Debug,
-    V: Clone + PartialEq + Debug,
-{
-    type Input = (K, V);
-    type Partial = Option<(K, V)>;
-    type Output = Option<V>;
-
-    #[inline]
-    fn identity(&self) -> Option<(K, V)> {
-        None
-    }
-
-    #[inline]
-    fn lift(&self, input: &(K, V)) -> Option<(K, V)> {
-        Some(input.clone())
-    }
-
-    #[inline]
-    fn combine(&self, a: &Option<(K, V)>, b: &Option<(K, V)>) -> Option<(K, V)> {
-        match (a, b) {
-            (Some(x), Some(y)) => {
-                if x.0 < y.0 {
-                    Some(x.clone())
-                } else {
-                    Some(y.clone())
-                }
-            }
-            (Some(x), None) => Some(x.clone()),
-            (None, y) => y.clone(),
-        }
-    }
-
-    #[inline]
-    fn lower(&self, agg: &Option<(K, V)>) -> Option<V> {
-        agg.as_ref().map(|(_, v)| v.clone())
-    }
-
-    fn name(&self) -> &'static str {
-        "arg_min"
-    }
-}
-
-impl<K, V> SelectiveOp for ArgMin<K, V>
-where
-    K: PartialOrd + Clone + PartialEq + Debug,
-    V: Clone + PartialEq + Debug,
-{
-}
-
-/// The oldest value in the window — `combine` always selects its left
-/// (older) argument. Selective, so SlickDeque (Non-Inv) serves it with a
-/// deque that never pops (every node survives until expiry).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct First<T>(PhantomData<T>);
-
-impl<T> First<T> {
-    /// Create the First operation.
-    pub fn new() -> Self {
-        First(PhantomData)
-    }
-}
-
-impl<T: Clone + PartialEq + Debug> AggregateOp for First<T> {
+impl<T: Clone + PartialEq + Debug, D: Direction> AggregateOp for WindowEnd<T, D> {
     type Input = T;
     type Partial = Option<T>;
     type Output = Option<T>;
@@ -501,83 +393,50 @@ impl<T: Clone + PartialEq + Debug> AggregateOp for First<T> {
     }
     #[inline]
     fn combine(&self, a: &Option<T>, b: &Option<T>) -> Option<T> {
-        if a.is_some() {
-            a.clone()
-        } else {
-            b.clone()
-        }
+        // The older argument arrived first: it is the least by arrival.
+        select(a, b, |_, _| D::pick_end(false, true))
     }
     #[inline]
     fn lower(&self, agg: &Option<T>) -> Option<T> {
         agg.clone()
     }
     fn name(&self) -> &'static str {
-        "first"
+        D::pick_end("last", "first")
     }
 }
 
-impl<T: Clone + PartialEq + Debug> SelectiveOp for First<T> {}
+impl<T: Clone + PartialEq + Debug, D: Direction> SelectiveOp for WindowEnd<T, D> {}
 
-/// The newest value in the window — `combine` always selects its right
-/// (newer) argument. Selective, so SlickDeque (Non-Inv) serves it with a
-/// singleton deque (every arrival dominates everything).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Last<T>(PhantomData<T>);
-
-impl<T> Last<T> {
-    /// Create the Last operation.
-    pub fn new() -> Self {
-        Last(PhantomData)
-    }
-}
-
-impl<T: Clone + PartialEq + Debug> AggregateOp for Last<T> {
-    type Input = T;
-    type Partial = Option<T>;
-    type Output = Option<T>;
-
-    #[inline]
-    fn identity(&self) -> Option<T> {
-        None
-    }
-    #[inline]
-    fn lift(&self, input: &T) -> Option<T> {
-        Some(input.clone())
-    }
-    #[inline]
-    fn combine(&self, a: &Option<T>, b: &Option<T>) -> Option<T> {
-        if b.is_some() {
-            b.clone()
-        } else {
-            a.clone()
-        }
-    }
-    #[inline]
-    fn lower(&self, agg: &Option<T>) -> Option<T> {
-        agg.clone()
-    }
-    fn name(&self) -> &'static str {
-        "last"
-    }
-}
-
-impl<T: Clone + PartialEq + Debug> SelectiveOp for Last<T> {}
-
-/// Windowed logical AND (true iff every tuple in the window is true).
+/// Windowed logical OR ([`BoolAny`]: true iff any tuple in the window is
+/// true) or AND ([`BoolAll`]: true iff every tuple is) — the maximum or
+/// minimum over `bool`, with the end that never wins as the identity.
 ///
 /// Non-invertible (knowing `a AND b` and `b` does not recover `a` when
 /// `b = false`) and selective.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct BoolAll;
+pub struct BoolExtreme<D>(PhantomData<D>);
 
-impl AggregateOp for BoolAll {
+/// Windowed logical AND (see [`BoolExtreme`]).
+pub type BoolAll = BoolExtreme<Least>;
+
+/// Windowed logical OR (see [`BoolExtreme`]).
+pub type BoolAny = BoolExtreme<Greatest>;
+
+impl<D> BoolExtreme<D> {
+    /// Create the operation.
+    pub fn new() -> Self {
+        BoolExtreme(PhantomData)
+    }
+}
+
+impl<D: Direction> AggregateOp for BoolExtreme<D> {
     type Input = bool;
     type Partial = bool;
     type Output = bool;
 
     #[inline]
     fn identity(&self) -> bool {
-        true
+        D::pick_end(false, true)
     }
     #[inline]
     fn lift(&self, input: &bool) -> bool {
@@ -585,52 +444,19 @@ impl AggregateOp for BoolAll {
     }
     #[inline]
     fn combine(&self, a: &bool, b: &bool) -> bool {
-        *a && *b
+        D::pick_end(*a || *b, *a && *b)
     }
     #[inline]
     fn lower(&self, agg: &bool) -> bool {
         *agg
     }
     fn name(&self) -> &'static str {
-        "all"
+        D::pick_end("any", "all")
     }
 }
 
-impl SelectiveOp for BoolAll {}
-impl CommutativeOp for BoolAll {}
-
-/// Windowed logical OR (true iff any tuple in the window is true).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct BoolAny;
-
-impl AggregateOp for BoolAny {
-    type Input = bool;
-    type Partial = bool;
-    type Output = bool;
-
-    #[inline]
-    fn identity(&self) -> bool {
-        false
-    }
-    #[inline]
-    fn lift(&self, input: &bool) -> bool {
-        *input
-    }
-    #[inline]
-    fn combine(&self, a: &bool, b: &bool) -> bool {
-        *a || *b
-    }
-    #[inline]
-    fn lower(&self, agg: &bool) -> bool {
-        *agg
-    }
-    fn name(&self) -> &'static str {
-        "any"
-    }
-}
-
-impl SelectiveOp for BoolAny {}
-impl CommutativeOp for BoolAny {}
+impl<D: Direction> SelectiveOp for BoolExtreme<D> {}
+impl<D: Direction> CommutativeOp for BoolExtreme<D> {}
 
 /// Windowed Range = Max − Min, the paper's canonical *algebraic*
 /// non-invertible aggregation.
@@ -863,8 +689,8 @@ mod tests {
 
     #[test]
     fn bool_ops() {
-        let all = BoolAll;
-        let any = BoolAny;
+        let all = BoolAll::new();
+        let any = BoolAny::new();
         assert!(!all.combine(&true, &false));
         assert!(any.combine(&true, &false));
         assert!(all.identity());

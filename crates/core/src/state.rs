@@ -269,21 +269,12 @@ impl PartialCodec for crate::ops::Sum<f64> {
     }
 }
 
-impl PartialCodec for crate::ops::MaxF64 {
+impl<D: crate::ops::Direction> PartialCodec for crate::ops::ExtremeF64<D> {
     fn encode_partial(&self, p: &f64, out: &mut Vec<u8>) {
         out.extend_from_slice(&p.to_le_bytes());
     }
     fn decode_partial(&self, bytes: &[u8], pos: &mut usize) -> Result<f64, StateError> {
-        decode_f64(bytes, pos, "MaxF64 partial")
-    }
-}
-
-impl PartialCodec for crate::ops::MinF64 {
-    fn encode_partial(&self, p: &f64, out: &mut Vec<u8>) {
-        out.extend_from_slice(&p.to_le_bytes());
-    }
-    fn decode_partial(&self, bytes: &[u8], pos: &mut usize) -> Result<f64, StateError> {
-        decode_f64(bytes, pos, "MinF64 partial")
+        decode_f64(bytes, pos, D::pick_end("MaxF64 partial", "MinF64 partial"))
     }
 }
 
@@ -303,49 +294,25 @@ impl PartialCodec for crate::ops::Mean {
     }
 }
 
-fn encode_variance(p: &crate::ops::VariancePartial, out: &mut Vec<u8>) {
-    out.extend_from_slice(&p.sum.to_le_bytes());
-    out.extend_from_slice(&p.sum_squares.to_le_bytes());
-    out.extend_from_slice(&p.count.to_le_bytes());
-}
-
-fn decode_variance(
-    bytes: &[u8],
-    pos: &mut usize,
-) -> Result<crate::ops::VariancePartial, StateError> {
-    let sum = decode_f64(bytes, pos, "Variance partial sum")?;
-    let sum_squares = decode_f64(bytes, pos, "Variance partial sum_squares")?;
-    let count = decode_u64(bytes, pos, "Variance partial count")?;
-    Ok(crate::ops::VariancePartial {
-        sum,
-        sum_squares,
-        count,
-    })
-}
-
-impl PartialCodec for crate::ops::Variance {
+impl<const ROOT: bool> PartialCodec for crate::ops::Dispersion<ROOT> {
     fn encode_partial(&self, p: &crate::ops::VariancePartial, out: &mut Vec<u8>) {
-        encode_variance(p, out);
+        out.extend_from_slice(&p.sum.to_le_bytes());
+        out.extend_from_slice(&p.sum_squares.to_le_bytes());
+        out.extend_from_slice(&p.count.to_le_bytes());
     }
     fn decode_partial(
         &self,
         bytes: &[u8],
         pos: &mut usize,
     ) -> Result<crate::ops::VariancePartial, StateError> {
-        decode_variance(bytes, pos)
-    }
-}
-
-impl PartialCodec for crate::ops::StdDev {
-    fn encode_partial(&self, p: &crate::ops::VariancePartial, out: &mut Vec<u8>) {
-        encode_variance(p, out);
-    }
-    fn decode_partial(
-        &self,
-        bytes: &[u8],
-        pos: &mut usize,
-    ) -> Result<crate::ops::VariancePartial, StateError> {
-        decode_variance(bytes, pos)
+        let sum = decode_f64(bytes, pos, "Variance partial sum")?;
+        let sum_squares = decode_f64(bytes, pos, "Variance partial sum_squares")?;
+        let count = decode_u64(bytes, pos, "Variance partial count")?;
+        Ok(crate::ops::VariancePartial {
+            sum,
+            sum_squares,
+            count,
+        })
     }
 }
 

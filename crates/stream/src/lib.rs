@@ -6,10 +6,9 @@
 //! plan, [`executor`] loops driving any final aggregator, and [`sink`]s
 //! receiving the continuous answers.
 //!
-//! The optional `obs` feature adds executor instrumentation ([`obs`]):
-//! flight-recorder events and slide-latency timing on
-//! [`SharedPlanExecutor`], attached via
-//! [`SharedPlanExecutor::attach_obs`].
+//! The optional `obs` feature adds executor instrumentation (the `obs`
+//! module): flight-recorder events and slide-latency timing on
+//! [`SharedPlanExecutor`], attached via `SharedPlanExecutor::attach_obs`.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
