@@ -4,7 +4,9 @@
 //!
 //! Each program drives one operation through a random mix of `insert` /
 //! `bulk_insert` / `evict_older_than` / `bulk_evict` actions over a
-//! sliding band of timestamps (duplicates included), comparing `query`,
+//! sliding band of timestamps (duplicates included), plus drains to empty
+//! followed by an in-order refill (the tree's reset and free-list reuse
+//! paths), comparing `query`,
 //! `query_range`, lengths, and the min/max timestamps against an oracle
 //! that keeps the live entries in a stably-sorted `Vec` — the same
 //! tie order the tree promises ("ties insert after existing equal-`ts`
@@ -118,12 +120,36 @@ where
                 mutations += gone as u64;
             }
             // Count-based eviction of the oldest entries.
-            80..=89 => {
+            80..=87 => {
                 let n = rng.gen_below(oracle.len() as u64 + 1) as usize;
                 let gone = tree.bulk_evict(n);
                 assert_eq!(gone, n, "{label}: bulk_evict({n}) count at step {step}");
                 oracle.drain(..n);
                 mutations += n as u64;
+            }
+            // Drain to empty, by cutoff or by count, then refill in order:
+            // the emptied tree's kept leaf and the freed nodes' buffers
+            // are reused by the refill's splits.
+            88 | 89 => {
+                let all = oracle.len();
+                let gone = match rng.gen_below(2) {
+                    0 => tree.evict_older_than(u64::MAX),
+                    _ => tree.bulk_evict(all + rng.gen_below(4) as usize),
+                };
+                assert_eq!(gone, all, "{label}: drain count at step {step}");
+                oracle.clear();
+                mutations += gone as u64;
+                if let Err(violation) = tree.check_invariants() {
+                    panic!("{label}: drained at step {step}: {violation}");
+                }
+                let mut ts = low;
+                for _ in 0..rng.gen_below(3 * BAND) {
+                    ts += rng.gen_below(2);
+                    let v = value(rng);
+                    tree.insert(ts, op.lift(&v));
+                    oracle_insert(&mut oracle, ts, v);
+                    mutations += 1;
+                }
             }
             // Range query over a random (possibly empty) slice of time.
             _ => {

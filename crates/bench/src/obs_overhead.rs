@@ -6,7 +6,10 @@
 //! fast path) and a tight increment loop against a plain `u64` field vs
 //! a registry [`Counter`], writes the best-of-runs numbers to
 //! `results/obs_overhead.json`, and — with a gate — fails when the bulk
-//! path slows down by more than the allowed percentage.
+//! path slows down by more than the allowed percentage. Every run's
+//! bulk readings are kept too, and the report prints the spread of the
+//! per-run paired overheads beside each gated figure, so a failing gate
+//! shows whether it sits inside the host's run-to-run noise.
 //!
 //! The gate is on the *bulk* paths: that is how the sharded engine feeds
 //! tuples, and one ring event per batch amortises to well under a
@@ -90,11 +93,25 @@ pub struct Scenario {
     pub ns_per_op: f64,
 }
 
+/// One run's bulk-path readings, ns per tuple. The three were timed back
+/// to back, so their ratios are paired.
+#[derive(Debug, Clone, Copy)]
+pub struct BulkRun {
+    /// `bulk/off`.
+    pub off: f64,
+    /// `bulk/recorder`.
+    pub recorder: f64,
+    /// `bulk/sampled(1-in-N)`.
+    pub sampled: f64,
+}
+
 /// The full overhead report.
 #[derive(Debug, Clone)]
 pub struct ObsReport {
     /// All measured scenarios.
     pub scenarios: Vec<Scenario>,
+    /// Every run's bulk readings, in run order.
+    pub bulk_runs: Vec<BulkRun>,
     /// Bulk-path overhead, percent (recorder vs off) — gated.
     pub bulk_overhead_pct: f64,
     /// Bulk-path overhead with recorder plus default lifecycle sampling,
@@ -122,6 +139,16 @@ fn best(xs: &[f64]) -> f64 {
 
 fn overhead_pct(off: f64, on: f64) -> f64 {
     (on - off) / off * 100.0
+}
+
+/// `[min, median, max]` of `xs` (the upper median for an even count);
+/// NaNs when empty.
+fn spread(mut xs: Vec<f64>) -> [f64; 3] {
+    xs.sort_by(f64::total_cmp);
+    match (xs.first(), xs.get(xs.len() / 2), xs.last()) {
+        (Some(&lo), Some(&mid), Some(&hi)) => [lo, mid, hi],
+        _ => [f64::NAN; 3],
+    }
 }
 
 /// Deterministic tuple values; cheap enough to not dominate the loop.
@@ -275,7 +302,15 @@ pub fn run(cfg: &ObsConfig) -> ObsReport {
     ];
     let bulk_overhead_pct = overhead_pct(bulk_off, bulk_on);
     let sampled_overhead_pct = overhead_pct(bulk_off, bulk_sampled);
+    let bulk_runs = (0..cfg.runs)
+        .map(|r| BulkRun {
+            off: samples[2][r],
+            recorder: samples[3][r],
+            sampled: samples[4][r],
+        })
+        .collect();
     ObsReport {
+        bulk_runs,
         bulk_overhead_pct,
         sampled_overhead_pct,
         scalar_overhead_pct: overhead_pct(scalar_off, scalar_on),
@@ -289,16 +324,40 @@ pub fn run(cfg: &ObsConfig) -> ObsReport {
 }
 
 impl ObsReport {
+    /// `[min, median, max]` over runs of each run's paired overhead, in
+    /// percent: `(recorder, sampled)` against that run's `bulk/off`.
+    pub fn paired_spread(&self) -> ([f64; 3], [f64; 3]) {
+        let paired = |on: fn(&BulkRun) -> f64| {
+            spread(
+                self.bulk_runs
+                    .iter()
+                    .map(|r| overhead_pct(r.off, on(r)))
+                    .collect(),
+            )
+        };
+        (paired(|r| r.recorder), paired(|r| r.sampled))
+    }
+
     /// Print the report as an aligned console table.
     pub fn print(&self) {
         println!("\n== observability overhead ==");
         for s in &self.scenarios {
             println!("{:<24} {:>10.2} ns/op", s.name, s.ns_per_op);
         }
+        let (bulk, sampled) = self.paired_spread();
+        let runs = self.bulk_runs.len();
         println!(
-            "bulk overhead    {:+.2}%  (gated)\nsampled overhead {:+.2}%  (gated)\nscalar overhead  {:+.2}%\ncounter delta    {:+.2} ns/op",
+            "bulk overhead    {:+.2}%  (gated; {runs} paired runs min/median/max {:+.2}/{:+.2}/{:+.2}%)\n\
+             sampled overhead {:+.2}%  (gated; {runs} paired runs min/median/max {:+.2}/{:+.2}/{:+.2}%)\n\
+             scalar overhead  {:+.2}%\ncounter delta    {:+.2} ns/op",
             self.bulk_overhead_pct,
+            bulk[0],
+            bulk[1],
+            bulk[2],
             self.sampled_overhead_pct,
+            sampled[0],
+            sampled[1],
+            sampled[2],
             self.scalar_overhead_pct,
             self.counter_delta_ns
         );
@@ -326,6 +385,16 @@ impl ToJson for ObsReport {
                     Json::obj(vec![
                         ("name", Json::str(s.name.as_str())),
                         ("ns_per_op", Json::Num(s.ns_per_op)),
+                    ])
+                }),
+            ),
+            (
+                "bulk_runs",
+                Json::arr(&self.bulk_runs, |r| {
+                    Json::obj(vec![
+                        ("off", Json::Num(r.off)),
+                        ("recorder", Json::Num(r.recorder)),
+                        ("sampled", Json::Num(r.sampled)),
                     ])
                 }),
             ),
@@ -361,6 +430,18 @@ mod tests {
                 .and_then(|s| s.as_array())
                 .map(<[_]>::len),
             Some(7)
+        );
+        assert_eq!(
+            json.get("bulk_runs")
+                .and_then(|s| s.as_array())
+                .map(<[_]>::len),
+            Some(2)
+        );
+        let (bulk, sampled) = report.paired_spread();
+        assert!(bulk[0] <= bulk[1] && bulk[1] <= bulk[2], "{bulk:?}");
+        assert!(
+            sampled[0] <= sampled[1] && sampled[1] <= sampled[2],
+            "{sampled:?}"
         );
     }
 }

@@ -51,13 +51,12 @@ fn main() -> ExitCode {
             other => return usage(&format!("unknown argument `{other}`")),
         }
     }
-    let root = root.unwrap_or_else(|| {
-        // crates/check -> workspace root.
-        PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-            .join("../..")
-            .canonicalize()
-            .unwrap_or_else(|_| PathBuf::from("."))
-    });
+    // crates/check -> workspace root.
+    let workspace = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("../..")
+        .canonicalize()
+        .unwrap_or_else(|_| PathBuf::from("."));
+    let root = root.map_or_else(|| workspace.clone(), |r| r.canonicalize().unwrap_or(r));
     if !root.join("crates").is_dir() {
         return usage(&format!(
             "`{}` does not look like a workspace root (no crates/ dir)",
@@ -76,7 +75,7 @@ fn main() -> ExitCode {
         hot_roots: analysis.hot_roots.len(),
         reachable_fns: analysis.reachable_fns,
     };
-    let rendered = to_json(&report, &root);
+    let rendered = to_json(&report, &root, &workspace);
     if let Some(path) = &json_out {
         if let Some(parent) = path.parent() {
             std::fs::create_dir_all(parent).ok();

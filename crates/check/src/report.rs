@@ -57,8 +57,11 @@ fn escape(s: &str) -> String {
 }
 
 /// Render a findings report as deterministic JSON (stable field order,
-/// findings already sorted by the caller).
-pub fn to_json(report: &Report<'_>, root: &Path) -> String {
+/// findings already sorted by the caller). File paths are written
+/// relative to the analyzed `root`, and `root` relative to `workspace`
+/// (`.` when they are one directory), so the report names no checkout
+/// path; a root outside the workspace is written as given.
+pub fn to_json(report: &Report<'_>, root: &Path, workspace: &Path) -> String {
     let unwaived = report.findings.iter().filter(|f| !f.waived).count();
     let mut by_rule: BTreeMap<&'static str, usize> = BTreeMap::new();
     for f in report.findings {
@@ -67,10 +70,12 @@ pub fn to_json(report: &Report<'_>, root: &Path) -> String {
 
     let mut out = String::new();
     out.push_str("{\n  \"schema\": \"swag-check/1\",\n");
-    out.push_str(&format!(
-        "  \"root\": \"{}\",\n",
-        escape(&root.display().to_string())
-    ));
+    let shown_root = match root.strip_prefix(workspace) {
+        Ok(rel) if rel.as_os_str().is_empty() => ".".to_string(),
+        Ok(rel) => rel.display().to_string(),
+        Err(_) => root.display().to_string(),
+    };
+    out.push_str(&format!("  \"root\": \"{}\",\n", escape(&shown_root)));
     out.push_str("  \"summary\": {\n");
     out.push_str(&format!(
         "    \"total\": {},\n    \"unwaived\": {},\n    \"waived\": {},\n",
@@ -160,8 +165,9 @@ mod tests {
             hot_roots: 3,
             reachable_fns: 9,
         };
-        let json = to_json(&report, &PathBuf::from("/r"));
+        let json = to_json(&report, &PathBuf::from("/r"), &PathBuf::from("/r"));
         assert!(json.contains("\"schema\": \"swag-check/1\""), "{json}");
+        assert!(json.contains("\"root\": \".\""), "{json}");
         assert!(json.contains("\"id\": \"HP01\""), "{json}");
         assert!(
             json.contains("\"file\": \"crates/core/src/lib.rs\""),
@@ -184,7 +190,8 @@ mod tests {
             hot_roots: 0,
             reachable_fns: 0,
         };
-        let json = to_json(&report, &PathBuf::from("/r"));
+        let json = to_json(&report, &PathBuf::from("/w/sub"), &PathBuf::from("/w"));
+        assert!(json.contains("\"root\": \"sub\""), "{json}");
         assert!(json.contains("\"findings\": [],"), "{json}");
         assert!(json.contains("\"baseline_errors\": []"), "{json}");
     }

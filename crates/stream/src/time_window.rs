@@ -118,23 +118,18 @@ impl<O: AggregateOp> TimeWindowExec<O> {
 
     /// Offer a batch; returns how many were accepted (the rest were
     /// late). Rides the tree's bulk path when the batch is in order. A
-    /// batch with no late tuple — always, behind a router that drops
-    /// late tuples first — goes to the tree as it is; only a batch with
-    /// a late tuple is copied, to its accepted subset.
+    /// batch with a late tuple hands the tree only its on-time entries,
+    /// without copying them.
     pub fn bulk_insert(&mut self, batch: &[(Timestamp, O::Partial)]) -> usize {
-        let Some(earliest) = batch.iter().map(|&(ts, _)| ts).min() else {
+        let wm = self.watermark;
+        let on_time = batch.iter().map(|&(ts, _)| ts).filter(|&ts| ts >= wm);
+        let Some(earliest) = on_time.min() else {
             return 0;
         };
-        let wm = self.watermark;
-        if earliest < wm {
-            let mut on_time = Vec::with_capacity(batch.len());
-            on_time.extend(batch.iter().filter(|e| e.0 >= wm).cloned());
-            return self.bulk_insert(&on_time);
-        }
         self.prime_next_end(earliest);
-        self.tree.bulk_insert(batch);
-        self.accepted += batch.len() as u64;
-        batch.len()
+        let accepted = self.tree.bulk_insert_from(batch, wm);
+        self.accepted += accepted as u64;
+        accepted
     }
 
     /// Start (or pull back) every query at the earliest aligned window
