@@ -36,7 +36,7 @@ fn build_and_run(series: &str, window: usize, stream: &CyclicStream) -> Box<dyn 
     };
     crate::exp1::warm_window(runner.as_mut(), stream, window);
     // Slide through one extra window so FIFO structures reach their
-    // steady-state chunk occupancy.
+    // steady-state occupancy.
     let buf = stream.prefix(window.min(1 << 15));
     let mut checksum = 0.0;
     for &v in buf {

@@ -20,7 +20,7 @@
 //!   (`push` / `push_back` / `or_insert` / `extend` in a function whose
 //!   body never `reserve`s). Waived per site with
 //!   `// alloc:amortized <reason>` — the reason is mandatory; this is
-//!   how ChunkedDeque chunk allocation and the flip scratch stay legal.
+//!   how a window buffer's doubling and the flip scratch stay legal.
 //! - **HP02 hot-panic** — the transitive closure of today's no-panic
 //!   rule plus unguarded slice indexing (an index expression in a
 //!   function whose body carries no `.len(` read and no assertion).

@@ -13,7 +13,7 @@
 //!   "findings": [
 //!     {"id": "HP01", "rule": "hot-alloc", "file": "crates/…", "line": 12,
 //!      "message": "…", "waived": true,
-//!      "chain": ["core::ChunkedDeque::slide", "core::ChunkedDeque::grow"]}
+//!      "chain": ["core::Daba::slide", "core::Daba::insert"]}
 //!   ],
 //!   "baseline_errors": []
 //! }

@@ -196,8 +196,8 @@ pub trait SlotRanges<O: AggregateOp>: FinalAggregator<O> {
 /// Fig. 15) alongside the counting global allocator.
 ///
 /// Implementations report the bytes of heap they currently hold (buffer
-/// capacities, chunk storage, per-chunk headers), which is the quantity the
-/// paper's §4.2 space analysis predicts.
+/// capacities), which is the quantity the paper's §4.2 space analysis
+/// predicts.
 pub trait MemoryFootprint {
     /// Heap bytes currently held by this structure.
     fn heap_bytes(&self) -> usize;

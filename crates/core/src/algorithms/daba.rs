@@ -1,7 +1,7 @@
 //! DABA — the De-Amortized Bankers Algorithm (paper §2.2, Fig. 6).
 //!
 //! DABA de-amortizes TwoStacks: instead of an `n`-combine flip when the
-//! front empties, it keeps `vals` and `aggs` in one chunked-array queue
+//! front empties, it keeps `vals` and `aggs` in one FIFO queue
 //! partitioned by six ordered pointers `f ≤ l ≤ r ≤ a ≤ b ≤ e` and performs
 //! a constant amount of "fix-up" work after every insert and evict, so the
 //! worst-case step cost is bounded (8 combines: evict + flip + shrink +
@@ -29,11 +29,13 @@
 //! keeps every step constant-time.
 //!
 //! Complexity (Table 1): amortized 5 operations per slide, worst case 8;
-//! space `2n + 4√n` on `√n`-sized chunks. DABA does not support
+//! space `2n` — a `vals` and an `aggs` slot per partial, in one ring buffer
+//! sized to the window up front. DABA does not support
 //! multi-query execution (paper §2.2).
 
+use std::collections::VecDeque;
+
 use crate::aggregator::{FinalAggregator, MemoryFootprint};
-use crate::chunked::ChunkedDeque;
 use crate::invariants::{ensure, partials_agree, strict_check, InvariantViolation};
 use crate::ops::AggregateOp;
 
@@ -64,7 +66,7 @@ struct Slot<P> {
 #[derive(Debug, Clone)]
 pub struct Daba<O: AggregateOp> {
     op: O,
-    q: ChunkedDeque<Slot<O::Partial>>,
+    q: VecDeque<Slot<O::Partial>>,
     /// Number of `pop_front`s ever performed = absolute index of the front.
     popped: u64,
     l: u64,
@@ -75,13 +77,13 @@ pub struct Daba<O: AggregateOp> {
 }
 
 impl<O: AggregateOp> Daba<O> {
-    /// Create a DABA aggregator for windows up to `window` partials, using
-    /// `√window`-sized chunks (the paper's space-optimal choice).
+    /// Create a DABA aggregator for windows up to `window` partials, its
+    /// queue allocated for the whole window up front.
     pub fn new(op: O, window: usize) -> Self {
         assert!(window >= 1, "window must hold at least one partial");
         Daba {
             op,
-            q: ChunkedDeque::for_window(window),
+            q: VecDeque::with_capacity(window),
             popped: 0,
             l: 0,
             r: 0,
@@ -293,7 +295,7 @@ impl<O: AggregateOp> FinalAggregator<O> for Daba<O> {
     /// DABA's fix-up steps cannot be batched (each insert/evict must run
     /// its constant-time repair to keep the six pointers balanced), but a
     /// bulk insert still skips the per-slide `query` combine and reserves
-    /// chunk storage once for the whole run.
+    /// queue storage once for the whole run.
     fn bulk_insert(&mut self, batch: &[O::Partial]) {
         let skip = batch.len().saturating_sub(self.window);
         let tail = &batch[skip..];
@@ -301,23 +303,21 @@ impl<O: AggregateOp> FinalAggregator<O> for Daba<O> {
         for _ in 0..evictions {
             self.evict();
         }
-        self.q.reserve_back(tail.len());
+        self.q.reserve(tail.len());
         for p in tail {
             self.insert(p.clone()); // alloc:amortized window buffer growth is amortized O(1) doubling
         }
     }
 
     /// DABA invariants (paper §2.2, Fig. 6): pointer ordering
-    /// `f ≤ l ≤ r ≤ a ≤ b ≤ e`, the bankers balance `|L| = |R|`, the
-    /// chunked-array substrate's accounting, and every region's cached
-    /// aggregate against a brute-force refold (`F`/`A` suffixes toward `b`,
-    /// `L` suffixes toward `r`, `R`/`B` prefixes). The refolds are
-    /// left-associated, which matches the fix-up construction for exact
-    /// operations (integers, selection) but can differ in rounding on
-    /// arbitrary float streams — see
+    /// `f ≤ l ≤ r ≤ a ≤ b ≤ e`, the bankers balance `|L| = |R|`, and
+    /// every region's cached aggregate against a brute-force refold
+    /// (`F`/`A` suffixes toward `b`, `L` suffixes toward `r`, `R`/`B`
+    /// prefixes). The refolds are left-associated, which matches the fix-up
+    /// construction for exact operations (integers, selection) but can
+    /// differ in rounding on arbitrary float streams — see
     /// [`FinalAggregator::check_invariants`]'s caveat. `O(n²)`.
     fn check_invariants(&self) -> Result<(), InvariantViolation> {
-        self.q.check_invariants()?;
         let f = self.front_abs();
         let e = self.end_abs();
         ensure!(
@@ -373,7 +373,7 @@ impl<O: AggregateOp> FinalAggregator<O> for Daba<O> {
 
 impl<O: AggregateOp> MemoryFootprint for Daba<O> {
     fn heap_bytes(&self) -> usize {
-        self.q.heap_bytes()
+        self.q.capacity() * core::mem::size_of::<Slot<O::Partial>>()
     }
 }
 

@@ -10,9 +10,9 @@
 //! | [`BInt`] | log n | log n | 2·2^⌈log n⌉ | associative |
 //! | [`FlatFit`] | 3 | n | 2n | associative |
 //! | [`TwoStacks`] | 3 | n | 2n | associative |
-//! | [`Daba`] | 5 | 8 | 2n + 4√n | associative |
+//! | [`Daba`] | 5 | 8 | 2n | associative |
 //! | [`SlickDequeInv`] | 2 | 2 | n + 1 | invertible |
-//! | [`SlickDequeNonInv`] | < 2 | n (p = 1/n!) | ≤ 2n + 4√n | selective |
+//! | [`SlickDequeNonInv`] | < 2 | n (p = 1/n!) | ≤ 2n | selective |
 
 mod bint;
 mod daba;

@@ -22,10 +22,11 @@
 //! All paper complexity results hold with `n` = tuples currently in the
 //! window.
 
+use std::collections::VecDeque;
+
 use crate::aggregator::MemoryFootprint;
-use crate::chunked::ChunkedDeque;
 use crate::invariants::InvariantViolation;
-use crate::monodeque::{live_from, MonoDeque};
+use crate::monodeque::{live_from, trim_slack, MonoDeque};
 use crate::ops::{InvertibleOp, SelectiveOp};
 
 /// Milliseconds since stream start.
@@ -56,7 +57,7 @@ pub struct MultiTimeSlickDequeInv<O: InvertibleOp> {
     /// Distinct ranges in milliseconds, descending.
     ranges_ms: Vec<u64>,
     /// Timestamped partials young enough for the largest range.
-    window: ChunkedDeque<(Timestamp, O::Partial)>,
+    window: VecDeque<(Timestamp, O::Partial)>,
     /// Absolute index of `window`'s front (count of pop_fronts ever).
     popped: u64,
     /// Per range: (first absolute index still included, running answer).
@@ -72,7 +73,7 @@ impl<O: InvertibleOp> MultiTimeSlickDequeInv<O> {
         MultiTimeSlickDequeInv {
             op,
             ranges_ms,
-            window: ChunkedDeque::new(),
+            window: VecDeque::new(),
             popped: 0,
             cursors,
             last_ts: 0,
@@ -110,7 +111,8 @@ impl<O: InvertibleOp> MultiTimeSlickDequeInv<O> {
 
     /// Each range's answer gives up the tuples that have aged past its
     /// horizon as of `last_ts`, and those older than every range (the
-    /// largest, `cursors[0]`) leave the shared FIFO.
+    /// largest, `cursors[0]`) leave the shared FIFO, which then gives back
+    /// any slack their departure leaves.
     fn expire(&mut self) {
         for ((cursor, answer), &r) in self.cursors.iter_mut().zip(&self.ranges_ms) {
             let oldest = live_from(self.last_ts, r);
@@ -127,6 +129,7 @@ impl<O: InvertibleOp> MultiTimeSlickDequeInv<O> {
             self.window.pop_front();
             self.popped += 1;
         }
+        trim_slack(&mut self.window);
     }
 
     /// Tuples currently retained for the largest range.
@@ -142,7 +145,7 @@ impl<O: InvertibleOp> MultiTimeSlickDequeInv<O> {
 
 impl<O: InvertibleOp> MemoryFootprint for MultiTimeSlickDequeInv<O> {
     fn heap_bytes(&self) -> usize {
-        self.window.heap_bytes()
+        self.window.capacity() * core::mem::size_of::<(Timestamp, O::Partial)>()
             + self.cursors.capacity() * core::mem::size_of::<(u64, O::Partial)>()
             + self.ranges_ms.capacity() * core::mem::size_of::<u64>()
     }
@@ -212,7 +215,7 @@ impl<O: SelectiveOp> MultiTimeSlickDequeNonInv<O> {
     /// Create an aggregator answering each of `ranges_ms` (milliseconds).
     pub fn new(op: O, ranges_ms: &[u64]) -> Self {
         MultiTimeSlickDequeNonInv {
-            deque: MonoDeque::new(op, None),
+            deque: MonoDeque::new(op),
             ranges_ms: normalize_ranges_ms(ranges_ms),
             last_ts: 0,
         }
@@ -455,7 +458,7 @@ pub(crate) mod tests {
         }
         let full = win.heap_bytes();
         win.advance_to(100_000);
-        // Chunks retire as the window drains (one spare is retained).
+        // The FIFO gives its slack back as the window drains.
         assert!(
             win.heap_bytes() < full / 2,
             "{} vs {full}",

@@ -15,8 +15,6 @@
 //!   [`FinalAggregator`] interface.
 //! * [`multi`] — the multi-query variants behind
 //!   [`MultiFinalAggregator`].
-//! * [`chunked`] — the chunked-array deque substrate used by DABA and
-//!   SlickDeque (Non-Inv).
 //!
 //! ## Quick start
 //!
@@ -41,7 +39,6 @@
 pub mod aggregator;
 pub mod algorithms;
 mod answer_ring;
-pub mod chunked;
 pub mod invariants;
 mod monodeque;
 pub mod multi;

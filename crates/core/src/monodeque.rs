@@ -51,15 +51,15 @@
 
 use core::fmt::Debug;
 use core::ops::RangeBounds;
+use std::collections::VecDeque;
 
 use crate::aggregator::MemoryFootprint;
-use crate::chunked::ChunkedDeque;
 use crate::invariants::{ensure, InvariantViolation};
 use crate::ops::SelectiveOp;
 use crate::state::{corrupt, StateError, StateReader, StateWriter};
 
 /// Frames shorter than this keep the per-slide loop. The frame path's
-/// fixed work (bitset reset, head walk, tail count, chunk append) is spread
+/// fixed work (bitset reset, head walk, tail count, append) is spread
 /// over the frame. Measured with the cut-over disabled, on a strictly
 /// descending stream — the per-slide loop's best case: its pop branch is
 /// never taken — the frame path costs 17 / 13 / 11.6 / 10.9 ns per partial
@@ -76,6 +76,20 @@ pub(crate) fn live_from(now: u64, range: u64) -> u64 {
     now.saturating_sub(range - 1)
 }
 
+/// Capacity a FIFO may keep however few elements it holds.
+const SLACK_FLOOR: usize = 64;
+
+/// Give back a FIFO's slack once it has drained to a quarter of its
+/// capacity, so its memory follows the window's occupancy, not its
+/// high-water mark. Shrinking to twice the live length leaves the next
+/// shrink at least that many pops away, so the copy is amortized O(1) per
+/// pop. Called after expiry, never between an arrival and its answer.
+pub(crate) fn trim_slack<T>(fifo: &mut VecDeque<T>) {
+    if fifo.capacity() > SLACK_FLOOR && fifo.len() <= fifo.capacity() / 4 {
+        fifo.shrink_to((2 * fifo.len()).max(SLACK_FLOOR));
+    }
+}
+
 #[derive(Debug, Clone)]
 struct Node<P> {
     stamp: u64,
@@ -86,7 +100,7 @@ struct Node<P> {
 #[derive(Debug, Clone)]
 pub(crate) struct MonoDeque<O: SelectiveOp> {
     op: O,
-    nodes: ChunkedDeque<Node<O::Partial>>,
+    nodes: VecDeque<Node<O::Partial>>,
     /// Survivor bitset of [`append_frame`](Self::append_frame), one bit per
     /// frame slot; kept across calls so bulk ingestion allocates only at
     /// its high-water mark. Scratch, not state: never serialized.
@@ -94,13 +108,11 @@ pub(crate) struct MonoDeque<O: SelectiveOp> {
 }
 
 impl<O: SelectiveOp> MonoDeque<O> {
-    /// An empty deque: on `√window`-sized chunks (the paper's space-optimal
-    /// choice) for a window of `window` partials, on default-sized ones
-    /// when the window's population is not known up front.
-    pub(crate) fn new(op: O, window: Option<usize>) -> Self {
+    /// An empty deque.
+    pub(crate) fn new(op: O) -> Self {
         MonoDeque {
             op,
-            nodes: window.map_or_else(ChunkedDeque::new, ChunkedDeque::for_window),
+            nodes: VecDeque::new(),
             marks: Vec::new(),
         }
     }
@@ -132,18 +144,20 @@ impl<O: SelectiveOp> MonoDeque<O> {
                 break;
             }
         }
-        // alloc:amortized chunk growth is amortized O(1) and recycled through the spare slot
+        // alloc:amortized the buffer doubles when full and shrinks only on expiry
         self.nodes.push_back(Node {
             stamp,
             val: partial,
         });
     }
 
-    /// Drop every head node stamped before `cutoff`.
+    /// Drop every head node stamped before `cutoff`, then any slack the
+    /// drop leaves ([`trim_slack`]).
     pub(crate) fn expire(&mut self, cutoff: u64) {
         while self.nodes.front().is_some_and(|n| n.stamp < cutoff) {
             self.nodes.pop_front();
         }
+        trim_slack(&mut self.nodes);
     }
 
     /// Append to `out` the answer of each range in `ranges` (descending)
@@ -252,7 +266,7 @@ impl<O: SelectiveOp> MonoDeque<O> {
     /// in one pass: mark the frame's survivors — the partials no later
     /// arrival defeats — in `marks` by a single right-to-left scan, drop
     /// the tail nodes the frame winner (the oldest survivor) defeats with
-    /// one `truncate_back`, and `extend_back` the survivors. Same deque as
+    /// one `truncate`, and `extend` the survivors. Same deque as
     /// `frame.len()` [`arrive`](Self::arrive)s; head expiry is the caller's.
     pub(crate) fn append_frame(&mut self, first: u64, frame: &[O::Partial]) {
         let Some((newest, older)) = frame.split_last() else {
@@ -278,22 +292,25 @@ impl<O: SelectiveOp> MonoDeque<O> {
                 }
             }
         }
-        // Defeated nodes form a contiguous tail: count them over the
-        // contiguous chunk runs newest-to-oldest — no chunk-boundary branch
-        // per node — and drop them with one truncate.
+        // Defeated nodes form a contiguous tail: count them over the buffer's
+        // two contiguous runs newest-to-oldest — no wrap-around branch per
+        // node — and drop them with one truncate.
+        let (older_run, newer_run) = self.nodes.as_slices();
         let mut defeated = 0;
-        'runs: for run in self.nodes.slices().rev() {
-            for node in run.iter().rev() {
-                if op.defeats(&winner, &node.val) {
-                    defeated += 1;
-                } else {
-                    break 'runs;
-                }
+        for run in [newer_run, older_run] {
+            let beaten = run
+                .iter()
+                .rev()
+                .take_while(|n| op.defeats(&winner, &n.val))
+                .count();
+            defeated += beaten;
+            if beaten < run.len() {
+                break;
             }
         }
-        self.nodes.truncate_back(defeated);
-        // alloc:amortized chunk growth is amortized O(1) and recycled through the spare slot
-        self.nodes.extend_back(SetBits::new(marks).map(|i| Node {
+        self.nodes.truncate(self.nodes.len() - defeated);
+        // alloc:amortized the buffer doubles when full and shrinks only on expiry
+        self.nodes.extend(SetBits::new(marks).map(|i| Node {
             stamp: first + i as u64,
             val: frame[i].clone(),
         }));
@@ -305,16 +322,13 @@ impl<O: SelectiveOp> MonoDeque<O> {
     /// must; equal timestamps are legal — and no node is defeated by its
     /// successor, or the successor's arrival would have popped it. The head
     /// being the fold of the window then follows by construction.
-    /// Storage-level checks are delegated to
-    /// [`ChunkedDeque::check_invariants`]. `O(len)` `defeats`, comparisons
-    /// only, so exact for any partial type.
+    /// `O(len)` `defeats`, comparisons only, so exact for any partial type.
     pub(crate) fn check_invariants(
         &self,
         name: &'static str,
         live: impl RangeBounds<u64> + Debug,
         distinct: bool,
     ) -> Result<(), InvariantViolation> {
-        self.nodes.check_invariants()?;
         let mut prev: Option<&Node<O::Partial>> = None;
         for (k, node) in self.nodes.iter().enumerate() {
             ensure!(
@@ -348,7 +362,7 @@ impl<O: SelectiveOp> MonoDeque<O> {
     }
 
     /// Capture the node count and each node's stamp (words) and value
-    /// (partials), head→tail. The chunk layout carries no answer-visible
+    /// (partials), head→tail. The buffer layout carries no answer-visible
     /// information, so rebuilding the nodes verbatim restores every future
     /// answer bitwise.
     pub(crate) fn save_nodes(&self, w: &mut StateWriter<O::Partial>) {
@@ -373,7 +387,7 @@ impl<O: SelectiveOp> MonoDeque<O> {
                 "monotone deque: {count} nodes impossible for window {window}"
             )));
         }
-        let mut deque = Self::new(op, Some(window));
+        let mut deque = Self::new(op);
         for _ in 0..count {
             let stamp = r.word("monotone deque node stamp")?;
             let val = r.partial("monotone deque node value")?;
@@ -385,12 +399,13 @@ impl<O: SelectiveOp> MonoDeque<O> {
 
 impl<O: SelectiveOp> MemoryFootprint for MonoDeque<O> {
     fn heap_bytes(&self) -> usize {
-        self.nodes.heap_bytes() + self.marks.capacity() * core::mem::size_of::<u64>()
+        self.nodes.capacity() * core::mem::size_of::<Node<O::Partial>>()
+            + self.marks.capacity() * core::mem::size_of::<u64>()
     }
 }
 
 /// The indices of the set bits of a word slice, ascending, with their
-/// exact count known up front (`extend_back` credits the length first).
+/// exact count known up front (`extend` reserves it in one step).
 struct SetBits<'a> {
     words: core::slice::Iter<'a, u64>,
     word: u64,
@@ -430,4 +445,36 @@ impl Iterator for SetBits<'_> {
     }
 }
 
-impl ExactSizeIterator for SetBits<'_> {}
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn trim_slack_shrinks_only_a_quarter_full_buffer_above_its_floor() {
+        let mut fifo: VecDeque<u64> = (0..1000).collect();
+        let full = fifo.capacity();
+        fifo.drain(..fifo.len() - (full / 4 + 1));
+        trim_slack(&mut fifo);
+        assert_eq!(fifo.capacity(), full, "more than a quarter full: kept");
+
+        fifo.pop_front();
+        trim_slack(&mut fifo);
+        let len = fifo.len();
+        assert!(
+            (2 * len..full).contains(&fifo.capacity()),
+            "a quarter full: {} slots for {len}",
+            fifo.capacity()
+        );
+
+        fifo.drain(..len - 1);
+        trim_slack(&mut fifo);
+        assert!(fifo.capacity() >= SLACK_FLOOR);
+        assert!(fifo.capacity() < 2 * len);
+        assert_eq!(fifo.iter().copied().collect::<Vec<_>>(), [999]);
+
+        let mut small: VecDeque<u64> = VecDeque::with_capacity(SLACK_FLOOR);
+        small.push_back(1);
+        trim_slack(&mut small);
+        assert!(small.capacity() >= SLACK_FLOOR, "the floor is kept");
+    }
+}

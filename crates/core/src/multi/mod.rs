@@ -24,7 +24,7 @@
 //! | [`MultiFlatFit`] (dense, max-multi regime) | n − 1 | 2n |
 //! | [`MultiFlatFitSparse`] (lazy pointers, sparse range sets) | amortized O(q) | 2n |
 //! | [`MultiSlickDequeInv`] | 2n | 2n |
-//! | [`MultiSlickDequeNonInv`] | 2…2n (input-dependent) | ≤ 2n + 4√n |
+//! | [`MultiSlickDequeNonInv`] | 2…2n (input-dependent) | ≤ 2n |
 
 mod flatfit;
 mod flatfit_sparse;

@@ -176,7 +176,7 @@ impl<O: SelectiveOp> MultiSlickDequeNonInv<O> {
         let ranges = normalize_ranges(ranges);
         let wsize = ranges[0];
         MultiSlickDequeNonInv {
-            deque: MonoDeque::new(op, Some(wsize)),
+            deque: MonoDeque::new(op),
             ranges,
             wsize,
             next_pos: 0,

@@ -1,7 +1,7 @@
 //! Randomized property tests on the core data structures and invariants:
-//! algebraic op laws, chunked deque vs a `VecDeque` model, DABA's region
-//! invariants under arbitrary FIFO schedules, the monotone deque's
-//! dominance invariant, and shared-plan structural properties.
+//! algebraic op laws, DABA's region invariants under arbitrary FIFO
+//! schedules, the monotone deque's dominance invariant, and shared-plan
+//! structural properties.
 //!
 //! Driven by the vendored [`Xoshiro256StarStar`] PRNG instead of proptest
 //! so the suite builds without crates.io access. Every case derives from a
@@ -114,49 +114,6 @@ fn minmax_combine_is_commutative_and_associative() {
             .rev()
             .fold(op.identity(), |a, p| op.combine(p, &a));
         assert_eq!(left, right, "case {case}");
-    });
-}
-
-// ----- chunked deque vs VecDeque model ----------------------------------
-
-#[test]
-fn chunked_deque_behaves_like_vecdeque() {
-    check(128, |rng, case| {
-        let ops = vec_usize(rng, 0, 4, 1, 400);
-        let cap = rng.gen_range_usize(1, 17);
-        let mut sut = slickdeque::core::chunked::ChunkedDeque::with_chunk_capacity(cap);
-        let mut model: VecDeque<u32> = VecDeque::new();
-        let mut counter = 0u32;
-        for op in ops {
-            match op {
-                0 | 1 => {
-                    counter += 1;
-                    sut.push_back(counter);
-                    model.push_back(counter);
-                }
-                2 => {
-                    let got = sut.pop_front();
-                    let expect = model.pop_front().is_some();
-                    assert_eq!(got, expect, "case {case}");
-                }
-                _ => {
-                    let got = sut.pop_back();
-                    let expect = model.pop_back();
-                    assert_eq!(got, expect, "case {case}");
-                }
-            }
-            assert_eq!(sut.len(), model.len(), "case {case}");
-            assert_eq!(sut.front().copied(), model.front().copied(), "case {case}");
-            assert_eq!(sut.back().copied(), model.back().copied(), "case {case}");
-            // Random access parity.
-            for i in 0..model.len() {
-                assert_eq!(sut.get(i), model.get(i), "case {case} index {i}");
-            }
-            // Iteration parity.
-            let a: Vec<u32> = sut.iter().copied().collect();
-            let b: Vec<u32> = model.iter().copied().collect();
-            assert_eq!(a, b, "case {case}");
-        }
     });
 }
 
