@@ -119,4 +119,36 @@ mod tests {
         assert!(small[naive_idx] / large.1[naive_idx] > 20.0);
         assert!(small[slick_idx] / large.1[slick_idx] < 3.0);
     }
+
+    /// The same claim in aggregate operations instead of wall-clock: at
+    /// every window of the sweep above, a slide over a full window costs
+    /// Naive exactly `n − 1` ⊕ (it refolds the window) and SlickDeque (Inv)
+    /// exactly 2 (one ⊕ in, one ⊖ out).
+    #[test]
+    fn ops_per_slide_are_exact_across_the_window_sweep() {
+        use swag_core::algorithms::{Naive, SlickDequeInv};
+        use swag_core::ops::{CountingOp, OpCounter, Sum};
+        use swag_core::FinalAggregator;
+
+        let mut cfg = Config::quick();
+        cfg.max_exp = 12;
+        let stream = CyclicStream::debs(STREAM_BUF, cfg.seed);
+        for window in cfg.window_sweep().into_iter().filter(|&w| w >= 16) {
+            let counter = OpCounter::new();
+            let op = CountingOp::new(Sum::<f64>::new(), counter.clone());
+            let mut naive = Naive::with_capacity(op.clone(), window);
+            let mut slick = SlickDequeInv::with_capacity(op, window);
+            for (k, &v) in stream.prefix(window + 64).iter().enumerate() {
+                counter.reset();
+                naive.slide(v);
+                let naive_ops = counter.take();
+                slick.slide(v);
+                let slick_ops = counter.take();
+                if k >= window {
+                    assert_eq!(naive_ops, window as u64 - 1, "naive, n = {window}");
+                    assert_eq!(slick_ops, 2, "slickdeque, n = {window}");
+                }
+            }
+        }
+    }
 }
