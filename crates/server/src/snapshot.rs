@@ -440,6 +440,22 @@ mod tests {
         assert!(err.contains("serves only slickdeque"), "{err}");
     }
 
+    /// Restore validates the spec a snapshot carries as create does: a
+    /// count window past the bound is refused before any state is built.
+    #[test]
+    fn an_oversized_count_window_is_refused() {
+        let mut snap = sample();
+        snap.spec.plan = PlanKind::Count {
+            window: PlanKind::MAX_COUNT_WINDOW + 1,
+        };
+        let err = Snapshot::decode(&snap.encode()).unwrap_err();
+        assert!(err.contains("exceeds the largest count window"), "{err}");
+        snap.spec.plan = PlanKind::Count {
+            window: PlanKind::MAX_COUNT_WINDOW,
+        };
+        assert!(Snapshot::decode(&snap.encode()).is_ok());
+    }
+
     /// A snapshot that repeats a key block is refused by name: restore
     /// keeps one state per key, so one of the two would be lost.
     #[test]

@@ -96,8 +96,12 @@ impl OpKind {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlanKind {
     /// Arrival-order: last `window` tuples per key, one answer per tuple.
+    ///
+    /// Each key holds `window` partials from its first tuple on, so the
+    /// window is bounded by [`PlanKind::MAX_COUNT_WINDOW`]: a larger one
+    /// is refused when the spec is validated, on create and on restore.
     Count {
-        /// Window size in tuples (≥ 1).
+        /// Window size in tuples, `1..=MAX_COUNT_WINDOW`.
         window: usize,
     },
     /// Event-time: `range`-wide windows sliding by `slide`, closed by the
@@ -129,6 +133,10 @@ pub(crate) const ALGORITHMS: [&str; 8] = [
 ];
 
 impl PlanKind {
+    /// The largest count window a pipeline accepts: 2^24 partials, 128 MiB
+    /// per key for an 8-byte partial.
+    pub const MAX_COUNT_WINDOW: usize = 1 << 24;
+
     /// Snapshot tag of the algorithm the plan runs.
     pub(crate) fn algo_tag(&self) -> u8 {
         match self {
@@ -304,6 +312,12 @@ impl PipelineSpec {
             PlanKind::Count { window } => {
                 if window < 1 {
                     return Err("window must be at least 1".into());
+                }
+                if window > PlanKind::MAX_COUNT_WINDOW {
+                    return Err(format!(
+                        "window {window} exceeds the largest count window, {}",
+                        PlanKind::MAX_COUNT_WINDOW
+                    ));
                 }
             }
             PlanKind::Event { range, slide, .. } => {
@@ -509,6 +523,7 @@ mod tests {
             r#"{"name":"w","op":"sum","algorithm":"naive","kind":"event","range":10,"slide":5}"#,
             r#"{"name":"bad name!","op":"sum","algorithm":"slickdeque","kind":"count","window":10}"#,
             r#"{"name":"w","op":"sum","algorithm":"slickdeque","kind":"count","window":0}"#,
+            r#"{"name":"w","op":"sum","algorithm":"slickdeque","kind":"count","window":16777217}"#,
         ] {
             assert!(PipelineSpec::from_json(body).is_err(), "{body}");
         }

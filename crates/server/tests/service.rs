@@ -409,6 +409,38 @@ fn unknown_pipeline_ingest_gets_err_ack() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A count window too large to allocate per key is refused with a client
+/// error, and the server goes on serving: the pipeline beside it still
+/// ingests and answers.
+#[test]
+fn an_oversized_count_window_is_refused_and_the_server_keeps_serving() {
+    let dir = temp_dir("hugewin");
+    let server = start(&dir);
+    let (head, _) = http(
+        &server,
+        "POST",
+        "/pipelines",
+        r#"{"name":"ok","op":"sum","algorithm":"slickdeque","kind":"count","window":10}"#,
+    );
+    assert!(head.starts_with("HTTP/1.1 201"), "create: {head}");
+
+    let huge = r#"{"name":"huge","op":"sum","algorithm":"slickdeque","kind":"count","window":1099511627776}"#;
+    let (head, body) = http(&server, "POST", "/pipelines", huge);
+    assert!(head.starts_with("HTTP/1.1 400"), "{head}\n{body}");
+    assert!(body.contains("exceeds the largest count window"), "{body}");
+    assert!(
+        server.status_json("huge").is_none(),
+        "a pipeline was created"
+    );
+
+    stream_binary(&server, "ok", &workload(100));
+    wait_tuples(&server, "ok", 100);
+    let (head, _) = http(&server, "GET", "/healthz", "");
+    assert!(head.starts_with("HTTP/1.1 200"), "healthz: {head}");
+    server.shutdown().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A restore name that climbs out of the snapshot directory is refused
 /// before any file is read, through the API and over HTTP: a valid
 /// snapshot one directory up stays unread and no pipeline appears.
