@@ -102,11 +102,16 @@ impl<O: SelectiveOp> FinalAggregator<O> for SlickDequeNonInv<O> {
         SlickDequeNonInv::new(op, window)
     }
 
+    /// The tail scan runs before the head expires, so its `defeats` tests
+    /// are Algorithm 2's; the arrival joins after, so a full window never
+    /// holds window + 1 nodes.
     fn slide(&mut self, partial: O::Partial) -> O::Partial {
         self.len = (self.len + 1).min(self.window);
-        self.deque.arrive(self.next_pos, partial);
+        self.deque.drop_defeated(&partial);
+        let stamp = self.next_pos;
         self.next_pos += 1;
         self.expire_heads();
+        self.deque.join_tail(stamp, partial);
         strict_check!(self);
         self.query()
     }

@@ -137,13 +137,27 @@ impl<O: SelectiveOp> MonoDeque<O> {
     /// answer again (paper Algorithm 2, lines 15-18) — then append
     /// `partial` at `stamp`, which must not precede the tail's stamp.
     pub(crate) fn arrive(&mut self, stamp: u64, partial: O::Partial) {
+        self.drop_defeated(&partial);
+        self.join_tail(stamp, partial);
+    }
+
+    /// The first half of [`arrive`](Self::arrive): pop every tail node
+    /// `partial` defeats. A full count window runs its expiry between the
+    /// halves, so the arrival never joins a deque that still holds the
+    /// node it pushes out.
+    pub(crate) fn drop_defeated(&mut self, partial: &O::Partial) {
         while let Some(back) = self.nodes.back() {
-            if self.op.defeats(&partial, &back.val) {
+            if self.op.defeats(partial, &back.val) {
                 self.nodes.pop_back();
             } else {
                 break;
             }
         }
+    }
+
+    /// The second half of [`arrive`](Self::arrive): append `partial` at
+    /// `stamp`, which must not precede the tail's stamp.
+    pub(crate) fn join_tail(&mut self, stamp: u64, partial: O::Partial) {
         // alloc:amortized the buffer doubles when full and shrinks only on expiry
         self.nodes.push_back(Node {
             stamp,

@@ -72,6 +72,28 @@ fn noninv_memory_falls_when_the_deque_collapses() {
     assert_memory_falls("time", run);
 }
 
+/// A full window drops its expiring head before the arrival joins, so it
+/// never holds window + 1 nodes: on a descending stream three times the
+/// window long, the single and multi forms grow the same deque storage.
+#[test]
+fn noninv_full_window_peaks_at_window_nodes() {
+    const W: usize = 1024;
+    let op = Max::<i64>::new();
+    let mut single = SlickDequeNonInv::new(op, W);
+    let mut multi = MultiSlickDequeNonInv::new(op, &[W]);
+    let base = (single.heap_bytes(), multi.heap_bytes());
+    let mut peak = (0, 0);
+    let mut out = Vec::new();
+    for i in 0..3 * W as i64 {
+        single.slide(op.lift(&-i));
+        multi.slide_multi(op.lift(&-i), &mut out);
+        peak.0 = peak.0.max(single.heap_bytes() - base.0);
+        peak.1 = peak.1.max(multi.heap_bytes() - base.1);
+    }
+    assert_eq!((single.deque_len(), multi.deque_len()), (W, W));
+    assert_eq!(peak.0, peak.1, "single against multi peak deque bytes");
+}
+
 /// A falling trend with noise and occasional spikes: the deque holds most
 /// of the window, so its live nodes keep crossing the end of the buffer,
 /// and each spike defeats a long tail that straddles it.
