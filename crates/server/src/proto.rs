@@ -12,6 +12,15 @@
 //!   following line is `key,value` (arrival-order pipelines) or
 //!   `key,ts,value` (event-time pipelines). EOF ends the stream.
 //!
+//! Values must be finite. A binary frame or a text line carrying a NaN or
+//! an infinity is refused whole — none of its tuples is admitted — and the
+//! connection ends with `ERR … non-finite value …`; frames already
+//! acknowledged into the pipeline's queue stay admitted. One NaN or
+//! infinity would otherwise poison its key's sum for the pipeline's whole
+//! life: the invertible slide `answer ⊕ new ⊖ expiring` never heals from
+//! `NaN − NaN` or `inf − inf`, and a snapshot carries the NaN across
+//! restarts.
+//!
 //! Either way the server replies with one line on completion: `OK <n>\n`
 //! after a clean end (n = tuples accepted onto the pipeline's queue — an
 //! enqueue ack, not a processing ack) or `ERR <reason>\n`. Backpressure
@@ -75,7 +84,9 @@ pub fn read_name(r: &mut impl Read) -> io::Result<String> {
 /// Read one binary frame into `tuples` (cleared first).
 ///
 /// Returns `Ok(false)` on a clean end of stream: EOF at the frame
-/// boundary, or an explicit zero-count frame.
+/// boundary, or an explicit zero-count frame. A frame holding a
+/// non-finite value is read to its end and refused whole: `tuples` is
+/// left empty and the error names the value.
 pub fn read_frame(r: &mut impl Read, tuples: &mut Vec<(u64, u64, f64)>) -> io::Result<bool> {
     tuples.clear();
     let mut count = [0u8; 4];
@@ -98,18 +109,33 @@ pub fn read_frame(r: &mut impl Read, tuples: &mut Vec<(u64, u64, f64)>) -> io::R
     }
     let mut buf = [0u8; TUPLE_BYTES];
     tuples.reserve(count as usize);
+    let mut finite = true;
     for _ in 0..count {
         r.read_exact(&mut buf)?;
         // check:allow try_into on constant-width subslices of a fixed array cannot fail
         let key = u64::from_le_bytes(buf[0..8].try_into().unwrap());
         let ts = u64::from_le_bytes(buf[8..16].try_into().unwrap());
         let value = f64::from_le_bytes(buf[16..24].try_into().unwrap());
+        finite &= value.is_finite();
         tuples.push((key, ts, value));
+    }
+    if !finite {
+        let value = tuples.iter().map(|t| t.2).find(|v| !v.is_finite());
+        tuples.clear();
+        // alloc:amortized error path only — runs once, on a refused frame
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!(
+                "non-finite value {} refused with its frame of {count} tuples",
+                value.unwrap_or(f64::NAN)
+            ),
+        ));
     }
     Ok(true)
 }
 
-/// Parse one text-mode line: `key,value` or `key,ts,value`.
+/// Parse one text-mode line: `key,value` or `key,ts,value`. A NaN or an
+/// infinite value is refused like a malformed one.
 pub fn parse_text_line(line: &str) -> Result<(u64, u64, f64), String> {
     let mut parts = line.split(',');
     let key = parts
@@ -119,29 +145,28 @@ pub fn parse_text_line(line: &str) -> Result<(u64, u64, f64), String> {
         .parse::<u64>()
         .map_err(|e| format!("bad key: {e}"))?;
     let second = parts.next().ok_or("want key,value or key,ts,value")?.trim();
-    match parts.next() {
-        None => {
-            let value = second
-                .parse::<f64>()
-                .map_err(|e| format!("bad value: {e}"))?;
-            Ok((key, 0, value))
-        }
+    let (ts, value) = match parts.next() {
+        None => (0, second),
         Some(third) => {
             if parts.next().is_some() {
                 return Err("too many fields (want key,value or key,ts,value)".into());
             }
             let ts = second.parse::<u64>().map_err(|e| format!("bad ts: {e}"))?;
-            let value = third
-                .trim()
-                .parse::<f64>()
-                .map_err(|e| format!("bad value: {e}"))?;
-            Ok((key, ts, value))
+            (ts, third.trim())
         }
+    };
+    let value = value
+        .parse::<f64>()
+        .map_err(|e| format!("bad value: {e}"))?;
+    if !value.is_finite() {
+        // alloc:amortized error path only — runs once, on a refused line
+        return Err(format!("non-finite value {value} refused with its line"));
     }
+    Ok((key, ts, value))
 }
 
 /// A blocking ingest client for the binary protocol — used by the
-/// experiments, the examples, and the service smoke test.
+/// service tests, the examples and the benchmark's service workloads.
 #[derive(Debug)]
 pub struct IngestClient<W: Write> {
     w: W,
@@ -195,7 +220,7 @@ mod tests {
         let tuples = vec![
             (1u64, 10u64, 2.5f64),
             (2, 11, -0.0),
-            (u64::MAX, 0, f64::NAN),
+            (u64::MAX, 0, f64::MIN_POSITIVE / 2.0),
         ];
         let mut wire = Vec::new();
         encode_frame(&tuples, &mut wire);
@@ -243,6 +268,28 @@ mod tests {
         assert!(parse_text_line("x,1").is_err());
         assert!(parse_text_line("1").is_err());
         assert!(parse_text_line("1,2,3,4").is_err());
+        // Rust's float parser accepts these; the wire does not.
+        for line in ["7,NaN", "7,inf", "7,-inf", "7,42,infinity", "7,42,nan"] {
+            let err = parse_text_line(line).unwrap_err();
+            assert!(err.starts_with("non-finite value"), "{line}: {err}");
+        }
+    }
+
+    #[test]
+    fn a_non_finite_value_refuses_its_whole_frame() {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut wire = Vec::new();
+            encode_frame(&[(1, 0, 1.0), (2, 0, bad), (3, 0, 3.0)], &mut wire);
+            encode_frame(&[(4, 0, 4.0)], &mut wire);
+            let mut r = Cursor::new(wire);
+            let mut got = Vec::new();
+            let err = read_frame(&mut r, &mut got).unwrap_err();
+            assert!(err.to_string().contains("non-finite value"), "{err}");
+            assert!(got.is_empty(), "no tuple of the frame is admitted");
+            // The refused frame was read to its end.
+            assert!(read_frame(&mut r, &mut got).unwrap());
+            assert_eq!(got, vec![(4, 0, 4.0)]);
+        }
     }
 
     #[test]
