@@ -6,14 +6,11 @@
 //! ```
 //!
 //! Subcommands: `table1`, `exp1a`, `exp1b`, `exp2a`, `exp2b`, `exp3`,
-//! `exp4`, `workloads`, `pats`, `ooo`, `kernels`, `nexmark`, `tails`,
-//! `all`. Flags: `--quick`,
-//! `--max-exp E`, `--multi-max-exp E`, `--budget-ms N`,
+//! `exp4`, `workloads`, `pats`, `ooo`, `kernels`, `tails`, `all`. Flags:
+//! `--quick`, `--max-exp E`, `--multi-max-exp E`, `--budget-ms N`,
 //! `--latency-tuples N`, `--seed S`, `--out DIR`, `--no-save`.
 
-use swag_bench::{
-    exp1, exp2, exp3, exp4, kernels, nexmark, ooo, pats, table1, tails, workloads, Config,
-};
+use swag_bench::{exp1, exp2, exp3, exp4, kernels, ooo, pats, table1, tails, workloads, Config};
 use swag_metrics::alloc::CountingAllocator;
 
 // Exp 4 measures peak live heap bytes through this allocator.
@@ -99,7 +96,6 @@ const SUBCOMMANDS: &[&str] = &[
     "pats",
     "ooo",
     "kernels",
-    "nexmark",
     "tails",
 ];
 
@@ -142,7 +138,6 @@ fn main() {
             "pats" => report!(cfg, pats::run(&cfg)),
             "ooo" => report!(cfg, ooo::run(&cfg)),
             "kernels" => report!(cfg, kernels::run(&cfg)),
-            "nexmark" => report!(cfg, nexmark::run(&cfg)),
             "tails" => report!(cfg, tails::run(&cfg)),
             _ => usage(),
         }

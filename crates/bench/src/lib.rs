@@ -18,8 +18,7 @@
 //! | §2.1 PAT ablation (extension) | [`pats`] | `pats` |
 //! | Out-of-order ingestion sweep (extension) | [`ooo`] | `ooo` |
 //! | Batch-kernel sweep (extension) | [`kernels`] | `kernels` |
-//! | NEXMark service scenario (extension) | [`nexmark`] | `nexmark` |
-//! | Tail-latency sweep (extension) | [`tails`] | `tails` |
+//! //! | Tail-latency sweep (extension) | [`tails`] | `tails` |
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -28,10 +27,8 @@ pub mod exp1;
 pub mod exp2;
 pub mod exp3;
 pub mod exp4;
-pub mod httpc;
 pub mod kernels;
 pub mod microbench;
-pub mod nexmark;
 #[cfg(feature = "obs")]
 pub mod obs_overhead;
 pub mod ooo;

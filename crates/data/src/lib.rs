@@ -10,8 +10,9 @@
 //!
 //! [`keyed`] lifts both families to keyed `(key, value)` streams for the
 //! sharded engine (`swag-engine`), [`nexmark`] synthesises the
-//! NEXMark-shaped auction/bid stream the resident-service scenario suite
-//! (`swag-server`) is driven with, and [`prng`] vendors the
+//! NEXMark-shaped auction/bid stream that drives the resident service
+//! (`swag-server`) in its observability tests, the benchmark's service
+//! workloads and `examples/resident_service.rs`, and [`prng`] vendors the
 //! SplitMix64/xoshiro256** generators everything draws randomness from,
 //! keeping the workspace free of external dependencies.
 

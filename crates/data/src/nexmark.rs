@@ -1,4 +1,4 @@
-//! NEXMark-shaped auction/bid synthesis for the service scenario suite.
+//! NEXMark-shaped auction/bid synthesis for driving the resident service.
 //!
 //! NEXMark (Tucker et al., the streaming adaptation of the XMark auction
 //! benchmark) drives most modern stream-processor evaluations: an

@@ -1,13 +1,15 @@
 //! Service observability end to end: sampled tuple-lifecycle traces
-//! decomposing into stage spans, the Chrome export on delete, SLO
-//! burn-rate evaluation with an induced breach, and the pipeline-level
-//! phase-occupancy/queue series.
+//! decomposing into stage spans, the Chrome export on delete and on
+//! shutdown, SLO burn-rate evaluation with an induced breach, the
+//! pipeline-level phase-occupancy/queue series, and two NEXMark
+//! pipelines fed concurrently under the default sampling.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
+use swag_data::nexmark::{NexmarkConfig, NexmarkGenerator};
 use swag_metrics::json::Json;
 use swag_server::proto::IngestClient;
 use swag_server::{PipelineSpec, ServerConfig, SwagServer};
@@ -244,5 +246,103 @@ fn induced_slo_breach_shows_burn_rate_and_counter() {
     );
 
     server.shutdown().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// One server, two pipelines over one NEXMark bid stream, fed concurrently
+/// over the binary protocol under the default 1-in-128 sampling: the bid
+/// volume per auction over its last 1024 bids, and the highest bid per
+/// auction over event-time windows that absorb the stream's disorder.
+/// Each pipeline records ingest latencies and complete lifecycle traces,
+/// exports `trace-<name>.json` on shutdown, and serves — bitwise — the
+/// answer table a server running it alone serves. Prices are whole cents,
+/// so the sums are exact under any cycle cut.
+#[test]
+fn concurrent_nexmark_pipelines_answer_as_if_alone() {
+    const BIDS: usize = 20_000;
+    const MAX_DELAY_NS: u64 = 50_000;
+    let specs = [
+        r#"{"name":"bid-volume","op":"sum","algorithm":"slickdeque","kind":"count",
+            "window":1024,"shards":2}"#,
+        r#"{"name":"highest-bid","op":"max","algorithm":"fiba","kind":"event",
+            "range":64000,"slide":16000,"lateness":50000,"shards":2}"#,
+    ]
+    .map(|json| PipelineSpec::from_json(json).unwrap());
+    let bids = NexmarkGenerator::new(NexmarkConfig {
+        max_delay_ns: MAX_DELAY_NS,
+        ..NexmarkConfig::default()
+    })
+    .bids(BIDS);
+    let feeds = [
+        bids.iter()
+            .map(|b| (b.auction, 0, b.price))
+            .collect::<Vec<_>>(),
+        bids.iter().map(|b| (b.auction, b.ts, b.price)).collect(),
+    ];
+    let start = |dir: &Path| {
+        SwagServer::start(ServerConfig {
+            snapshot_dir: dir.join("snapshots"),
+            trace_dir: Some(dir.to_path_buf()),
+            ..ServerConfig::default()
+        })
+        .expect("server starts")
+    };
+
+    let alone: Vec<Json> = specs
+        .iter()
+        .zip(&feeds)
+        .map(|(spec, feed)| {
+            let dir = temp_dir(&format!("alone-{}", spec.name));
+            let server = start(&dir);
+            server.create_pipeline(spec.clone()).unwrap();
+            assert_eq!(
+                stream_binary(&server, &spec.name, feed).trim(),
+                format!("OK {BIDS}")
+            );
+            wait_tuples(&server, &spec.name, BIDS as u64);
+            let table = server.answers_json(&spec.name).unwrap();
+            server.shutdown().unwrap();
+            let _ = std::fs::remove_dir_all(&dir);
+            table
+        })
+        .collect();
+
+    let dir = temp_dir("nexmark");
+    let server = start(&dir);
+    for spec in &specs {
+        server.create_pipeline(spec.clone()).unwrap();
+    }
+    std::thread::scope(|s| {
+        for (spec, feed) in specs.iter().zip(&feeds) {
+            let server = &server;
+            s.spawn(move || {
+                let ack = stream_binary(server, &spec.name, feed);
+                assert_eq!(ack.trim(), format!("OK {BIDS}"), "{}", spec.name);
+            });
+        }
+    });
+    for (spec, want) in specs.iter().zip(&alone) {
+        let name = spec.name.as_str();
+        wait_tuples(&server, name, BIDS as u64);
+        assert_eq!(&server.answers_json(name).unwrap(), want, "{name}");
+        let latency = server.registry().histogram(
+            "swag_pipeline_ingest_latency_ns",
+            "",
+            &[("pipeline", name)],
+        );
+        assert!(latency.count() > 0, "{name}: empty latency histogram");
+        let trace = server.trace_json(name).unwrap();
+        let complete = trace
+            .get("otherData")
+            .and_then(|o| o.get("complete_traces"))
+            .and_then(Json::as_u64);
+        assert!(complete >= Some(1), "{name}: no complete trace");
+    }
+    server.shutdown().unwrap();
+    for spec in &specs {
+        let path = dir.join(format!("trace-{}.json", spec.name));
+        let exported = std::fs::read_to_string(&path).expect("trace exported on shutdown");
+        assert!(!span_names(&Json::parse(&exported).unwrap()).is_empty());
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }

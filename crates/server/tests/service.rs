@@ -85,11 +85,12 @@ fn workload(n: usize) -> Vec<(u64, u64, f64)> {
 type Stream = fn(&SwagServer, &str, &[(u64, u64, f64)]) -> String;
 
 /// Snapshot → restart → restore → continue through the pipeline loop,
-/// against an uninterrupted run: stream the first half, shut down
-/// gracefully (which snapshots), let `edit` at the snapshot directory,
-/// restore into a fresh server, stream the second half, and require the
-/// answer table to equal — bitwise — the one a server that saw the whole
-/// stream in one go serves. Returns the spec the restore reported.
+/// against an uninterrupted run: stream the first half, snapshot over
+/// HTTP, shut down gracefully (which snapshots again), let `edit` at the
+/// snapshot directory, restore over HTTP into a fresh server on fresh
+/// ports, stream the second half, and require the answer table read over
+/// HTTP to equal — bitwise — the one a server that saw the whole stream
+/// in one go serves. Returns the spec the restore reported.
 fn assert_restore_is_bitwise(
     tag: &str,
     spec: &PipelineSpec,
@@ -106,7 +107,7 @@ fn assert_restore_is_bitwise(
     let ack = stream(&reference, name, tuples);
     assert_eq!(ack.trim(), format!("OK {}", tuples.len()), "{tag}");
     wait_tuples(&reference, name, tuples.len() as u64);
-    let want = reference.answers_json(name).unwrap();
+    let want = answers_over_http(&reference, name);
     reference.shutdown().unwrap();
     let _ = std::fs::remove_dir_all(&ref_dir);
 
@@ -115,6 +116,12 @@ fn assert_restore_is_bitwise(
     server.create_pipeline(spec.clone()).unwrap();
     stream(&server, name, first);
     wait_tuples(&server, name, first.len() as u64);
+    let (head, body) = http(&server, "POST", &format!("/pipelines/{name}/snapshot"), "");
+    assert!(
+        head.starts_with("HTTP/1.1 200"),
+        "{tag}: snapshot: {head}\n{body}"
+    );
+    let ports = (server.ingest_addr(), server.http_addr());
     server.shutdown().unwrap();
     assert!(
         dir.join(format!("{name}.swag")).exists(),
@@ -123,10 +130,17 @@ fn assert_restore_is_bitwise(
     edit(&dir);
 
     let server = start(&dir);
-    let restored = server.restore_pipeline(name).expect("restore");
+    assert_ne!((server.ingest_addr(), server.http_addr()), ports);
+    let restore = format!(r#"{{"name":"{name}","restore":true}}"#);
+    let (head, body) = http(&server, "POST", "/pipelines", &restore);
+    assert!(
+        head.starts_with("HTTP/1.1 201"),
+        "{tag}: restore: {head}\n{body}"
+    );
+    let restored = PipelineSpec::from_json(&body).expect("restore answers the spec");
     stream(&server, name, second);
     wait_tuples(&server, name, second.len() as u64);
-    let got = server.answers_json(name).unwrap();
+    let got = answers_over_http(&server, name);
     server.shutdown().unwrap();
     let _ = std::fs::remove_dir_all(&dir);
 
@@ -230,6 +244,13 @@ fn corrupted_and_truncated_snapshots_are_rejected() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// `GET /pipelines/{name}/answers`, parsed.
+fn answers_over_http(server: &SwagServer, name: &str) -> Json {
+    let (head, body) = http(server, "GET", &format!("/pipelines/{name}/answers"), "");
+    assert!(head.starts_with("HTTP/1.1 200"), "answers: {head}");
+    Json::parse(&body).expect("answers parse")
+}
+
 /// Minimal HTTP client against the control plane.
 fn http(server: &SwagServer, method: &str, path: &str, body: &str) -> (String, String) {
     let mut conn = TcpStream::connect(server.http_addr()).expect("connect control");
@@ -300,6 +321,26 @@ fn control_plane_crud_and_metrics() {
         metrics.contains("swag_pipeline_tuples_total{pipeline=\"bids\"} 100"),
         "pipeline metrics exported: {metrics}"
     );
+    let (_, body) = http(&server, "GET", "/metrics.json", "");
+    let doc = Json::parse(&body).expect("/metrics.json parses");
+    let names: Vec<&str> = doc
+        .get("metrics")
+        .and_then(Json::as_array)
+        .expect("metrics array")
+        .iter()
+        .filter_map(|m| m.get("name").and_then(Json::as_str))
+        .collect();
+    for series in [
+        "swag_pipeline_tuples_total",
+        "swag_pipeline_ingest_latency_ns",
+        "swag_server_ingest_connections_total",
+    ] {
+        assert!(metrics.contains(series), "{series} missing from /metrics");
+        assert!(
+            names.contains(&series),
+            "{series} missing from /metrics.json"
+        );
+    }
 
     // Snapshot over HTTP, then delete; the name is free again.
     let (head, _) = http(&server, "POST", "/pipelines/bids/snapshot", "");
@@ -393,6 +434,36 @@ fn the_answer_table_is_complete_when_the_counter_says_so() {
     drop(client);
     server.shutdown().unwrap();
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A frame holding a NaN is refused whole at the wire: its connection
+/// gets `ERR`, none of its tuples is admitted, and after a good stream on
+/// a new connection the answer table is that of a run without the frame.
+#[test]
+fn a_non_finite_frame_is_refused_whole() {
+    let good = workload(500);
+    let mut bad = workload(40);
+    bad[17].2 = f64::NAN;
+    let tables: Vec<Json> = [false, true]
+        .into_iter()
+        .map(|send_bad| {
+            let dir = temp_dir(&format!("nan-{send_bad}"));
+            let server = start(&dir);
+            server.create_pipeline(count_spec("p")).unwrap();
+            if send_bad {
+                let ack = stream_binary(&server, "p", &bad);
+                assert!(ack.starts_with("ERR "), "{ack}");
+                assert!(ack.contains("non-finite value"), "{ack}");
+            }
+            assert_eq!(stream_binary(&server, "p", &good).trim(), "OK 500");
+            wait_tuples(&server, "p", 500);
+            let table = server.answers_json("p").unwrap();
+            server.shutdown().unwrap();
+            let _ = std::fs::remove_dir_all(&dir);
+            table
+        })
+        .collect();
+    assert_eq!(tables[0], tables[1]);
 }
 
 #[test]

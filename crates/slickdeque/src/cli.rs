@@ -922,6 +922,85 @@ mod tests {
         .is_err());
     }
 
+    /// A live keyed run serves the engine's series on both expositions of
+    /// `--metrics-addr` while it holds, and leaves one flight-recorder dump
+    /// per shard under `--trace-out`, each a parseable list of events with
+    /// a `kind` apiece.
+    #[test]
+    fn keyed_run_serves_metrics_and_dumps_flight_recorders() {
+        use std::io::Read;
+        const SERIES: [&str; 7] = [
+            "swag_engine_tuples_total",
+            "swag_engine_answers_total",
+            "swag_engine_batches_total",
+            "swag_engine_keys",
+            "swag_engine_queue_depth",
+            "swag_engine_queue_depth_peak",
+            "swag_slide_latency_ns",
+        ];
+        let get = |addr: std::net::SocketAddr, path: &str| -> Option<String> {
+            let mut conn = std::net::TcpStream::connect(addr).ok()?;
+            write!(conn, "GET {path} HTTP/1.1\r\nConnection: close\r\n\r\n").ok()?;
+            let mut response = String::new();
+            conn.read_to_string(&mut response).ok()?;
+            let (_, body) = response.split_once("\r\n\r\n")?;
+            Some(body.to_string())
+        };
+        let serves_all = |addr| {
+            let text = get(addr, "/metrics")?;
+            let doc = swag_metrics::Json::parse(&get(addr, "/metrics.json")?).ok()?;
+            let metrics = doc.get("metrics")?.as_array()?;
+            let in_json = |series: &str| {
+                let name = |m: &swag_metrics::Json| m.get("name")?.as_str().map(str::to_string);
+                metrics.iter().any(|m| name(m).as_deref() == Some(series))
+            };
+            SERIES
+                .iter()
+                .all(|series| text.contains(series) && in_json(series))
+                .then_some(())
+        };
+
+        let dir = std::env::temp_dir().join(format!("swag-cli-obs-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        // A port that was free a moment ago: the run binds it itself.
+        let addr = std::net::TcpListener::bind("127.0.0.1:0")
+            .and_then(|l| l.local_addr())
+            .unwrap();
+        let mut argv = args(&format!(
+            "--op sum --queries 64:1,16:1 --source debs:7 --tuples 50000 --keyed --shards 2 \
+             --keys 16 --metrics-addr {addr} --metrics-hold-ms 1500"
+        ));
+        argv.extend(["--trace-out".to_string(), dir.display().to_string()]);
+        let cfg = CliConfig::parse(argv).unwrap();
+        std::thread::scope(|s| {
+            let run = s.spawn(|| run_keyed(&cfg, &mut Vec::new()));
+            while serves_all(addr).is_none() {
+                assert!(
+                    !run.is_finished(),
+                    "the run ended before serving {SERIES:?}"
+                );
+                std::thread::sleep(std::time::Duration::from_millis(10));
+            }
+            let (_, stats) = run.join().unwrap().unwrap();
+            assert_eq!(stats.tuples, 50_000);
+        });
+        for shard in 0..2 {
+            let path = dir.join(format!("flightrec-{shard}.json"));
+            let dump = std::fs::read_to_string(&path).expect("flight recorder dumped");
+            let dump = swag_metrics::Json::parse(&dump).expect("dump parses");
+            let events = dump.get("events").and_then(|e| e.as_array()).unwrap();
+            assert!(!events.is_empty(), "{}: no events", path.display());
+            assert!(
+                events
+                    .iter()
+                    .all(|e| e.get("kind").and_then(|k| k.as_str()).is_some()),
+                "{}: an event without a kind",
+                path.display()
+            );
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     /// Per-key answers do not depend on the shard count, in arrival order
     /// or in (disordered) event time: the emitted lines are the same set.
     #[test]
