@@ -301,6 +301,8 @@ fn concurrent_nexmark_pipelines_answer_as_if_alone() {
             );
             wait_tuples(&server, &spec.name, BIDS as u64);
             let table = server.answers_json(&spec.name).unwrap();
+            let rows = table.as_array().map_or(0, <[Json]>::len);
+            assert!(rows > 0, "{}: no answers", spec.name);
             server.shutdown().unwrap();
             let _ = std::fs::remove_dir_all(&dir);
             table

@@ -951,8 +951,9 @@ mod tests {
             let doc = swag_metrics::Json::parse(&get(addr, "/metrics.json")?).ok()?;
             let metrics = doc.get("metrics")?.as_array()?;
             let in_json = |series: &str| {
-                let name = |m: &swag_metrics::Json| m.get("name")?.as_str().map(str::to_string);
-                metrics.iter().any(|m| name(m).as_deref() == Some(series))
+                metrics
+                    .iter()
+                    .any(|m| m.get("name").and_then(|n| n.as_str()) == Some(series))
             };
             SERIES
                 .iter()
