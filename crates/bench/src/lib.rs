@@ -18,7 +18,7 @@
 //! | §2.1 PAT ablation (extension) | [`pats`] | `pats` |
 //! | Out-of-order ingestion sweep (extension) | [`ooo`] | `ooo` |
 //! | Batch-kernel sweep (extension) | [`kernels`] | `kernels` |
-//! //! | Tail-latency sweep (extension) | [`tails`] | `tails` |
+//! | Tail-latency sweep (extension) | [`tails`] | `tails` |
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

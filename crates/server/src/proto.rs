@@ -121,14 +121,12 @@ pub fn read_frame(r: &mut impl Read, tuples: &mut Vec<(u64, u64, f64)>) -> io::R
     }
     if !finite {
         let value = tuples.iter().map(|t| t.2).find(|v| !v.is_finite());
+        let value = value.unwrap_or(f64::NAN);
         tuples.clear();
         // alloc:amortized error path only — runs once, on a refused frame
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
-            format!(
-                "non-finite value {} refused with its frame of {count} tuples",
-                value.unwrap_or(f64::NAN)
-            ),
+            format!("non-finite value {value} refused with its frame of {count} tuples"),
         ));
     }
     Ok(true)
