@@ -14,12 +14,13 @@
 //!
 //! Values must be finite. A binary frame or a text line carrying a NaN or
 //! an infinity is refused whole — none of its tuples is admitted — and the
-//! connection ends with `ERR … non-finite value …`; frames already
-//! acknowledged into the pipeline's queue stay admitted. One NaN or
-//! infinity would otherwise poison its key's sum for the pipeline's whole
-//! life: the invertible slide `answer ⊕ new ⊖ expiring` never heals from
-//! `NaN − NaN` or `inf − inf`, and a snapshot carries the NaN across
-//! restarts.
+//! connection ends with `ERR … non-finite value …`; tuples already handed
+//! to the pipeline's queue stay admitted (in text mode the server queues
+//! lines in blocks, and earlier lines of a refused line's block are
+//! dropped with it). One NaN or infinity would otherwise poison its key's
+//! sum for the pipeline's whole life: the invertible slide
+//! `answer ⊕ new ⊖ expiring` never heals from `NaN − NaN` or `inf − inf`,
+//! and a snapshot carries the NaN across restarts.
 //!
 //! Either way the server replies with one line on completion: `OK <n>\n`
 //! after a clean end (n = tuples accepted onto the pipeline's queue — an
