@@ -976,10 +976,12 @@ mod tests {
         std::thread::scope(|s| {
             let run = s.spawn(|| run_keyed(&cfg, &mut Vec::new()));
             while serves_all(addr).is_none() {
-                assert!(
-                    !run.is_finished(),
-                    "the run ended before serving {SERIES:?}"
-                );
+                if run.is_finished() {
+                    // An Err here is the run's own, e.g. the port was
+                    // taken between the probe above and the run's bind.
+                    let outcome = run.join().unwrap().map(|(_, stats)| stats.tuples);
+                    panic!("the run ended before serving {SERIES:?}: {outcome:?}");
+                }
                 std::thread::sleep(std::time::Duration::from_millis(10));
             }
             let (_, stats) = run.join().unwrap().unwrap();

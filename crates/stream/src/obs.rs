@@ -80,7 +80,6 @@ mod tests {
     use swag_core::multi::MultiSlickDequeInv;
     use swag_core::ops::Sum;
     use swag_plan::{Pat, Query, SharedPlan};
-    use swag_trace::{SpanSampler, Stage};
 
     #[test]
     fn executor_narrates_slides_and_bulk_batches() {
@@ -112,34 +111,24 @@ mod tests {
         assert_eq!(latency.count(), 3, "each pushed slide was timed");
         assert_eq!(sink.count, 14, "2 answers per tuple, 7 tuples");
 
-        // The two paths `obs_overhead --gate` times, in recorder writes:
-        // one ring event per fast-path batch, and with the service's
-        // default 1-in-128 sampling on top, one stage record per hit of a
-        // fresh sampler — never a write per tuple.
+        // The bulk path `obs_overhead --gate` times, in recorder writes:
+        // one ring event per fast-path batch, never a write per tuple.
+        // (Its sampled half writes one stage record per sampler hit,
+        // pinned in `swag_trace::span`'s block-sampling test.)
         const FRAMES: u64 = 5;
         for batch in [64u64, 512, 4096] {
             let values: Vec<f64> = (0..batch).map(|i| i as f64).collect();
             let plan = SharedPlan::build(&[Query::per_tuple(64), Query::per_tuple(16)], Pat::Pairs);
             let recorder = FlightRecorder::new(64);
-            let sampler = SpanSampler::new(128, FlightRecorder::new(64));
             let mut exec = SharedPlanExecutor::<_, MultiSlickDequeInv<_>>::new(op, plan);
             exec.attach_obs(ExecObs::new(recorder.clone()));
-            for frame in 0..FRAMES {
-                let ts = sampler.ring().now_ns();
-                for (_, id) in sampler.sample_block(batch) {
-                    sampler.stage_at(ts, id, Stage::Ingest, frame);
-                }
+            for _ in 0..FRAMES {
                 exec.push_batch(&values, &mut sink);
             }
             assert_eq!(
                 recorder.recorded(),
                 FRAMES,
                 "batch {batch}: one event per batch"
-            );
-            assert_eq!(
-                sampler.ring().recorded(),
-                (FRAMES * batch).div_ceil(128),
-                "batch {batch}: one stage record per sampled tuple"
             );
         }
     }

@@ -342,7 +342,8 @@ mod tests {
     #[test]
     fn block_sampling_matches_scalar_sampling() {
         // Same decisions and ids as per-tuple sample() over 1000 tuples,
-        // regardless of how the stream is chopped into blocks.
+        // regardless of how the stream is chopped into blocks; staging
+        // each hit writes one record per sampled tuple, ⌈1000/7⌉ in all.
         let scalar = SpanSampler::new(7, FlightRecorder::new(16));
         let expected: Vec<(usize, u64)> = (0..1000)
             .filter_map(|i| scalar.sample().map(|id| (i, id)))
@@ -351,13 +352,16 @@ mod tests {
         let mut got = Vec::new();
         let mut base = 0usize;
         for n in [1usize, 3, 64, 7, 500, 425] {
+            let ts = blocked.ring().now_ns();
             for (off, id) in blocked.sample_block(n as u64) {
+                blocked.stage_at(ts, id, Stage::Ingest, 0);
                 got.push((base + off, id));
             }
             base += n;
         }
         assert_eq!(base, 1000);
         assert_eq!(got, expected);
+        assert_eq!(blocked.ring().recorded(), 1000u64.div_ceil(7));
     }
 
     #[test]
