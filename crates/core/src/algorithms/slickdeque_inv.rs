@@ -289,4 +289,30 @@ mod tests {
         assert_eq!(sd.slide(5), 5);
         assert_eq!(sd.slide(9), 9);
     }
+
+    /// A capture whose `curr` or `len` leaves a live partial outside the
+    /// live window is refused at load, not restored to fail later.
+    #[test]
+    fn restore_refuses_a_live_partial_outside_the_window() {
+        use crate::state::{StateReader, StateWriter, StatefulAggregator};
+        let mut sd = SlickDequeInv::new(Sum::<i64>::new(), 5);
+        for v in [4, -2, 7] {
+            sd.slide(v);
+        }
+        let mut w = StateWriter::new();
+        sd.save_state(&mut w);
+        let (words, partials) = w.into_parts();
+        let load = |words: &[u64]| {
+            let mut r = StateReader::new(words, &partials);
+            SlickDequeInv::load_state(Sum::<i64>::new(), 5, &mut r)
+        };
+        assert!(load(&words).is_ok());
+        // `[curr, len]` = `[3, 3]`: one slot fewer, or the cursor moved on.
+        for edited in [[3, 2], [0, 3]] {
+            let err = load(&edited)
+                .map(drop)
+                .expect_err("a live slot counted dead");
+            assert!(err.to_string().contains("dead-slot-identity"), "{err}");
+        }
+    }
 }

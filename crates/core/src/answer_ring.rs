@@ -14,7 +14,7 @@
 use crate::aggregator::MemoryFootprint;
 use crate::invariants::{ensure, partials_agree, InvariantViolation};
 use crate::ops::InvertibleOp;
-use crate::state::{corrupt, StateError, StateReader, StateWriter};
+use crate::state::{StateError, StateReader, StateWriter};
 
 /// An identity-padded history ring; see the module docs.
 #[derive(Debug, Clone)]
@@ -213,15 +213,8 @@ impl<O: InvertibleOp> AnswerRing<O> {
         ranges: &[usize],
         answers: &[O::Partial],
     ) -> Result<(), InvariantViolation> {
+        self.check_layout(name)?;
         let wsize = self.slots.len();
-        ensure!(
-            name,
-            "ring-shape",
-            self.curr < wsize && self.len <= wsize,
-            "curr {} / len {} for a ring of {wsize}",
-            self.curr,
-            self.len
-        );
         ensure!(
             name,
             "ranges-normalized",
@@ -231,6 +224,31 @@ impl<O: InvertibleOp> AnswerRing<O> {
             "ranges {ranges:?} with {} answers for a ring of {wsize}",
             answers.len()
         );
+        for (r, ans) in ranges.iter().zip(answers) {
+            let expect = self.fold_last(*r);
+            ensure!(
+                name,
+                "answer-refold",
+                partials_agree(ans, &expect),
+                "range {r} answer {ans:?}, its last slots fold to {expect:?}"
+            );
+        }
+        Ok(())
+    }
+
+    /// The exact part of [`check_ring`](Self::check_ring): the cursor and
+    /// live count fit the ring, and every non-live slot holds the
+    /// identity.
+    fn check_layout(&self, name: &'static str) -> Result<(), InvariantViolation> {
+        let wsize = self.slots.len();
+        ensure!(
+            name,
+            "ring-shape",
+            self.curr < wsize && self.len <= wsize,
+            "curr {} / len {} for a ring of {wsize}",
+            self.curr,
+            self.len
+        );
         let identity = self.op.identity();
         for slot in (0..wsize - self.len).map(|j| (self.curr + j) % wsize) {
             let held = &self.slots[slot];
@@ -239,15 +257,6 @@ impl<O: InvertibleOp> AnswerRing<O> {
                 "dead-slot-identity",
                 *held == identity,
                 "non-live slot {slot} holds {held:?}"
-            );
-        }
-        for (r, ans) in ranges.iter().zip(answers) {
-            let expect = self.fold_last(*r);
-            ensure!(
-                name,
-                "answer-refold",
-                partials_agree(ans, &expect),
-                "range {r} answer {ans:?}, its last slots fold to {expect:?}"
             );
         }
         Ok(())
@@ -263,10 +272,12 @@ impl<O: InvertibleOp> AnswerRing<O> {
     }
 
     /// Rebuild a ring of `wsize ≥ 1` slots written by
-    /// [`save_ring`](Self::save_ring). Structural validation only: the
-    /// refold in [`check_ring`](Self::check_ring) is exact only for streams
-    /// where ⊖ is a perfect inverse, so a legitimate floating-point state
-    /// would be wrongly rejected.
+    /// [`save_ring`](Self::save_ring). Structural validation only
+    /// ([`check_layout`](Self::check_layout)): the refold in
+    /// [`check_ring`](Self::check_ring) is exact only for streams where ⊖
+    /// is a perfect inverse, so a legitimate floating-point state would be
+    /// wrongly rejected. A live partial in a non-live slot means `curr` or
+    /// `len` is off.
     pub(crate) fn load_ring(
         op: O,
         wsize: usize,
@@ -275,17 +286,14 @@ impl<O: InvertibleOp> AnswerRing<O> {
         let curr = r.usize_word("slickdeque_inv curr")?;
         let len = r.usize_word("slickdeque_inv len")?;
         let slots = r.partial_vec(wsize, "slickdeque_inv ring")?;
-        if curr >= wsize || len > wsize {
-            return Err(corrupt(format!(
-                "slickdeque_inv: curr {curr} / len {len} impossible for window {wsize}"
-            )));
-        }
-        Ok(AnswerRing {
+        let ring = AnswerRing {
             op,
             slots,
             curr,
             len,
-        })
+        };
+        ring.check_layout("slickdeque_inv")?;
+        Ok(ring)
     }
 }
 

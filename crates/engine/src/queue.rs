@@ -15,9 +15,9 @@
 //! `capacity + 2` buffers per shard however many batches it routes.
 //!
 //! Besides tuple batches the queue carries the engine's **control
-//! items** ([`Item::Control`]: barriers, a lent processor coming back,
-//! end of stream) in the same FIFO order, so a control item is seen only
-//! after every batch routed before it.
+//! items** ([`Item::Control`]: barriers, with or without a save step,
+//! and end of stream) in the same FIFO order, so a control item is seen
+//! only after every batch routed before it.
 //!
 //! Either end going away is seen by the other: dropping the
 //! [`BatchSender`] closes the queue (the worker drains what is queued,

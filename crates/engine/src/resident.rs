@@ -14,8 +14,9 @@
 //! the answers, tuple/answer/batch counts and key count since the previous
 //! barrier: an [`EngineRun`] of that stretch. Every processor then sits at
 //! a batch boundary, so [`barrier_with`](ResidentEngine::barrier_with)
-//! can also lend the caller the drain-consistent processors (for a
-//! snapshot) before the workers carry on.
+//! can also have each worker run a save step on its own drain-consistent
+//! processor (for a snapshot) and carry on: a processor crosses a thread
+//! only at [`start`](ResidentEngine::start) and [`stop`](ResidentEngine::stop).
 //!
 //! [`ShardedEngine::run`](crate::ShardedEngine::run) and its siblings are
 //! this engine started, fed one source, and stopped: there is one
@@ -25,6 +26,7 @@
 //! notices at its next hand-off or barrier, closes every queue, joins the
 //! workers and resumes the first worker panic on the calling thread.
 
+use std::any::Any;
 use std::sync::atomic::AtomicBool;
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, Mutex};
@@ -48,16 +50,14 @@ use crate::stats::{EngineStats, ShardStats};
 /// Long-lived shard workers behind one router. See the [module
 /// docs](self).
 pub struct ResidentEngine<'scope, P: ShardProcessor> {
-    lanes: Vec<Lane<P>>,
+    lanes: Vec<Lane<'scope, P>>,
     batch: usize,
-    workers: Vec<ScopedJoinHandle<'scope, Option<Report<P>>>>,
+    workers: Vec<ScopedJoinHandle<'scope, (Report<P>, P)>>,
     /// The event-time late-drop rule, persistent across routed sources;
     /// `None` on the arrival-order path.
     time: Option<OnTime>,
     /// The stretch up to the last barrier.
     cut: EngineRun<P::Answer>,
-    /// Processors lent out by the current [`barrier_with`](Self::barrier_with).
-    lent: Vec<P>,
     /// Late drops counted up to the previous barrier.
     late_mark: u64,
     started: Stopwatch,
@@ -68,8 +68,8 @@ pub struct ResidentEngine<'scope, P: ShardProcessor> {
 }
 
 /// The router's end of one shard.
-struct Lane<P: ShardProcessor> {
-    tx: BatchSender<(Key, P::Value), Control<P>>,
+struct Lane<'scope, P: ShardProcessor> {
+    tx: BatchSender<(Key, P::Value), Control<'scope, P>>,
     reports: Receiver<Report<P>>,
     gauge: QueueDepthGauge,
     /// The batch being filled.
@@ -77,9 +77,9 @@ struct Lane<P: ShardProcessor> {
 }
 
 /// The worker's end of one shard.
-struct WorkerEnd<P: ShardProcessor> {
+struct WorkerEnd<'scope, P: ShardProcessor> {
     shard: usize,
-    inbox: BatchReceiver<(Key, P::Value), Control<P>>,
+    inbox: BatchReceiver<(Key, P::Value), Control<'scope, P>>,
     reports: SyncSender<Report<P>>,
     gauge: QueueDepthGauge,
     retain: Retain,
@@ -126,28 +126,32 @@ fn catch_up<P: ShardProcessor>(processor: &mut P, scratch: &mut Vec<(Key, P::Ans
     processor.settle(scratch) - (scratch.len() - before) as u64
 }
 
+/// What a save step read from one shard's processor.
+type Saved = Box<dyn Any + Send>;
+
+/// A barrier's save step, run by every worker on its own processor.
+type SaveStep<'scope, P> = Arc<dyn Fn(&P) -> Saved + Send + Sync + 'scope>;
+
 /// Control items, queued in order with the batches.
-pub(crate) enum Control<P: ShardProcessor> {
+pub(crate) enum Control<'scope, P: ShardProcessor> {
     /// Report the stretch since the previous barrier, retained answers
-    /// swapped for `spare` (an emptied buffer to fill next). With `lend`,
-    /// hand the processor over too and wait for [`Control::Resume`].
+    /// swapped for `spare` (an emptied buffer to fill next), and what
+    /// `save`, if given, reads from the processor.
     Barrier {
         spare: Vec<(Key, P::Answer)>,
-        lend: bool,
+        save: Option<SaveStep<'scope, P>>,
     },
-    /// A lent processor, handed back.
-    Resume(P),
     /// End of stream: close every window still holding data.
     Finish,
 }
 
 /// A worker's report, with the answers retained since the last barrier:
-/// at a barrier, the stretch since the previous one (and the processor,
-/// if lent); when its queue closes, its totals and its processor.
+/// at a barrier, the stretch since the previous one (and what a save step
+/// read); when its queue closes, its totals, returned with its processor.
 struct Report<P: ShardProcessor> {
     stats: ShardStats,
     retained: Vec<(Key, P::Answer)>,
-    processor: Option<P>,
+    saved: Option<Saved>,
 }
 
 impl<'scope, P: ShardProcessor + 'scope> ResidentEngine<'scope, P> {
@@ -250,7 +254,6 @@ impl<'scope, P: ShardProcessor + 'scope> ResidentEngine<'scope, P> {
                 answers: (0..shards).map(|_| Vec::new()).collect(),
                 samples: Vec::new(),
             },
-            lent: Vec::with_capacity(shards),
             late_mark: 0,
             started,
             since_cut: Stopwatch::start(),
@@ -350,35 +353,36 @@ impl<'scope, P: ShardProcessor + 'scope> ResidentEngine<'scope, P> {
     /// take the answer buffers; those it leaves are emptied and refilled
     /// by the next barrier, so a warm engine allocates nothing for them.
     pub fn barrier(&mut self) -> &mut EngineRun<P::Answer> {
-        self.cut_stretch(false);
+        self.cut_stretch(None);
         &mut self.cut
     }
 
-    /// [`barrier`](Self::barrier), and while every worker waits at it,
-    /// `inspect` the drain-consistent processors (in shard order).
-    pub fn barrier_with<R>(
+    /// [`barrier`](Self::barrier), and at it every worker runs `save` on
+    /// its own drain-consistent processor, on its own thread, then
+    /// carries on. Returns the stretch and what `save` returned for each
+    /// shard, in shard order. A `save` that panics fails the engine with
+    /// its panic, as any worker panic does.
+    pub fn barrier_with<R: Send + 'static>(
         &mut self,
-        inspect: impl FnOnce(&[P]) -> R,
-    ) -> (&mut EngineRun<P::Answer>, R) {
-        self.cut_stretch(true);
-        let seen = inspect(&self.lent);
-        let mut lent = std::mem::take(&mut self.lent);
-        for (shard, processor) in lent.drain(..).enumerate() {
-            let resume = Item::Control(Control::Resume(processor));
-            if self.lanes[shard].tx.hand_off(resume).is_err() {
-                self.fail();
-            }
-        }
-        self.lent = lent;
-        (&mut self.cut, seen)
+        save: impl Fn(&P) -> R + Send + Sync + 'scope,
+    ) -> (&mut EngineRun<P::Answer>, Vec<R>) {
+        let step: SaveStep<'scope, P> = Arc::new(move |processor: &P| Box::new(save(processor)));
+        let saved = (self.cut_stretch(Some(step)).into_iter())
+            // check:allow every shard's result came from `step`, which boxes an `R`
+            .map(|s| *s.downcast::<R>().expect("a save step returns an R"))
+            .collect();
+        (&mut self.cut, saved)
     }
 
-    fn cut_stretch(&mut self, lend: bool) {
+    /// Queue a barrier on every shard and collect the reports; returns
+    /// what `save` read on each shard (nothing without one).
+    fn cut_stretch(&mut self, save: Option<SaveStep<'scope, P>>) -> Vec<Saved> {
         self.close_batches().unwrap_or_else(|()| self.fail());
         for shard in 0..self.lanes.len() {
             let mut spare = std::mem::take(&mut self.cut.answers[shard]);
             spare.clear();
-            let barrier = Item::Control(Control::Barrier { spare, lend });
+            let save = save.clone();
+            let barrier = Item::Control(Control::Barrier { spare, save });
             if self.lanes[shard].tx.hand_off(barrier).is_err() {
                 self.fail();
             }
@@ -386,6 +390,7 @@ impl<'scope, P: ShardProcessor + 'scope> ResidentEngine<'scope, P> {
         let elapsed = self.since_cut.elapsed();
         self.since_cut = Stopwatch::start();
         self.cut.stats.shards.clear();
+        let mut saved = Vec::new();
         for shard in 0..self.lanes.len() {
             let Ok(mut report) = self.lanes[shard].reports.recv() else {
                 self.fail();
@@ -394,11 +399,12 @@ impl<'scope, P: ShardProcessor + 'scope> ResidentEngine<'scope, P> {
             // alloc:amortized cleared and refilled to the shard count at every barrier; grows once
             self.cut.stats.shards.push(report.stats);
             self.cut.answers[shard] = report.retained;
-            self.lent.extend(report.processor); // alloc:amortized allocated with one slot per shard at start
+            saved.extend(report.saved); // alloc:amortized only a save step's barrier fills it, once per snapshot
         }
         let late = self.time.as_ref().map_or(0, |t| t.late);
         self.cut.stats.total(late - self.late_mark, elapsed);
         self.late_mark = late;
+        saved
     }
 
     /// Close every queue, join the workers and resume the first worker
@@ -412,12 +418,12 @@ impl<'scope, P: ShardProcessor + 'scope> ResidentEngine<'scope, P> {
 
     /// Join every worker and collect what each returned, in shard order;
     /// resume the first worker panic, once all are joined.
-    fn join_workers(&mut self) -> Vec<Report<P>> {
+    fn join_workers(&mut self) -> Vec<(Report<P>, P)> {
         let mut crashed = None;
         let mut drained = Vec::with_capacity(self.workers.len());
         for worker in self.workers.drain(..) {
             match worker.join() {
-                Ok(returned) => drained.extend(returned),
+                Ok(returned) => drained.push(returned),
                 Err(panic) => {
                     crashed.get_or_insert(panic);
                 }
@@ -435,19 +441,15 @@ impl<'scope, P: ShardProcessor + 'scope> ResidentEngine<'scope, P> {
     /// shard order). The run's answers are those since the last barrier;
     /// its statistics cover the engine's whole life.
     pub fn stop(mut self, finish: bool) -> (EngineRun<P::Answer>, Vec<P>) {
-        let finished = |lane: &Lane<P>| lane.tx.hand_off(Item::Control(Control::Finish)).is_ok();
+        let finished =
+            |lane: &Lane<'_, P>| lane.tx.hand_off(Item::Control(Control::Finish)).is_ok();
         if self.close_batches().is_err() || (finish && !self.lanes.iter().all(finished)) {
             self.fail();
         }
         // Dropping the senders closes every queue; workers drain and return.
         self.lanes.clear();
-        let mut processors = Vec::with_capacity(self.workers.len());
-        let (shard_stats, answers) = (self.join_workers().into_iter())
-            .map(|report| {
-                processors.extend(report.processor);
-                (report.stats, report.retained)
-            })
-            .unzip();
+        let (reports, processors): (Vec<_>, _) = self.join_workers().into_iter().unzip();
+        let (shard_stats, answers) = reports.into_iter().map(|r| (r.stats, r.retained)).unzip();
         drop(self.sampler_stop);
         if let Some(sampler) = self.sampler.take() {
             let _ = sampler.join();
@@ -469,7 +471,7 @@ impl<'scope, P: ShardProcessor + 'scope> ResidentEngine<'scope, P> {
     }
 }
 
-impl<P: ShardProcessor> Lane<P> {
+impl<P: ShardProcessor> Lane<'_, P> {
     /// Hand the open batch off and start a fresh one in a buffer the
     /// worker handed back, if one is waiting.
     fn flush(&mut self, watermark: u64, batch: usize) -> Result<(), ()> {
@@ -561,8 +563,8 @@ const SCRATCH_KEPT: usize = 4096;
 /// watermark if it rose, collecting the windows that closes. Per-key
 /// answer sequences are unchanged; only the interleaving of different
 /// keys inside a batch may differ. The batch's buffer goes back to the
-/// router with the next receive. Control items answer barriers, take a
-/// lent processor back, and end the stream.
+/// router with the next receive. Control items answer barriers (running
+/// a barrier's save step on the processor) and end the stream.
 ///
 /// With an instrument bundle, the worker additionally maintains its
 /// registry series, times each slide into the latency histogram, and
@@ -572,10 +574,10 @@ const SCRATCH_KEPT: usize = 4096;
 /// panic anywhere in the loop dumps the ring via `swag-trace`'s hook (the
 /// registration guard lives for the whole function).
 fn shard_worker<P: ShardProcessor>(
-    end: WorkerEnd<P>,
+    end: WorkerEnd<'_, P>,
     mut processor: P,
     obs: Option<ShardObs>,
-) -> Option<Report<P>> {
+) -> (Report<P>, P) {
     let WorkerEnd {
         shard,
         inbox,
@@ -601,7 +603,7 @@ fn shard_worker<P: ShardProcessor>(
             elapsed: Duration::ZERO,
         },
         retained: Vec::new(),
-        processor: None,
+        saved: None,
     };
     let mut mark = run.stats.clone();
     // Reused across batches: the grouping buffers and per-batch answers.
@@ -687,8 +689,8 @@ fn shard_worker<P: ShardProcessor>(
                 }
                 run.tally_answers(&mut scratch, unappended, retain, obs.as_ref());
             }
-            Some(Item::Control(Control::Barrier { spare, lend })) => {
-                // Counters, retained answers and a lent processor all
+            Some(Item::Control(Control::Barrier { spare, save })) => {
+                // Counters, retained answers and what `save` reads all
                 // cover every key up to the watermark.
                 let unappended = catch_up(&mut processor, &mut scratch);
                 run.tally_answers(&mut scratch, unappended, retain, obs.as_ref());
@@ -709,26 +711,13 @@ fn shard_worker<P: ShardProcessor>(
                         ..run.stats.clone()
                     },
                     retained: std::mem::replace(&mut run.retained, spare),
-                    processor: None,
+                    // check:allow runs once per snapshot request, not per tuple or batch
+                    saved: save.map(|save| save(&processor)),
                 };
                 mark = run.stats.clone();
-                if !lend {
-                    // A send fails only once the router is gone; the
-                    // queue then closes and the loop ends.
-                    let _ = reports.send(report);
-                } else {
-                    let lent = Report {
-                        processor: Some(processor),
-                        ..report
-                    };
-                    let _ = reports.send(lent);
-                    // Parked until the processor comes back; a closed
-                    // queue instead means the router is gone.
-                    match inbox.next_batch(None) {
-                        Some(Item::Control(Control::Resume(back))) => processor = back,
-                        _ => return None,
-                    }
-                }
+                // A send fails only once the router is gone; the queue
+                // then closes and the loop ends.
+                let _ = reports.send(report);
             }
             Some(Item::Control(Control::Finish)) => {
                 // End of stream: close out every window still holding
@@ -741,8 +730,6 @@ fn shard_worker<P: ShardProcessor>(
                 }
                 run.tally_answers(&mut scratch, unappended, retain, obs.as_ref());
             }
-            // Only ever sent in answer to a lending barrier, above.
-            Some(Item::Control(Control::Resume(_))) => {}
         }
         if let (Some(o), Some(p)) = (&obs, &mut phase) {
             o.busy_ns.add(p.elapsed_ns());
@@ -772,6 +759,5 @@ fn shard_worker<P: ShardProcessor>(
     run.stats.keys = processor.keys();
     run.stats.max_queue_depth = gauge.max_depth();
     run.stats.elapsed = started.elapsed();
-    run.processor = Some(processor);
-    Some(run)
+    (run, processor)
 }

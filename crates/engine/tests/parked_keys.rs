@@ -144,7 +144,8 @@ fn every_barrier_agrees_with_full_retention() {
                         let mut cut = Vec::new();
                         for side in &mut sides {
                             let routed = side.engine.route_events(&mut side.source, want);
-                            let (run, state) = side.engine.barrier_with(saved);
+                            let (run, state) =
+                                side.engine.barrier_with(|p| saved(std::slice::from_ref(p)));
                             publish(&mut side.table, run);
                             cut.push((routed, run.stats.answers, state));
                         }

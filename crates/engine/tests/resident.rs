@@ -49,7 +49,7 @@ fn reader_parts(partials: &[u64]) -> Vec<f64> {
 }
 
 /// What differs between the two paths.
-trait Path {
+trait Path: Sync {
     type Proc: ShardProcessor<Answer = Self::Answer> + 'static;
     type Answer: Copy + std::fmt::Debug + Send + 'static;
     type Source;
@@ -268,17 +268,15 @@ fn resident<Pa: Path>(path: &Pa, shards: usize, seed: u64) -> Outcome {
                         answers.extend(cut.answers.iter().flatten().copied());
                     }
                     3 => {
-                        let (cut, keys) = engine
-                            .barrier_with(|ps| ps.iter().map(ShardProcessor::keys).sum::<usize>());
-                        assert_eq!(keys, cut.stats.keys());
+                        let (cut, keys) = engine.barrier_with(ShardProcessor::keys);
+                        assert_eq!(keys.iter().sum::<usize>(), cut.stats.keys());
                         answers.extend(cut.answers.iter().flatten().copied());
                         snapshots += 1;
                     }
                     4 => {
                         // Snapshot at a barrier, then carry on in a fresh
                         // engine rebuilt from the snapshot alone.
-                        let (cut, saved) = engine
-                            .barrier_with(|ps| ps.iter().map(|p| path.save(p)).collect::<Vec<_>>());
+                        let (cut, saved) = engine.barrier_with(|p| path.save(p));
                         answers.extend(cut.answers.iter().flatten().copied());
                         engine.stop(false);
                         processors = saved.iter().map(|s| path.restore(s)).collect();

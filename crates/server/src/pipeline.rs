@@ -12,9 +12,9 @@
 //! n tuples finds their answers in the table. At a barrier every
 //! processor is at a batch boundary, so that instant is a
 //! drain-consistent cut: snapshot requests (and the snapshot a graceful
-//! stop takes) are answered there, with the workers waiting at the
-//! barrier, which is what makes restored answers bitwise-identical — the
-//! snapshot never splits a batch.
+//! stop takes) are answered there: each shard saves its own keys on its
+//! own thread and carries on, the pipeline thread writes the one file, and
+//! restored answers are bitwise-identical — the snapshot never splits a batch.
 //!
 //! Backpressure: the message queue is a bounded [`sync_channel`]. When
 //! cycles fall behind, the queue fills, ingest readers block on `send`,
@@ -333,7 +333,7 @@ fn mark_stopped(ctx: &PipelineCtx, error: Option<String>) {
 /// processor is rebuilt from and saved into snapshot key blocks, how the
 /// engine starts and a message's tuples enter it, and where its answers
 /// land.
-trait Plan: Send + 'static {
+trait Plan: Send + Sync + 'static {
     /// The per-shard processor the engine runs.
     type Proc: ShardProcessor + 'static;
 
@@ -342,7 +342,8 @@ trait Plan: Send + 'static {
     fn rebuild(&self, keys: &[&KeyState]) -> Result<Self::Proc, String>;
 
     /// Capture every key of one shard's processor, in any order
-    /// ([`shard_keys`] puts them in key order).
+    /// ([`shard_keys`] puts them in key order). Runs on the shard's own
+    /// thread, at a snapshot barrier.
     fn save(&self, processor: &Self::Proc) -> Vec<KeyState>;
 
     /// Start the pipeline's resident engine on `processors`, one per
@@ -354,11 +355,11 @@ trait Plan: Send + 'static {
         processors: Vec<Self::Proc>,
     ) -> ResidentEngine<'scope, Self::Proc>;
 
-    /// Route one message's tuples into the engine's shards.
-    fn route(&mut self, engine: &mut ResidentEngine<'_, Self::Proc>, tuples: &[(Key, u64, f64)]);
+    /// Route one message's tuples into the engine's shards, raising
+    /// `frontier` (the largest timestamp routed) on the event-time path.
+    fn route(&self, engine: &mut Engine<'_, Self>, tuples: &[(Key, u64, f64)], frontier: &mut u64);
 
-    /// The event-time frontier (largest timestamp seen); 0 where time is
-    /// positional.
+    /// Where the event-time frontier starts; 0 where time is positional.
     fn frontier(&self) -> u64 {
         0
     }
@@ -370,6 +371,7 @@ trait Plan: Send + 'static {
 }
 
 type Answer<Pl> = <<Pl as Plan>::Proc as ShardProcessor>::Answer;
+type Engine<'scope, Pl> = ResidentEngine<'scope, <Pl as Plan>::Proc>;
 
 /// Hands the engine each shard's processor in shard order.
 fn in_order<P>(processors: Vec<P>) -> impl FnMut(usize) -> P {
@@ -431,7 +433,7 @@ struct CountPlan<O, A> {
 
 impl<O, A> Plan for CountPlan<O, A>
 where
-    O: AggregateOp<Input = f64, Output = f64> + PartialCodec + Clone + Send + 'static,
+    O: AggregateOp<Input = f64, Output = f64> + PartialCodec + Clone + Send + Sync + 'static,
     O::Partial: Send,
     A: FinalAggregator<O> + StatefulAggregator<O> + Send + 'static,
 {
@@ -469,7 +471,7 @@ where
         ResidentEngine::start(scope, config, in_order(processors))
     }
 
-    fn route(&mut self, engine: &mut ResidentEngine<'_, Self::Proc>, tuples: &[(Key, u64, f64)]) {
+    fn route(&self, engine: &mut Engine<'_, Self>, tuples: &[(Key, u64, f64)], _: &mut u64) {
         engine.route_keyed(&mut MessageTuples(tuples.iter()), u64::MAX);
     }
 
@@ -482,11 +484,11 @@ where
     }
 }
 
-/// An event-time plan: one FiBA-backed [`TimeWindowExec`] per key. The
-/// plan is also each message's watermarked event source: the frontier
-/// persists across messages, so the watermark never regresses when the
-/// stream pauses; the low watermark trails it by the spec's allowed
-/// lateness and the engine router drops (and counts) anything below it.
+/// An event-time plan: one FiBA-backed [`TimeWindowExec`] per key. Each
+/// message is a watermarked event source: the frontier persists across
+/// messages, so the watermark never regresses when the stream pauses; the
+/// low watermark trails it by the spec's allowed lateness and the engine
+/// router drops (and counts) anything below it.
 struct EventPlan<O> {
     op: O,
     specs: Vec<TimeWindowSpec>,
@@ -515,7 +517,7 @@ impl KeyedEventSource for CycleEvents<'_> {
 
 impl<O> Plan for EventPlan<O>
 where
-    O: AggregateOp<Input = f64, Output = f64> + PartialCodec + Clone + Send + 'static,
+    O: AggregateOp<Input = f64, Output = f64> + PartialCodec + Clone + Send + Sync + 'static,
     O::Partial: Send + Clone,
 {
     type Proc = KeyedEventWindows<O>;
@@ -525,7 +527,10 @@ where
             .iter()
             .map(|ks| {
                 decode_key(&self.op, ks, |r| {
-                    TimeWindowExec::load_state(self.op.clone(), r)
+                    let exec = TimeWindowExec::load_state(self.op.clone(), r)?;
+                    (exec.specs() == self.specs)
+                        .then_some(exec)
+                        .ok_or_else(|| StateError::Corrupt("windows differ from the spec's".into()))
                 })
             })
             .collect::<Result<Vec<_>, _>>()?;
@@ -552,10 +557,10 @@ where
         ResidentEngine::start_events(scope, config, None, in_order(processors))
     }
 
-    fn route(&mut self, engine: &mut ResidentEngine<'_, Self::Proc>, tuples: &[(Key, u64, f64)]) {
+    fn route(&self, engine: &mut Engine<'_, Self>, tuples: &[(Key, u64, f64)], frontier: &mut u64) {
         let mut source = CycleEvents {
             tuples: tuples.iter(),
-            frontier: &mut self.frontier,
+            frontier,
             lateness: self.lateness,
         };
         engine.route_events(&mut source, u64::MAX);
@@ -612,7 +617,7 @@ fn panic_message(panic: &(dyn Any + Send)) -> &str {
 /// barrier; stop when told. Returns the error a final snapshot met.
 fn serve<Pl: Plan>(
     ctx: &PipelineCtx,
-    mut plan: Pl,
+    plan: Pl,
     processors: Vec<Pl::Proc>,
     mut watermark: u64,
 ) -> Option<String> {
@@ -636,15 +641,7 @@ fn serve<Pl: Plan>(
     // Resume the watermark where the snapshot cut it (0 for a fresh or an
     // arrival-order pipeline, whose watermark never moves).
     ctx.status.lock().unwrap().watermark = watermark;
-    let snapshot = |plan: &Pl, processors: &[Pl::Proc], watermark: u64| {
-        let keys = processors.iter().flat_map(|p| shard_keys(plan, p));
-        let snap = Snapshot {
-            spec: ctx.spec.clone(),
-            watermark,
-            keys: keys.collect(),
-        };
-        write_snapshot(&ctx.snapshot_dir, &snap)
-    };
+    let mut frontier = plan.frontier();
     // Reused from cycle to cycle: each tuple message's `(ingest_ns,
     // tuples)`, the cycle's sampled trace ids, its snapshot requests.
     let mut stamps: Vec<(u64, u64)> = Vec::new();
@@ -674,7 +671,7 @@ fn serve<Pl: Plan>(
                         ctx.obs.queue.dequeued_n(tuples.len() as u64);
                         ctx.enter_stages(traces, tuples.len(), &mut sampled);
                         stamps.push((ingest_ns, tuples.len() as u64));
-                        plan.route(&mut engine, &tuples);
+                        plan.route(&mut engine, &tuples, &mut frontier);
                     }
                     Msg::Snapshot(reply) => replies.push(reply),
                     Msg::Stop { snapshot } => stop = Some(snapshot),
@@ -705,21 +702,30 @@ fn serve<Pl: Plan>(
                 }
                 ctx.record_stage(&sampled, Stage::Emit, 0);
                 record_run(ctx, &cut.stats, &stamps);
-                ctx.obs.lag.set(plan.frontier().saturating_sub(watermark));
+                ctx.obs.lag.set(frontier.saturating_sub(watermark));
                 stamps.clear();
                 sampled.clear();
             }
-            for reply in replies.drain(..) {
-                let (_, written) = engine.barrier_with(|procs| snapshot(&plan, procs, watermark));
-                let _ = reply.send(written);
-            }
+            // One snapshot serves the cycle's requests and a graceful stop:
+            // the shards save their own keys at a barrier, and here one file.
+            let written = (!replies.is_empty() || stop == Some(true)).then(|| {
+                let (_, keys) = engine.barrier_with(|processor| shard_keys(&plan, processor));
+                let snap = Snapshot {
+                    spec: ctx.spec.clone(),
+                    watermark,
+                    keys: keys.into_iter().flatten().collect(),
+                };
+                let written = write_snapshot(&ctx.snapshot_dir, &snap);
+                for reply in replies.drain(..) {
+                    let _ = reply.send(written.clone());
+                }
+                written
+            });
             ctx.obs.busy_ns.add(phase.elapsed_ns());
             phase = Stopwatch::start();
             if let Some(snapshot_first) = stop {
-                let (_, processors) = engine.stop(false);
-                return snapshot_first
-                    .then(|| snapshot(&plan, &processors, watermark).err())
-                    .flatten();
+                engine.stop(false);
+                return written.filter(|_| snapshot_first).and_then(Result::err);
             }
         }
     })
@@ -829,67 +835,77 @@ pub(crate) fn spawn_pipeline(
 
 #[cfg(test)]
 mod tests {
+    use std::sync::mpsc::RecvTimeoutError;
+
+    use swag_core::aggregator::MemoryFootprint;
+
+    use swag_data::SplitMix64;
+
     use super::*;
+    use crate::server::SNAPSHOT_TIMEOUT;
 
     const KEYS: [Key; 4] = [9, 2, 40, 17];
 
-    type SumPlan = CountPlan<Sum<f64>, SlickDequeInv<Sum<f64>>>;
+    /// A count window that panics as it slides or, with `AT_SAVE`, as a
+    /// snapshot barrier saves it.
+    struct Faulty<const AT_SAVE: bool>(usize);
 
-    /// A count plan whose shards panic on their first tuple.
-    struct Doomed(SumPlan);
-
-    struct Faulty(KeyedWindows<Sum<f64>, SlickDequeInv<Sum<f64>>>);
-
-    impl ShardProcessor for Faulty {
-        type Value = f64;
-        type Answer = f64;
-
-        fn open_slot(&mut self, key: Key) -> usize {
-            self.0.open_slot(key)
-        }
-
-        fn process_slot(&mut self, _: usize, _: &[f64], _: &mut Vec<(Key, f64)>) {
-            panic!("injected shard fault");
-        }
-
-        fn keys(&self) -> usize {
-            self.0.keys()
+    impl<const AT_SAVE: bool> MemoryFootprint for Faulty<AT_SAVE> {
+        fn heap_bytes(&self) -> usize {
+            0
         }
     }
 
-    impl Plan for Doomed {
-        type Proc = Faulty;
+    impl<const AT_SAVE: bool> FinalAggregator<Sum<f64>> for Faulty<AT_SAVE> {
+        const NAME: &'static str = "faulty";
 
-        fn rebuild(&self, keys: &[&KeyState]) -> Result<Faulty, String> {
-            self.0.rebuild(keys).map(Faulty)
+        fn with_capacity(_: Sum<f64>, window: usize) -> Self {
+            Faulty(window)
         }
 
-        fn save(&self, processor: &Faulty) -> Vec<KeyState> {
-            self.0.save(&processor.0)
+        fn slide(&mut self, partial: f64) -> f64 {
+            if !AT_SAVE {
+                panic!("injected shard fault");
+            }
+            partial
         }
 
-        fn start<'scope>(
-            &self,
-            scope: &'scope Scope<'scope, '_>,
-            config: &EngineConfig,
-            processors: Vec<Faulty>,
-        ) -> ResidentEngine<'scope, Faulty> {
-            ResidentEngine::start(scope, config, in_order(processors))
+        fn window(&self) -> usize {
+            self.0
         }
 
-        fn route(&mut self, engine: &mut ResidentEngine<'_, Faulty>, tuples: &[(Key, u64, f64)]) {
-            engine.route_keyed(&mut MessageTuples(tuples.iter()), u64::MAX);
+        fn len(&self) -> usize {
+            0
         }
 
-        fn publish(table: &mut AnswerTable, answers: &[Vec<(Key, f64)>]) {
-            SumPlan::publish(table, answers);
+        fn evict(&mut self) {}
+    }
+
+    impl<const AT_SAVE: bool> StatefulAggregator<Sum<f64>> for Faulty<AT_SAVE> {
+        fn save_state(&self, _: &mut StateWriter<f64>) {
+            panic!("injected save fault");
+        }
+
+        fn load_state(
+            _: Sum<f64>,
+            window: usize,
+            _: &mut StateReader<'_, f64>,
+        ) -> Result<Self, StateError> {
+            Ok(Faulty(window))
         }
     }
 
-    /// A shard that panics stops its pipeline loudly: `stopped`, with the
-    /// shard's panic message as the error.
+    /// A shard that panics — as it slides, or as it saves its keys at a
+    /// snapshot barrier — stops its pipeline loudly: `stopped`, with the
+    /// shard's panic message as the error. A snapshot request waiting on
+    /// that pipeline gets an error at once, not a timeout.
     #[test]
     fn a_shard_panic_stops_the_pipeline_with_its_message() {
+        fail_a_pipeline::<false>("injected shard fault");
+        fail_a_pipeline::<true>("injected save fault");
+    }
+
+    fn fail_a_pipeline<const AT_SAVE: bool>(message: &str) {
         let spec = PipelineSpec {
             name: "doomed".into(),
             op: OpKind::Sum,
@@ -912,11 +928,11 @@ mod tests {
             registry,
             trace: None,
         };
-        let plan = Doomed(SumPlan {
+        let plan = CountPlan {
             op: Sum::<f64>::new(),
             window: 8,
-            algo: PhantomData,
-        });
+            algo: PhantomData::<fn() -> Faulty<AT_SAVE>>,
+        };
         let worker = launch(plan, ctx, None).expect("the pipeline starts");
         tx.send(Msg::Tuples {
             ingest_ns: 0,
@@ -924,13 +940,22 @@ mod tests {
             traces: 0..0,
         })
         .unwrap();
+        // A pipeline already stopped drops the request, and with it the
+        // reply channel, just as a failed barrier does.
+        let (reply, replied) = std::sync::mpsc::sync_channel(1);
+        let _ = tx.send(Msg::Snapshot(reply));
+        let replied = replied.recv_timeout(SNAPSHOT_TIMEOUT);
+        assert!(
+            matches!(replied, Err(RecvTimeoutError::Disconnected)),
+            "{message}: snapshot reply {replied:?}"
+        );
         worker
             .join()
             .expect("the pipeline thread catches the panic");
         let status = status.lock().unwrap();
         assert!(status.stopped);
         let error = status.error.as_deref().unwrap_or("");
-        assert!(error.contains("injected shard fault"), "error: {error:?}");
+        assert!(error.contains(message), "error: {error:?}");
     }
 
     /// A shard's snapshot bytes after feeding every key the same stream,
@@ -963,6 +988,142 @@ mod tests {
             keys: shard_keys(plan, &processor),
         }
         .encode()
+    }
+
+    /// A valid snapshot of `plan` (captured under `op` and `kind`) after
+    /// a seeded stream, `tuple(step, draw)` building each tuple; then every
+    /// state word and the partial count of every key set to 0, 1, one
+    /// below or above its own value, and `u64::MAX`, the checksum
+    /// re-sealed. Each edit must be refused, or rebuild a processor that
+    /// passes its invariant checks, takes more of the stream and a
+    /// watermark advance, and passes them again; a panic fails the caller.
+    /// Returns how many edits were refused and how many rebuilt.
+    fn edit_every_word<Pl: Plan>(
+        plan: &Pl,
+        op: OpKind,
+        kind: PlanKind,
+        tuple: impl Fn(u64, u64) -> <Pl::Proc as ShardProcessor>::Value,
+    ) -> (usize, usize) {
+        let mut rng = SplitMix64::new(0x5eed_0043);
+        let mut processor = plan.rebuild(&[]).expect("a fresh processor");
+        let mut out = Vec::new();
+        for step in 0..24 {
+            for key in 0..6 {
+                let draw = rng.next_u64();
+                // Some keys stay short of a full window.
+                if draw % 4 < key % 4 {
+                    processor.process(key, tuple(step, draw >> 8), &mut out);
+                }
+            }
+        }
+        processor.advance_watermark(40, &mut out);
+        let spec = PipelineSpec {
+            name: "edited".into(),
+            op,
+            plan: kind,
+            shards: 1,
+            batch: 256,
+            slo: None,
+        };
+        let snap = Snapshot {
+            spec,
+            watermark: 40,
+            keys: shard_keys(plan, &processor),
+        };
+        let (mut refused, mut rebuilt) = (0, 0);
+        for (k, ks) in snap.keys.iter().enumerate() {
+            // Each state word, then (at `w` = the word count) the partial
+            // count.
+            for w in 0..=ks.words.len() {
+                let own = ks.words.get(w).copied().unwrap_or(ks.partial_count);
+                for value in [0, 1, own.wrapping_sub(1), own.wrapping_add(1), u64::MAX] {
+                    let mut edited = snap.clone();
+                    let field = &mut edited.keys[k];
+                    *field.words.get_mut(w).unwrap_or(&mut field.partial_count) = value;
+                    let what = format!("key {} word {w}: {own} -> {value}", ks.key);
+                    let restored = Snapshot::decode(&edited.encode());
+                    let rebuild = |s: Snapshot| plan.rebuild(&s.keys.iter().collect::<Vec<_>>());
+                    let Ok(mut processor) = restored.and_then(rebuild) else {
+                        refused += 1;
+                        continue;
+                    };
+                    if let Err(violation) = processor.check_invariants() {
+                        panic!("{what}: restored, yet {violation}");
+                    }
+                    for step in 24..32 {
+                        for key in 0..6 {
+                            processor.process(key, tuple(step, rng.next_u64() >> 8), &mut out);
+                        }
+                    }
+                    processor.advance_watermark(80, &mut out);
+                    if let Err(violation) = processor.check_invariants() {
+                        panic!("{what}: restored and fed, yet {violation}");
+                    }
+                    rebuilt += 1;
+                }
+            }
+        }
+        (refused, rebuilt)
+    }
+
+    /// Restore treats a snapshot's key blocks as untrusted input, for
+    /// each state layout: SlickDeque Inv (count Sum), SlickDeque Non-Inv
+    /// (count Max) and FiBA (event Max).
+    #[test]
+    fn an_edited_state_word_is_refused_or_restores_sound_state() {
+        // Integer values keep the Inv running-answer refold exact.
+        let value = |draw: u64| (draw % 16) as f64 - 8.0;
+        let inv = CountPlan {
+            op: Sum::<f64>::new(),
+            window: 8,
+            algo: PhantomData::<fn() -> SlickDequeInv<Sum<f64>>>,
+        };
+        let kind = PlanKind::Count { window: 8 };
+        let tally = edit_every_word(&inv, OpKind::Sum, kind, |_, draw| value(draw));
+        assert!(tally.0 > 0 && tally.1 > 0, "inv: {tally:?}");
+        let non_inv = CountPlan {
+            op: MaxF64::new(),
+            window: 8,
+            algo: PhantomData::<fn() -> SlickDequeNonInv<MaxF64>>,
+        };
+        let tally = edit_every_word(&non_inv, OpKind::Max, kind, |_, draw| value(draw));
+        assert!(tally.0 > 0 && tally.1 > 0, "non-inv: {tally:?}");
+        let fiba = EventPlan {
+            op: MaxF64::new(),
+            specs: vec![TimeWindowSpec::new(8, 4)],
+            lateness: 0,
+            frontier: 0,
+        };
+        let kind = PlanKind::Event {
+            range: 8,
+            slide: 4,
+            lateness: 0,
+        };
+        let stamped = |step, draw| (step * 3 + draw % 5, value(draw >> 3));
+        let tally = edit_every_word(&fiba, OpKind::Max, kind, stamped);
+        assert!(tally.0 > 0 && tally.1 > 0, "fiba: {tally:?}");
+    }
+
+    /// A restored executor whose own windows differ from the spec's is
+    /// refused: it would answer for windows the pipeline never asked for.
+    #[test]
+    fn a_restored_executor_must_carry_the_spec_windows() {
+        let plan = |range| EventPlan {
+            op: Sum::<f64>::new(),
+            specs: vec![TimeWindowSpec::new(range, 4)],
+            lateness: 0,
+            frontier: 0,
+        };
+        let mut processor = plan(8).rebuild(&[]).expect("a fresh processor");
+        processor.process(3, (5, 1.0), &mut Vec::new());
+        let keys = shard_keys(&plan(8), &processor);
+        let keys: Vec<&KeyState> = keys.iter().collect();
+        assert!(plan(8).rebuild(&keys).is_ok());
+        let err = plan(12)
+            .rebuild(&keys)
+            .map(drop)
+            .expect_err("range 12 saved as 8");
+        assert!(err.contains("windows differ"), "{err}");
     }
 
     /// Snapshot bytes do not depend on the order keys first arrived in,

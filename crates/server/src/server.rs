@@ -31,7 +31,7 @@ const INGEST_READ_TIMEOUT: Duration = Duration::from_secs(120);
 
 /// How long a snapshot request may take end to end (it runs at the next
 /// cycle boundary, which can be behind a long cycle).
-const SNAPSHOT_TIMEOUT: Duration = Duration::from_secs(60);
+pub(crate) const SNAPSHOT_TIMEOUT: Duration = Duration::from_secs(60);
 
 /// Where the server binds, where snapshots and traces live, and how the
 /// observability threads are tuned.
@@ -417,25 +417,26 @@ fn accept_loop(listener: TcpListener, state: &Arc<ServerState>) {
 /// Serve one ingest connection, then write the one-line ack.
 fn handle_conn(mut stream: TcpStream, state: &ServerState) {
     let _ = stream.set_read_timeout(Some(INGEST_READ_TIMEOUT));
+    let mut sent = 0;
     // alloc:amortized one ack line per connection, after the stream is drained
-    let ack = match serve_conn(&mut stream, state) {
-        Ok(n) => format!("OK {n}\n"),
-        Err(e) => format!("ERR {e}\n"),
+    let ack = match serve_conn(&mut stream, state, &mut sent) {
+        Ok(()) => format!("OK {sent}\n"),
+        Err(e) => format!("ERR {e} (admitted {sent})\n"),
     };
     let _ = stream.write_all(ack.as_bytes());
     let _ = stream.flush();
 }
 
-fn serve_conn(stream: &mut TcpStream, state: &ServerState) -> Result<u64, String> {
+fn serve_conn(stream: &mut TcpStream, state: &ServerState, sent: &mut u64) -> Result<(), String> {
     let mut first4 = [0u8; 4];
     stream
         .read_exact(&mut first4)
         // alloc:amortized error path only — failed handshake read
         .map_err(|e| format!("read stream mode: {e}"))?;
     if &first4 == proto::MAGIC {
-        serve_binary(stream, state)
+        serve_binary(stream, state, sent)
     } else {
-        serve_text(first4, stream, state)
+        serve_text(first4, stream, state, sent)
     }
 }
 
@@ -488,27 +489,32 @@ fn forward(
     Ok(())
 }
 
-fn serve_binary(stream: &mut TcpStream, state: &ServerState) -> Result<u64, String> {
+fn serve_binary(stream: &mut TcpStream, state: &ServerState, sent: &mut u64) -> Result<(), String> {
     let mut r = io::BufReader::new(&mut *stream);
     // alloc:amortized error path only — failed handshake, once per connection
     let name = proto::read_name(&mut r).map_err(|e| format!("read pipeline name: {e}"))?;
     let target = state.ingest_target(&name)?;
     let mut tuples = Vec::new();
-    let mut sent = 0u64;
     let mut frame = 0u64;
     loop {
         let more =
             // alloc:amortized error path only — malformed frame ends the connection
             proto::read_frame(&mut r, &mut tuples).map_err(|e| format!("read frame: {e}"))?;
         if !more {
-            return Ok(sent);
+            return Ok(());
         }
-        forward(&target, state, &tuples, &mut sent, frame)?;
+        forward(&target, state, &tuples, sent, frame)?;
         frame += 1;
     }
 }
 
-fn serve_text(first4: [u8; 4], stream: &mut TcpStream, state: &ServerState) -> Result<u64, String> {
+/// A bad line ends the stream once the good lines before it are forwarded.
+fn serve_text(
+    first4: [u8; 4],
+    stream: &mut TcpStream,
+    state: &ServerState,
+    sent: &mut u64,
+) -> Result<(), String> {
     let pre = io::Cursor::new(first4.to_vec());
     let mut r = io::BufReader::new(pre.chain(&mut *stream));
     let mut name = String::new();
@@ -516,28 +522,26 @@ fn serve_text(first4: [u8; 4], stream: &mut TcpStream, state: &ServerState) -> R
         .map_err(|e| format!("read pipeline name: {e}"))?;
     let target = state.ingest_target(name.trim())?;
     let mut buf: Vec<(u64, u64, f64)> = Vec::with_capacity(256);
-    let mut sent = 0u64;
     let mut line = String::new();
     let mut frame = 0u64;
-    loop {
+    let ended = loop {
         line.clear();
-        let n = r
-            .read_line(&mut line)
-            .map_err(|e| format!("read line: {e}"))?;
-        if n == 0 {
-            break;
+        let parsed = match r.read_line(&mut line) {
+            Ok(0) => break Ok(()),
+            Ok(_) if line.trim().is_empty() => continue,
+            Ok(_) => proto::parse_text_line(line.trim()),
+            Err(e) => Err(format!("read line: {e}")),
+        };
+        match parsed {
+            Ok(tuple) => buf.push(tuple),
+            Err(e) => break Err(e),
         }
-        let trimmed = line.trim();
-        if trimmed.is_empty() {
-            continue;
-        }
-        buf.push(proto::parse_text_line(trimmed)?);
         if buf.len() == buf.capacity() {
-            forward(&target, state, &buf, &mut sent, frame)?;
+            forward(&target, state, &buf, sent, frame)?;
             frame += 1;
             buf.clear();
         }
-    }
-    forward(&target, state, &buf, &mut sent, frame)?;
-    Ok(sent)
+    };
+    forward(&target, state, &buf, sent, frame)?;
+    ended
 }

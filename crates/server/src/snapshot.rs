@@ -96,7 +96,8 @@ impl KeyState {
     /// Decode the partials blob back into typed partials.
     pub fn decode_partials<O: PartialCodec>(&self, op: &O) -> Result<Vec<O::Partial>, StateError> {
         let mut pos = 0usize;
-        let mut partials = Vec::with_capacity(self.partial_count as usize);
+        // Grown as decoded: a corrupt count must not size an allocation.
+        let mut partials = Vec::new();
         for _ in 0..self.partial_count {
             partials.push(op.decode_partial(&self.partial_bytes, &mut pos)?);
         }

@@ -454,6 +454,7 @@ fn a_non_finite_frame_is_refused_whole() {
                 let ack = stream_binary(&server, "p", &bad);
                 assert!(ack.starts_with("ERR "), "{ack}");
                 assert!(ack.contains("non-finite value"), "{ack}");
+                assert!(ack.trim_end().ends_with("(admitted 0)"), "{ack}");
             }
             assert_eq!(stream_binary(&server, "p", &good).trim(), "OK 500");
             wait_tuples(&server, "p", 500);
@@ -464,6 +465,32 @@ fn a_non_finite_frame_is_refused_whole() {
         })
         .collect();
     assert_eq!(tables[0], tables[1]);
+}
+
+/// A refused text line ends its stream, but the good lines before it in
+/// its block stay admitted, as frames before a refused frame do, and the
+/// ack names how many were.
+#[test]
+fn a_refused_text_line_keeps_the_lines_before_it() {
+    let dir = temp_dir("text-nan");
+    let server = start(&dir);
+    server.create_pipeline(count_spec("p")).unwrap();
+    let mut conn = TcpStream::connect(server.ingest_addr()).unwrap();
+    conn.write_all(b"p\n1,1\n2,2\n3,3\n4,NaN\n5,5\n").unwrap();
+    conn.shutdown(std::net::Shutdown::Write).unwrap();
+    let mut ack = String::new();
+    BufReader::new(conn).read_line(&mut ack).unwrap();
+    assert!(ack.starts_with("ERR "), "{ack}");
+    assert!(ack.contains("non-finite value"), "{ack}");
+    assert!(ack.trim_end().ends_with("(admitted 3)"), "{ack}");
+    wait_tuples(&server, "p", 3);
+    let status = server.status_json("p").unwrap();
+    let tuples = status.get("status").and_then(|s| s.get("tuples"));
+    assert_eq!(tuples.and_then(Json::as_u64), Some(3));
+    let table = server.answers_json("p").unwrap();
+    assert_eq!(table.as_array().unwrap().len(), 3, "{table:?}");
+    server.shutdown().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

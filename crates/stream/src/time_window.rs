@@ -57,6 +57,7 @@ pub struct TimeWindowExec<O: AggregateOp> {
     /// first event are skipped rather than emitted empty).
     next_end: Vec<Option<Timestamp>>,
     watermark: Timestamp,
+    /// Saturates rather than overflows: a restored count is untrusted.
     accepted: u64,
 }
 
@@ -112,7 +113,7 @@ impl<O: AggregateOp> TimeWindowExec<O> {
         }
         self.prime_next_end(ts);
         self.tree.insert_value(ts, value);
-        self.accepted += 1;
+        self.accepted = self.accepted.saturating_add(1);
         true
     }
 
@@ -128,7 +129,7 @@ impl<O: AggregateOp> TimeWindowExec<O> {
         };
         self.prime_next_end(earliest);
         let accepted = self.tree.bulk_insert_from(batch, wm);
-        self.accepted += accepted as u64;
+        self.accepted = self.accepted.saturating_add(accepted as u64);
         accepted
     }
 
@@ -344,7 +345,9 @@ impl<O: AggregateOp> TimeWindowExec<O> {
         if nspecs == 0 {
             return Err(corrupt("time-window: no specs"));
         }
-        let mut specs = Vec::with_capacity(nspecs);
+        // Grown as read, never sized by a count word: a corrupt count
+        // then ends in a truncation error, not a huge allocation.
+        let mut specs = Vec::new();
         for _ in 0..nspecs {
             let range = r.word("time-window spec range")?;
             let slide = r.word("time-window spec slide")?;
@@ -379,7 +382,7 @@ impl<O: AggregateOp> TimeWindowExec<O> {
             });
         }
         let nentries = r.usize_word("time-window entry count")?;
-        let mut entries = Vec::with_capacity(nentries);
+        let mut entries = Vec::new();
         let mut prev: Option<Timestamp> = None;
         for _ in 0..nentries {
             let ts = r.word("time-window entry ts")?;
@@ -518,6 +521,23 @@ mod tests {
         let err = load_with_next_end(12).expect_err("12 is not 10 + k·4");
         assert!(err.to_string().contains("not a window end"), "{err}");
         assert!(load_with_next_end(14).is_ok());
+    }
+
+    /// A spec or entry count larger than the capture ends in a truncation
+    /// error, never in an allocation sized by the count; a restored
+    /// accepted count at its ceiling saturates rather than overflows.
+    #[test]
+    fn restore_survives_untrusted_counts() {
+        let load = |words: &[u64]| {
+            let mut r = swag_core::state::StateReader::<f64>::new(words, &[]);
+            TimeWindowExec::load_state(Sum::<f64>::new(), &mut r)
+        };
+        assert!(load(&[0, 0, u64::MAX, 10, 4, 1, 10, 0]).is_err());
+        assert!(load(&[0, 0, 1, 10, 4, 1, 10, u64::MAX]).is_err());
+        let mut exec = load(&[0, u64::MAX, 1, 10, 4, 1, 10, 0]).expect("a valid capture");
+        assert!(exec.insert(12, &1.0));
+        assert_eq!(exec.bulk_insert(&[(13, 1.0), (14, 1.0)]), 2);
+        assert_eq!(exec.accepted(), u64::MAX);
     }
 
     /// The executor's capture, partials as bits.
