@@ -105,19 +105,47 @@ mod tests {
         assert_eq!(t.rows.len(), 7);
     }
 
+    /// Naive's slide rate falls by orders of magnitude from window 16 to
+    /// 4096 while SlickDeque's barely moves, on the clock. The four points
+    /// the verdict needs are measured in `REPS` interleaved repetitions
+    /// (Naive at 16 and 4096, then SlickDeque at 16 and 4096, again and
+    /// again), and each bound is checked on the median of the
+    /// per-repetition ratios, so one point disturbed by the host cannot
+    /// decide it. The first repetition's ratios are what a single sweep
+    /// reads; both are printed.
     #[test]
     fn constant_time_algorithms_stay_flat_while_naive_degrades() {
+        const REPS: usize = 5;
         let mut cfg = Config::quick();
-        cfg.max_exp = 12;
         cfg.point_budget = std::time::Duration::from_millis(10);
-        let t = run(&cfg, true);
-        let naive_idx = t.series.iter().position(|s| s == "naive").unwrap();
-        let slick_idx = t.series.iter().position(|s| s == "slickdeque").unwrap();
-        let small = &t.rows[4].1; // window 16
-        let large = t.rows.last().unwrap(); // window 4096
-                                            // Naive collapses by orders of magnitude; SlickDeque barely moves.
-        assert!(small[naive_idx] / large.1[naive_idx] > 20.0);
-        assert!(small[slick_idx] / large.1[slick_idx] < 3.0);
+        let mut stream = CyclicStream::debs(STREAM_BUF, cfg.seed);
+        let mut rate = |algo: &str, window: usize| {
+            let mut runner = single_sum_runner(algo, window);
+            warm_window(runner.as_mut(), &stream, window);
+            measure_throughput(runner.as_mut(), &mut stream, cfg.point_budget)
+        };
+        let (mut naive, mut slick) = (Vec::new(), Vec::new());
+        for _ in 0..REPS {
+            naive.push(rate("naive", 16) / rate("naive", 4096));
+            slick.push(rate("slickdeque", 16) / rate("slickdeque", 4096));
+        }
+        let median = |ratios: &[f64]| {
+            let mut sorted = ratios.to_vec();
+            sorted.sort_by(f64::total_cmp);
+            sorted[REPS / 2]
+        };
+        let (naive_median, slick_median) = (median(&naive), median(&slick));
+        eprintln!(
+            "16/4096 rate ratios: naive first {:.2} median {naive_median:.2} {naive:.2?}; \
+             slickdeque first {:.3} median {slick_median:.3} {slick:.3?}",
+            naive[0], slick[0]
+        );
+        // Naive collapses by orders of magnitude; SlickDeque barely moves.
+        assert!(naive_median > 20.0, "naive 16/4096 ratio {naive_median}");
+        assert!(
+            slick_median < 3.0,
+            "slickdeque 16/4096 ratio {slick_median}"
+        );
     }
 
     /// The same claim in aggregate operations instead of wall-clock: at

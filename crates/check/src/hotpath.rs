@@ -83,9 +83,9 @@ const HOT_METHODS: &[(&str, &str)] = &[
     ("OnTime", "judge"),
     ("ResidentEngine", "barrier"),
     ("BatchSender", "hand_off"),
-    ("BatchReceiver", "next_batch"),
+    ("BatchReceiver", "take_drain"),
     ("SlotTable", "open_slot"),
-    ("SlotGroups", "group_batch"),
+    ("SlotGroups", "group_drain"),
     ("FlightRecorder", "record"),
     ("FlightRecorder", "record_at"),
     ("SpanSampler", "sample"),

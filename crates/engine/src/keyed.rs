@@ -26,11 +26,12 @@ use crate::slots::SlotTable;
 ///
 /// A processor numbers its keys with dense **slots**: 0, 1, 2, … in the
 /// order it first sees them, stable for the processor's life. The worker
-/// looks up each tuple's slot ([`open_slot`](Self::open_slot)), groups the
-/// batch by slot, and hands the processor each key's tuples in arrival
-/// order (which, for any single key, is the key's stream order), one run
-/// per key per batch ([`process_slot`](Self::process_slot)); the
-/// processor appends produced answers to `out`. Keys within a batch are
+/// looks up each tuple's slot ([`open_slot`](Self::open_slot)), groups
+/// what it took from its queue — a drain of several batches, fewer ahead
+/// of a barrier or the end — by slot, and hands the processor each key's tuples in
+/// arrival order (which, for any single key, is the key's stream order),
+/// one run per key per drain ([`process_slot`](Self::process_slot)); the
+/// processor appends produced answers to `out`. Keys within a drain are
 /// run in the order of their first tuple in it, so the interleaving of
 /// different keys' answers is unspecified; each key's own answer order
 /// is its stream order.
@@ -119,7 +120,7 @@ pub trait ShardProcessor: Send {
     /// Whether answers `a` and `b` of one key update the same entry of a
     /// table that keeps each entry's latest answer. With
     /// [`EngineConfig::latest_only`] a worker retains only the last
-    /// answer of each entry per key per batch. An equivalence for a
+    /// answer of each entry per key per drain. An equivalence for a
     /// processor that opts in; the default, `false` even for `a` with
     /// itself, shares no entries, so every answer is retained.
     ///

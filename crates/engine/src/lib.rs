@@ -41,7 +41,7 @@
 //! assert_eq!(answers, vec![(1, 2.0), (1, 5.0), (2, 5.0)]);
 //!
 //! // A table of each key's latest answer needs only those: with
-//! // `latest_only` a shard keeps one answer per entry per batch, and
+//! // `latest_only` a shard keeps one answer per entry per drain, and
 //! // still counts every answer.
 //! let engine = ShardedEngine::new(EngineConfig {
 //!     latest_only: true,

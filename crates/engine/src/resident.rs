@@ -18,6 +18,15 @@
 //! processor (for a snapshot) and carry on: a processor crosses a thread
 //! only at [`start`](ResidentEngine::start) and [`stop`](ResidentEngine::stop).
 //!
+//! A worker takes batches in **drains** of four (fewer only ahead of a
+//! control item or the end of the stream). It groups their tuples by key
+//! once, runs each key once, and raises its watermark once, to the
+//! highest the drained batches carry, after all their tuples. Which
+//! batches share a drain depends on the stream alone, so every run makes
+//! the same processor calls. A barrier is taken alone and cuts the drain
+//! before it short, so it still reports exactly the batches routed before
+//! it, and no stretch waits on a drain that will not fill.
+//!
 //! [`ShardedEngine::run`](crate::ShardedEngine::run) and its siblings are
 //! this engine started, fed one source, and stopped: there is one
 //! per-tuple router step and one worker loop.
@@ -42,7 +51,7 @@ use swag_trace::EventKind;
 use crate::event::OnTime;
 use crate::keyed::ShardProcessor;
 use crate::obs::{sampler_loop, EngineSample, ShardObs, StopGuard};
-use crate::queue::{batch_queue, Batch, BatchReceiver, BatchSender, Item};
+use crate::queue::{batch_queue, Batch, BatchReceiver, BatchSender, Item, Taken};
 use crate::shard::{shard_of, EngineConfig, EngineRun};
 use crate::slots::SlotGroups;
 use crate::stats::{EngineStats, ShardStats};
@@ -82,6 +91,8 @@ struct WorkerEnd<'scope, P: ShardProcessor> {
     inbox: BatchReceiver<(Key, P::Value), Control<'scope, P>>,
     reports: SyncSender<Report<P>>,
     gauge: QueueDepthGauge,
+    /// Tuples per routed batch, at most.
+    batch: usize,
     retain: Retain,
     check_invariants: bool,
 }
@@ -94,7 +105,7 @@ struct WorkerEnd<'scope, P: ShardProcessor> {
 enum Retain {
     Nothing,
     Every,
-    /// Each entry's last answer per key per batch
+    /// Each entry's last answer per key per drain
     /// ([`ShardProcessor::same_entry`]).
     Latest,
 }
@@ -196,7 +207,7 @@ impl<'scope, P: ShardProcessor + 'scope> ResidentEngine<'scope, P> {
         let mut lanes = Vec::with_capacity(shards);
         let mut workers = Vec::with_capacity(shards);
         for shard in 0..shards {
-            let (tx, inbox) = batch_queue(config.queue_capacity);
+            let (tx, inbox) = batch_queue(config.queue_capacity, DRAIN);
             let (report_tx, reports) = sync_channel(1);
             let gauge = QueueDepthGauge::new();
             // Instrument bundles (registry registration is locked) are
@@ -207,6 +218,7 @@ impl<'scope, P: ShardProcessor + 'scope> ResidentEngine<'scope, P> {
                 inbox,
                 reports: report_tx,
                 gauge: gauge.clone(),
+                batch: config.batch,
                 retain: match (config.retain_answers, config.latest_only) {
                     (false, _) => Retain::Nothing,
                     (true, false) => Retain::Every,
@@ -515,7 +527,7 @@ impl<P: ShardProcessor> Report<P> {
 }
 
 /// Compact `answers` in place to each entry's last answer within every
-/// stretch of one key's answers. A key's answers from one batch form one
+/// stretch of one key's answers. A key's answers from one drain form one
 /// stretch (one `process_slot` run, or one watermark advance), so the
 /// entries kept so far in a stretch number at most the processor's
 /// queries, and the look-back for a matching entry is that short. A kept
@@ -551,20 +563,33 @@ fn keep_latest<P: ShardProcessor>(answers: &mut Vec<(Key, P::Answer)>) {
 /// Answers a worker's scratch keeps room for across a barrier.
 const SCRATCH_KEPT: usize = 4096;
 
-/// One worker's loop: drain queue items until the queue closes.
+/// Batches in a whole drain (fewer on a queue of capacity under 6, so a
+/// drain never waits on a router parked for the low-water mark). Each
+/// key's window state holds up to a drain's span of tuples before the
+/// watermark evicts them, so a larger bound buys longer runs with memory
+/// on the event-time path.
+const DRAIN: usize = 4;
+
+/// One worker's loop: take drains and control items until the queue
+/// closes.
 ///
-/// Each received batch is grouped into per-key runs by a counting sort on
-/// the processor's slots ([`SlotGroups`]: one slot look-up per tuple, no
-/// comparisons; stable, so tuples of one key keep their stream order), so
-/// a key pays one [`ShardProcessor::process_slot`] call — the
-/// aggregator's bulk path over a slice of the grouped values — per batch
-/// instead of one call per tuple. Keys run in the order of their first
-/// tuple in the batch. Then every key is advanced to the batch's
-/// watermark if it rose, collecting the windows that closes. Per-key
-/// answer sequences are unchanged; only the interleaving of different
-/// keys inside a batch may differ. The batch's buffer goes back to the
-/// router with the next receive. Control items answer barriers (running
-/// a barrier's save step on the processor) and end the stream.
+/// The worker takes a **drain**: [`DRAIN`] batches, or the fewer queued
+/// ahead of a control item or the end, waiting until one of those is
+/// queued. The drain's tuples are grouped into per-key runs by
+/// a counting sort on the processor's slots ([`SlotGroups`]: one slot
+/// look-up per tuple, no comparisons; stable, so tuples of one key keep
+/// their stream order across the batches), so a key pays one
+/// [`ShardProcessor::process_slot`] call — the aggregator's bulk path
+/// over a slice of the grouped values — per drain instead of one call
+/// per tuple. Keys run in the order of their first tuple in the drain.
+/// Then every key is advanced once to the drain's highest watermark if it
+/// rose, collecting the windows that closes: every tuple is at or above
+/// the watermark it was admitted under, so no window it belongs to closed
+/// earlier. Per-key answer sequences are unchanged; only the interleaving
+/// of different keys inside a drain may differ. The drain's buffers go
+/// back to the router with the next take. Control items, always taken
+/// alone, answer barriers (running a barrier's save step on the
+/// processor) and end the stream.
 ///
 /// With an instrument bundle, the worker additionally maintains its
 /// registry series, times each slide into the latency histogram, and
@@ -583,6 +608,7 @@ fn shard_worker<P: ShardProcessor>(
         inbox,
         reports,
         gauge,
+        batch,
         retain,
         check_invariants,
     } = end;
@@ -606,41 +632,46 @@ fn shard_worker<P: ShardProcessor>(
         saved: None,
     };
     let mut mark = run.stats.clone();
-    // Reused across batches: the grouping buffers and per-batch answers.
-    let mut groups = SlotGroups::new();
+    // Reused across drains: the batches taken, the grouping buffers and
+    // the drain's answers.
+    let mut drain = Vec::with_capacity(DRAIN);
+    let mut groups = SlotGroups::with_capacity(DRAIN * batch);
     let mut scratch = Vec::new();
-    // Phase occupancy: one clock read before and after each receive
-    // splits the worker's wall time into blocked-on-queue vs. processing.
+    // Phase occupancy: one clock read before and after each take splits
+    // the worker's wall time into blocked-on-queue vs. processing.
     let mut phase = obs.as_ref().map(|_| Stopwatch::start());
-    let mut spent = None;
     loop {
-        let received = inbox.next_batch(spent.take());
+        let taken = inbox.take_drain(&mut drain);
         if let (Some(o), Some(p)) = (&obs, &mut phase) {
             o.blocked_ns.add(p.elapsed_ns());
             *p = Stopwatch::start();
         }
-        match received {
-            None => {
+        match taken {
+            Taken::End => {
                 // The processor is handed back as it stands: caught up.
                 let unappended = catch_up(&mut processor, &mut scratch);
                 run.tally_answers(&mut scratch, unappended, retain, obs.as_ref());
                 break;
             }
-            Some(Item::Batch(Batch {
-                watermark: wm,
-                tuples: batch,
-            })) => {
-                gauge.dequeued_n(batch.len() as u64);
-                run.stats.batches += 1;
-                if let Some(o) = &obs {
-                    o.batches.inc();
-                    o.tuples.add(batch.len() as u64);
-                    if let Some(rec) = recorder {
-                        rec.record(EventKind::BatchReceived, batch.len() as u64, gauge.depth());
+            Taken::Batches => {
+                let mut wm = 0;
+                for Batch { watermark, tuples } in &drain {
+                    wm = wm.max(*watermark);
+                    gauge.dequeued_n(tuples.len() as u64);
+                    run.stats.batches += 1;
+                    if let Some(o) = &obs {
+                        o.batches.inc();
+                        o.tuples.add(tuples.len() as u64);
+                        if let Some(rec) = recorder {
+                            rec.record(
+                                EventKind::BatchReceived,
+                                tuples.len() as u64,
+                                gauge.depth(),
+                            );
+                        }
                     }
                 }
-                groups.group_batch(&mut processor, &batch);
-                spent = Some(batch);
+                groups.group_drain(&mut processor, &drain);
                 for (slot, key, values) in groups.runs() {
                     let run_len = values.len() as u64;
                     // Two clock reads per slide, only when someone is
@@ -666,7 +697,7 @@ fn shard_worker<P: ShardProcessor>(
                     run.stats.tuples += run_len;
                 }
                 // The watermark closes windows across every key on this
-                // shard, including keys untouched by this batch.
+                // shard, including keys untouched by this drain.
                 let mut unappended = 0;
                 if wm > run.stats.watermark {
                     run.stats.watermark = wm;
@@ -677,7 +708,7 @@ fn shard_worker<P: ShardProcessor>(
                     }
                 }
                 if let Some(lag) = obs.as_ref().and_then(|o| o.watermark_lag.as_ref()) {
-                    // Refreshed every batch — not only on watermark
+                    // Refreshed every drain — not only on watermark
                     // advance — so the gauge (and the sampler series built
                     // from it) tracks lag even while the watermark is
                     // stalled behind late data.
@@ -689,13 +720,13 @@ fn shard_worker<P: ShardProcessor>(
                 }
                 run.tally_answers(&mut scratch, unappended, retain, obs.as_ref());
             }
-            Some(Item::Control(Control::Barrier { spare, save })) => {
+            Taken::Control(Control::Barrier { spare, save }) => {
                 // Counters, retained answers and what `save` reads all
                 // cover every key up to the watermark.
                 let unappended = catch_up(&mut processor, &mut scratch);
                 run.tally_answers(&mut scratch, unappended, retain, obs.as_ref());
                 // One event-time advance can fill the scratch with far more
-                // answers than a batch holds; do not keep that between
+                // answers than a drain holds; do not keep that between
                 // stretches.
                 scratch.shrink_to(SCRATCH_KEPT);
                 if let Some(o) = &obs {
@@ -719,7 +750,7 @@ fn shard_worker<P: ShardProcessor>(
                 // then closes and the loop ends.
                 let _ = reports.send(report);
             }
-            Some(Item::Control(Control::Finish)) => {
+            Taken::Control(Control::Finish) => {
                 // End of stream: close out every window still holding
                 // data. The shard's final watermark durably covers
                 // everything it accepted.

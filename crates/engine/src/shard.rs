@@ -34,9 +34,10 @@ use crate::stats::EngineStats;
 pub struct EngineConfig {
     /// Worker thread count (≥ 1). Keys are assigned by `mix64(key) % shards`.
     pub shards: usize,
-    /// Bounded queue capacity per shard, in batches. The router blocks
-    /// when a shard's queue is full — this is the backpressure bound —
-    /// until the worker has drained it to half.
+    /// Bounded queue capacity per shard, in batches, counting the ones
+    /// its worker holds. The router blocks when a shard's queue is full —
+    /// this is the backpressure bound — until the worker has drained it
+    /// to half.
     pub queue_capacity: usize,
     /// Tuples per queued batch. Larger batches amortise queue
     /// synchronisation; smaller ones tighten the backpressure loop.
@@ -46,7 +47,8 @@ pub struct EngineConfig {
     /// counted but not stored.
     pub retain_answers: bool,
     /// With [`retain_answers`](Self::retain_answers), keep only each
-    /// entry's last answer per key per batch, entries as
+    /// entry's last answer per key per drain (the one or more batches a
+    /// worker takes at once), entries as
     /// [`ShardProcessor::same_entry`] groups them: for a caller that
     /// keeps a table of latest answers. Every answer is still counted.
     pub latest_only: bool,

@@ -4,9 +4,10 @@
 //!
 //! Every processor keeps its keys in one [`SlotTable`]: slots count up
 //! from 0 in the order the processor first sees each key and never
-//! move, so per-key state lives in a plain `Vec` and a batch can be
-//! grouped by slot with a counting sort ([`SlotGroups`]) — O(batch +
-//! distinct keys), no comparisons, no per-run copy. The table travels
+//! move, so per-key state lives in a plain `Vec` and a worker's drain
+//! (one or more batches) can be grouped by slot with a counting sort
+//! ([`SlotGroups`]) — O(tuples + distinct keys), no comparisons, no
+//! per-run copy. The table travels
 //! with the processor, so it survives across engine runs and service
 //! cycles instead of being rebuilt per run.
 
@@ -14,6 +15,7 @@ use swag_data::keyed::Key;
 use swag_data::prng::mix64;
 
 use crate::keyed::ShardProcessor;
+use crate::queue::Batch;
 
 /// Bucket count of an empty table (a power of two).
 const MIN_BUCKETS: usize = 16;
@@ -159,38 +161,42 @@ impl<S> FromIterator<(Key, S)> for SlotTable<S> {
     }
 }
 
-/// A batch grouped by slot: a counting sort of its tuples on their
-/// processor's slots, stable, so each key's values keep stream order.
+/// A drain grouped by slot: a counting sort of its batches' tuples on
+/// their processor's slots, stable, so each key's values keep stream
+/// order across the batches too.
 ///
-/// The buffers are reused batch after batch, so grouping allocates only
-/// while they grow to the batch size and the processor's key count.
+/// The buffers are reused drain after drain, so grouping allocates only
+/// while they grow past their reserve: to a drain's tuple count and the
+/// processor's key count.
 pub(crate) struct SlotGroups<V> {
-    /// Per-slot tally, indexed by slot; all zero between batches.
+    /// Per-slot tally, indexed by slot; all zero between drains.
     counts: Vec<usize>,
-    /// Each tuple's slot, in batch order.
+    /// Each tuple's slot, in drain order.
     tuple_slots: Vec<usize>,
-    /// The batch's values, grouped by slot.
+    /// The drain's values, grouped by slot.
     values: Vec<V>,
     /// `(slot, key, end)` per distinct slot, in the order of each key's
-    /// first tuple in the batch; a run starts where the one before it
+    /// first tuple in the drain; a run starts where the one before it
     /// ends.
     runs: Vec<(usize, Key, usize)>,
 }
 
 impl<V: Copy> SlotGroups<V> {
-    pub(crate) fn new() -> Self {
+    /// Buffers with room for a drain of `tuples` tuples. The runs grow
+    /// with the distinct keys a drain holds, usually far fewer.
+    pub(crate) fn with_capacity(tuples: usize) -> Self {
         SlotGroups {
             counts: Vec::new(),
-            tuple_slots: Vec::new(),
-            values: Vec::new(),
+            tuple_slots: Vec::with_capacity(tuples),
+            values: Vec::with_capacity(tuples),
             runs: Vec::new(),
         }
     }
 
-    /// Group `batch` by its keys' slots in `processor`, opening a slot
-    /// for every key seen the first time: tally, prefix-sum, then a
-    /// stable scatter of the values.
-    pub(crate) fn group_batch<P>(&mut self, processor: &mut P, batch: &[(Key, V)])
+    /// Group the tuples of `drain`'s batches, in order, by their keys'
+    /// slots in `processor`, opening a slot for every key seen the first
+    /// time: tally, prefix-sum, then a stable scatter of the values.
+    pub(crate) fn group_drain<P>(&mut self, processor: &mut P, drain: &[Batch<(Key, V)>])
     where
         P: ShardProcessor<Value = V>,
     {
@@ -200,17 +206,18 @@ impl<V: Copy> SlotGroups<V> {
             values,
             runs,
         } = self;
+        let total = drain.iter().map(|b| b.tuples.len()).sum();
         tuple_slots.clear();
         runs.clear();
-        tuple_slots.reserve(batch.len());
-        runs.reserve(batch.len());
-        for &(key, _) in batch {
+        tuple_slots.reserve(total);
+        for &(key, _) in drain.iter().flat_map(|b| &b.tuples) {
             let slot = processor.open_slot(key);
             if slot >= counts.len() {
                 // alloc:amortized grows to the processor's key count, once per run
                 counts.resize(slot + 1, 0);
             }
             if counts[slot] == 0 {
+                // alloc:amortized grows to the most distinct keys in a drain, once per run
                 runs.push((slot, key, 0));
             }
             counts[slot] += 1;
@@ -222,25 +229,28 @@ impl<V: Copy> SlotGroups<V> {
             let count = std::mem::replace(&mut counts[slot], start);
             start += count;
         }
-        if let Some(&(_, fill)) = batch.first() {
-            if values.len() < batch.len() {
-                // alloc:amortized grows to the batch size once per run
-                values.resize(batch.len(), fill);
+        if let Some(&(_, fill)) = drain.iter().find_map(|b| b.tuples.first()) {
+            if values.len() < total {
+                // alloc:amortized grows to the drain size once per run
+                values.resize(total, fill);
             }
         }
-        for (&(_, value), &slot) in batch.iter().zip(tuple_slots.iter()) {
-            let at = &mut counts[slot];
-            values[*at] = value;
-            *at += 1;
+        let mut slots = tuple_slots.iter();
+        for batch in drain {
+            for (&(_, value), &slot) in batch.tuples.iter().zip(&mut slots) {
+                let at = &mut counts[slot];
+                values[*at] = value;
+                *at += 1;
+            }
         }
         // Each cursor now sits at its run's end; take it and zero the
-        // tally for the next batch.
+        // tally for the next drain.
         for (slot, _, end) in runs.iter_mut() {
             *end = std::mem::take(&mut counts[*slot]);
         }
     }
 
-    /// The runs of the last grouped batch: each distinct slot, its key,
+    /// The runs of the last grouped drain: each distinct slot, its key,
     /// and its values in stream order.
     pub(crate) fn runs(&self) -> impl Iterator<Item = (usize, Key, &[V])> {
         let mut start = 0;
@@ -314,12 +324,21 @@ mod tests {
         assert_eq!(pairs, vec![(5, "c"), (9, "b")]);
     }
 
+    /// A drain of the given batches, each stamped watermark 0.
+    fn drain(batches: &[&[(Key, u32)]]) -> Vec<Batch<(Key, u32)>> {
+        let batch = |tuples: &&[(Key, u32)]| Batch {
+            watermark: 0,
+            tuples: tuples.to_vec(),
+        };
+        batches.iter().map(batch).collect()
+    }
+
     #[test]
     fn grouping_is_a_stable_sort_by_first_seen_key() {
-        let mut groups = SlotGroups::new();
+        let mut groups = SlotGroups::with_capacity(8);
         let mut processor = Recorder::default();
-        let batch = [(7, 1), (3, 2), (7, 3), (9, 4), (3, 5), (7, 6)];
-        groups.group_batch(&mut processor, &batch);
+        let batch: &[(Key, u32)] = &[(7, 1), (3, 2), (7, 3), (9, 4), (3, 5), (7, 6)];
+        groups.group_drain(&mut processor, &drain(&[batch]));
         let mut out = Vec::new();
         let mut run_all = |groups: &SlotGroups<u32>, processor: &mut Recorder| {
             for (slot, key, values) in groups.runs() {
@@ -332,15 +351,37 @@ mod tests {
             processor.runs,
             vec![(7, vec![1, 3, 6]), (3, vec![2, 5]), (9, vec![4])]
         );
-        // The next batch reuses the buffers: a key first seen now sorts
-        // after the ones it follows in the batch, old slots keep theirs,
-        // and a shorter batch leaves no stale values behind.
+        // The next drain reuses the buffers: a key first seen now sorts
+        // after the ones it follows in the drain, old slots keep theirs,
+        // and a shorter drain leaves no stale values behind.
         processor.runs.clear();
-        groups.group_batch(&mut processor, &[(11, 7), (9, 8), (11, 9)]);
+        groups.group_drain(&mut processor, &drain(&[&[(11, 7), (9, 8), (11, 9)]]));
         run_all(&groups, &mut processor);
         assert_eq!(processor.runs, vec![(11, vec![7, 9]), (9, vec![8])]);
         assert_eq!(processor.open_slot(11), 3);
-        groups.group_batch(&mut processor, &[]);
+        groups.group_drain(&mut processor, &[]);
         assert_eq!(groups.runs().count(), 0);
+        groups.group_drain(&mut processor, &drain(&[&[], &[]]));
+        assert_eq!(groups.runs().count(), 0);
+    }
+
+    /// Several batches group as their concatenation: one run per key,
+    /// values in batch order, then stream order within each batch.
+    #[test]
+    fn a_drain_groups_the_union_of_its_batches() {
+        let mut groups = SlotGroups::with_capacity(4);
+        let mut processor = Recorder::default();
+        let first: &[(Key, u32)] = &[(7, 1), (3, 2)];
+        let second: &[(Key, u32)] = &[(3, 3), (5, 4), (7, 5)];
+        let third: &[(Key, u32)] = &[(7, 6)];
+        groups.group_drain(&mut processor, &drain(&[first, &[], second, third]));
+        let mut out = Vec::new();
+        for (slot, _, values) in groups.runs() {
+            processor.process_slot(slot, values, &mut out);
+        }
+        assert_eq!(
+            processor.runs,
+            vec![(7, vec![1, 5, 6]), (3, vec![2, 3]), (5, vec![4])]
+        );
     }
 }

@@ -12,7 +12,8 @@ pub struct ShardStats {
     pub tuples: u64,
     /// Answers its per-key windows produced.
     pub answers: u64,
-    /// Channel batches this shard received (one per `recv`).
+    /// Batches this shard received, whether taken alone or in a drain
+    /// with others.
     pub batches: u64,
     /// Distinct keys routed to this shard.
     pub keys: usize,
